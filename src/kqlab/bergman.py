@@ -18,6 +18,16 @@ This module computes psi both by quadrature and by the Gamma closed forms of
 the three profile families, evaluates the series with tail control, and
 certifies the exact product laws of the balanced bundle metrics over the
 Riemann sphere.
+
+Quadrature moments of the three families come from Gauss rules matched to
+the density (Golub & Welsch, Math. Comp. 23 (1969)), with the density itself
+evaluated through the profile jets, never through the closed forms.  A
+single moment gets its own rule; a series or a moment table shares one rule,
+and one sweep of the density over its nodes, among each aligned block of 16
+consecutive fiber degrees.  The rule's node count is the ``nodes`` argument
+(``--quad-nodes`` on the command line).  Custom profiles use adaptive
+quadrature one moment at a time.  A moment that is not finite and positive
+raises QuadratureNonConvergent.
 """
 
 from __future__ import annotations
@@ -36,6 +46,13 @@ from .profiles import RadialProfile, linear, log_ball, profile_jet
 from .special import product_shifted
 
 _MEMBERSHIP_TOL = 1e-9
+
+# Fiber degrees per Gauss rule when a series or table fills its moments.
+_GAUSS_BLOCK = 16
+
+# (domain, family) pairs whose moments have a matched Gauss rule.
+_GAUSS_FAMILIES = (("ball", "logball"), ("fullspace", "linear"),
+                   ("fullspace", "logaffine"))
 
 
 @dataclass(frozen=True)
@@ -195,71 +212,105 @@ def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
     raise BranchInvalid(f"no closed psi ratio for family={fam!r}")
 
 
-def _psi_quadrature(s: QuantizationSetup, k: int, nodes: int) -> float:
-    """psi(alpha, k) by quadrature matched to the density's endpoint behavior.
+def _has_gauss_rule(s: QuantizationSetup) -> bool:
+    return (s.domain, s.profile.family) in _GAUSS_FAMILIES
 
-    Log-ball profiles get a Gauss-Jacobi rule whose weight carries both the
-    (1-u) endpoint exponent of H and the u^(k+d0-1) factor, so the remaining
-    integrand is the smooth (for the closed families: polynomial) part of H.
-    The full-space linear family integrates against its exponential envelope
-    with generalized Gauss-Laguerre; the log-affine family is mapped to
-    (0, 1) where it is again Jacobi-type.  Custom profiles fall back to
-    adaptive quadrature.
+
+def _gauss_rule(rule, nodes: int, *exponents: float):
+    """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
+    with np.errstate(all="ignore"):   # checked below, typed
+        xs, ws = rule(nodes, *exponents)
+    if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
+        raise QuadratureNonConvergent(
+            f"{nodes}-node Gauss rule with weight exponents {exponents} is not finite")
+    return xs, ws
+
+
+def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
+                          nodes: int) -> list[float]:
+    """psi(alpha, k) for k0 <= k <= k1 from one Gauss rule matched to the density.
+
+    The rule's weight carries the endpoint behavior of H and the factor
+    u^(k0+d0-1) of the block's first moment, so what remains is the smooth
+    (for the closed families: polynomial) part g of H.  Log-ball profiles get
+    Gauss-Jacobi with weight (1-u)^a u^(k0+d0-1); the full-space linear family
+    integrates against its exponential envelope with generalized
+    Gauss-Laguerre, x^(k0+d0-1) e^-x; the log-affine family is mapped to
+    (0, 1) with v = c u / (1 + c u) and gets Gauss-Jacobi with the weight
+    (1-v)^a(k1) v^(k0+d0-1) of the block's last moment.  Moment k differs from
+    that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
+    for the other two), so the block is one (moments x nodes) matrix of those
+    factors times g, applied to the weights.  The block [k, k] is the single
+    moment.  Every moment must come out finite and positive.
     """
-    alpha, lam, d, d0, n = s.alpha, s.twist, s.d, s.d0, s.n
+    alpha, d0, n = s.alpha, s.d0, s.n
     fam = s.profile.family
-    pref = math.exp(gammaln(k + 1) - gammaln(k + d0))
+    b0 = k0 + d0 - 1
+    ks = range(k0, k1 + 1)
+    j = np.arange(len(ks))[:, None]
 
     if s.domain == "ball" and fam == "logball":
         A = s.profile.A
         aexp = alpha / A - n - 1
-        bexp = k + d0 - 1
         if aexp <= -1:
             raise BranchInvalid(f"ball moment diverges: alpha <= n*A = {n * A}")
-        xs, ws = roots_jacobi(nodes, aexp, bexp)
+        xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
         u = 0.5 * (xs + 1.0)
-        vals = [math.exp(_log_density_H(s, ui) - aexp * math.log1p(-ui)) for ui in u]
-        integral = 2.0 ** (-(aexp + bexp + 1)) * float(np.dot(ws, vals))
-        return pref * integral
-
-    if s.domain == "fullspace" and fam == "linear":
+        g = [math.exp(_log_density_H(s, ui) - aexp * math.log1p(-ui)) for ui in u]
+        leftover = u ** j
+        scales = [2.0 ** (-(aexp + b0 + 1))] * len(ks)
+    elif s.domain == "fullspace" and fam == "linear":
         c = s.profile.c
         if alpha <= 0:
             raise BranchInvalid("full-space moment needs alpha > 0")
-        xs, ws = roots_genlaguerre(nodes, k + d0 - 1)
+        xs, ws = _gauss_rule(roots_genlaguerre, nodes, b0)
         scale = alpha * c
         u = xs / scale
-        vals = [math.exp(_log_density_H(s, ui) + alpha * c * ui) for ui in u]
-        integral = scale ** (-(k + d0)) * float(np.dot(ws, vals))
-        return pref * integral
-
-    if s.domain == "fullspace" and fam == "logaffine":
+        g = [math.exp(_log_density_H(s, ui) + alpha * c * ui) for ui in u]
+        leftover = xs ** j
+        scales = [scale ** (-(k + d0)) for k in ks]
+    elif s.domain == "fullspace" and fam == "logaffine":
         A, c = s.profile.A, s.profile.c
         if A >= 0:
             raise BranchInvalid("full-space log-affine profile needs A < 0")
-        aexp = -alpha / A - k
-        bexp = k + d0 - 1
+        aexp = -alpha / A - k1
         if aexp <= -1:
             raise BranchInvalid(
-                f"moment diverges: fiber degree k={k} above alpha*|1/A|")
-        xs, ws = roots_jacobi(nodes, aexp, bexp)
+                f"moment diverges: fiber degree k={k1} above alpha*|1/A|")
+        xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
         v = 0.5 * (xs + 1.0)
         u = v / (c * (1.0 - v))
-        vals = [math.exp(_log_density_H(s, ui) - (aexp + k + d0 + 1) * math.log1p(-vi))
-                for ui, vi in zip(u, v)]
-        integral = c ** (-(k + d0)) * 2.0 ** (-(aexp + bexp + 1)) * float(np.dot(ws, vals))
-        return pref * integral
+        g = [math.exp(_log_density_H(s, ui) - (aexp + k1 + d0 + 1) * math.log1p(-vi))
+             for ui, vi in zip(u, v)]
+        leftover = v ** j * (1.0 - v) ** (k1 - k0 - j)
+        scales = [c ** (-(k + d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in ks]
+    else:
+        raise BranchInvalid(f"no Gauss rule for family={fam!r} on domain={s.domain!r}")
 
-    # custom profiles: adaptive quadrature on the native range
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below, typed
+        integrals = (leftover * np.asarray(g)) @ ws
+    out = []
+    for k, scale, integral in zip(ks, scales, integrals):
+        psi = math.exp(gammaln(k + 1) - gammaln(k + d0)) * (scale * float(integral))
+        if not (math.isfinite(psi) and psi > 0):
+            raise QuadratureNonConvergent(
+                f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss "
+                "rule is not finite and positive")
+        out.append(psi)
+    return out
+
+
+def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
+    """psi(alpha, k) by adaptive quadrature on the native fiber range."""
     from scipy.integrate import quad
 
     upper = 1.0 if s.domain == "ball" else np.inf
-    val, err = quad(lambda u: u ** (k + d0 - 1) * density_H(s, u), 0.0, upper,
+    val, err = quad(lambda u: u ** (k + s.d0 - 1) * density_H(s, u), 0.0, upper,
                     epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
+    if not (math.isfinite(val) and val > 0) or err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureNonConvergent(
             f"adaptive fiber moment failed: value={val}, abserr={err}")
-    return pref * val
+    return math.exp(gammaln(k + 1) - gammaln(k + s.d0)) * val
 
 
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
@@ -270,7 +321,9 @@ def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
     if method == "closed":
         return _psi_closed(s, k)
     if method == "quadrature":
-        return _psi_quadrature(s, k, nodes)
+        if _has_gauss_rule(s):
+            return _psi_quadrature_block(s, k, k, nodes)[0]
+        return _psi_adaptive(s, k)
     raise ValueError("method must be 'closed' or 'quadrature'")
 
 
@@ -287,21 +340,54 @@ class MomentTable:
 
 def moment_table(s: QuantizationSetup, K: int, method: str = "closed",
                  nodes: int = 64) -> MomentTable:
-    return MomentTable(tuple(psi_moment(s, k, method, nodes) for k in range(K + 1)),
-                       method=method, K=K)
+    cache = _PsiCache(s, method, nodes)
+    return MomentTable(tuple(cache(k) for k in range(K + 1)), method=method, K=K)
 
 
 class _PsiCache:
-    """Memoized psi(alpha, k) for one setup/method."""
+    """Memoized psi(alpha, k) for one setup/method, with counts of the work done.
+
+    Quadrature moments of the three profile families are filled an aligned
+    block of _GAUSS_BLOCK fiber degrees at a time, one Gauss rule per block;
+    closed forms and custom profiles go one moment at a time.  The counts are
+    kept as sets, so threads that share a cache count each block once.
+    """
 
     def __init__(self, s: QuantizationSetup, method: str, nodes: int):
         self._s, self._method, self._nodes = s, method, nodes
         self._vals: dict[int, float] = {}
+        self._by_block = method == "quadrature" and _has_gauss_rule(s)
+        self._blocks: set[tuple[int, int]] = set()
+        self._used: set[int] = set()
+
+    def _block(self, k: int) -> tuple[int, int]:
+        """The aligned block holding k, clipped to the moments that exist."""
+        s = self._s
+        k0 = k - k % _GAUSS_BLOCK
+        k1 = k0 + _GAUSS_BLOCK - 1
+        if s.twist < 0:
+            k1 = s.fiber_degrees(k1)[-1]
+        if s.profile.family == "logaffine" and s.profile.A < 0:
+            k1 = min(k1, math.ceil(-s.alpha / s.profile.A))  # last k with a(k) > -1
+        return k0, max(k, k1)
 
     def __call__(self, k: int) -> float:
         if k not in self._vals:
-            self._vals[k] = psi_moment(self._s, k, self._method, self._nodes)
+            if self._by_block:
+                k0, k1 = self._block(k)
+                self._vals.update(zip(range(k0, k1 + 1),
+                                      _psi_quadrature_block(self._s, k0, k1, self._nodes)))
+                self._blocks.add((k0, k1))
+            else:
+                self._vals[k] = psi_moment(self._s, k, self._method, self._nodes)
+        self._used.add(k)
         return self._vals[k]
+
+    def counts(self) -> dict[str, int]:
+        """Gauss rules built, nodes per rule and fiber degrees used so far."""
+        return {"gauss_rules": len(self._blocks),
+                "nodes_per_rule": self._nodes if self._blocks else 0,
+                "fiber_degrees": len(self._used)}
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +587,9 @@ class BalancedCertificate:
     max_error: float           # worst |value - target| / (1 + |target|)
     base_identity_gap: float   # |(r - (1+r)A) - 1/k|
     balanced: bool
+    gauss_rules: int           # Gauss rules built for the moments
+    nodes_per_rule: int
+    fiber_degrees: int         # fiber degrees the series used
 
 
 def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> QuantizationSetup:
@@ -558,4 +647,5 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
                                max_spread=spread, max_error=err,
                                base_identity_gap=identity_gap,
                                balanced=spread <= tol and err <= tol
-                               and identity_gap <= 1e-12)
+                               and identity_gap <= 1e-12,
+                               **cache.counts())

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -213,7 +214,7 @@ def _add_common(sp: argparse.ArgumentParser, tol: float) -> None:
     sp.add_argument("--max-k", type=int, default=10000,
                     help="series / table truncation cap")
     sp.add_argument("--quad-nodes", type=int, default=64,
-                    help="quadrature nodes per axis")
+                    help="quadrature nodes per Gauss rule (per axis for the oracles)")
     sp.add_argument("--output", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report to PATH")
 
@@ -406,7 +407,8 @@ def cmd_bergman(args) -> int:
         dev = (max(values) - min(values)) / (1.0 + abs(mean))
         verdict = "inconclusive"
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
-               "psi_method": args.psi_method, "branch": None}
+               "psi_method": args.psi_method, "branch": None,
+               **cache.counts()}
     _emit(args, _report(echo, rows, summary), rows, t0)
     return _EXIT[verdict]
 
@@ -438,7 +440,9 @@ def cmd_balanced(args) -> int:
                "max_deviation": max(cert.max_spread, cert.max_error),
                "target": cert.target, "value": sum(cert.values) / len(cert.values),
                "A": cert.A, "mu": cert.mu,
-               "base_identity_gap": cert.base_identity_gap, "branch": None}
+               "base_identity_gap": cert.base_identity_gap, "branch": None,
+               "gauss_rules": cert.gauss_rules, "nodes_per_rule": cert.nodes_per_rule,
+               "fiber_degrees": cert.fiber_degrees}
     setup = {"part": args.part, "k": args.k, "r": args.r, "m": args.m, "c": args.c,
              "grid": args.grid, "psi_method": args.psi_method}
     _emit(args, _report(setup, rows, summary), rows, t0)
@@ -578,9 +582,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_grid_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--grid -4:-0.5:16`` as ``--grid=-4:-0.5:16``.
+
+    argparse reads a value with a leading minus sign as an option, so a
+    negative grid given as a separate word would be rejected.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[\d.]", word):
+            out[-1] = "--grid=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except _NONCONVERGENT as exc:

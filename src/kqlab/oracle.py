@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import roots_genlaguerre, roots_legendre
 
 from .bergman import QuantizationSetup
-from .errors import (OutOfDomain, PreconditionFailed, QuadratureNonConvergent,
-                     TruncationInsufficient)
+from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
+                     QuadratureNonConvergent, TruncationInsufficient)
 from .profiles import RadialProfile, profile_jet
 
 
@@ -84,6 +84,8 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
         raise PreconditionFailed("k, m must be >= 1")
     if len(z_grid) == 0:
         raise OutOfDomain("z_grid must be non-empty")
+    if min(z_grid) < 0:
+        raise OutOfDomain("|z|^2 grid values must be non-negative")
     # |z^j|^2 = k * int_0^inf s^j (1+s)^(-mk-2) ds, mapped to (0,1) by s = v/(1-v)
     xs, ws = roots_legendre(nodes)
     v = 0.5 * (xs + 1.0)
@@ -246,7 +248,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
         from .bergman import closed_target
 
         target = closed_target(setup)
-    except Exception:
+    except BranchInvalid:
         target = None
 
     values = []

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kqlab import bergman, jets
 from kqlab.bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
-                           Spectrum, balanced_certify, balanced_setup,
+                           Spectrum, _psi_quadrature_block, _PsiCache,
+                           balanced_certify, balanced_setup,
                            bergman_series, closed_target, density_H,
                            fiber_moment, fiber_moment_direct,
                            generating_coefficients, generating_identity_check,
@@ -14,7 +16,8 @@ from kqlab.bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
 from kqlab.curvature import BaseGeometry
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent)
-from kqlab.profiles import linear, log_affine, log_ball
+from kqlab.jets import TaylorJet
+from kqlab.profiles import custom, linear, log_affine, log_ball
 from kqlab.special import product_shifted
 
 
@@ -315,3 +318,111 @@ def test_projective_series_equals_product(alpha):
     s = full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, float(alpha), base=base)
     assert bergman_series(s, 1.3) == pytest.approx(
         product_shifted(float(alpha), -1.0, 3), rel=1e-11)
+
+
+# -- block Gauss rules ---------------------------------------------------------
+
+
+def _block_setups():
+    yield ball_setup(0.5, 1.0, 1, 2, 4.0)
+    yield full_setup(linear(1.0), 1.0, 1, 1, 2.0)
+    # log-affine at level 45: admissible fiber degrees 0..45
+    yield full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 45.0)
+
+
+@pytest.mark.parametrize("s", list(_block_setups()),
+                         ids=["logball", "linear", "logaffine"])
+def test_block_moments_match_single_moments(s):
+    # k = 0..40 crosses the block boundaries at 15/16/17 and 31/32/33
+    cache = _PsiCache(s, "quadrature", 64)
+    for k in range(41):
+        single = psi_moment(s, k, "quadrature")
+        assert cache(k) == pytest.approx(single, rel=1e-12, abs=0.0)
+    assert cache.counts() == {"gauss_rules": 3, "nodes_per_rule": 64,
+                              "fiber_degrees": 41}
+
+
+def test_negative_twist_block_stops_at_last_admissible_degree():
+    s = full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 9.0)
+    with pytest.raises(BranchInvalid):
+        _psi_quadrature_block(s, 0, 15, 64)   # degree 15 has no moment
+    cache = _PsiCache(s, "quadrature", 64)
+    for k in range(10):
+        assert cache(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
+    assert cache.counts() == {"gauss_rules": 1, "nodes_per_rule": 64,
+                              "fiber_degrees": 10}
+
+
+def test_log_affine_block_stops_at_last_convergent_moment():
+    # positive twist: moments exist for k <= alpha/|A| = 20 only
+    s = full_setup(log_affine(-1.0, 1.0), 1.0, 1, 1, 20.0)
+    cache = _PsiCache(s, "quadrature", 64)
+    assert cache(16) == pytest.approx(psi_moment(s, 16, "quadrature"), rel=1e-12)
+    assert cache.counts()["gauss_rules"] == 1
+    with pytest.raises(BranchInvalid):
+        cache(21)
+
+
+def test_custom_profile_keeps_adaptive_moments(monkeypatch):
+    A = 0.5
+
+    def rule(t, order):
+        return (-1.0 / A) * jets.log(1.0 - jets.exp(TaylorJet.variable(t, order)))
+
+    s = ball_setup(A, 1.0, 1, 2, 4.0)
+    s_custom = QuantizationSetup(d=1, d0=2, twist=1.0, domain="ball",
+                                 profile=custom(rule, "t"), base=s.base, alpha=4.0)
+
+    def no_gauss_rule(*args):
+        raise AssertionError("custom profiles must not take the Gauss-rule path")
+
+    monkeypatch.setattr(bergman, "_psi_quadrature_block", no_gauss_rule)
+    cache = _PsiCache(s_custom, "quadrature", 64)
+    for k in range(3):
+        assert cache(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-9)
+    assert cache.counts() == {"gauss_rules": 0, "nodes_per_rule": 0,
+                              "fiber_degrees": 3}
+
+
+@pytest.mark.parametrize("s", [balanced_setup(2, 1, 2, "ball"),
+                               balanced_setup(1, 1, 3, "total")], ids=["ball", "total"])
+def test_series_same_with_block_and_single_moments(s):
+    for rho in (0.3, 0.6):
+        blocks = bergman_series(s, rho, psi_method="quadrature")
+        single = bergman_series(s, rho, psi=lambda k: psi_moment(s, k, "quadrature"))
+        assert blocks == pytest.approx(single, rel=1e-12, abs=0.0)
+
+
+def test_balanced_certificate_counts():
+    cert = balanced_certify(2, 2, 3)
+    assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (27, 64, 419)
+    closed = balanced_certify(2, 2, 3, psi_method="closed")
+    assert (closed.gauss_rules, closed.nodes_per_rule, closed.fiber_degrees) == (0, 0, 419)
+
+
+def test_overflowing_rule_raises_instead_of_nan():
+    # a 2000-node Gauss-Jacobi rule overflows at this degree
+    s = balanced_setup(2, 2, 3, "ball")
+    with pytest.raises(QuadratureNonConvergent):
+        psi_moment(s, 300, "quadrature", nodes=2000)
+    with pytest.raises(QuadratureNonConvergent):
+        _PsiCache(s, "quadrature", 2000)(300)
+
+
+def test_non_finite_moment_raises(monkeypatch):
+    s = ball_setup(0.5, 1.0, 1, 2, 4.0)
+    monkeypatch.setattr(bergman, "_log_density_H", lambda s, u: math.nan)
+    with pytest.raises(QuadratureNonConvergent):
+        psi_moment(s, 0, "quadrature")
+
+
+def test_quadrature_moment_table_uses_blocks(monkeypatch):
+    rules = []
+    roots_jacobi = bergman.roots_jacobi
+    monkeypatch.setattr(bergman, "roots_jacobi",
+                        lambda *args: rules.append(args) or roots_jacobi(*args))
+    s = ball_setup(0.5, 1.0, 1, 2, 4.0)
+    table = moment_table(s, 20, "quadrature")
+    assert [args[2] for args in rules] == [1, 17]   # u^(k0+d0-1), k0 = 0, 16
+    for k, entry in enumerate(table.entries):
+        assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -159,3 +160,62 @@ def test_coeffs_quantities(capsys):
     expected = (n - 1) * n * (n + 1) * (3 * n + 2) * 0.25 / 24.0
     assert doc["summary"]["mean"] == pytest.approx(expected, rel=1e-9)
     assert doc["summary"]["max_deviation"] <= 1e-9
+
+
+def test_overflowing_quadrature_exits_nonconvergent(capsys):
+    # a 2000-node Gauss-Jacobi rule with weight exponent 300 overflows
+    code, doc = run_json(capsys, "bergman", "--family", "logball", "--A", "0.5",
+                         "--d", "1", "--d0", "2", "--alpha", "152",
+                         "--psi-method", "quadrature", "--quad-nodes", "2000",
+                         "--grid", "0.5:0.5:1", "--max-k", "20")
+    assert code == 3
+    assert doc["error"]["type"] == "QuadratureNonConvergent"
+
+
+def test_negative_grid_as_separate_word(capsys):
+    base = ("coeffs", "--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2")
+    code, spaced = run_cli(capsys, *base, "--grid", "-4:-0.5:16")
+    assert code == 0
+    assert run_cli(capsys, *base, "--grid=-4:-0.5:16") == (0, spaced)
+    assert len(json.loads(spaced)["rows"]) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--family", "logball", "--A", "0.5"),
+    ("bergman", "--family", "linear", "--domain", "fullspace"),
+    ("identity", "--family", "linear", "--domain", "fullspace"),
+    ("balanced", "--k", "2", "--r", "1"),
+    ("oracle-cp1", "--k", "1", "--m", "1"),
+])
+def test_other_grid_options_take_a_negative_start(capsys, argv):
+    _, doc = run_json(capsys, *argv, "--grid", "-1:-0.5:8")
+    # parsed: a t-grid gives rows, a negative radius is typed invalid input
+    assert len(doc.get("rows", ())) == 8 or doc["error"]["type"] == "OutOfDomain"
+
+
+def test_moment_diagnostics_in_summaries(capsys):
+    code, doc = run_json(capsys, "balanced", "--k", "2", "--r", "2", "--m", "3")
+    assert code == 0
+    summary = doc["summary"]
+    assert (summary["gauss_rules"], summary["nodes_per_rule"],
+            summary["fiber_degrees"]) == (27, 64, 419)
+    code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--domain", "fullspace",
+                         "--alpha", "3", "--grid", "0:1.5:7")
+    summary = doc["summary"]
+    assert code == 0 and summary["gauss_rules"] == 0
+    assert summary["nodes_per_rule"] == 0 and summary["fiber_degrees"] > 0
+
+
+def test_threads_sharing_a_moment_cache_report_serial_counts(capsys, monkeypatch):
+    args = ("bergman", "--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2",
+            "--alpha", "4", "--psi-method", "quadrature", "--grid", "0.5:0.9:6")
+    _, serial = run_cli(capsys, *args)
+    monkeypatch.setenv("KQ_THREADS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, threaded = run_cli(capsys, *args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

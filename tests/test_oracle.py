@@ -98,3 +98,15 @@ def test_gram_offdiagonal_entries_vanish():
     entries = gram_offdiagonal_probe(cfg, balanced_setup(2, 1, 2, "ball"), pairs)
     for e in entries:
         assert e.magnitude <= 1e-10
+
+
+def test_hartogs_target_errors_other_than_branch_propagate(monkeypatch):
+    import kqlab.bergman
+
+    def broken_target(setup):
+        raise RuntimeError("bug in closed_target")
+
+    monkeypatch.setattr(kqlab.bergman, "closed_target", broken_target)
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)
+    with pytest.raises(RuntimeError, match="bug in closed_target"):
+        hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))

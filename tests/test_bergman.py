@@ -426,3 +426,22 @@ def test_quadrature_moment_table_uses_blocks(monkeypatch):
     assert [args[2] for args in rules] == [1, 17]   # u^(k0+d0-1), k0 = 0, 16
     for k, entry in enumerate(table.entries):
         assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
+
+
+# -- closed-form ratios ---------------------------------------------------------
+
+
+def _closed_models():
+    yield ball_setup(0.5, 1.0, 1, 2, 4.0)
+    yield ball_setup(1.0, 1.0, 2, 2, 9.0)
+    yield full_setup(linear(1.3), 1.0, 1, 1, 2.0)
+    # projective branch at level 21: closed moments for k = 0..21
+    yield full_setup(log_affine(-1.0, 1.5), -1.0, 2, 1, 21.0)
+
+
+@pytest.mark.parametrize("s", list(_closed_models()),
+                         ids=["ball-d1", "ball-d2", "linear", "projective"])
+def test_closed_ratio_is_quotient_of_closed_moments(s):
+    for k in range(21):
+        quotient = bergman._psi_closed(s, k) / bergman._psi_closed(s, k + 1)
+        assert bergman._psi_ratio_closed(s, k) == pytest.approx(quotient, rel=1e-13)

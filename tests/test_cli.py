@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
-from kqlab.cli import main, parse_grid, render_json
+from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
+                       render_json)
+from kqlab.curvature import branch_coefficients
+from kqlab.profiles import linear, log_affine, log_ball
 
 
 def run_cli(capsys, *argv):
@@ -219,3 +222,30 @@ def test_threads_sharing_a_moment_cache_report_serial_counts(capsys, monkeypatch
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+@pytest.mark.parametrize("p", [log_ball(0.5), linear(2.5), log_affine(-0.7, 1.3)],
+                         ids=["logball", "linear", "logaffine"])
+def test_profile_dict_round_trip(p):
+    assert profile_from_dict(profile_to_dict(p)) == p
+
+
+@pytest.mark.parametrize("model, a1, a2", [
+    # log-ball on the full space: d = 1, (d0*twist - n*A, 0)
+    (("--family", "logball", "--A", "0.5", "--domain", "fullspace"), 2 - 3 * 0.5, 0.0),
+    # linear on the ball: A = 0, so (d0*twist, 0)
+    (("--family", "linear", "--c", "2"), 2.0, 0.0),
+    # log-affine on the ball: (d0*twist - n*A, 0)
+    (("--family", "logaffine", "--A", "-0.5"), 2 + 3 * 0.5, 0.0),
+    # log-ball with A != twist at d = 2: branch_coefficients(d, twist)
+    (("--family", "logball", "--A", "0.5", "--d", "2", "--d0", "1"),
+     *branch_coefficients(2, 1.0)),
+], ids=["logball", "linear", "logaffine", "logball-d2"])
+def test_branch_base_off_the_branch_windows(capsys, model, a1, a2):
+    argv = ("coeffs", "--d", "1", "--d0", "2", "--lambda", "1") + model
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    base = doc["setup"]["base"]
+    assert base["preset"] == "branch"
+    assert (base["a1"], base["a2"]) == (pytest.approx(a1, rel=1e-14, abs=1e-14),
+                                        pytest.approx(a2, rel=1e-14, abs=1e-14))

@@ -8,8 +8,8 @@ exact product-law targets, and brute-force Gram-matrix oracles.
 """
 
 from .bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
-                      Spectrum, balanced_certify, balanced_setup,
-                      bergman_series, closed_target, density_H, fiber_moment,
+                      balanced_certify, balanced_setup, bergman_series,
+                      closed_target, density_H, fiber_moment,
                       fiber_moment_direct, generating_coefficients,
                       generating_identity_check, moment_table, psi_moment,
                       sphere_monomial_integral)
@@ -44,7 +44,6 @@ __all__ = [
     "QuantizationSetup",
     "RadialProfile",
     "ShiftedProduct",
-    "Spectrum",
     "TaylorJet",
     "admissibility",
     "balanced_certify",

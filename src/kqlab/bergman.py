@@ -33,13 +33,14 @@ raises QuadratureNonConvergent.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
-from .curvature import BaseGeometry
+from .curvature import BaseGeometry, _close, _spread
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .profiles import RadialProfile, linear, log_ball, profile_jet
@@ -50,28 +51,9 @@ _MEMBERSHIP_TOL = 1e-9
 # Fiber degrees per Gauss rule when a series or table fills its moments.
 _GAUSS_BLOCK = 16
 
-# (domain, family) pairs whose moments have a matched Gauss rule.
-_GAUSS_FAMILIES = (("ball", "logball"), ("fullspace", "linear"),
-                   ("fullspace", "logaffine"))
 
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Set of admissible levels, closed under adding multiples of the twist.
-
-    ``arithmetic`` is the progression start + step*N; ``naturals`` is N
-    (the level set of the negative-twist projective branch).
-    """
-
-    kind: str = "arithmetic"
-    start: float = 0.0
-    step: float = 1.0
-
-    def contains(self, level: float) -> bool:
-        if self.kind == "naturals":
-            return level >= -_MEMBERSHIP_TOL and abs(level - round(level)) <= _MEMBERSHIP_TOL
-        q = (level - self.start) / self.step
-        return q >= -_MEMBERSHIP_TOL and abs(q - round(q)) <= _MEMBERSHIP_TOL
+def _is_natural(level: float) -> bool:
+    return level >= -_MEMBERSHIP_TOL and abs(level - round(level)) <= _MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -85,7 +67,6 @@ class QuantizationSetup:
     profile: RadialProfile
     base: BaseGeometry
     alpha: float
-    spectrum: Optional[Spectrum] = None
 
     def __post_init__(self):
         if self.d < 1 or self.d0 < 1:
@@ -96,40 +77,31 @@ class QuantizationSetup:
             raise ValueError("domain must be 'ball' or 'fullspace'")
         if self.base.d != self.d:
             raise ValueError(f"base dimension {self.base.d} != setup d {self.d}")
-        if abs(self.base.twist - self.twist) > 1e-12 * max(1.0, abs(self.twist)):
+        if not _close(self.base.twist, self.twist):
             raise ValueError("base twist and setup twist disagree")
 
     @property
     def n(self) -> int:
         return self.d + self.d0
 
-    def level_spectrum(self) -> Spectrum:
-        if self.spectrum is not None:
-            return self.spectrum
-        if self.twist > 0:
-            return Spectrum("arithmetic", self.alpha, self.twist)
-        return Spectrum("naturals")
-
     def fiber_degrees(self, k_cap: int) -> range:
-        """Fiber degrees k with alpha + twist*k in the level spectrum."""
+        """Fiber degrees k whose level alpha + twist*k is admissible.
+
+        Every level is admissible for positive twist; for negative twist (the
+        projective branch) the admissible levels are the natural numbers.
+        """
         if self.twist > 0:
             return range(k_cap + 1)
-        spec = self.level_spectrum()
-        if not spec.contains(self.alpha):
+        if not _is_natural(self.alpha):
             raise BranchInvalid(f"level alpha={self.alpha} not in the spectrum")
         k = 0
-        while k < k_cap and spec.contains(self.alpha + self.twist * (k + 1)):
+        while k < k_cap and _is_natural(self.alpha + self.twist * (k + 1)):
             k += 1
         return range(k + 1)
 
 
 # ---------------------------------------------------------------------------
 # fiber density and moments
-
-
-def _rho_derivs(p: RadialProfile, u: float) -> tuple[float, float, float]:
-    j = profile_jet(p, u, 2, "rho")
-    return j.derivative(0), j.derivative(1), j.derivative(2)
 
 
 def density_H(s: QuantizationSetup, u: float) -> float:
@@ -140,7 +112,8 @@ def density_H(s: QuantizationSetup, u: float) -> float:
 def _log_density_H(s: QuantizationSetup, u: float) -> float:
     if u < 0 or (s.domain == "ball" and u >= 1):
         raise OutOfDomain(f"u={u} outside the fiber range for domain {s.domain}")
-    F, Fp, Fpp = _rho_derivs(s.profile, u)
+    j = profile_jet(s.profile, u, 2, "rho")
+    F, Fp, Fpp = j.derivative(0), j.derivative(1), j.derivative(2)
     radial = Fp + u * Fpp
     shift = 1.0 + s.twist * u * Fp
     if Fp <= 0 or radial <= 0 or shift <= 0:
@@ -149,71 +122,158 @@ def _log_density_H(s: QuantizationSetup, u: float) -> float:
             + math.log(radial) + s.d * math.log(shift))
 
 
+# ---------------------------------------------------------------------------
+# moment models of the closed families
+
+
+def _ball_window(s: QuantizationSetup) -> None:
+    A = s.profile.A
+    if s.d > 1 and not _close(A, s.twist):
+        raise BranchInvalid("ball closed form for d > 1 needs A equal to the twist")
+    if s.alpha <= s.n * A:
+        raise BranchInvalid(f"ball closed form needs alpha > n*A = {s.n * A}")
+
+
+def _ball_psi(s: QuantizationSetup, k: int) -> float:
+    alpha, lam, d0, n, A = s.alpha, s.twist, s.d0, s.n, s.profile.A
+    if s.d == 1:
+        return math.exp(gammaln(k + 1) + gammaln(alpha / A - n)
+                        - n * math.log(A) - gammaln(alpha / A + k)) \
+            * (alpha + lam * k + d0 * lam - n * A)
+    return math.exp(gammaln(k + 1) + gammaln(alpha / lam - n)
+                    - d0 * math.log(lam) - gammaln(alpha / lam + k - s.d))
+
+
+def _ball_ratio(s: QuantizationSetup, k: int) -> float:
+    alpha, lam, d0, n, A = s.alpha, s.twist, s.d0, s.n, s.profile.A
+    if s.d == 1:
+        xk = alpha + lam * k + d0 * lam - n * A
+        xk1 = alpha + lam * (k + 1) + d0 * lam - n * A
+        return (alpha / A + k) * xk / ((k + 1) * xk1)
+    return (alpha / lam + k - s.d) / (k + 1)
+
+
+def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
+    b0 = k0 + s.d0 - 1
+    aexp = s.alpha / s.profile.A - s.n - 1
+    if aexp <= -1:
+        raise BranchInvalid(f"ball moment diverges: alpha <= n*A = {s.n * s.profile.A}")
+    xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
+    u = 0.5 * (xs + 1.0)
+    return (ws, u, [aexp * math.log1p(-ui) for ui in u], u ** j,
+            [2.0 ** (-(aexp + b0 + 1))] * len(j))
+
+
+def _linear_window(s: QuantizationSetup) -> None:
+    if s.d != 1:
+        raise BranchInvalid("full-space linear closed form needs d = 1")
+    if s.alpha <= 0 or s.twist <= 0:
+        raise BranchInvalid("full-space linear closed form needs alpha, twist > 0")
+
+
+def _linear_psi(s: QuantizationSetup, k: int) -> float:
+    alpha, lam, d0, c = s.alpha, s.twist, s.d0, s.profile.c
+    return math.exp(gammaln(k + 1) - k * math.log(c)
+                    - (k + d0 + 1) * math.log(alpha)) * (alpha + lam * k + lam * d0)
+
+
+def _linear_ratio(s: QuantizationSetup, k: int) -> float:
+    alpha, lam, d0 = s.alpha, s.twist, s.d0
+    xk = alpha + lam * (k + d0)
+    xk1 = alpha + lam * (k + 1 + d0)
+    return s.profile.c * alpha * xk / ((k + 1) * xk1)
+
+
+def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
+    if s.alpha <= 0:
+        raise BranchInvalid("full-space moment needs alpha > 0")
+    xs, ws = _gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
+    scale = s.alpha * s.profile.c
+    u = xs / scale
+    return (ws, u, [-s.alpha * s.profile.c * ui for ui in u], xs ** j,
+            [scale ** (-(k + s.d0)) for k in range(k0, k1 + 1)])
+
+
+def _projective_window(s: QuantizationSetup) -> None:
+    if not (_close(s.profile.A, -1.0) and _close(s.twist, -1.0)):
+        raise BranchInvalid("full-space closed form needs A = twist = -1")
+    if not _is_natural(s.alpha):
+        raise BranchInvalid("projective branch needs a natural level alpha")
+
+
+def _projective_psi(s: QuantizationSetup, k: int) -> float:
+    alpha = s.alpha
+    if not 0 <= k <= alpha + _MEMBERSHIP_TOL:
+        raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
+    return math.exp(gammaln(k + 1) + gammaln(alpha - k + s.d + 1)
+                    - k * math.log(s.profile.c) - gammaln(alpha + s.n + 1))
+
+
+def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
+    A, c, b0 = s.profile.A, s.profile.c, k0 + s.d0 - 1
+    if A >= 0:
+        raise BranchInvalid("full-space log-affine profile needs A < 0")
+    aexp = -s.alpha / A - k1
+    if aexp <= -1:
+        raise BranchInvalid(f"moment diverges: fiber degree k={k1} above alpha*|1/A|")
+    xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
+    v = 0.5 * (xs + 1.0)
+    u = v / (c * (1.0 - v))
+    return (ws, u, [(aexp + k1 + s.d0 + 1) * math.log1p(-vi) for vi in v],
+            v ** j * (1.0 - v) ** (k1 - k0 - j),
+            [c ** (-(k + s.d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in range(k0, k1 + 1)])
+
+
+# One record per family states its moments once: the branch window (raises
+# BranchInvalid) shared by the closed forms and the target; the Gamma closed
+# forms of psi and of psi(k)/psi(k+1); the Bergman target; the resummed
+# generating series (rhs); the Gauss rule of one block of moments, as (weights,
+# nodes u, log of the weight at u, leftover factors, scales), which reads no
+# closed form; and the last fiber degree with a convergent moment.
+_MomentModel = namedtuple("_MomentModel", "window psi ratio target rhs gauss last_degree")
+
+
+_MODELS = {
+    ("ball", "logball"): _MomentModel(
+        window=_ball_window, psi=_ball_psi, ratio=_ball_ratio,
+        target=lambda s: product_shifted(s.alpha, s.profile.A, s.n),
+        rhs=lambda s, rho: (1.0 - rho) ** (-s.alpha / (s.profile.A if s.d == 1 else s.twist)),
+        gauss=_ball_gauss, last_degree=lambda s: math.inf),
+    ("fullspace", "linear"): _MomentModel(
+        window=_linear_window, psi=_linear_psi, ratio=_linear_ratio,
+        target=lambda s: s.alpha ** s.n,
+        rhs=lambda s, rho: math.exp(s.profile.c * s.alpha * rho),
+        gauss=_linear_gauss, last_degree=lambda s: math.inf),
+    ("fullspace", "logaffine"): _MomentModel(
+        window=_projective_window, psi=_projective_psi,
+        ratio=lambda s, k: s.profile.c * (s.alpha - k + s.d) / (k + 1),
+        target=lambda s: product_shifted(s.alpha, -1.0, s.n),
+        rhs=lambda s, rho: (1.0 + s.profile.c * rho) ** s.alpha,
+        gauss=_log_affine_gauss,
+        # the last k with Jacobi exponent a(k) > -1
+        last_degree=lambda s: math.ceil(-s.alpha / s.profile.A)),
+}
+
+
+def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel:
+    """The family's moment model, checked against its branch window unless told not to."""
+    model = _MODELS.get((s.domain, s.profile.family))
+    if model is None:
+        raise BranchInvalid(
+            f"no {what} for family={s.profile.family!r} on domain={s.domain!r}")
+    if window:
+        model.window(s)
+    return model
+
+
 def _psi_closed(s: QuantizationSetup, k: int) -> float:
     """Gamma closed forms of psi(alpha, k) for the three profile families."""
-    alpha, lam, d, d0, n = s.alpha, s.twist, s.d, s.d0, s.n
-    fam = s.profile.family
-    if s.domain == "ball" and fam == "logball":
-        A = s.profile.A
-        if d == 1:
-            if alpha <= n * A:
-                raise BranchInvalid(f"ball closed form needs alpha > n*A = {n * A}")
-            return math.exp(gammaln(k + 1) + gammaln(alpha / A - n)
-                            - n * math.log(A) - gammaln(alpha / A + k)) \
-                * (alpha + lam * k + d0 * lam - n * A)
-        if abs(A - lam) > 1e-12 * max(1.0, abs(lam)):
-            raise BranchInvalid("ball closed form for d > 1 needs A equal to the twist")
-        if alpha <= n * lam:
-            raise BranchInvalid(f"ball closed form needs alpha > n*twist = {n * lam}")
-        return math.exp(gammaln(k + 1) + gammaln(alpha / lam - n)
-                        - d0 * math.log(lam) - gammaln(alpha / lam + k - d))
-    if s.domain == "fullspace" and fam == "linear":
-        c = s.profile.c
-        if d != 1:
-            raise BranchInvalid("full-space linear closed form needs d = 1")
-        if alpha <= 0 or lam <= 0:
-            raise BranchInvalid("full-space linear closed form needs alpha, twist > 0")
-        return math.exp(gammaln(k + 1) - k * math.log(c)
-                        - (k + d0 + 1) * math.log(alpha)) \
-            * (alpha + lam * k + lam * d0)
-    if s.domain == "fullspace" and fam == "logaffine":
-        A, c = s.profile.A, s.profile.c
-        if abs(A + 1.0) > 1e-12 or abs(lam + 1.0) > 1e-12:
-            raise BranchInvalid("full-space closed form needs A = twist = -1")
-        if abs(alpha - round(alpha)) > _MEMBERSHIP_TOL or alpha < 0:
-            raise BranchInvalid("projective branch needs a natural level alpha")
-        if not 0 <= k <= alpha + _MEMBERSHIP_TOL:
-            raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
-        return math.exp(gammaln(k + 1) + gammaln(alpha - k + d + 1)
-                        - k * math.log(c) - gammaln(alpha + n + 1))
-    raise BranchInvalid(
-        f"no closed psi for family={fam!r} on domain={s.domain!r}")
+    return _model(s, "closed psi").psi(s, k)
 
 
 def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
     """psi(alpha, k) / psi(alpha, k+1), in branch closed form (stable)."""
-    alpha, lam, d, d0, n = s.alpha, s.twist, s.d, s.d0, s.n
-    fam = s.profile.family
-    if s.domain == "ball" and fam == "logball":
-        A = s.profile.A
-        if d == 1:
-            xk = alpha + lam * k + d0 * lam - n * A
-            xk1 = alpha + lam * (k + 1) + d0 * lam - n * A
-            return (alpha / A + k) * xk / ((k + 1) * xk1)
-        return (alpha / lam + k - d) / (k + 1)
-    if s.domain == "fullspace" and fam == "linear":
-        c = s.profile.c
-        xk = alpha + lam * (k + d0)
-        xk1 = alpha + lam * (k + 1 + d0)
-        return c * alpha * xk / ((k + 1) * xk1)
-    if s.domain == "fullspace" and fam == "logaffine":
-        c = s.profile.c
-        return c * (alpha - k + d) / (k + 1)
-    raise BranchInvalid(f"no closed psi ratio for family={fam!r}")
-
-
-def _has_gauss_rule(s: QuantizationSetup) -> bool:
-    return (s.domain, s.profile.family) in _GAUSS_FAMILIES
+    return _model(s, "closed psi ratio").ratio(s, k)
 
 
 def _gauss_rule(rule, nodes: int, *exponents: float):
@@ -243,55 +303,16 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     factors times g, applied to the weights.  The block [k, k] is the single
     moment.  Every moment must come out finite and positive.
     """
-    alpha, d0, n = s.alpha, s.d0, s.n
-    fam = s.profile.family
-    b0 = k0 + d0 - 1
     ks = range(k0, k1 + 1)
     j = np.arange(len(ks))[:, None]
-
-    if s.domain == "ball" and fam == "logball":
-        A = s.profile.A
-        aexp = alpha / A - n - 1
-        if aexp <= -1:
-            raise BranchInvalid(f"ball moment diverges: alpha <= n*A = {n * A}")
-        xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
-        u = 0.5 * (xs + 1.0)
-        g = [math.exp(_log_density_H(s, ui) - aexp * math.log1p(-ui)) for ui in u]
-        leftover = u ** j
-        scales = [2.0 ** (-(aexp + b0 + 1))] * len(ks)
-    elif s.domain == "fullspace" and fam == "linear":
-        c = s.profile.c
-        if alpha <= 0:
-            raise BranchInvalid("full-space moment needs alpha > 0")
-        xs, ws = _gauss_rule(roots_genlaguerre, nodes, b0)
-        scale = alpha * c
-        u = xs / scale
-        g = [math.exp(_log_density_H(s, ui) + alpha * c * ui) for ui in u]
-        leftover = xs ** j
-        scales = [scale ** (-(k + d0)) for k in ks]
-    elif s.domain == "fullspace" and fam == "logaffine":
-        A, c = s.profile.A, s.profile.c
-        if A >= 0:
-            raise BranchInvalid("full-space log-affine profile needs A < 0")
-        aexp = -alpha / A - k1
-        if aexp <= -1:
-            raise BranchInvalid(
-                f"moment diverges: fiber degree k={k1} above alpha*|1/A|")
-        xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
-        v = 0.5 * (xs + 1.0)
-        u = v / (c * (1.0 - v))
-        g = [math.exp(_log_density_H(s, ui) - (aexp + k1 + d0 + 1) * math.log1p(-vi))
-             for ui, vi in zip(u, v)]
-        leftover = v ** j * (1.0 - v) ** (k1 - k0 - j)
-        scales = [c ** (-(k + d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in ks]
-    else:
-        raise BranchInvalid(f"no Gauss rule for family={fam!r} on domain={s.domain!r}")
-
+    ws, u, log_weight, leftover, scales = _model(s, "Gauss rule", window=False).gauss(
+        s, k0, k1, nodes, j)
+    g = [math.exp(_log_density_H(s, ui) - lw) for ui, lw in zip(u, log_weight)]
     with np.errstate(over="ignore", invalid="ignore"):   # checked below, typed
         integrals = (leftover * np.asarray(g)) @ ws
     out = []
     for k, scale, integral in zip(ks, scales, integrals):
-        psi = math.exp(gammaln(k + 1) - gammaln(k + d0)) * (scale * float(integral))
+        psi = math.exp(gammaln(k + 1) - gammaln(k + s.d0)) * (scale * float(integral))
         if not (math.isfinite(psi) and psi > 0):
             raise QuadratureNonConvergent(
                 f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss "
@@ -321,7 +342,7 @@ def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
     if method == "closed":
         return _psi_closed(s, k)
     if method == "quadrature":
-        if _has_gauss_rule(s):
+        if (s.domain, s.profile.family) in _MODELS:
             return _psi_quadrature_block(s, k, k, nodes)[0]
         return _psi_adaptive(s, k)
     raise ValueError("method must be 'closed' or 'quadrature'")
@@ -349,14 +370,13 @@ class _PsiCache:
 
     Quadrature moments of the three profile families are filled an aligned
     block of _GAUSS_BLOCK fiber degrees at a time, one Gauss rule per block;
-    closed forms and custom profiles go one moment at a time.  The counts are
-    kept as sets, so threads that share a cache count each block once.
+    closed forms and custom profiles go one moment at a time.
     """
 
     def __init__(self, s: QuantizationSetup, method: str, nodes: int):
         self._s, self._method, self._nodes = s, method, nodes
         self._vals: dict[int, float] = {}
-        self._by_block = method == "quadrature" and _has_gauss_rule(s)
+        self._model = _MODELS.get((s.domain, s.profile.family)) if method == "quadrature" else None
         self._blocks: set[tuple[int, int]] = set()
         self._used: set[int] = set()
 
@@ -367,13 +387,11 @@ class _PsiCache:
         k1 = k0 + _GAUSS_BLOCK - 1
         if s.twist < 0:
             k1 = s.fiber_degrees(k1)[-1]
-        if s.profile.family == "logaffine" and s.profile.A < 0:
-            k1 = min(k1, math.ceil(-s.alpha / s.profile.A))  # last k with a(k) > -1
-        return k0, max(k, k1)
+        return k0, max(k, min(k1, self._model.last_degree(s)))
 
     def __call__(self, k: int) -> float:
         if k not in self._vals:
-            if self._by_block:
+            if self._model is not None:
                 k0, k1 = self._block(k)
                 self._vals.update(zip(range(k0, k1 + 1),
                                       _psi_quadrature_block(self._s, k0, k1, self._nodes)))
@@ -460,47 +478,31 @@ def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
     F = profile_jet(s.profile, rho, 2, "rho").value
 
-    if lam < 0:
-        total = 0.0
-        for k in s.fiber_degrees(k_max):
-            total += eps(alpha + lam * k) / psi(k) * rho ** k
-        return math.exp(-alpha * F) * total
-
-    total = 0.0
-    quiet = 0
-    for k in range(k_max + 1):
-        term = eps(alpha + lam * k) / psi(k) * rho ** k
-        total += term
-        if k >= 1:
-            quiet = quiet + 1 if abs(term) <= rel_tol * abs(total) else 0
-            if quiet >= 3:
-                return math.exp(-alpha * F) * total
-    raise SeriesNonConvergent(
-        f"series tail not below {rel_tol} after {k_max} fiber degrees")
+    finite = lam < 0            # negative twist: an exact finite sum
+    total, quiet = 0.0, 0
+    try:
+        for k in s.fiber_degrees(k_max) if finite else range(k_max + 1):
+            term = eps(alpha + lam * k) / psi(k) * rho ** k
+            total += term
+            if not finite and k >= 1:
+                quiet = quiet + 1 if abs(term) <= rel_tol * abs(total) else 0
+                if quiet >= 3:
+                    break
+        else:
+            if not finite:
+                raise SeriesNonConvergent(
+                    f"series tail not below {rel_tol} after {k_max} fiber degrees")
+        value = math.exp(-alpha * F) * total
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise SeriesNonConvergent(f"series term at rho={rho} is out of float range ({exc})") from exc
+    if not math.isfinite(value):
+        raise SeriesNonConvergent(f"series at rho={rho} sums to {value}")
+    return value
 
 
 def closed_target(s: QuantizationSetup) -> float:
     """Exact constant value of the Bergman function on the designated branches."""
-    alpha, lam, n = s.alpha, s.twist, s.n
-    fam = s.profile.family
-    if s.domain == "ball" and fam == "logball":
-        A = s.profile.A
-        if s.d > 1 and abs(A - lam) > 1e-12 * max(1.0, abs(lam)):
-            raise BranchInvalid("ball target for d > 1 needs A equal to the twist")
-        if alpha <= n * A:
-            raise BranchInvalid(f"ball target needs alpha > n*A = {n * A}")
-        return product_shifted(alpha, A, n)
-    if s.domain == "fullspace" and fam == "linear":
-        if s.d != 1:
-            raise BranchInvalid("full-space linear target needs d = 1")
-        if alpha <= 0:
-            raise BranchInvalid("full-space target needs alpha > 0")
-        return alpha ** n
-    if s.domain == "fullspace" and fam == "logaffine":
-        if abs(s.profile.A + 1.0) > 1e-12 or abs(lam + 1.0) > 1e-12:
-            raise BranchInvalid("full-space target needs A = twist = -1")
-        return product_shifted(alpha, -1.0, n)
-    raise BranchInvalid(f"no closed target for family={fam!r} on {s.domain!r}")
+    return _model(s, "closed target").target(s)
 
 
 @dataclass(frozen=True)
@@ -512,37 +514,32 @@ class GeneratingIdentityReport:
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
     """Series coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
+    psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
+    return _coefficients(s, k_count, psi)
+
+
+def _coefficients(s: QuantizationSetup, k_count: int,
+                  psi: Optional[_PsiCache]) -> list[float]:
+    """generating_coefficients from closed ratios (psi None) or from a moment cache."""
     if s.base.eps is None:
         raise ValueError("setup base carries no Bergman function eps")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
-    e0 = eps(alpha)
-    if psi_method == "closed":
+    if psi is None:
         out = [1.0]
         for k in range(k_count - 1):
             ratio = _psi_ratio_closed(s, k)
             out.append(out[-1] * (eps(alpha + lam * (k + 1)) / eps(alpha + lam * k)) * ratio)
         return out
-    cache = _PsiCache(s, psi_method, nodes)
-    p0 = cache(0)
-    return [eps(alpha + lam * k) / e0 * p0 / cache(k) for k in range(k_count)]
-
-
-def _identity_rhs(s: QuantizationSetup, rho: float) -> float:
-    fam, alpha, lam = s.profile.family, s.alpha, s.twist
-    if s.domain == "ball" and fam == "logball":
-        A = s.profile.A if s.d == 1 else lam
-        return (1.0 - rho) ** (-alpha / A)
-    if s.domain == "fullspace" and fam == "linear":
-        return math.exp(s.profile.c * alpha * rho)
-    if s.domain == "fullspace" and fam == "logaffine":
-        return (1.0 + s.profile.c * rho) ** alpha
-    raise BranchInvalid(f"no generating identity for family={fam!r}")
+    e0, p0 = eps(alpha), psi(0)
+    return [eps(alpha + lam * k) / e0 * p0 / psi(k) for k in range(k_count)]
 
 
 def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
                               psi_method: str = "closed", nodes: int = 64,
                               k_max: int = 10000) -> GeneratingIdentityReport:
     """Sup-norm gap between the assembled moment series and its closed resummation."""
+    model = _model(s, "generating identity")
+    psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
     rho_max = max(rho_grid)
     if s.twist < 0:
         k_count = len(s.fiber_degrees(k_max))
@@ -550,7 +547,7 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
         # grow the coefficient list until the largest-rho tail is negligible
         k_count = 8
         while k_count < k_max:
-            coeffs = generating_coefficients(s, k_count, psi_method, nodes)
+            coeffs = _coefficients(s, k_count, psi)
             tail = abs(coeffs[-1]) * rho_max ** (k_count - 1)
             partial = sum(c * rho_max ** j for j, c in enumerate(coeffs))
             if rho_max == 0 or tail <= 1e-16 * max(1.0, abs(partial)):
@@ -558,14 +555,14 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
             k_count *= 2
         else:
             raise SeriesNonConvergent("generating series does not settle")
-    coeffs = generating_coefficients(s, k_count, psi_method, nodes)
+    coeffs = _coefficients(s, k_count, psi)
     rows = []
     worst = 0.0
     for rho in rho_grid:
         lhs = 0.0
         for c in reversed(coeffs):
             lhs = lhs * rho + c
-        rhs = _identity_rhs(s, rho)
+        rhs = model.rhs(s, rho)
         worst = max(worst, abs(lhs - rhs))
         rows.append((float(rho), lhs, rhs))
     return GeneratingIdentityReport(rows=tuple(rows), max_deviation=worst)
@@ -624,22 +621,15 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
     does not reuse the Gamma closed forms it certifies.
     """
     s = balanced_setup(k, r, m, part, c)
-    if part == "ball":
-        A = s.profile.A
-        target = product_shifted(float(m), A, 1 + r)
-        mu = 1.0 / A
-        identity_gap = abs((r - (1 + r) * A) - 1.0 / k)
-    else:
-        A = 0.0
-        target = float(m) ** (1 + r)
-        mu = math.inf
-        identity_gap = 0.0
+    A = s.profile.A              # 0 for the linear profile of the total space
+    target = closed_target(s)
+    mu = 1.0 / A if A else math.inf
+    identity_gap = abs((r - (1 + r) * A) - 1.0 / k)
     if rho_grid is None:
         rho_grid = np.linspace(0.0, 0.9, 10)
     cache = _PsiCache(s, psi_method, nodes)
     values = tuple(bergman_series(s, float(rho), psi=cache) for rho in rho_grid)
-    mean = sum(values) / len(values)
-    spread = (max(values) - min(values)) / (1.0 + abs(mean))
+    _, spread = _spread(values)
     err = max(abs(v - target) for v in values) / (1.0 + abs(target))
     return BalancedCertificate(part=part, k=k, r=r, m=m, c=c, A=A, mu=mu,
                                target=target, values=values,

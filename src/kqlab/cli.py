@@ -6,7 +6,7 @@ significant digits, rows in input order.  Identical inputs therefore produce
 byte-identical reports; wall time goes to stderr only.
 
 Exit codes: 0 pass, 1 fail verdict, 2 invalid input or branch, 3 numerical
-non-convergence.  ``KQ_THREADS`` caps the grid-evaluation thread pool.
+non-convergence.
 """
 
 from __future__ import annotations
@@ -14,27 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import bergman, curvature, oracle, profiles
-from .errors import (BranchInvalid, EmptyGrid, KQLabError, LogDomain,
-                     NegativeInput, NonPositiveArgument, OutOfDomain,
-                     PreconditionFailed, QuadratureNonConvergent,
+from .errors import (BranchInvalid, KQLabError, QuadratureNonConvergent,
                      SeriesNonConvergent, TruncationInsufficient)
 
 SCHEMA_VERSION = 1
 
-_INVALID = (BranchInvalid, PreconditionFailed, OutOfDomain, NonPositiveArgument,
-            NegativeInput, EmptyGrid, LogDomain, ValueError)
 _NONCONVERGENT = (QuadratureNonConvergent, SeriesNonConvergent,
                   TruncationInsufficient)
+_INVALID = (KQLabError, ValueError)   # every other typed error, and bad values
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +79,6 @@ def render_csv(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thread_map(fn: Callable, items: Iterable):
-    """Order-preserving map honoring the KQ_THREADS cap."""
-    items = list(items)
-    workers = int(os.environ.get("KQ_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def parse_grid(spec: str) -> list[float]:
     """Grid syntax start:stop:count."""
     parts = spec.split(":")
@@ -110,23 +95,11 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def profile_from_dict(d: dict) -> profiles.RadialProfile:
-    fam = d["family"]
-    if fam == "logball":
-        return profiles.log_ball(float(d["A"]))
-    if fam == "linear":
-        return profiles.linear(float(d.get("c", 1.0)))
-    if fam == "logaffine":
-        return profiles.log_affine(float(d["A"]), float(d.get("c", 1.0)))
-    raise ValueError(f"unknown profile family {fam!r}")
+    return profiles.from_params(d["family"], d.get("A"), d.get("c", 1.0))
 
 
 def profile_to_dict(p: profiles.RadialProfile) -> dict:
-    out = {"family": p.family}
-    if p.family in ("logball", "logaffine"):
-        out["A"] = p.A
-    if p.family in ("linear", "logaffine"):
-        out["c"] = p.c
-    return out
+    return {"family": p.family, **p.params()}
 
 
 def _eps_from_dict(d: dict) -> Callable[[float], float]:
@@ -184,16 +157,16 @@ def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
 # report assembly
 
 
-def _emit(args, report: Optional[dict], rows: Sequence[dict], t0: float) -> None:
-    if args.output == "csv":
-        text = render_csv(rows)
-    else:
-        text = render_json(report) + "\n"
-    if args.out:
+def _write(args, text: str) -> None:
+    if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, report: Optional[dict], rows: Sequence[dict], t0: float) -> None:
+    _write(args, render_csv(rows) if args.output == "csv" else render_json(report) + "\n")
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
 
 
@@ -220,8 +193,8 @@ def _add_common(sp: argparse.ArgumentParser, tol: float) -> None:
 
 
 def _add_model(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--family", choices=("logball", "linear", "logaffine"),
-                    default="logball")
+    families = tuple(profiles.FAMILIES)
+    sp.add_argument("--family", choices=families, default=families[0])
     sp.add_argument("--A", type=float, default=None,
                     help="momentum-profile curvature parameter")
     sp.add_argument("--c", type=float, default=1.0, help="profile scale parameter")
@@ -230,60 +203,29 @@ def _add_model(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--d", type=int, default=1, help="base dimension")
     sp.add_argument("--d0", type=int, default=1, help="fiber dimension")
     sp.add_argument("--domain", choices=("ball", "fullspace"), default="ball")
-
-
-def _profile_from_args(args) -> profiles.RadialProfile:
-    if args.family == "logball":
-        if args.A is None:
-            raise ValueError("--A is required for the logball family")
-        return profiles.log_ball(args.A)
-    if args.family == "linear":
-        return profiles.linear(args.c)
-    if args.A is None:
-        raise ValueError("--A is required for the logaffine family")
-    return profiles.log_affine(args.A, args.c)
-
-
-def _default_branch_base(p: profiles.RadialProfile, d: int, d0: int, lam: float,
-                         domain: str) -> curvature.BaseGeometry:
-    """The base the branch tables require; family-shaped fallback otherwise."""
-    try:
-        a1, a2 = curvature.required_base_coefficients(p, d, d0, lam, domain)
-    except OutOfDomain:
-        if d > 1:
-            a1 = -0.5 * d * (d + 1) * lam
-            a2 = (d - 1) * d * (d + 1) * (3 * d + 2) * lam ** 2 / 24.0
-        elif p.family == "linear":
-            a1, a2 = d0 * lam, 0.0
-        else:
-            a1, a2 = d0 * lam - (d + d0) * p.A, 0.0
-    return curvature.BaseGeometry.from_coefficients(d, lam, a1, a2)
-
-
-def _base_from_args(args, p: profiles.RadialProfile) -> tuple[curvature.BaseGeometry, dict]:
-    kind = args.base
-    if kind == "cp1":
-        return (curvature.BaseGeometry.fubini_study_cp1(args.base_k, args.twist),
-                {"preset": "cp1", "k": args.base_k})
-    if kind == "cpd":
-        return (curvature.BaseGeometry.fubini_study_cpd(args.d, args.twist),
-                {"preset": "cpd"})
-    if kind == "flat":
-        return (curvature.BaseGeometry.flat(args.d, args.twist), {"preset": "flat"})
-    if kind == "coeffs":
-        b = curvature.BaseGeometry.from_coefficients(args.d, args.twist,
-                                                     args.a1_base, args.a2_base)
-        return b, {"a1": b.a1, "a2": b.a2}
-    b = _default_branch_base(p, args.d, args.d0, args.twist, args.domain)
-    return b, {"a1": b.a1, "a2": b.a2, "preset": "branch"}
-
-
-def _add_base(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--base", choices=("branch", "cp1", "cpd", "flat", "coeffs"),
                     default="branch", help="base geometry preset")
     sp.add_argument("--base-k", type=int, default=1, help="degree for the cp1 preset")
     sp.add_argument("--a1-base", type=float, default=0.0)
     sp.add_argument("--a2-base", type=float, default=0.0)
+
+
+def _profile_from_args(args) -> profiles.RadialProfile:
+    return profiles.from_params(args.family, args.A, args.c)
+
+
+def _base_from_args(args, p: profiles.RadialProfile) -> tuple[curvature.BaseGeometry, dict]:
+    """The base geometry of ``--base`` and its description for the report."""
+    if args.base in ("cp1", "cpd", "flat"):
+        desc = {"preset": args.base, **({"k": args.base_k} if args.base == "cp1" else {})}
+        return base_from_dict(desc, args.d, args.twist), desc
+    if args.base == "branch":
+        a1, a2 = curvature.required_base(p, args.d, args.d0, args.twist)
+    else:
+        a1, a2 = args.a1_base, args.a2_base
+    b = base_from_dict({"a1": a1, "a2": a2}, args.d, args.twist)
+    desc = {"a1": b.a1, "a2": b.a2}
+    return b, dict(desc, preset="branch") if args.base == "branch" else desc
 
 
 def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.QuantizationSetup, dict]:
@@ -295,16 +237,10 @@ def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.
     p = _profile_from_args(args)
     base, bdesc = _base_from_args(args, p)
     if base.eps is None and default_eps_required:
-        a1, a2 = base.a1, base.a2
-        n = args.d + args.d0
-        if args.d == 1:
-            off = a1  # required base Bergman law: alpha + a1
-            base = base.with_eps(lambda a: a + off)
-            bdesc = dict(bdesc, eps={"kind": "affine", "offset": off})
-        else:
-            shift = args.twist if args.family == "logball" else -1.0
-            base = base.with_eps(lambda a: bergman.product_shifted(a, shift, args.d))
-            bdesc = dict(bdesc, eps={"kind": "product", "shift": shift, "count": args.d})
+        # the required base's Bergman law: alpha + a1 for d = 1, else prod_j (alpha - j*twist)
+        eps = ({"kind": "affine", "offset": base.a1} if args.d == 1
+               else {"kind": "product", "shift": args.twist, "count": args.d})
+        base, bdesc = base.with_eps(_eps_from_dict(eps)), dict(bdesc, eps=eps)
     s = bergman.QuantizationSetup(d=args.d, d0=args.d0, twist=args.twist,
                                   domain=args.domain, profile=p, base=base,
                                   alpha=args.alpha)
@@ -315,34 +251,36 @@ def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.
 # subcommands
 
 
-def cmd_coeffs(args) -> int:
-    t0 = time.perf_counter()
+def _curvature_model(args):
+    """Profile, base, t-grid and report setup of ``coeffs`` and ``classify``."""
     p = _profile_from_args(args)
     base, bdesc = _base_from_args(args, p)
     grid = parse_grid(args.grid)
-    reports = thread_map(lambda t: curvature.curvature_report(base, p, args.d0, t), grid)
-    quantity = args.quantity
-    rows = [{"point": r.t, "value": getattr(r, quantity)} for r in reports]
-    vals = [row["value"] for row in rows]
-    mean = sum(vals) / len(vals)
-    dev = (max(vals) - min(vals)) / (1.0 + abs(mean))
-    summary = {"verdict": "pass", "max_deviation": dev, "target": None,
-               "quantity": quantity, "mean": mean, "branch": None}
     setup = {"d": args.d, "d0": args.d0, "twist": args.twist,
              "domain": args.domain, "profile": profile_to_dict(p), "base": bdesc,
              "grid": args.grid}
+    return p, base, grid, setup
+
+
+def cmd_coeffs(args) -> int:
+    t0 = time.perf_counter()
+    p, base, grid, setup = _curvature_model(args)
+    reports = [curvature.curvature_report(base, p, args.d0, t) for t in grid]
+    quantity = args.quantity
+    rows = [{"point": r.t, "value": getattr(r, quantity)} for r in reports]
+    mean, dev = curvature._spread([row["value"] for row in rows])
+    summary = {"verdict": "pass", "max_deviation": dev, "target": None,
+               "quantity": quantity, "mean": mean, "branch": None}
     _emit(args, _report(setup, rows, summary), rows, t0)
     return 0
 
 
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
-    p = _profile_from_args(args)
-    base, bdesc = _base_from_args(args, p)
-    grid = parse_grid(args.grid)
+    p, base, grid, setup = _curvature_model(args)
     verdict = curvature.classify_check(base, p, args.d0, args.domain, grid,
                                        tol=args.tol)
-    reports = thread_map(lambda t: curvature.curvature_report(base, p, args.d0, t), grid)
+    reports = [curvature.curvature_report(base, p, args.d0, t) for t in grid]
     rows = [{"point": r.t, "value": r.a1} for r in reports]
     summary = {
         "verdict": "pass" if verdict.constant else "fail",
@@ -353,9 +291,6 @@ def cmd_classify(args) -> int:
         "a2": verdict.a2_value,
         "ricci_constant": verdict.ricci_constant,
     }
-    setup = {"d": args.d, "d0": args.d0, "twist": args.twist,
-             "domain": args.domain, "profile": profile_to_dict(p), "base": bdesc,
-             "grid": args.grid}
     _emit(args, _report(setup, rows, summary), rows, t0)
     return _EXIT[summary["verdict"]]
 
@@ -367,19 +302,12 @@ def cmd_psi(args) -> int:
     rows = []
     worst = 0.0
     for k in range(kmax + 1):
-        if args.method in ("closed", "both"):
-            closed = bergman.psi_moment(s, k, "closed")
-        if args.method in ("quadrature", "both"):
-            quad = bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
-        if args.method == "closed":
-            val, gap = closed, 0.0
-        elif args.method == "quadrature":
-            val, gap = quad, 0.0
-        else:
-            val = closed
-            gap = abs(quad - closed) / abs(closed)
-        worst = max(worst, gap)
-        rows.append({"point": k, "value": val})
+        closed = bergman.psi_moment(s, k, "closed") if args.method != "quadrature" else None
+        quad = (bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
+                if args.method != "closed" else None)
+        if args.method == "both":
+            worst = max(worst, abs(quad - closed) / abs(closed))
+        rows.append({"point": k, "value": quad if closed is None else closed})
     verdict = "pass" if (args.method != "both" or worst <= args.tol) else "fail"
     summary = {"verdict": verdict, "max_deviation": worst, "target": None,
                "method": args.method, "branch": None}
@@ -392,8 +320,7 @@ def cmd_bergman(args) -> int:
     s, echo = _setup_from_args(args, default_eps_required=True)
     grid = parse_grid(args.grid)
     cache = bergman._PsiCache(s, args.psi_method, args.quad_nodes)
-    values = thread_map(lambda r: bergman.bergman_series(s, r, psi=cache,
-                                                         k_max=args.max_k), grid)
+    values = [bergman.bergman_series(s, r, psi=cache, k_max=args.max_k) for r in grid]
     rows = [{"point": g, "value": v} for g, v in zip(grid, values)]
     try:
         target = bergman.closed_target(s)
@@ -403,8 +330,7 @@ def cmd_bergman(args) -> int:
         dev = max(abs(v - target) for v in values) / (1.0 + abs(target))
         verdict = "pass" if dev <= args.tol else "fail"
     else:
-        mean = sum(values) / len(values)
-        dev = (max(values) - min(values)) / (1.0 + abs(mean))
+        _, dev = curvature._spread(values)
         verdict = "inconclusive"
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
                "psi_method": args.psi_method, "branch": None,
@@ -499,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coeffs", help="expansion coefficients over a t-grid")
     _add_model(sp)
-    _add_base(sp)
     sp.add_argument("--grid", default="-4:-0.5:16", help="t-grid start:stop:count")
     sp.add_argument("--quantity", default="a1",
                     choices=("a1", "a2", "scalar", "ric2", "lapk", "riem2"))
@@ -508,14 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="constant-coefficient classification check")
     _add_model(sp)
-    _add_base(sp)
     sp.add_argument("--grid", default="-4:-0.5:16")
     _add_common(sp, tol=1e-8)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("psi", help="fiber moments by closed form and quadrature")
     _add_model(sp)
-    _add_base(sp)
     sp.add_argument("--alpha", type=float, default=4.0)
     sp.add_argument("--setup", default=None, help="JSON setup document")
     sp.add_argument("--table-k", type=int, default=12)
@@ -524,27 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, tol=1e-10)
     sp.set_defaults(fn=cmd_psi)
 
-    sp = sub.add_parser("bergman", help="Bergman function over a fiber-radius grid")
-    _add_model(sp)
-    _add_base(sp)
-    sp.add_argument("--alpha", type=float, default=2.0)
-    sp.add_argument("--setup", default=None)
-    sp.add_argument("--grid", default="0:0.9:10")
-    sp.add_argument("--psi-method", choices=("closed", "quadrature"),
-                    default="closed")
-    _add_common(sp, tol=1e-8)
-    sp.set_defaults(fn=cmd_bergman)
-
-    sp = sub.add_parser("identity", help="generating-function identity check")
-    _add_model(sp)
-    _add_base(sp)
-    sp.add_argument("--alpha", type=float, default=2.0)
-    sp.add_argument("--setup", default=None)
-    sp.add_argument("--grid", default="0:0.9:10")
-    sp.add_argument("--psi-method", choices=("closed", "quadrature"),
-                    default="closed")
-    _add_common(sp, tol=1e-8)
-    sp.set_defaults(fn=cmd_identity)
+    for name, fn, help_ in (
+            ("bergman", cmd_bergman, "Bergman function over a fiber-radius grid"),
+            ("identity", cmd_identity, "generating-function identity check")):
+        sp = sub.add_parser(name, help=help_)
+        _add_model(sp)
+        sp.add_argument("--alpha", type=float, default=2.0)
+        sp.add_argument("--setup", default=None)
+        sp.add_argument("--grid", default="0:0.9:10")
+        sp.add_argument("--psi-method", choices=("closed", "quadrature"),
+                        default="closed")
+        _add_common(sp, tol=1e-8)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("balanced", help="certify the balanced bundle metrics")
     sp.add_argument("--k", type=int, required=True)
@@ -608,20 +522,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INVALID as exc:
         _emit_error(args, exc)
         return 2
-    except KQLabError as exc:
-        _emit_error(args, exc)
-        return 2
 
 
 def _emit_error(args, exc: Exception) -> None:
     doc = {"schema_version": SCHEMA_VERSION,
            "error": {"type": type(exc).__name__, "message": str(exc)}}
-    text = render_json(doc) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, render_json(doc) + "\n")
 
 
 if __name__ == "__main__":

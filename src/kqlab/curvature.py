@@ -303,39 +303,46 @@ def _spread(values: Sequence[float]) -> tuple[float, float]:
     return mean, dev
 
 
-def _required_base(p: RadialProfile, d: int, d0: int, lam: float,
-                   domain: str) -> Optional[tuple[str, float, float, float]]:
-    """Branch table: (name, A_eff, required a1_base, required a2_base)."""
-    n = d + d0
-    if domain == "ball" and p.family == "logball":
-        if d == 1 and lam > 0 and p.A > 0:
-            return ("2.10", p.A, d0 * lam - n * p.A, 0.0)
-        if d > 1 and lam > 0 and abs(p.A - lam) <= 1e-12 * max(1.0, abs(lam)):
-            return ("2.11", lam, -0.5 * d * (d + 1) * lam,
-                    (d - 1) * d * (d + 1) * (3 * d + 2) * lam ** 2 / 24.0)
-        return None
-    if domain == "fullspace" and p.family == "linear":
-        if d == 1 and lam > 0:
-            return ("2.12", 0.0, d0 * lam, 0.0)
-        return None
-    if domain == "fullspace" and p.family == "logaffine":
-        if d == 1 and p.A < 0 and lam >= p.A:
-            return ("2.13", p.A, d0 * lam - n * p.A, 0.0)
-        if d > 1 and lam < 0 and abs(p.A - lam) <= 1e-12 * max(1.0, abs(lam)):
-            return ("2.14", lam, -0.5 * d * (d + 1) * lam,
-                    (d - 1) * d * (d + 1) * (3 * d + 2) * lam ** 2 / 24.0)
-        return None
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+# The constant-coefficient branches (2.10)-(2.14): (name, domain, family,
+# window in (d, twist, A)).  On every branch the effective A of the fibered
+# coefficients is the profile's A for d = 1 (0 for the linear family) and
+# the twist for d > 1, as in required_base.
+BRANCHES = (
+    ("2.10", "ball", "logball", lambda d, lam, A: d == 1 and lam > 0 and A > 0),
+    ("2.11", "ball", "logball", lambda d, lam, A: d > 1 and lam > 0 and _close(A, lam)),
+    ("2.12", "fullspace", "linear", lambda d, lam, A: d == 1 and lam > 0),
+    ("2.13", "fullspace", "logaffine", lambda d, lam, A: d == 1 and A < 0 and lam >= A),
+    ("2.14", "fullspace", "logaffine", lambda d, lam, A: d > 1 and lam < 0 and _close(A, lam)),
+)
+
+
+def _branch(p: RadialProfile, d: int, lam: float, domain: str) -> Optional[tuple[str, float]]:
+    """(name, effective A) of the branch holding the model, if any."""
+    for name, dom, family, window in BRANCHES:
+        if dom == domain and family == p.family and window(d, lam, p.A):
+            return name, p.A if d == 1 else lam
     return None
+
+
+def required_base(p: RadialProfile, d: int, d0: int, lam: float) -> tuple[float, float]:
+    """The paper's required base (a1, a2): (d0*twist - n*A, 0) for d = 1 and
+    branch_coefficients(d, twist) for d > 1, on and off the branch windows."""
+    if d == 1:
+        return d0 * lam - (d + d0) * p.A, 0.0
+    return branch_coefficients(d, lam)
 
 
 def required_base_coefficients(p: RadialProfile, d: int, d0: int, lam: float,
                                domain: str) -> tuple[float, float]:
     """(a1, a2) the base must carry for the fibered coefficients to be constant."""
-    row = _required_base(p, d, d0, lam, domain)
-    if row is None:
+    if _branch(p, d, lam, domain) is None:
         raise OutOfDomain(
             f"no constant-coefficient branch for family={p.family}, d={d}, twist={lam}")
-    return row[2], row[3]
+    return required_base(p, d, d0, lam)
 
 
 def classify_check(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
@@ -354,9 +361,10 @@ def classify_check(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
     matched = None
     ricci_constant = None
     ricci_check = None
-    row = _required_base(p, base.d, d0, base.twist, domain)
+    row = _branch(p, base.d, base.twist, domain)
     if constant and row is not None:
-        name, a_eff, a1_req, a2_req = row
+        name, a_eff = row
+        a1_req, a2_req = required_base(p, base.d, d0, base.twist)
         a1_exp, a2_exp = branch_coefficients(base.d + d0, a_eff)
         close = (abs(base.a1 - a1_req) <= 1e-9 * (1 + abs(a1_req))
                  and abs(base.a2 - a2_req) <= 1e-9 * (1 + abs(a2_req))

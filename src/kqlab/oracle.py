@@ -16,16 +16,16 @@ degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_legendre
 
-from .bergman import QuantizationSetup
+from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, TruncationInsufficient)
-from .profiles import RadialProfile, profile_jet
+from .profiles import profile_jet, profile_rho_arrays
 
 
 @dataclass(frozen=True)
@@ -122,26 +122,7 @@ class HartogsOracleReport:
     p_cap: int
 
 
-def _profile_rho_arrays(p: RadialProfile, xi: np.ndarray):
-    """F, F', F'' of the profile in rho-form on an array of points."""
-    if p.family == "logball":
-        om = 1.0 - xi
-        return (-np.log(om) / p.A, 1.0 / (p.A * om), 1.0 / (p.A * om ** 2))
-    if p.family == "linear":
-        return (p.c * xi, np.full_like(xi, p.c), np.zeros_like(xi))
-    if p.family == "logaffine":
-        op = 1.0 + p.c * xi
-        return (-np.log(op) / p.A, -(p.c / p.A) / op, (p.c ** 2 / p.A) / op ** 2)
-    F = np.empty_like(xi)
-    Fp = np.empty_like(xi)
-    Fpp = np.empty_like(xi)
-    for i, u in enumerate(xi):
-        j = profile_jet(p, float(u), 2, "rho")
-        F[i], Fp[i], Fpp[i] = j.derivative(0), j.derivative(1), j.derivative(2)
-    return F, Fp, Fpp
-
-
-def _radial_weight(cfg: GramOracleConfig, setup: QuantizationSetup):
+def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Log-weights of the tensor quadrature in (|z|^2, rho) coordinates.
 
     Returns (log s, base potential phi, fiber nodes xi, fiber values F,
@@ -164,14 +145,15 @@ def _radial_weight(cfg: GramOracleConfig, setup: QuantizationSetup):
         wxi = 0.5 * wf
         log_comp = np.zeros_like(xi)
     else:
-        # integrate the scaled fiber variable against its exponential envelope
-        rate = m * setup.profile.c if setup.profile.family == "linear" else float(m)
-        xf, wf = roots_genlaguerre(cfg.fiber_nodes, 0)
+        # integrate the fiber variable, in units of the profile scale c, against
+        # the exponential envelope e^(-m c rho) of the linear profile
+        rate = m * setup.profile.c
+        xf, wf = bergman._gauss_rule(roots_genlaguerre, cfg.fiber_nodes, 0)
         xi = xf / rate
         wxi = wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
 
-    F, Fp, Fpp = _profile_rho_arrays(setup.profile, xi)
+    F, Fp, Fpp = profile_rho_arrays(setup.profile, xi)
     radial = Fp + xi * Fpp
     one_shift = 1.0 + xi * Fp
     if np.any(Fp <= 0) or np.any(radial <= 0) or np.any(one_shift <= 0):
@@ -196,7 +178,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: QuantizationSetup):
     return s, phi, xi, F, logk
 
 
-def _norm_matrix(cfg: GramOracleConfig, setup: QuantizationSetup):
+def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Diagonal Gram entries N[p, q] for the monomial basis z^p w^q.
 
     Exponents failing the integrability test (decay exponent of the z-axis
@@ -210,7 +192,7 @@ def _norm_matrix(cfg: GramOracleConfig, setup: QuantizationSetup):
 
     kexp = np.exp(logk)
     N = np.full((P + 1, Q + 1), np.inf)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # values checked
         for q in range(Q + 1):
             mcol = kexp @ (xi ** q)
             logcol = np.where(mcol > 0, np.log(np.where(mcol > 0, mcol, 1.0)), -np.inf)
@@ -224,7 +206,7 @@ def _norm_matrix(cfg: GramOracleConfig, setup: QuantizationSetup):
 
 
 def hartogs_gram_oracle(cfg: GramOracleConfig,
-                        setup: QuantizationSetup) -> HartogsOracleReport:
+                        setup: bergman.QuantizationSetup) -> HartogsOracleReport:
     """Reconstruct the fibered Bergman function from raw monomial norms.
 
     Tensor quadrature over the curved region in the two radial variables,
@@ -245,9 +227,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     qarr = np.arange(Q + 1, dtype=float)
 
     try:
-        from .bergman import closed_target
-
-        target = closed_target(setup)
+        target = bergman.closed_target(setup)   # looked up at call time
     except BranchInvalid:
         target = None
 
@@ -272,6 +252,9 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
             ratio = shells[-1] / shells[-2]
             tail = shells[-1] * ratio / (1.0 - ratio) if ratio < 1 else math.inf
             worst_tail = max(worst_tail, tail / max(eps_val, 1e-300))
+    if not all(math.isfinite(v) for v in values):
+        raise QuadratureNonConvergent(
+            f"Gram-oracle values {values} are not finite at q_cap={Q}")
     if worst_tail > cfg.tail_tol:
         raise TruncationInsufficient(
             f"fiber-degree tail estimate {worst_tail:.3e} above {cfg.tail_tol:.1e}; "
@@ -291,7 +274,7 @@ class OffDiagonalEntry:
     magnitude: float   # |<e1, e2>| / sqrt(<e1,e1><e2,e2>)
 
 
-def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: QuantizationSetup,
+def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: bergman.QuantizationSetup,
                            pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
                            radial_nodes: int = 32,
                            angular_nodes: int = 24) -> tuple[OffDiagonalEntry, ...]:
@@ -301,10 +284,7 @@ def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: QuantizationSetup,
     annihilate non-matching exponents, certifying the diagonality that the
     fast path assumes from rotational symmetry.
     """
-    small = GramOracleConfig(bundle_degree=cfg.bundle_degree, power=cfg.power,
-                             q_cap=cfg.q_cap, p_cap=cfg.p_cap,
-                             s_nodes=radial_nodes, fiber_nodes=radial_nodes,
-                             sample_points=cfg.sample_points, tail_tol=cfg.tail_tol)
+    small = replace(cfg, s_nodes=radial_nodes, fiber_nodes=radial_nodes)
     s, phi, xi, F, logk = _radial_weight(small, setup)
     weight = np.exp(logk)                      # radial measure incl. quad weights
     theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes

@@ -19,16 +19,59 @@ a function of x.  ``custom`` profiles supply a jet-producing rule instead.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import jets
-from .errors import DegenerateJet, EmptyGrid, KQLabError, OutOfDomain
+from .errors import (DegenerateJet, EmptyGrid, KQLabError, OutOfDomain,
+                     PreconditionFailed)
 from .jets import DEFAULT_ORDER, TaylorJet
 
 JetRule = Callable[[float, int], TaylorJet]
 
-_FAMILIES = ("logball", "linear", "logaffine", "custom")
+
+def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
+    """-(1/A) log(1 + c*v), given c*v: log-affine's F, and log-ball's with c = -1."""
+    return (-1.0 / A) * jets.log(1.0 + cv)
+
+
+def _log_affine_t(p: "RadialProfile", x: float) -> float:
+    v = -p.A * x
+    if not 0 < v < 1:
+        raise OutOfDomain(f"x={x} outside the log_affine range (0, {-1/p.A})")
+    return math.log(v / (p.c * (1.0 - v)))
+
+
+# Each closed family, stated once.  params: the parameters it reads; valid
+# and rule: their check, in code and in words; scaled: (A, c, factor) -> the
+# (A, c) of factor*F; F: the rho-form profile of a jet v, for 0 <= rho <
+# rho_max (the t-form is F of v = e^t); arrays: F, F', F'' in rho-form on a
+# numpy array; t_from_x: the inverse of the moment map x = F_t'(t).
+_Family = namedtuple("_Family", "params valid rule scaled F rho_max arrays t_from_x")
+
+FAMILIES = {
+    "logball": _Family(
+        ("A",), lambda A, c: A > 0, "A > 0", lambda A, c, f: (A / f, c),
+        F=lambda p, v: _log_affine(p.A, -v), rho_max=1.0,
+        arrays=lambda p, xi: (-np.log(1.0 - xi) / p.A, 1.0 / (p.A * (1.0 - xi)),
+                              1.0 / (p.A * (1.0 - xi) ** 2)),
+        t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
+    "linear": _Family(
+        ("c",), lambda A, c: c > 0, "c > 0", lambda A, c, f: (A, c * f),
+        F=lambda p, v: p.c * v, rho_max=math.inf,
+        arrays=lambda p, xi: (p.c * xi, np.full_like(xi, p.c), np.zeros_like(xi)),
+        t_from_x=lambda p, x: math.log(x / p.c)),
+    "logaffine": _Family(
+        ("A", "c"), lambda A, c: A != 0 and c > 0, "A != 0 and c > 0",
+        lambda A, c, f: (A / f, c),
+        F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=math.inf,
+        arrays=lambda p, xi: (-np.log(1.0 + p.c * xi) / p.A, -(p.c / p.A) / (1.0 + p.c * xi),
+                              (p.c ** 2 / p.A) / (1.0 + p.c * xi) ** 2),
+        t_from_x=_log_affine_t),
+}
 
 
 @dataclass(frozen=True)
@@ -49,29 +92,35 @@ class RadialProfile:
     rule_form: str = "t"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family == "custom":
+            if self.rule is None:
+                raise ValueError("custom profile needs a jet rule")
+        elif self.family not in FAMILIES:
             raise ValueError(f"unknown profile family {self.family!r}")
-        if self.family == "logball" and self.A <= 0:
-            raise ValueError("log_ball needs A > 0")
-        if self.family in ("linear", "logaffine") and self.c <= 0:
-            raise ValueError(f"{self.family} needs c > 0")
-        if self.family == "logaffine" and self.A == 0:
-            raise ValueError("log_affine needs A != 0")
-        if self.family == "custom" and self.rule is None:
-            raise ValueError("custom profile needs a jet rule")
+        elif not FAMILIES[self.family].valid(self.A, self.c):
+            raise ValueError(f"{self.family} needs {FAMILIES[self.family].rule}")
+
+    def params(self) -> dict[str, float]:
+        """The parameters the family reads, by name (none for custom profiles)."""
+        names = FAMILIES[self.family].params if self.family in FAMILIES else ()
+        return {name: getattr(self, name) for name in names}
 
     def scaled(self, factor: float) -> "RadialProfile":
         """The profile ``factor * F`` (same family, rescaled parameters)."""
         if factor <= 0:
             raise ValueError("scaling factor must be positive")
-        if self.family == "logball":
-            return log_ball(self.A / factor)
-        if self.family == "linear":
-            return linear(self.c * factor)
-        if self.family == "logaffine":
-            return log_affine(self.A / factor, self.c)
+        if self.family in FAMILIES:
+            return from_params(self.family, *FAMILIES[self.family].scaled(self.A, self.c, factor))
         rule, form = self.rule, self.rule_form
         return custom(lambda p, order: factor * rule(p, order), form)
+
+
+def from_params(family: str, A: Optional[float] = None, c: float = 1.0) -> RadialProfile:
+    """The closed-family profile with parameters A and c (one it does not read is ignored)."""
+    names = FAMILIES[family].params if family in FAMILIES else ()
+    if A is None and "A" in names:
+        raise PreconditionFailed(f"the {family} family needs its parameter A")
+    return RadialProfile(family, **{name: float({"A": A, "c": c}[name]) for name in names})
 
 
 def log_ball(A: float) -> RadialProfile:
@@ -100,26 +149,13 @@ def profile_jet(p: RadialProfile, point: float, order: int = DEFAULT_ORDER,
     if form == "rho" and point < 0:
         raise OutOfDomain(f"rho must be non-negative, got {point}")
 
-    if p.family == "logball":
-        if form == "t":
-            if point >= 0:
-                raise OutOfDomain(f"log_ball needs t < 0, got {point}")
-            e = jets.exp(TaylorJet.variable(point, order))
-            return (-1.0 / p.A) * jets.log(1.0 - e)
-        if point >= 1:
-            raise OutOfDomain(f"log_ball needs rho < 1, got {point}")
-        return (-1.0 / p.A) * jets.log(1.0 - TaylorJet.variable(point, order))
-
-    if p.family == "linear":
-        if form == "t":
-            return p.c * jets.exp(TaylorJet.variable(point, order))
-        return p.c * TaylorJet.variable(point, order)
-
-    if p.family == "logaffine":
-        if form == "t":
-            e = jets.exp(TaylorJet.variable(point, order))
-            return (-1.0 / p.A) * jets.log(1.0 + p.c * e)
-        return (-1.0 / p.A) * jets.log(1.0 + p.c * TaylorJet.variable(point, order))
+    family = FAMILIES.get(p.family)
+    if family is not None:
+        bound = family.rho_max if form == "rho" else math.log(family.rho_max)
+        if point >= bound:
+            raise OutOfDomain(f"{p.family} needs {form} < {bound:g}, got {point}")
+        v = TaylorJet.variable(point, order)
+        return family.F(p, jets.exp(v) if form == "t" else v)
 
     # custom: produce in native form, convert by composition if needed
     if form == p.rule_form:
@@ -135,19 +171,20 @@ def profile_jet(p: RadialProfile, point: float, order: int = DEFAULT_ORDER,
     return jets.compose(outer, inner)
 
 
+def profile_rho_arrays(p: RadialProfile, xi: np.ndarray):
+    """F, F', F'' of the profile in rho-form on an array of points."""
+    if p.family in FAMILIES:
+        return FAMILIES[p.family].arrays(p, xi)
+    js = [profile_jet(p, float(u), 2, "rho") for u in xi]
+    return tuple(np.array([j.derivative(n) for j in js]) for n in range(3))
+
+
 def t_from_x(p: RadialProfile, x: float) -> float:
     """Invert the moment map x = F_t'(t) (closed form for the built-ins)."""
     if x <= 0:
         raise OutOfDomain(f"fiber coordinate x must be positive, got {x}")
-    if p.family == "logball":
-        return math.log(p.A * x / (1.0 + p.A * x))
-    if p.family == "linear":
-        return math.log(x / p.c)
-    if p.family == "logaffine":
-        v = -p.A * x
-        if not 0 < v < 1:
-            raise OutOfDomain(f"x={x} outside the log_affine range (0, {-1/p.A})")
-        return math.log(v / (p.c * (1.0 - v)))
+    if p.family in FAMILIES:
+        return FAMILIES[p.family].t_from_x(p, x)
     # custom: bisection on the increasing map t -> F'(t)
     lo, hi = -40.0, 40.0
     f = lambda t: profile_jet(p, t, 1, "t").derivative(1) - x

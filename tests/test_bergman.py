@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kqlab import bergman, jets
 from kqlab.bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
-                           Spectrum, _psi_quadrature_block, _PsiCache,
+                           _psi_quadrature_block, _PsiCache,
                            balanced_certify, balanced_setup,
                            bergman_series, closed_target, density_H,
                            fiber_moment, fiber_moment_direct,
@@ -294,15 +294,29 @@ def test_generating_identity_quadrature_route():
     assert rep.max_deviation <= 1e-10
 
 
+def test_generating_identity_builds_each_moment_once(monkeypatch):
+    rules = []
+    roots_genlaguerre = bergman.roots_genlaguerre
+    monkeypatch.setattr(bergman, "roots_genlaguerre",
+                        lambda *args: rules.append(args) or roots_genlaguerre(*args))
+    s = full_setup(linear(1.0), 1.0, 1, 1, 2.0, eps=lambda a: a + 1.0)
+    rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7), psi_method="quadrature")
+    assert rep.max_deviation <= 1e-10
+    # the coefficient list doubles 8 -> 16 -> 32: two blocks of 16 degrees
+    assert [args[1] for args in rules] == [0, 16]
+
+
 # -- spectrum ----------------------------------------------------------------
 
 
 def test_spectrum_membership():
-    spec = Spectrum("arithmetic", 2.0, 0.5)
-    assert spec.contains(2.0) and spec.contains(3.5)
-    assert not spec.contains(2.3) and not spec.contains(1.5)
-    nat = Spectrum("naturals")
-    assert nat.contains(4.0) and not nat.contains(4.5) and not nat.contains(-1.0)
+    # negative twist: the admissible levels alpha - k are the naturals
+    base = BaseGeometry.fubini_study_cpd(2)
+    nat = lambda alpha: full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, alpha, base=base)
+    assert list(nat(4.0).fiber_degrees(100)) == [0, 1, 2, 3, 4]
+    for alpha in (4.5, -1.0):
+        with pytest.raises(BranchInvalid):
+            nat(alpha).fiber_degrees(100)
 
 
 def test_fiber_degrees_finite_for_negative_twist():

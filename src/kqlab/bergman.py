@@ -494,7 +494,7 @@ def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
                     f"series tail not below {rel_tol} after {k_max} fiber degrees")
         value = math.exp(-alpha * F) * total
     except (OverflowError, ZeroDivisionError) as exc:
-        raise SeriesNonConvergent(f"series term at rho={rho} is out of float range ({exc})") from exc
+        raise SeriesNonConvergent(f"term at rho={rho} leaves the float range: {exc}") from exc
     if not math.isfinite(value):
         raise SeriesNonConvergent(f"series at rho={rho} sums to {value}")
     return value

@@ -60,7 +60,7 @@ FAMILIES = {
                               1.0 / (p.A * (1.0 - xi) ** 2)),
         t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
     "linear": _Family(
-        ("c",), lambda A, c: c > 0, "c > 0", lambda A, c, f: (A, c * f),
+        ("c",), lambda A, c: c > 0 and A == 0, "c > 0 and A = 0", lambda A, c, f: (A, c * f),
         F=lambda p, v: p.c * v, rho_max=math.inf,
         arrays=lambda p, xi: (p.c * xi, np.full_like(xi, p.c), np.zeros_like(xi)),
         t_from_x=lambda p, x: math.log(x / p.c)),

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
-from kqlab.errors import OutOfDomain
+from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (admissibility, custom, fiber_coordinates, linear,
-                            log_affine, log_ball, profile_jet, t_from_x)
+from kqlab.profiles import (RadialProfile, admissibility, custom, fiber_coordinates,
+                            from_params, linear, log_affine, log_ball, profile_jet,
+                            t_from_x)
 
 
 def test_logball_jet_at_half():
@@ -139,3 +140,21 @@ def test_scaled_profile_families():
     assert linear(1.0).scaled(3.0).c == pytest.approx(3.0)
     q = log_affine(-1.0, 2.0).scaled(2.0)
     assert q.A == pytest.approx(-0.5) and q.c == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("family, A, c", [
+    ("logball", 0.0, 1.0), ("linear", 0.0, 0.0), ("logaffine", 0.0, 1.0),
+    ("logaffine", -1.0, -1.0), ("nosuch", 1.0, 1.0),
+    # the branch tables read A, which the linear family fixes at 0
+    ("linear", 0.3, 1.0),
+])
+def test_family_parameter_checks(family, A, c):
+    with pytest.raises(ValueError):
+        RadialProfile(family, A=A, c=c)
+
+
+def test_from_params_needs_the_parameters_a_family_reads():
+    assert from_params("linear", None, 2.0) == linear(2.0)
+    assert from_params("logaffine", -0.5, 2.0) == log_affine(-0.5, 2.0)
+    with pytest.raises(PreconditionFailed):
+        from_params("logball")

@@ -43,6 +43,7 @@ from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legend
 from .curvature import BaseGeometry, _close, _spread
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
+from .jets import elementwise, require
 from .profiles import RadialProfile, linear, log_ball, profile_jet
 from .special import product_shifted
 
@@ -104,22 +105,22 @@ class QuantizationSetup:
 # fiber density and moments
 
 
-def density_H(s: QuantizationSetup, u: float) -> float:
-    """Fiber density H(alpha, u) of the moment integrals."""
-    return math.exp(_log_density_H(s, u))
+def density_H(s: QuantizationSetup, u):
+    """Fiber density H(alpha, u) of the moment integrals, at a float or an array of u."""
+    return elementwise(math.exp, _log_density_H(s, u))
 
 
-def _log_density_H(s: QuantizationSetup, u: float) -> float:
-    if u < 0 or (s.domain == "ball" and u >= 1):
-        raise OutOfDomain(f"u={u} outside the fiber range for domain {s.domain}")
+def _log_density_H(s: QuantizationSetup, u):
+    require((u >= 0) & ((u < 1) | (s.domain != "ball")), OutOfDomain,
+            lambda i: f"u={np.ravel(u)[i]} outside the fiber range for domain {s.domain}")
     j = profile_jet(s.profile, u, 2, "rho")
     F, Fp, Fpp = j.derivative(0), j.derivative(1), j.derivative(2)
     radial = Fp + u * Fpp
     shift = 1.0 + s.twist * u * Fp
-    if Fp <= 0 or radial <= 0 or shift <= 0:
-        raise OutOfDomain(f"density factors not positive at u={u}")
-    return (-s.alpha * F + (s.d0 - 1) * math.log(Fp)
-            + math.log(radial) + s.d * math.log(shift))
+    require((Fp > 0) & (radial > 0) & (shift > 0), OutOfDomain,
+            lambda i: f"density factors not positive at u={np.ravel(u)[i]}")
+    return (-s.alpha * F + (s.d0 - 1) * elementwise(math.log, Fp)
+            + elementwise(math.log, radial) + s.d * elementwise(math.log, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +308,9 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     j = np.arange(len(ks))[:, None]
     ws, u, log_weight, leftover, scales = _model(s, "Gauss rule", window=False).gauss(
         s, k0, k1, nodes, j)
-    g = [math.exp(_log_density_H(s, ui) - lw) for ui, lw in zip(u, log_weight)]
+    g = elementwise(math.exp, _log_density_H(s, u) - np.asarray(log_weight))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below, typed
-        integrals = (leftover * np.asarray(g)) @ ws
+        integrals = (leftover * g) @ ws
     out = []
     for k, scale, integral in zip(ks, scales, integrals):
         psi = math.exp(gammaln(k + 1) - gammaln(k + s.d0)) * (scale * float(integral))
@@ -447,7 +448,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
     xs, ws = roots_legendre(nodes)
     xi = 0.5 * (xs + 1.0)
     wxi = 0.5 * ws
-    H = np.array([math.exp(_log_density_H(s, x)) for x in xi])
+    H = density_H(s, xi)
     if s.d0 == 1:
         return float(np.dot(wxi, xi ** m[0] * H))
     # v1 = xi*eta, v2 = xi*(1 - eta), Jacobian xi; full tensor-grid sum

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import bergman, curvature, oracle, profiles
-from .errors import (BranchInvalid, KQLabError, QuadratureNonConvergent,
-                     SeriesNonConvergent, TruncationInsufficient)
+from .errors import (BranchInvalid, EmptyGrid, KQLabError, PreconditionFailed,
+                     QuadratureNonConvergent, SeriesNonConvergent, TruncationInsufficient)
 
 SCHEMA_VERSION = 1
 
@@ -80,11 +80,13 @@ def render_csv(rows: Sequence[dict]) -> str:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Grid syntax start:stop:count."""
+    """Grid syntax start:stop:count, with finite endpoints."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise PreconditionFailed(f"grid endpoints must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     return [float(x) for x in np.linspace(start, stop, count)]
@@ -132,17 +134,20 @@ def base_from_dict(d: dict, dim: int, twist: float) -> curvature.BaseGeometry:
 
 
 def setup_from_dict(d: dict) -> bergman.QuantizationSetup:
-    dim = int(d["d"])
-    twist = float(d.get("twist", d.get("lambda", 1.0)))
-    return bergman.QuantizationSetup(
-        d=dim,
-        d0=int(d["d0"]),
-        twist=twist,
-        domain=d["domain"],
-        profile=profile_from_dict(d["profile"]),
-        base=base_from_dict(d["base"], dim, twist),
-        alpha=float(d["alpha"]),
-    )
+    try:
+        dim = int(d["d"])
+        twist = float(d.get("twist", d.get("lambda", 1.0)))
+        return bergman.QuantizationSetup(
+            d=dim,
+            d0=int(d["d0"]),
+            twist=twist,
+            domain=d["domain"],
+            profile=profile_from_dict(d["profile"]),
+            base=base_from_dict(d["base"], dim, twist),
+            alpha=float(d["alpha"]),
+        )
+    except KeyError as missing:
+        raise PreconditionFailed(f"setup document needs the field {missing}") from None
 
 
 def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
@@ -265,9 +270,9 @@ def _curvature_model(args):
 def cmd_coeffs(args) -> int:
     t0 = time.perf_counter()
     p, base, grid, setup = _curvature_model(args)
-    reports = [curvature.curvature_report(base, p, args.d0, t) for t in grid]
+    report = curvature.curvature_report(base, p, args.d0, np.asarray(grid))
     quantity = args.quantity
-    rows = [{"point": r.t, "value": getattr(r, quantity)} for r in reports]
+    rows = [{"point": t, "value": v} for t, v in zip(grid, getattr(report, quantity).tolist())]
     mean, dev = curvature._spread([row["value"] for row in rows])
     summary = {"verdict": "pass", "max_deviation": dev, "target": None,
                "quantity": quantity, "mean": mean, "branch": None}
@@ -278,10 +283,8 @@ def cmd_coeffs(args) -> int:
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     p, base, grid, setup = _curvature_model(args)
-    verdict = curvature.classify_check(base, p, args.d0, args.domain, grid,
-                                       tol=args.tol)
-    reports = [curvature.curvature_report(base, p, args.d0, t) for t in grid]
-    rows = [{"point": r.t, "value": r.a1} for r in reports]
+    report, verdict = curvature._classify(base, p, args.d0, args.domain, grid, args.tol)
+    rows = [{"point": t, "value": v} for t, v in zip(grid, report.a1.tolist())]
     summary = {
         "verdict": "pass" if verdict.constant else "fail",
         "max_deviation": verdict.max_deviation,
@@ -299,6 +302,8 @@ def cmd_psi(args) -> int:
     t0 = time.perf_counter()
     s, echo = _setup_from_args(args)
     kmax = min(args.max_k, args.table_k)
+    if kmax < 0:
+        raise EmptyGrid(f"psi table up to k = {kmax} has no rows")
     rows = []
     worst = 0.0
     for k in range(kmax + 1):

@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain
-from .jets import DEFAULT_ORDER
+from .jets import DEFAULT_ORDER, require
 from .profiles import RadialProfile, _ddx, profile_jet
 from .special import product_shifted
 
@@ -126,7 +128,7 @@ class BaseGeometry:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Pointwise curvature data of the fibered metric."""
+    """Curvature data of the fibered metric at a point, or an array per field over a grid."""
 
     t: float
     x: float
@@ -150,26 +152,33 @@ class CurvatureReport:
                 - self.ric2 / 6.0 + self.scalar ** 2 / 8.0)
 
 
-def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t: float,
+def _pow(a: np.ndarray, n: int) -> np.ndarray:
+    """a ** n per point as a float (numpy's power may round differently)."""
+    return np.array([v ** n for v in a.tolist()])
+
+
+def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
                      order: int = DEFAULT_ORDER) -> CurvatureReport:
-    """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t."""
+    """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
+    a float or a 1-d array (one pass of array-valued jets for the whole grid)."""
     if d0 < 1:
         raise ValueError("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
 
-    f = profile_jet(p, t, order, "t")
+    f = profile_jet(p, ts, order, "t")
     xj = f.deriv()                      # F'
     x = xj.value
-    if x < X_MIN:
-        raise OutOfDomain(f"x = {x} below the evaluation floor {X_MIN}")
+    require(x >= X_MIN, OutOfDomain,
+            lambda i: f"x = {x[i]} below the evaluation floor {X_MIN} at t={ts[i]}")
     phij = xj.deriv()                   # F''
     mom = phij.value
-    if mom <= 0:
-        raise DegenerateJet(f"momentum profile {mom} not positive at t={t}")
+    require(mom > 0, DegenerateJet,
+            lambda i: f"momentum profile {mom[i]} not positive at t={ts[i]}")
     xj = xj.truncated(phij.order)
     shift = 1.0 + lam * xj
-    if shift.value <= 0:
-        raise OutOfDomain(f"1 + twist*x = {shift.value} not positive at t={t}")
+    require(shift.value > 0, OutOfDomain,
+            lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
 
     w = shift ** d * xj ** (d0 - 1)     # common denominator weight
     g = w * phij
@@ -202,41 +211,41 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t: float,
     k_base, ric2_base = base.scalar, base.ric2
 
     scalar = k_base / sv + chi
-    ric2 = ((ric2_base - 2.0 * lam * sigma * k_base + d * lam ** 2 * sigma ** 2)
-            / sv ** 2 + sigma_p ** 2)
-    lapk = base.lapk / sv ** 2 - lap_couple * k_base + div_wphichi
-    riem2 = (base.riem2 / sv ** 2
-             - 4.0 * lam ** 2 * mom * k_base / sv ** 3
-             + 2.0 * d * (d + 1) * lam ** 4 * mom ** 2 / sv ** 4
-             + 4.0 * d * lam ** 2 * phi_over_shift_p ** 2
-             + phi_xx ** 2)
+    ric2 = ((ric2_base - 2.0 * lam * sigma * k_base + d * lam ** 2 * _pow(sigma, 2))
+            / _pow(sv, 2) + _pow(sigma_p, 2))
+    lapk = base.lapk / _pow(sv, 2) - lap_couple * k_base + div_wphichi
+    riem2 = (base.riem2 / _pow(sv, 2)
+             - 4.0 * lam ** 2 * mom * k_base / _pow(sv, 3)
+             + 2.0 * d * (d + 1) * lam ** 4 * _pow(mom, 2) / _pow(sv, 4)
+             + 4.0 * d * lam ** 2 * _pow(phi_over_shift_p, 2)
+             + _pow(phi_xx, 2))
 
     a1 = base.a1 / sv + 0.5 * chi
-    a2 = (base.a2 / sv ** 2
-          + (0.5 * chi / sv + lam ** 2 * mom / sv ** 3) * base.a1
+    a2 = (base.a2 / _pow(sv, 2)
+          + (0.5 * chi / sv + lam ** 2 * mom / _pow(sv, 3)) * base.a1
           + (8.0 * phichi_x
              + 8.0 * (d * lam / sv) * mom * chi_p
-             + 3.0 * chi ** 2 - 4.0 * sigma_p ** 2 + phi_xx ** 2
-             + 4.0 * d * lam ** 2 * phi_over_shift_p ** 2
-             - 4.0 * d * lam ** 2 * sigma ** 2 / sv ** 2
-             + 2.0 * d * (d + 1) * lam ** 4 * mom ** 2 / sv ** 4) / 24.0)
+             + 3.0 * _pow(chi, 2) - 4.0 * _pow(sigma_p, 2) + _pow(phi_xx, 2)
+             + 4.0 * d * lam ** 2 * _pow(phi_over_shift_p, 2)
+             - 4.0 * d * lam ** 2 * _pow(sigma, 2) / _pow(sv, 2)
+             + 2.0 * d * (d + 1) * lam ** 4 * _pow(mom, 2) / _pow(sv, 4)) / 24.0)
 
     if d0 > 1:
         phi_over_x_p = _ddx(phij / xj.truncated(phij.order), phij).value
-        ric2 += (d0 - 1) * ((sigma - d0) / x) ** 2
-        riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * (mom / (x * sv)) ** 2
-                             + 4.0 * phi_over_x_p ** 2
-                             + 2.0 * d0 * ((mom - x) / x ** 2) ** 2)
+        ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
+        riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)
+                             + 4.0 * _pow(phi_over_x_p, 2)
+                             + 2.0 * d0 * _pow((mom - x) / _pow(x, 2), 2))
         a2 += (8.0 * ((d0 - 1) / x) * mom * chi_p) / 24.0
-        a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * mom ** 2 / (x ** 2 * sv ** 2)
-                                  + phi_over_x_p ** 2
-                                  + 0.5 * d0 * (mom - x) ** 2 / x ** 4
-                                  - (sigma - d0) ** 2 / x ** 2)
+        a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * _pow(mom, 2) / (_pow(x, 2) * _pow(sv, 2))
+                                  + _pow(phi_over_x_p, 2)
+                                  + 0.5 * d0 * _pow(mom - x, 2) / _pow(x, 4)
+                                  - _pow(sigma - d0, 2) / _pow(x, 2))
 
-    return CurvatureReport(t=t, x=x, mom=mom, sigma=sigma, chi=chi,
-                           sigma_prime=sigma_p, chi_prime=chi_p,
-                           scalar=scalar, ric2=ric2, lapk=lapk, riem2=riem2,
-                           a1=a1, a2=a2, d0=d0)
+    fields = (ts, x, mom, sigma, chi, sigma_p, chi_p, scalar, ric2, lapk, riem2, a1, a2)
+    if np.ndim(t) == 0:
+        fields = [float(value[0]) for value in fields]
+    return CurvatureReport(*fields, d0=d0)
 
 
 @dataclass(frozen=True)
@@ -348,13 +357,19 @@ def required_base_coefficients(p: RadialProfile, d: int, d0: int, lam: float,
 def classify_check(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
                    grid: Sequence[float], tol: float = 1e-8) -> ClassificationVerdict:
     """Constancy check of (a1, a2) over a t-grid, matched against the branch tables."""
+    return _classify(base, p, d0, domain, grid, tol)[1]
+
+
+def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
+              grid: Sequence[float], tol: float) -> tuple[CurvatureReport, ClassificationVerdict]:
+    """classify_check, with the grid's one curvature report it was judged on."""
     if len(grid) == 0:
         raise EmptyGrid("classification needs a non-empty grid")
     if len(grid) < 8:
         raise EmptyGrid(f"classification grid needs >= 8 points, got {len(grid)}")
-    reports = [curvature_report(base, p, d0, t) for t in grid]
-    a1_mean, a1_dev = _spread([r.a1 for r in reports])
-    a2_mean, a2_dev = _spread([r.a2 for r in reports])
+    report = curvature_report(base, p, d0, np.asarray(grid, dtype=float))
+    a1_mean, a1_dev = _spread(report.a1.tolist())
+    a2_mean, a2_dev = _spread(report.a2.tolist())
     dev = max(a1_dev, a2_dev)
     constant = dev <= tol
 
@@ -374,9 +389,9 @@ def classify_check(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
             matched = name
         if name == "2.14" and abs(base.twist + 1.0) <= 1e-12 and abs(a_eff + 1.0) <= 1e-12:
             n = base.d + d0
-            ricci_constant, _ = _spread([r.scalar for r in reports])
+            ricci_constant, _ = _spread(report.scalar.tolist())
             ricci_check = abs(ricci_constant - n * (n + 1)) <= 1e-7 * (1 + n * (n + 1))
-    return ClassificationVerdict(constant=constant, a1_value=a1_mean,
-                                 a2_value=a2_mean, matched_branch=matched,
-                                 max_deviation=dev, ricci_constant=ricci_constant,
-                                 ricci_check=ricci_check)
+    return report, ClassificationVerdict(constant=constant, a1_value=a1_mean,
+                                         a2_value=a2_mean, matched_branch=matched,
+                                         max_deviation=dev, ricci_constant=ricci_constant,
+                                         ricci_check=ricci_check)

@@ -1,11 +1,14 @@
 """Truncated Taylor-series ("jet") arithmetic.
 
 A jet stores the normalized Taylor coefficients ``coeffs[n] = f^(n)(t0)/n!``
-of a scalar function at an implicit expansion point, truncated at a fixed
-order.  Arithmetic propagates coefficients by the usual Cauchy-product and
-composition recurrences, which gives exact (round-off level) derivatives up
-to the truncation order.  That is the differentiation substrate for all
-curvature formulas: the second expansion coefficient of a fibered metric
+of a function at implicit expansion points, truncated at a fixed order, as
+one array of shape ``(order + 1, *points)``; a scalar jet is the case with no
+point axis.  Arithmetic propagates coefficients by the usual Cauchy-product and
+composition recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., 2008, ch. 13), each step over the whole point axis, so a grid is one
+pass, rounded at every point as that point alone would be.  That gives exact
+(round-off level) derivatives up to the truncation order: the substrate for
+all curvature formulas.  The second expansion coefficient of a fibered metric
 consumes six derivatives of the radial profile, hence the default order 8
 (two orders of safety margin for composed expressions).
 
@@ -16,41 +19,61 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+
+import numpy as np
 
 from .errors import DivisionByZeroJet, LogDomain, OrderExceeded, OrderMismatch
 
 DEFAULT_ORDER = 8
 
-Scalar = Union[int, float]
+
+def elementwise(fn, a):
+    """``fn`` of the ``math`` module at each element of ``a`` (a float for a
+    scalar); numpy's own ufuncs may round differently in the last bit."""
+    if np.ndim(a) == 0:
+        return fn(a)
+    return np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
 
 
-@dataclass(frozen=True)
+def require(ok, error, message) -> None:
+    """Raise ``error(message(i))`` for the first point i where the test ``ok``
+    fails (NaN fails a test written as ``x >= bound``)."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise error(message(int(np.flatnonzero(~ok)[0])))
+
+
+@dataclass(frozen=True, eq=False)
 class TaylorJet:
-    """Normalized Taylor coefficients of a scalar function.
+    """Normalized Taylor coefficients of a function at one or more points.
 
-    ``coeffs`` has length ``order + 1`` and ``coeffs[0]`` is the function
-    value at the expansion point.
+    ``coeffs`` has shape ``(order + 1, *points)`` and ``coeffs[0]`` is the
+    function value at the expansion points.
     """
 
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.ndim == 0 or len(coeffs) == 0:
             raise OrderMismatch("a jet needs at least the constant term")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: Scalar, order: int = DEFAULT_ORDER) -> "TaylorJet":
-        return TaylorJet((float(value),) + (0.0,) * order)
+    def constant(value, order: int = DEFAULT_ORDER) -> "TaylorJet":
+        out = np.zeros((order + 1,) + np.shape(value))
+        out[0] = value
+        return TaylorJet(out)
 
     @staticmethod
-    def variable(value: Scalar, order: int = DEFAULT_ORDER) -> "TaylorJet":
-        """Jet of the identity function t -> t around ``value``."""
-        if order == 0:
-            return TaylorJet((float(value),))
-        return TaylorJet((float(value), 1.0) + (0.0,) * (order - 1))
+    def variable(value, order: int = DEFAULT_ORDER) -> "TaylorJet":
+        """Jet of the identity function t -> t around ``value`` (a float or an array)."""
+        out = np.zeros((order + 1,) + np.shape(value))
+        out[0], out[1:2] = value, 1.0
+        return TaylorJet(out)
 
     # -- basic queries -----------------------------------------------------
 
@@ -59,11 +82,11 @@ class TaylorJet:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.coeffs[0]
 
-    def derivative(self, n: int) -> float:
-        """n-th derivative at the expansion point, i.e. ``n! * coeffs[n]``."""
+    def derivative(self, n: int):
+        """n-th derivative at the expansion points, i.e. ``n! * coeffs[n]``."""
         if not 0 <= n <= self.order:
             raise OrderExceeded(f"derivative order {n} exceeds jet order {self.order}")
         return math.factorial(n) * self.coeffs[n]
@@ -77,7 +100,8 @@ class TaylorJet:
         """Jet of the derivative function, one order lower."""
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        return TaylorJet(tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:])))
+        n = np.arange(1.0, self.order + 1).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
+        return TaylorJet(n * self.coeffs[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -88,16 +112,15 @@ class TaylorJet:
                     f"jet orders differ: {self.order} vs {other.order}"
                 )
             return other
-        return TaylorJet.constant(other, self.order)
+        return TaylorJet.constant(np.broadcast_to(other, self.coeffs.shape[1:]), self.order)
 
     def __add__(self, other) -> "TaylorJet":
-        b = self._coerce(other)
-        return TaylorJet(tuple(x + y for x, y in zip(self.coeffs, b.coeffs)))
+        return TaylorJet(self.coeffs + self._coerce(other).coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TaylorJet":
-        return TaylorJet(tuple(-x for x in self.coeffs))
+        return TaylorJet(-self.coeffs)
 
     def __sub__(self, other) -> "TaylorJet":
         return self + (-self._coerce(other))
@@ -106,38 +129,42 @@ class TaylorJet:
         return (-self) + other
 
     def __mul__(self, other) -> "TaylorJet":
-        b = self._coerce(other)
+        if not isinstance(other, TaylorJet):
+            # the Cauchy product with a constant jet: its zero terms add +0.0
+            return TaylorJet(self.coeffs * other + 0.0)
+        a, b = self.coeffs, self._coerce(other).coeffs
         n = self.order
-        out = [0.0] * (n + 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai == 0.0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b.coeffs[j]
-        return TaylorJet(tuple(out))
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        nonzero = a != 0.0
+        points = tuple(range(1, a.ndim))
+        for i, (every, some) in enumerate(zip(nonzero.all(axis=points).tolist(),
+                                              nonzero.any(axis=points).tolist())):
+            if every:
+                out[i:] += a[i] * b[: n + 1 - i]
+            elif some:              # a[i] is zero at some points: skip those
+                out[i:] += np.where(nonzero[i], a[i] * b[: n + 1 - i], 0.0)
+        return TaylorJet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TaylorJet":
-        b = self._coerce(other)
-        if b.coeffs[0] == 0.0:
-            raise DivisionByZeroJet("jet division by a jet with zero constant term")
-        n = self.order
-        out = [0.0] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
+        a, b = self.coeffs, self._coerce(other).coeffs
+        require(b[0] != 0.0, DivisionByZeroJet, lambda i: "jet division by a jet with "
+                f"zero constant term{f' at point {i}' if b.ndim > 1 else ''}")
+        b, out = list(b), []          # rows
+        for k, acc in enumerate(a):
             for j in range(1, k + 1):
-                acc -= b.coeffs[j] * out[k - j]
-            out[k] = acc / b.coeffs[0]
-        return TaylorJet(tuple(out))
+                acc = acc - b[j] * out[k - j]
+            out.append(acc / b[0])
+        return TaylorJet(np.array(out))
 
     def __rtruediv__(self, other) -> "TaylorJet":
-        return TaylorJet.constant(other, self.order) / self
+        return self._coerce(other) / self
 
     def __pow__(self, p) -> "TaylorJet":
         if isinstance(p, int):
             if p == 0:
-                return TaylorJet.constant(1.0, self.order)
+                return self._coerce(1.0)
             if p < 0:
                 return 1.0 / (self ** (-p))
             half = self ** (p // 2)
@@ -148,30 +175,28 @@ class TaylorJet:
 
 def exp(a: TaylorJet) -> TaylorJet:
     """Jet of exp(f) via the convolution recurrence e' = f' e."""
-    n = a.order
-    out = [0.0] * (n + 1)
-    out[0] = math.exp(a.coeffs[0])
-    for k in range(1, n + 1):
+    c = list(a.coeffs)              # rows
+    out = [elementwise(math.exp, c[0])]
+    for k in range(1, len(c)):
         acc = 0.0
         for j in range(1, k + 1):
-            acc += j * a.coeffs[j] * out[k - j]
-        out[k] = acc / k
-    return TaylorJet(tuple(out))
+            acc = acc + j * c[j] * out[k - j]
+        out.append(acc / k)
+    return TaylorJet(np.array(out))
 
 
 def log(a: TaylorJet) -> TaylorJet:
-    """Jet of log(f); requires a positive constant term."""
-    if a.coeffs[0] <= 0.0:
-        raise LogDomain(f"jet log needs positive value, got {a.coeffs[0]}")
-    n = a.order
-    out = [0.0] * (n + 1)
-    out[0] = math.log(a.coeffs[0])
-    for k in range(1, n + 1):
-        acc = k * a.coeffs[k]
+    """Jet of log(f); requires a positive constant term at every point."""
+    c = list(a.coeffs)              # rows
+    require(c[0] > 0.0, LogDomain, lambda i: f"jet log needs positive value, got "
+            f"{c[0].flat[i]}{f' at point {i}' if a.coeffs.ndim > 1 else ''}")
+    out = [elementwise(math.log, c[0])]
+    for k in range(1, len(c)):
+        acc = k * c[k]
         for j in range(1, k):
-            acc -= j * out[j] * a.coeffs[k - j]
-        out[k] = acc / (k * a.coeffs[0])
-    return TaylorJet(tuple(out))
+            acc = acc - j * out[j] * c[k - j]
+        out.append(acc / (k * c[0]))
+    return TaylorJet(np.array(out))
 
 
 def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:

@@ -28,7 +28,7 @@ import numpy as np
 from . import jets
 from .errors import (DegenerateJet, EmptyGrid, KQLabError, OutOfDomain,
                      PreconditionFailed)
-from .jets import DEFAULT_ORDER, TaylorJet
+from .jets import DEFAULT_ORDER, TaylorJet, require
 
 JetRule = Callable[[float, int], TaylorJet]
 
@@ -48,28 +48,22 @@ def _log_affine_t(p: "RadialProfile", x: float) -> float:
 # Each closed family, stated once.  params: the parameters it reads; valid
 # and rule: their check, in code and in words; scaled: (A, c, factor) -> the
 # (A, c) of factor*F; F: the rho-form profile of a jet v, for 0 <= rho <
-# rho_max (the t-form is F of v = e^t); arrays: F, F', F'' in rho-form on a
-# numpy array; t_from_x: the inverse of the moment map x = F_t'(t).
-_Family = namedtuple("_Family", "params valid rule scaled F rho_max arrays t_from_x")
+# rho_max (the t-form is F of v = e^t); t_from_x: the inverse of x = F_t'(t).
+_Family = namedtuple("_Family", "params valid rule scaled F rho_max t_from_x")
 
 FAMILIES = {
     "logball": _Family(
         ("A",), lambda A, c: A > 0, "A > 0", lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, -v), rho_max=1.0,
-        arrays=lambda p, xi: (-np.log(1.0 - xi) / p.A, 1.0 / (p.A * (1.0 - xi)),
-                              1.0 / (p.A * (1.0 - xi) ** 2)),
         t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
     "linear": _Family(
         ("c",), lambda A, c: c > 0 and A == 0, "c > 0 and A = 0", lambda A, c, f: (A, c * f),
         F=lambda p, v: p.c * v, rho_max=math.inf,
-        arrays=lambda p, xi: (p.c * xi, np.full_like(xi, p.c), np.zeros_like(xi)),
         t_from_x=lambda p, x: math.log(x / p.c)),
     "logaffine": _Family(
         ("A", "c"), lambda A, c: A != 0 and c > 0, "A != 0 and c > 0",
         lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=math.inf,
-        arrays=lambda p, xi: (-np.log(1.0 + p.c * xi) / p.A, -(p.c / p.A) / (1.0 + p.c * xi),
-                              (p.c ** 2 / p.A) / (1.0 + p.c * xi) ** 2),
         t_from_x=_log_affine_t),
 }
 
@@ -141,42 +135,47 @@ def custom(rule: JetRule, form: str = "t") -> RadialProfile:
     return RadialProfile("custom", rule=rule, rule_form=form)
 
 
-def profile_jet(p: RadialProfile, point: float, order: int = DEFAULT_ORDER,
+def profile_jet(p: RadialProfile, point, order: int = DEFAULT_ORDER,
                 form: str = "t") -> TaylorJet:
-    """Jet of F at ``point`` in the requested parameterization."""
+    """Jet of F at ``point`` (a float or a 1-d array) in the requested parameterization."""
     if form not in ("t", "rho"):
         raise ValueError("form must be 't' or 'rho'")
-    if form == "rho" and point < 0:
-        raise OutOfDomain(f"rho must be non-negative, got {point}")
+    point = np.asarray(point, dtype=float)
+    if form == "rho":
+        require(point >= 0, OutOfDomain,
+                lambda i: f"rho must be non-negative, got {point.flat[i]}")
 
     family = FAMILIES.get(p.family)
     if family is not None:
         bound = family.rho_max if form == "rho" else math.log(family.rho_max)
-        if point >= bound:
-            raise OutOfDomain(f"{p.family} needs {form} < {bound:g}, got {point}")
+        require(point < bound, OutOfDomain,
+                lambda i: f"{p.family} needs {form} < {bound:g}, got {point.flat[i]}")
         v = TaylorJet.variable(point, order)
         return family.F(p, jets.exp(v) if form == "t" else v)
 
     # custom: produce in native form, convert by composition if needed
     if form == p.rule_form:
-        return p.rule(point, order)
+        return _rule_jet(p, point, order)
     if form == "t":
         inner = jets.exp(TaylorJet.variable(point, order))
-        outer = p.rule(inner.value, order)
-        return jets.compose(outer, inner)
-    if point <= 0:
-        raise OutOfDomain("converting a t-rule to rho-form needs rho > 0")
+        return jets.compose(_rule_jet(p, inner.value, order), inner)
+    require(point > 0, OutOfDomain,
+            lambda i: f"converting a t-rule to rho-form needs rho > 0, got {point.flat[i]}")
     inner = jets.log(TaylorJet.variable(point, order))
-    outer = p.rule(inner.value, order)
-    return jets.compose(outer, inner)
+    return jets.compose(_rule_jet(p, inner.value, order), inner)
+
+
+def _rule_jet(p: RadialProfile, point: np.ndarray, order: int) -> TaylorJet:
+    """A custom rule's jets: one call per point (a rule takes a float), stacked."""
+    if point.ndim == 0:
+        return p.rule(float(point), order)
+    return TaylorJet(np.stack([p.rule(u, order).coeffs for u in point.tolist()], axis=-1))
 
 
 def profile_rho_arrays(p: RadialProfile, xi: np.ndarray):
     """F, F', F'' of the profile in rho-form on an array of points."""
-    if p.family in FAMILIES:
-        return FAMILIES[p.family].arrays(p, xi)
-    js = [profile_jet(p, float(u), 2, "rho") for u in xi]
-    return tuple(np.array([j.derivative(n) for j in js]) for n in range(3))
+    j = profile_jet(p, xi, 2, "rho")
+    return tuple(j.derivative(n) for n in range(3))
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:
@@ -267,15 +266,11 @@ def _gl16():
     return _GL16
 
 
-def _sqrt_fpp(p: RadialProfile, t: float) -> float:
-    fpp = profile_jet(p, t, 2, "t").derivative(2)
-    return math.sqrt(fpp) if fpp > 0 else 0.0
-
-
 def _segment_integral(p: RadialProfile, a: float, b: float) -> float:
     xs, ws = _gl16()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * _sqrt_fpp(p, mid + half * x) for x, w in zip(xs, ws))
+    fpp = profile_jet(p, mid + half * xs, 2, "t").derivative(2).tolist()
+    return half * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws, fpp))
 
 
 def _fiber_length_verdict(p: RadialProfile, domain: str, threshold: float,
@@ -330,9 +325,8 @@ def admissibility(p: RadialProfile, twist: float, domain: str,
         raise EmptyGrid("admissibility needs a non-empty grid")
     pts = []
     ok = True
-    for t in grid:
-        f = profile_jet(p, t, 2, "t")
-        x, mom = f.derivative(1), f.derivative(2)
+    f = profile_jet(p, np.asarray(grid, dtype=float), 2, "t")
+    for t, x, mom in zip(grid, f.derivative(1).tolist(), f.derivative(2).tolist()):
         point = AdmissibilityPoint(
             t=t, x=x, mom=mom,
             convex=mom > 0,

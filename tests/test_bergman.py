@@ -72,6 +72,42 @@ def test_density_domain_checks():
         density_H(s, -0.2)
 
 
+
+def _density_setups():
+    rho_rule = lambda rho, order: (-2.0) * jets.log(1.0 - TaylorJet.variable(rho, order))
+    t_rule = lambda t, order: (-2.0) * jets.log(1.0 - jets.exp(TaylorJet.variable(t, order)))
+    yield "logball", ball_setup(0.5, 1.0, 1, 2, 4.0), 0.99
+    yield "logball-d2", ball_setup(1.0, 1.0, 2, 1, 6.0), 0.99
+    yield "linear", full_setup(linear(1.3), 1.0, 1, 2, 3.0), 40.0
+    yield "logaffine", full_setup(log_affine(-1.0, 1.5), -1.0, 2, 1, 9.0), 40.0
+    base = ball_setup(0.5, 1.0, 1, 2, 4.0).base
+    for form, rule in (("rho", rho_rule), ("t", t_rule)):
+        yield f"custom-{form}", QuantizationSetup(
+            d=1, d0=2, twist=1.0, domain="ball", profile=custom(rule, form),
+            base=base, alpha=4.0), 0.99
+
+
+_DENSITY_SETUPS = {name: (s, top) for name, s, top in _density_setups()}
+
+
+@given(name=st.sampled_from(sorted(_DENSITY_SETUPS)),
+       fractions=st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1,
+                          max_size=16))
+@settings(max_examples=40, deadline=None)
+def test_density_on_an_array_equals_pointwise(name, fractions):
+    s, top = _DENSITY_SETUPS[name]
+    u = np.array(fractions) * top
+    swept = density_H(s, u)
+    for j, uj in enumerate(u.tolist()):
+        assert swept[j] == pytest.approx(density_H(s, uj), rel=1e-13, abs=0.0)
+
+
+def test_density_on_an_array_names_the_first_point_outside():
+    s = ball_setup(0.5, 1.0, 1, 1, 2.0)
+    with pytest.raises(OutOfDomain, match="u=1.2 outside"):
+        density_H(s, np.array([0.1, 1.2, -0.3]))
+
+
 # -- moments ----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kqlab import curvature
 from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
                        render_json)
 from kqlab.curvature import branch_coefficients
@@ -274,3 +275,69 @@ def test_missing_profile_parameter_is_invalid_input(capsys):
     code, doc = run_json(capsys, "coeffs", "--family", "logaffine")
     assert code == 2
     assert doc["error"]["type"] == "PreconditionFailed"
+
+
+# -- setup documents, grids and tables that leave nothing to compute -----------
+
+
+_SETUP = {
+    "d": 1, "d0": 2, "twist": 1.0, "domain": "ball", "alpha": 4.0,
+    "profile": {"family": "logball", "A": 0.5},
+    "base": {"a1": 0.5, "a2": 0.0, "eps": {"kind": "affine", "offset": 0.5}},
+}
+
+
+def _without(doc: dict, path: tuple) -> dict:
+    """A deep copy of ``doc`` with the field at ``path`` left out."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("command, path", [
+    ("psi", ("d",)),
+    ("bergman", ("base", "eps", "offset")),
+], ids=["psi-without-d", "bergman-eps-without-offset"])
+def test_setup_document_missing_field_is_invalid_input(tmp_path, capsys, command, path):
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text(json.dumps(_without(_SETUP, path)))
+    code, doc = run_json(capsys, command, "--setup", str(doc_path))
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert repr(path[-1]) in doc["error"]["message"]
+
+
+_LOGBALL = ("--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", *_LOGBALL, "--grid=nan:-1:3"),
+    ("classify", *_LOGBALL, "--grid=-inf:-1:8"),
+    ("bergman", *_LOGBALL, "--grid=nan:0.5:3"),
+], ids=["coeffs-nan", "classify-inf", "bergman-nan"])
+def test_non_finite_grid_is_invalid_input(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert "finite" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("cap", ["--table-k", "--max-k"])
+def test_empty_psi_table_is_invalid_input(capsys, cap):
+    code, doc = run_json(capsys, "psi", *_LOGBALL, cap, "-1")
+    assert code == 2
+    assert doc["error"]["type"] == "EmptyGrid"
+
+
+def test_classify_makes_one_curvature_pass(capsys, monkeypatch):
+    calls = []
+    report = curvature.curvature_report
+    monkeypatch.setattr(curvature, "curvature_report",
+                        lambda *args: calls.append(args) or report(*args))
+    code, doc = run_json(capsys, "classify", *_LOGBALL, "--lambda", "1",
+                         "--grid=-4:-0.5:200")
+    assert code == 0 and doc["summary"]["branch"] == "2.10"
+    assert len(calls) == 1 and len(doc["rows"]) == 200

@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kqlab import jets
 from kqlab.curvature import (BaseGeometry, ClassificationVerdict,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
-from kqlab.errors import EmptyGrid, OutOfDomain
-from kqlab.profiles import linear, log_affine, log_ball, t_from_x
+from kqlab.errors import EmptyGrid, KQLabError, OutOfDomain
+from kqlab.jets import TaylorJet
+from kqlab.profiles import custom, linear, log_affine, log_ball, t_from_x
 
 
 def _tgrid(p, lam, count=12, x_hi=2.5):
@@ -251,3 +254,66 @@ def test_classify_grid_requirements():
         classify_check(base, log_ball(1.0), 1, "ball", [])
     with pytest.raises(EmptyGrid):
         classify_check(base, log_ball(1.0), 1, "ball", [-1.0, -2.0])
+
+
+# -- one pass per grid --------------------------------------------------------
+
+
+def _logball_t_rule(A):
+    return lambda t, order: (-1.0 / A) * jets.log(1.0 - jets.exp(TaylorJet.variable(t, order)))
+
+
+def _logball_rho_rule(A):
+    return lambda rho, order: (-1.0 / A) * jets.log(1.0 - TaylorJet.variable(rho, order))
+
+
+# (profile, the closed family that inverts its moment map)
+_GRID_PROFILES = {
+    "logball": (log_ball(0.5), log_ball(0.5)),
+    "linear": (linear(1.3), linear(1.3)),
+    "logaffine": (log_affine(-0.6, 1.0), log_affine(-0.6, 1.0)),
+    "custom-t": (custom(_logball_t_rule(0.5), "t"), log_ball(0.5)),
+    "custom-rho": (custom(_logball_rho_rule(0.5), "rho"), log_ball(0.5)),
+}
+
+_REPORT_FIELDS = ("t", "x", "mom", "sigma", "chi", "sigma_prime", "chi_prime",
+                  "scalar", "ric2", "lapk", "riem2", "a1", "a2")
+
+
+@given(name=st.sampled_from(sorted(_GRID_PROFILES)), d=st.sampled_from((1, 2)),
+       d0=st.sampled_from((1, 2)), lam=st.sampled_from((0.7, -0.4)),
+       fractions=st.lists(st.floats(min_value=0.02, max_value=0.98), min_size=1,
+                          max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_array_grid_report_equals_pointwise_reports(name, d, d0, lam, fractions):
+    p, closed = _GRID_PROFILES[name]
+    cap = 2.5 if lam > 0 else 0.9 / abs(lam)
+    if closed.family == "logaffine":
+        cap = min(cap, 0.9 / abs(closed.A))
+    grid = [t_from_x(closed, cap * f) for f in fractions]
+    base = BaseGeometry.from_coefficients(d, lam, a1=0.3, a2=-0.2)
+    report = curvature_report(base, p, d0, np.array(grid))
+    for j, t in enumerate(grid):
+        point = curvature_report(base, p, d0, t)
+        for field in _REPORT_FIELDS:
+            assert getattr(report, field)[j] == pytest.approx(
+                getattr(point, field), rel=1e-13, abs=0.0), field
+
+
+@pytest.mark.parametrize("twist, p, bad", [
+    (1.0, log_ball(1.0), -40.0),                          # x below the floor
+    (-1.0, log_ball(1.0), t_from_x(log_ball(1.0), 4.0)),  # 1 + twist*x < 0
+    (1.0, log_ball(1.0), math.nan),
+    (1.0, custom(_logball_t_rule(1.0)), math.nan),
+], ids=["x-floor", "shift", "nan", "custom-nan"])
+def test_one_bad_grid_point_raises_the_pointwise_error(twist, p, bad):
+    base = BaseGeometry.flat(1, twist=twist)
+    grid = _tgrid(log_ball(1.0), twist, count=8, x_hi=0.5)
+    grid[3] = bad
+    with pytest.raises(KQLabError) as pointwise:
+        curvature_report(base, p, 1, bad)
+    with pytest.raises(KQLabError) as on_grid:
+        curvature_report(base, p, 1, np.array(grid))
+    assert type(on_grid.value) is type(pointwise.value)
+    assert str(on_grid.value) == str(pointwise.value)
+    assert str(bad) in str(on_grid.value)

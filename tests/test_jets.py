@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +123,54 @@ def test_compose_exp_then_log_is_identity():
     back = jets.compose(outer, inner)
     assert back.coeffs == pytest.approx(TaylorJet.variable(t0).coeffs,
                                         rel=1e-12, abs=1e-12)
+
+
+# -- jets over an array of points ---------------------------------------------
+
+
+# coefficients that are often exactly zero exercise the per-point zero-skip
+sparse_coeff = st.one_of(coeff, st.just(0.0))
+
+
+@st.composite
+def point_jets(draw, positive=False, order=8):
+    """Between one and six scalar jets, one per point."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    out = []
+    for _ in range(count):
+        head = draw(st.floats(min_value=0.5, max_value=3.0)) if positive else \
+            draw(st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) > 0.5))
+        tail = draw(st.lists(sparse_coeff, min_size=order, max_size=order))
+        out.append(TaylorJet((head, *tail)))
+    return out
+
+
+def _stacked(points):
+    return TaylorJet(np.stack([j.coeffs for j in points], axis=-1))
+
+
+@given(point_jets(positive=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_jets_round_each_point_as_a_scalar_jet(a_points, data):
+    b_points = data.draw(st.lists(small_jets(), min_size=len(a_points),
+                                  max_size=len(a_points)))
+    a, b = _stacked(a_points), _stacked(b_points)
+    operations = (lambda x, y: x * y, lambda x, y: x / y, lambda x, y: y / x,
+                  lambda x, y: x + y, lambda x, y: x - y, lambda x, y: 2.5 * x - 1.0,
+                  lambda x, y: 3.0 / x + y, lambda x, y: x ** 3, lambda x, y: y ** -2,
+                  lambda x, y: jets.exp(y), lambda x, y: jets.log(x),
+                  lambda x, y: x ** 0.5, lambda x, y: jets.compose(x, y),
+                  lambda x, y: x.deriv() * y.truncated(7))
+    for op in operations:
+        on_array = op(a, b).coeffs
+        for j, (x, y) in enumerate(zip(a_points, b_points)):
+            assert np.array_equal(on_array[..., j], op(x, y).coeffs)
+
+
+def test_array_pivots_name_the_first_failing_point():
+    points = _stacked([TaylorJet.variable(v, order=4) for v in (1.0, 2.0, 0.0, -1.0)])
+    with pytest.raises(DivisionByZeroJet, match="at point 2"):
+        _ = 1.0 / points
+    with pytest.raises(LogDomain, match="got 0.0 at point 2"):
+        jets.log(points)
+    assert jets.exp(points).coeffs.shape == (5, 4)

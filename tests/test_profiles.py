@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
 from kqlab.profiles import (RadialProfile, admissibility, custom, fiber_coordinates,
                             from_params, linear, log_affine, log_ball, profile_jet,
-                            t_from_x)
+                            profile_rho_arrays, t_from_x)
 
 
 def test_logball_jet_at_half():
@@ -158,3 +159,27 @@ def test_from_params_needs_the_parameters_a_family_reads():
     assert from_params("logaffine", -0.5, 2.0) == log_affine(-0.5, 2.0)
     with pytest.raises(PreconditionFailed):
         from_params("logball")
+
+
+
+def _hand_written_rho_arrays(p, xi):
+    """F, F', F'' in rho-form from the closed formulas, written out with numpy."""
+    if p.family == "logball":
+        return (-np.log(1.0 - xi) / p.A, 1.0 / (p.A * (1.0 - xi)),
+                1.0 / (p.A * (1.0 - xi) ** 2))
+    if p.family == "linear":
+        return p.c * xi, np.full_like(xi, p.c), np.zeros_like(xi)
+    return (-np.log(1.0 + p.c * xi) / p.A, -(p.c / p.A) / (1.0 + p.c * xi),
+            (p.c ** 2 / p.A) / (1.0 + p.c * xi) ** 2)
+
+
+@pytest.mark.parametrize("p, top", [(log_ball(0.5), 0.999), (linear(1.3), 60.0),
+                                    (log_affine(-0.6, 1.4), 60.0)],
+                         ids=["logball", "linear", "logaffine"])
+@given(fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                          max_size=20))
+@settings(max_examples=30, deadline=None)
+def test_rho_arrays_match_the_hand_written_formulas(p, top, fractions):
+    xi = np.array(fractions) * top
+    for got, want in zip(profile_rho_arrays(p, xi), _hand_written_rho_arrays(p, xi)):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)

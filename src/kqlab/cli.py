@@ -82,22 +82,70 @@ def render_csv(rows: Sequence[dict]) -> str:
 def parse_grid(spec: str) -> list[float]:
     """Grid syntax start:stop:count, with finite endpoints."""
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:count, got {spec!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise PreconditionFailed(f"grid must be start:stop:count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise PreconditionFailed(f"grid endpoints must be finite, got {spec!r}")
     if count < 1:
-        raise ValueError("grid count must be >= 1")
+        raise PreconditionFailed(f"grid count must be >= 1, got {spec!r}")
     return [float(x) for x in np.linspace(start, stop, count)]
+
+
+def parse_samples(spec: str) -> list[tuple[float, float]]:
+    """Oracle sample points s,rho;s,rho;... with finite coordinates."""
+    samples = []
+    for chunk in spec.split(";"):
+        try:
+            a, b = chunk.split(",")
+            point = (float(a), float(b))
+        except ValueError:
+            raise PreconditionFailed(
+                f"--samples must be s,rho pairs separated by ';', got {spec!r}") from None
+        if not all(map(math.isfinite, point)):
+            raise PreconditionFailed(f"--samples coordinates must be finite, got {spec!r}")
+        samples.append(point)
+    return samples
 
 
 # ---------------------------------------------------------------------------
 # setup (de)serialization
 
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, conv: Callable = float, default=_REQUIRED):
+    """``conv(d[key])``, or ``default`` if the key is absent; typed errors name the key."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise PreconditionFailed(f"setup document needs the field {key!r}")
+        return default
+    try:
+        return conv(d[key])
+    except (TypeError, ValueError):
+        raise PreconditionFailed(f"setup field {key!r} has the invalid value {d[key]!r}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError
+    return value
+
+
+def _one_of(*options: str) -> Callable:
+    def conv(value):
+        if value not in options:
+            raise ValueError
+        return value
+    return conv
+
 
 def profile_from_dict(d: dict) -> profiles.RadialProfile:
-    return profiles.from_params(d["family"], d.get("A"), d.get("c", 1.0))
+    return profiles.from_params(_field(d, "family", _one_of(*profiles.FAMILIES)),
+                                _field(d, "A", float, None), _field(d, "c", float, 1.0))
 
 
 def profile_to_dict(p: profiles.RadialProfile) -> dict:
@@ -105,49 +153,48 @@ def profile_to_dict(p: profiles.RadialProfile) -> dict:
 
 
 def _eps_from_dict(d: dict) -> Callable[[float], float]:
-    kind = d["kind"]
+    kind = _field(d, "kind", _one_of("affine", "product", "power"))
     if kind == "affine":
-        off = float(d["offset"])
+        off = _field(d, "offset")
         return lambda a: a + off
     if kind == "product":
-        shift, count = float(d["shift"]), int(d["count"])
+        shift, count = _field(d, "shift"), _field(d, "count", int)
         return lambda a: bergman.product_shifted(a, shift, count)
-    if kind == "power":
-        exponent = int(d["exponent"])
-        return lambda a: a ** exponent
-    raise ValueError(f"unknown eps kind {kind!r}")
+    exponent = _field(d, "exponent", int)
+    return lambda a: a ** exponent
 
 
 def base_from_dict(d: dict, dim: int, twist: float) -> curvature.BaseGeometry:
-    preset = d.get("preset")
+    preset = _field(d, "preset", _one_of("cp1", "cpd", "flat"), None)
     if preset == "cp1":
-        return curvature.BaseGeometry.fubini_study_cp1(int(d.get("k", 1)), twist)
+        return curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", int, 1), twist)
     if preset == "cpd":
         return curvature.BaseGeometry.fubini_study_cpd(dim, twist)
     if preset == "flat":
         return curvature.BaseGeometry.flat(dim, twist)
-    if preset is not None:
-        raise ValueError(f"unknown base preset {preset!r}")
-    eps = _eps_from_dict(d["eps"]) if "eps" in d else None
+    eps = _field(d, "eps", _object, None)
     return curvature.BaseGeometry.from_coefficients(
-        dim, twist, float(d["a1"]), float(d["a2"]), eps=eps)
+        dim, twist, _field(d, "a1"), _field(d, "a2"),
+        eps=None if eps is None else _eps_from_dict(eps))
 
 
 def setup_from_dict(d: dict) -> bergman.QuantizationSetup:
-    try:
-        dim = int(d["d"])
-        twist = float(d.get("twist", d.get("lambda", 1.0)))
-        return bergman.QuantizationSetup(
-            d=dim,
-            d0=int(d["d0"]),
-            twist=twist,
-            domain=d["domain"],
-            profile=profile_from_dict(d["profile"]),
-            base=base_from_dict(d["base"], dim, twist),
-            alpha=float(d["alpha"]),
-        )
-    except KeyError as missing:
-        raise PreconditionFailed(f"setup document needs the field {missing}") from None
+    """The setup of a JSON document; a missing or malformed field is PreconditionFailed."""
+    if not isinstance(d, dict):
+        raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
+    dim = _field(d, "d", int)
+    twist = _field(d, "twist", float, None)
+    if twist is None:
+        twist = _field(d, "lambda", float, 1.0)
+    return bergman.QuantizationSetup(
+        d=dim,
+        d0=_field(d, "d0", int),
+        twist=twist,
+        domain=_field(d, "domain", _one_of("ball", "fullspace")),
+        profile=profile_from_dict(_field(d, "profile", _object)),
+        base=base_from_dict(_field(d, "base", _object), dim, twist),
+        alpha=_field(d, "alpha"),
+    )
 
 
 def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
@@ -387,7 +434,8 @@ def cmd_oracle_cp1(args) -> int:
     rows = [{"point": s, "value": v} for s, v in zip(rep.grid, rep.values)]
     verdict = "pass" if rep.max_abs_error <= args.tol else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_abs_error,
-               "target": rep.target, "branch": None}
+               "target": rep.target, "branch": None,
+               "nodes_per_rule": args.quad_nodes}
     setup = {"k": args.k, "m": args.m, "grid": args.grid}
     _emit(args, _report(setup, rows, summary), rows, t0)
     return _EXIT[verdict]
@@ -395,10 +443,7 @@ def cmd_oracle_cp1(args) -> int:
 
 def cmd_oracle_hartogs(args) -> int:
     t0 = time.perf_counter()
-    samples = []
-    for chunk in args.samples.split(";"):
-        a, b = chunk.split(",")
-        samples.append((float(a), float(b)))
+    samples = parse_samples(args.samples)
     cfg = oracle.GramOracleConfig(bundle_degree=args.k, power=args.m,
                                   q_cap=args.Q, p_cap=args.P,
                                   s_nodes=args.quad_nodes,
@@ -412,7 +457,8 @@ def cmd_oracle_hartogs(args) -> int:
                          and rep.max_abs_error <= args.tol) else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_abs_error,
                "target": rep.target, "tail_fraction": rep.tail_fraction,
-               "basis_size": rep.basis_size, "branch": None}
+               "basis_size": rep.basis_size, "branch": None,
+               "nodes_per_rule": args.quad_nodes}   # per axis
     setup_doc = {"part": args.part, "k": args.k, "r": args.r, "m": args.m,
                  "c": args.c, "Q": rep.q_cap, "P": rep.p_cap}
     _emit(args, _report(setup_doc, rows, summary), rows, t0)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateJet, EmptyGrid, OutOfDomain
+from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
 from .jets import DEFAULT_ORDER, require
 from .profiles import RadialProfile, _ddx, profile_jet
 from .special import product_shifted
@@ -48,7 +48,7 @@ class BaseGeometry:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("base dimension d must be >= 1")
+            raise PreconditionFailed(f"base dimension d must be >= 1, got {self.d}")
         if self.twist == 0:
             raise ValueError("twist must be nonzero")
 
@@ -120,6 +120,8 @@ class BaseGeometry:
         Fubini-Study presets exactly and satisfies the space-form relation
         |R|^2 - 4|Ric|^2 used by the constant-coefficient classification.
         """
+        if d < 1:
+            raise PreconditionFailed(f"base dimension d must be >= 1, got {d}")
         s = 2.0 * a1
         ric2 = s * s / d
         riem2 = 24.0 * a2 + 4.0 * ric2 - 3.0 * s * s

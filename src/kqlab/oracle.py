@@ -10,11 +10,16 @@ probe certifies numerically.
 The base chart is the complex line with potential k*log(1+|z|^2): sections
 of the degree-mk bundle over the sphere correspond to the finite-norm
 monomials on the chart, so the oracle is finite-dimensional per fiber
-degree.
+degree.  Norms are computed for the integrable exponents p <= k*(m + q)
+only; the others are infinite by definition.  Fiber powers are taken
+relative to a power of two above the largest fiber node, so the total-space
+oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.  Each Gauss rule
+is built once per node count and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -26,6 +31,28 @@ from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, TruncationInsufficient)
 from .profiles import profile_jet, profile_rho_arrays
+
+# exp of an exponent below this is subnormal or 0; numpy's exp takes 20-100x
+# longer there than on normal results, so those kernel terms are set to 0
+_EXP_FLOOR = math.log(np.finfo(float).tiny)
+
+
+def _frozen(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    for a in (xs, ws):
+        a.flags.writeable = False
+    return xs, ws
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), built once per count."""
+    return _frozen(*roots_legendre(nodes))
+
+
+@functools.lru_cache(maxsize=32)
+def _laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Laguerre rule (weight e^-x), built once per finite count."""
+    return _frozen(*bergman._gauss_rule(roots_genlaguerre, nodes, 0))
 
 
 @dataclass(frozen=True)
@@ -87,7 +114,7 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
     if min(z_grid) < 0:
         raise OutOfDomain("|z|^2 grid values must be non-negative")
     # |z^j|^2 = k * int_0^inf s^j (1+s)^(-mk-2) ds, mapped to (0,1) by s = v/(1-v)
-    xs, ws = roots_legendre(nodes)
+    xs, ws = _legendre(nodes)
     v = 0.5 * (xs + 1.0)
     wv = 0.5 * ws
     jmax = m * k
@@ -130,7 +157,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     quadrature weights).
     """
     k, m = cfg.bundle_degree, cfg.power
-    xs, ws = roots_legendre(cfg.s_nodes)
+    xs, ws = _legendre(cfg.s_nodes)
     sig = 0.5 * (xs + 1.0)
     wsig = 0.5 * ws
     s = sig / (1.0 - sig)
@@ -140,7 +167,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     phi_pp = -k / (1.0 + s) ** 2
 
     if setup.domain == "ball":
-        xf, wf = roots_legendre(cfg.fiber_nodes)
+        xf, wf = _legendre(cfg.fiber_nodes)
         xi = 0.5 * (xf + 1.0)
         wxi = 0.5 * wf
         log_comp = np.zeros_like(xi)
@@ -148,7 +175,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
         # integrate the fiber variable, in units of the profile scale c, against
         # the exponential envelope e^(-m c rho) of the linear profile
         rate = m * setup.profile.c
-        xf, wf = bergman._gauss_rule(roots_genlaguerre, cfg.fiber_nodes, 0)
+        xf, wf = _laguerre(cfg.fiber_nodes)
         xi = xf / rate
         wxi = wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
@@ -182,26 +209,36 @@ def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Diagonal Gram entries N[p, q] for the monomial basis z^p w^q.
 
     Exponents failing the integrability test (decay exponent of the z-axis
-    integrand not below -1) are excluded via an infinite norm.
+    integrand not below -1) are excluded via an infinite norm, and only the
+    integrable rows p <= k*(m + q) of each fiber degree are integrated.
+    Kernel terms whose exponential would be subnormal are exactly 0, never
+    clamped: a row that underflows entirely keeps its zero norm, which the
+    oracle then refuses as non-convergent.
     """
     k, m = cfg.bundle_degree, cfg.power
     s, phi, xi, F, logk = _radial_weight(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
-    ls = np.log(s)
-    parr = np.arange(P + 1, dtype=float)
+    plogs = np.arange(P + 1, dtype=float)[:, None] * np.log(s)[None, :]
+    # fiber powers relative to 2^e above the largest node: exact, and they do
+    # not overflow on the Laguerre nodes of the total space (e = 0 on the ball)
+    e = max(0, math.frexp(float(xi.max()))[1])
+    xrel, phi_rel = np.ldexp(xi, -e), phi - e * math.log(2.0)
 
     kexp = np.exp(logk)
     N = np.full((P + 1, Q + 1), np.inf)
+    body = np.empty_like(plogs)
+    live = np.empty(plogs.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # values checked
         for q in range(Q + 1):
-            mcol = kexp @ (xi ** q)
+            mcol = kexp @ (xrel ** q)
             logcol = np.where(mcol > 0, np.log(np.where(mcol > 0, mcol, 1.0)), -np.inf)
-            body = np.exp(parr[:, None] * ls[None, :]
-                          + (logcol - q * phi)[None, :])
-            vals = body.sum(axis=1)
-            pmax = k * (m + q)  # z-integrability cap
-            cut = min(pmax, P)
-            N[: cut + 1, q] = vals[: cut + 1]
+            cut = min(k * (m + q), P)  # z-integrability cap
+            rows, ok = body[: cut + 1], live[: cut + 1]
+            np.add(plogs[: cut + 1], (logcol - q * phi_rel)[None, :], out=rows)
+            np.greater_equal(rows, _EXP_FLOOR, out=ok)
+            np.exp(rows, out=rows, where=ok)
+            np.copyto(rows, 0.0, where=~ok)
+            N[: cut + 1, q] = rows.sum(axis=1)
     return N
 
 

@@ -243,13 +243,34 @@ def test_overflowing_series_term_exits_nonconvergent(capsys):
     assert doc["error"]["type"] == "SeriesNonConvergent"
 
 
-@pytest.mark.parametrize("extra", [("--Q", "40", "--quad-nodes", "400"), ("--Q", "120")],
-                         ids=["rule-overflows", "norms-overflow"])
+@pytest.mark.parametrize("extra", [("--Q", "40", "--quad-nodes", "400")],
+                         ids=["rule-overflows"])
 def test_non_finite_gram_oracle_exits_nonconvergent(capsys, extra):
     code, doc = run_json(capsys, "oracle-hartogs", "--k", "1", "--m", "2",
                          "--part", "total", *extra)
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
+
+
+def test_total_space_gram_oracle_reaches_q120(capsys):
+    # xi ** 120 overflows on the 200-node Laguerre rule; relative powers do not
+    code, doc = run_json(capsys, "oracle-hartogs", "--k", "1", "--m", "2",
+                         "--part", "total", "--Q", "120")
+    assert code == 0
+    assert doc["summary"]["target"] == pytest.approx(4.0, rel=1e-14)
+    assert doc["summary"]["max_deviation"] <= 1e-12
+
+
+def test_oracle_summaries_report_nodes_per_rule(capsys):
+    argv = ("oracle-hartogs", "--k", "2", "--m", "2", "--Q", "60", "--quad-nodes", "120")
+    _, first = run_cli(capsys, *argv)
+    _, second = run_cli(capsys, *argv)
+    assert first == second
+    assert json.loads(first)["summary"]["nodes_per_rule"] == 120
+    for argv in (("oracle-hartogs", "--k", "2", "--m", "2", "--Q", "60"),
+                 ("oracle-cp1", "--k", "2", "--m", "3")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["summary"]["nodes_per_rule"] == 200
 
 
 def test_closed_identity_off_its_branch_is_invalid(capsys):
@@ -341,3 +362,53 @@ def test_classify_makes_one_curvature_pass(capsys, monkeypatch):
                          "--grid=-4:-0.5:200")
     assert code == 0 and doc["summary"]["branch"] == "2.10"
     assert len(calls) == 1 and len(doc["rows"]) == 200
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("base",), 3, "base"),
+    (("profile",), [1], "profile"),
+    (("base", "eps", "kind"), "cubic", "kind"),
+    (("base", "preset"), "torus", "preset"),
+    (("base", "eps", "offset"), None, "offset"),
+    (("d0",), "two", "d0"),
+    (("domain",), "disc", "domain"),
+    (("profile", "family"), "spiral", "family"),
+], ids=["base-not-object", "profile-not-object", "eps-kind", "base-preset",
+        "eps-offset-null", "d0-not-integer", "domain", "family"])
+def test_malformed_setup_field_is_invalid_input(tmp_path, capsys, path, value, field):
+    doc = json.loads(json.dumps(_SETUP))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "psi", "--setup", str(doc_path))
+    assert code == 2
+    assert out["error"]["type"] == "PreconditionFailed"
+    assert repr(field) in out["error"]["message"]
+
+
+def test_setup_document_that_is_not_an_object_is_invalid_input(tmp_path, capsys):
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text("[1, 2]")
+    code, doc = run_json(capsys, "bergman", "--setup", str(doc_path))
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("oracle-hartogs", "--k", "2", "--m", "2", "--samples", "0,0;1"), "--samples"),
+    (("oracle-hartogs", "--k", "2", "--m", "2", "--samples", "0,0,1"), "--samples"),
+    (("oracle-hartogs", "--k", "2", "--m", "2", "--samples", "a,0.5"), "--samples"),
+    (("oracle-hartogs", "--k", "2", "--m", "2", "--samples", "nan,0.5"), "--samples"),
+    (("coeffs", *_LOGBALL, "--grid", "nonsense"), "grid"),
+    (("coeffs", *_LOGBALL, "--grid", "0:1:x"), "grid"),
+    (("psi", "--family", "logball", "--A", "0.5", "--d", "0"), "dimension"),
+], ids=["samples-missing-rho", "samples-triple", "samples-word", "samples-nan",
+        "grid-word", "grid-count", "zero-base-dimension"])
+def test_malformed_option_is_invalid_input(capsys, argv, option):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert option in doc["error"]["message"]

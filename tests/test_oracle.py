@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kqlab import oracle
 from kqlab.bergman import balanced_setup, closed_target, psi_moment
-from kqlab.errors import PreconditionFailed, TruncationInsufficient
+from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
+                          TruncationInsufficient)
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
@@ -110,3 +113,97 @@ def test_hartogs_target_errors_other_than_branch_propagate(monkeypatch):
     cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)
     with pytest.raises(RuntimeError, match="bug in closed_target"):
         hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))
+
+
+# -- Gram norms: integrable rows only, no subnormal exponentials ---------------
+
+
+def _reference_norms(cfg, setup):
+    """Gram norms with every row integrated, plain exp and absolute fiber powers."""
+    k, m = cfg.bundle_degree, cfg.power
+    s, phi, xi, F, logk = oracle._radial_weight(cfg, setup)
+    P, Q = cfg.effective_p_cap, cfg.q_cap
+    ls = np.log(s)
+    parr = np.arange(P + 1, dtype=float)
+    kexp = np.exp(logk)
+    N = np.full((P + 1, Q + 1), np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for q in range(Q + 1):
+            mcol = kexp @ (xi ** q)
+            logcol = np.where(mcol > 0, np.log(np.where(mcol > 0, mcol, 1.0)), -np.inf)
+            body = np.exp(parr[:, None] * ls[None, :] + (logcol - q * phi)[None, :])
+            cut = min(k * (m + q), P)
+            N[: cut + 1, q] = body.sum(axis=1)[: cut + 1]
+    return N
+
+
+def _integrable(cfg):
+    P, Q = cfg.effective_p_cap, cfg.q_cap
+    p, q = np.ogrid[: P + 1, : Q + 1]
+    return p <= cfg.bundle_degree * (cfg.power + q)
+
+
+@pytest.mark.parametrize("k, m, Q", [(k, m, Q) for k in (2, 3) for m in (1, 2)
+                                     for Q in (60, 120)])
+def test_ball_norms_bit_identical_to_unpruned_loop(k, m, Q):
+    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=Q)
+    setup = balanced_setup(k, 1, m, "ball")
+    N = oracle._norm_matrix(cfg, setup)
+    assert np.array_equal(N, _reference_norms(cfg, setup))
+    assert np.all(N[~_integrable(cfg)] == np.inf)
+    assert np.isfinite(N[_integrable(cfg)]).all()
+
+
+@pytest.mark.parametrize("m, Q", [(1, 60), (2, 100), (3, 80), (4, 100)])
+def test_total_space_norms_match_unpruned_loop(m, Q):
+    cfg = GramOracleConfig(bundle_degree=1, power=m, q_cap=Q)
+    setup = balanced_setup(1, 1, m, "total")
+    N, ref = oracle._norm_matrix(cfg, setup), _reference_norms(cfg, setup)
+    live = _integrable(cfg)
+    assert np.all(N[~live] == np.inf)
+    assert np.all(N[live] > 0) and np.isfinite(N[live]).all()
+    assert np.max(np.abs(N[live] - ref[live]) / ref[live]) <= 1e-13
+
+
+def test_underflowing_norms_stay_zero_and_are_refused(monkeypatch):
+    # a kernel weight below the smallest double: every norm underflows to 0,
+    # which must reach the oracle's finiteness check rather than a floor value
+    radial_weight = oracle._radial_weight
+
+    def underflowing(cfg, setup):
+        s, phi, xi, F, logk = radial_weight(cfg, setup)
+        return s, phi, xi, F, logk - 1500.0
+
+    monkeypatch.setattr(oracle, "_radial_weight", underflowing)
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)
+    setup = balanced_setup(2, 1, 2, "ball")
+    N = oracle._norm_matrix(cfg, setup)
+    assert np.all(N[_integrable(cfg)] == 0.0)
+    with pytest.raises(QuadratureNonConvergent):
+        hartogs_gram_oracle(cfg, setup)
+
+
+def test_basis_size_counts_the_integrable_monomials():
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=60)
+    rep = hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))
+    P = cfg.effective_p_cap
+    assert rep.basis_size == sum(min(2 * (2 + q), P) + 1 for q in range(61)) == 3965
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_total_space_oracle_reaches_q120(m):
+    cfg = GramOracleConfig(bundle_degree=1, power=m, q_cap=120)
+    rep = hartogs_gram_oracle(cfg, balanced_setup(1, 1, m, "total"))
+    assert rep.target == pytest.approx(m * m, rel=1e-14)
+    assert rep.max_abs_error <= 1e-12 * rep.target
+
+
+@pytest.mark.parametrize("rule, nodes", [(oracle._legendre, 200), (oracle._legendre, 32),
+                                         (oracle._laguerre, 200)],
+                         ids=["legendre-200", "legendre-32", "laguerre-200"])
+def test_gauss_rules_are_built_once_and_read_only(rule, nodes):
+    xs, ws = rule(nodes)
+    assert rule(nodes)[0] is xs and rule(nodes)[1] is ws
+    for a in (xs, ws):
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -71,15 +71,15 @@ class QuantizationSetup:
 
     def __post_init__(self):
         if self.d < 1 or self.d0 < 1:
-            raise ValueError("dimensions d, d0 must be >= 1")
+            raise PreconditionFailed("dimensions d, d0 must be >= 1")
         if self.twist == 0:
-            raise ValueError("twist must be nonzero")
+            raise PreconditionFailed("twist must be nonzero")
         if self.domain not in ("ball", "fullspace"):
-            raise ValueError("domain must be 'ball' or 'fullspace'")
+            raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
         if self.base.d != self.d:
-            raise ValueError(f"base dimension {self.base.d} != setup d {self.d}")
+            raise PreconditionFailed(f"base dimension {self.base.d} != setup d {self.d}")
         if not _close(self.base.twist, self.twist):
-            raise ValueError("base twist and setup twist disagree")
+            raise PreconditionFailed("base twist and setup twist disagree")
 
     @property
     def n(self) -> int:
@@ -339,14 +339,14 @@ def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
                nodes: int = 64) -> float:
     """Fiber moment psi(alpha, k), by Gamma closed form or by quadrature."""
     if k < 0:
-        raise ValueError("fiber degree k must be >= 0")
+        raise PreconditionFailed("fiber degree k must be >= 0")
     if method == "closed":
         return _psi_closed(s, k)
     if method == "quadrature":
         if (s.domain, s.profile.family) in _MODELS:
             return _psi_quadrature_block(s, k, k, nodes)[0]
         return _psi_adaptive(s, k)
-    raise ValueError("method must be 'closed' or 'quadrature'")
+    raise PreconditionFailed("method must be 'closed' or 'quadrature'")
 
 
 @dataclass(frozen=True)
@@ -416,7 +416,7 @@ class _PsiCache:
 def sphere_monomial_integral(m: Sequence[int]) -> float:
     """Integral of |w^m|^2 over the unit sphere S^(2*d0-1) (invariant measure)."""
     if any(mi < 0 for mi in m):
-        raise ValueError("multi-index entries must be non-negative")
+        raise PreconditionFailed("multi-index entries must be non-negative")
     d0 = len(m)
     tot = sum(m)
     return 2.0 * math.pi ** d0 * math.exp(
@@ -427,7 +427,7 @@ def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
                  nodes: int = 64) -> float:
     """Monomial fiber moment I_m: Gamma prefactor times psi(alpha, |m|)."""
     if len(m) != s.d0:
-        raise ValueError(f"multi-index length {len(m)} != d0 {s.d0}")
+        raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
     tot = sum(m)
     pref = math.exp(sum(gammaln(1 + mi) for mi in m) - gammaln(tot + 1))
     return pref * psi_moment(s, tot, method, nodes)
@@ -473,7 +473,7 @@ def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
     if rho < 0 or (s.domain == "ball" and rho >= 1):
         raise OutOfDomain(f"rho={rho} outside the fiber range")
     if s.base.eps is None:
-        raise ValueError("setup base carries no Bergman function eps")
+        raise PreconditionFailed("setup base carries no Bergman function eps")
     if psi is None:
         psi = _PsiCache(s, psi_method, nodes)
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
@@ -523,7 +523,7 @@ def _coefficients(s: QuantizationSetup, k_count: int,
                   psi: Optional[_PsiCache]) -> list[float]:
     """generating_coefficients from closed ratios (psi None) or from a moment cache."""
     if s.base.eps is None:
-        raise ValueError("setup base carries no Bergman function eps")
+        raise PreconditionFailed("setup base carries no Bergman function eps")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
     if psi is None:
         out = [1.0]

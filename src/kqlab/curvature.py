@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
-from .jets import DEFAULT_ORDER, require
+from .jets import require
 from .profiles import RadialProfile, _ddx, profile_jet
 from .special import product_shifted
 
@@ -50,7 +50,7 @@ class BaseGeometry:
         if self.d < 1:
             raise PreconditionFailed(f"base dimension d must be >= 1, got {self.d}")
         if self.twist == 0:
-            raise ValueError("twist must be nonzero")
+            raise PreconditionFailed("twist must be nonzero")
 
     @property
     def a1(self) -> float:
@@ -75,7 +75,7 @@ class BaseGeometry:
         """
         lam = self.twist
         if lam <= 0:
-            raise ValueError("rescaling to unit twist needs twist > 0")
+            raise PreconditionFailed("rescaling to unit twist needs twist > 0")
         return BaseGeometry(self.d, 1.0, self.scalar / lam, self.ric2 / lam ** 2,
                             self.lapk / lam ** 2, self.riem2 / lam ** 2)
 
@@ -88,7 +88,7 @@ class BaseGeometry:
         Scalar curvature 2/k; the base Bergman function is alpha + 1/k.
         """
         if k < 1:
-            raise ValueError("bundle degree k must be >= 1")
+            raise PreconditionFailed("bundle degree k must be >= 1")
         s = 2.0 / k
         return BaseGeometry(1, twist, s, s * s, 0.0, s * s,
                             eps=lambda alpha: alpha + 1.0 / k)
@@ -101,7 +101,7 @@ class BaseGeometry:
         integer level alpha is prod_{j=1..d}(alpha + j).
         """
         if d < 1:
-            raise ValueError("d must be >= 1")
+            raise PreconditionFailed("d must be >= 1")
         s = float(d * (d + 1))
         return BaseGeometry(d, twist, s, s * (d + 1.0), 0.0, 2.0 * s,
                             eps=lambda alpha: product_shifted(alpha, -1.0, d))
@@ -160,11 +160,15 @@ def _pow(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
-                     order: int = DEFAULT_ORDER) -> CurvatureReport:
+                     order: int = 6) -> CurvatureReport:
     """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
-    a float or a 1-d array (one pass of array-valued jets for the whole grid)."""
+    a float or a 1-d array (one pass of array-valued jets for the whole grid).
+
+    The fields read six derivatives of F, so order 6 is the least that works
+    and a higher order gives the same fields, bit for bit.
+    """
     if d0 < 1:
-        raise ValueError("fiber dimension d0 must be >= 1")
+        raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
     ts = np.atleast_1d(np.asarray(t, dtype=float))
 
@@ -210,39 +214,45 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
     phi_over_shift_p = _ddx(phij / shift, phij).value
     phi_xx = _ddx(_ddx(phij, phij), phij).value
 
+    # each power formed once, by the float power of _pow
+    sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
+    sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
+    phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phi_xx, 2)
+
     k_base, ric2_base = base.scalar, base.ric2
 
     scalar = k_base / sv + chi
-    ric2 = ((ric2_base - 2.0 * lam * sigma * k_base + d * lam ** 2 * _pow(sigma, 2))
-            / _pow(sv, 2) + _pow(sigma_p, 2))
-    lapk = base.lapk / _pow(sv, 2) - lap_couple * k_base + div_wphichi
-    riem2 = (base.riem2 / _pow(sv, 2)
-             - 4.0 * lam ** 2 * mom * k_base / _pow(sv, 3)
-             + 2.0 * d * (d + 1) * lam ** 4 * _pow(mom, 2) / _pow(sv, 4)
-             + 4.0 * d * lam ** 2 * _pow(phi_over_shift_p, 2)
-             + _pow(phi_xx, 2))
+    ric2 = ((ric2_base - 2.0 * lam * sigma * k_base + d * lam ** 2 * sigma2)
+            / sv2 + sigma_p2)
+    lapk = base.lapk / sv2 - lap_couple * k_base + div_wphichi
+    riem2 = (base.riem2 / sv2
+             - 4.0 * lam ** 2 * mom * k_base / sv3
+             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4
+             + 4.0 * d * lam ** 2 * phi_over_shift_p2
+             + phi_xx2)
 
     a1 = base.a1 / sv + 0.5 * chi
-    a2 = (base.a2 / _pow(sv, 2)
-          + (0.5 * chi / sv + lam ** 2 * mom / _pow(sv, 3)) * base.a1
+    a2 = (base.a2 / sv2
+          + (0.5 * chi / sv + lam ** 2 * mom / sv3) * base.a1
           + (8.0 * phichi_x
              + 8.0 * (d * lam / sv) * mom * chi_p
-             + 3.0 * _pow(chi, 2) - 4.0 * _pow(sigma_p, 2) + _pow(phi_xx, 2)
-             + 4.0 * d * lam ** 2 * _pow(phi_over_shift_p, 2)
-             - 4.0 * d * lam ** 2 * _pow(sigma, 2) / _pow(sv, 2)
-             + 2.0 * d * (d + 1) * lam ** 4 * _pow(mom, 2) / _pow(sv, 4)) / 24.0)
+             + 3.0 * chi2 - 4.0 * sigma_p2 + phi_xx2
+             + 4.0 * d * lam ** 2 * phi_over_shift_p2
+             - 4.0 * d * lam ** 2 * sigma2 / sv2
+             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4) / 24.0)
 
     if d0 > 1:
-        phi_over_x_p = _ddx(phij / xj.truncated(phij.order), phij).value
+        phi_over_x_p2 = _pow(_ddx(phij / xj.truncated(phij.order), phij).value, 2)
+        x2 = _pow(x, 2)
         ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
         riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)
-                             + 4.0 * _pow(phi_over_x_p, 2)
-                             + 2.0 * d0 * _pow((mom - x) / _pow(x, 2), 2))
+                             + 4.0 * phi_over_x_p2
+                             + 2.0 * d0 * _pow((mom - x) / x2, 2))
         a2 += (8.0 * ((d0 - 1) / x) * mom * chi_p) / 24.0
-        a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * _pow(mom, 2) / (_pow(x, 2) * _pow(sv, 2))
-                                  + _pow(phi_over_x_p, 2)
+        a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * mom2 / (x2 * sv2)
+                                  + phi_over_x_p2
                                   + 0.5 * d0 * _pow(mom - x, 2) / _pow(x, 4)
-                                  - _pow(sigma - d0, 2) / _pow(x, 2))
+                                  - _pow(sigma - d0, 2) / x2)
 
     fields = (ts, x, mom, sigma, chi, sigma_p, chi_p, scalar, ric2, lapk, riem2, a1, a2)
     if np.ndim(t) == 0:

@@ -9,8 +9,10 @@ ed., 2008, ch. 13), each step over the whole point axis, so a grid is one
 pass, rounded at every point as that point alone would be.  That gives exact
 (round-off level) derivatives up to the truncation order: the substrate for
 all curvature formulas.  The second expansion coefficient of a fibered metric
-consumes six derivatives of the radial profile, hence the default order 8
-(two orders of safety margin for composed expressions).
+consumes six derivatives of the radial profile, so curvature reports run
+their jets at order 6; ``DEFAULT_ORDER`` 8 leaves other callers two orders
+of margin.  A coefficient depends only on the coefficients of its own and
+lower orders, so a lower truncation order never changes the ones it keeps.
 
 All values are immutable; every operation returns a fresh jet.
 """
@@ -60,6 +62,14 @@ class TaylorJet:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _raw(cls, coeffs: np.ndarray) -> "TaylorJet":
+        """A jet over a float array an operation built itself, unchecked."""
+        jet = object.__new__(cls)
+        coeffs.flags.writeable = False
+        object.__setattr__(jet, "coeffs", coeffs)
+        return jet
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -94,33 +104,37 @@ class TaylorJet:
     def truncated(self, order: int) -> "TaylorJet":
         if order > self.order:
             raise OrderExceeded(f"cannot extend jet of order {self.order} to {order}")
-        return TaylorJet(self.coeffs[: order + 1])
+        if order < 0:
+            raise OrderMismatch("a jet needs at least the constant term")
+        return TaylorJet._raw(self.coeffs[: order + 1])
 
     def deriv(self) -> "TaylorJet":
         """Jet of the derivative function, one order lower."""
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
         n = np.arange(1.0, self.order + 1).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return TaylorJet(n * self.coeffs[1:])
+        return TaylorJet._raw(n * self.coeffs[1:])
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "TaylorJet":
         if isinstance(other, TaylorJet):
-            if other.order != self.order:
+            if len(other.coeffs) != len(self.coeffs):
                 raise OrderMismatch(
                     f"jet orders differ: {self.order} vs {other.order}"
                 )
             return other
-        return TaylorJet.constant(np.broadcast_to(other, self.coeffs.shape[1:]), self.order)
+        out = np.zeros(self.coeffs.shape)
+        out[0] = other
+        return TaylorJet._raw(out)
 
     def __add__(self, other) -> "TaylorJet":
-        return TaylorJet(self.coeffs + self._coerce(other).coeffs)
+        return TaylorJet._raw(self.coeffs + self._coerce(other).coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TaylorJet":
-        return TaylorJet(-self.coeffs)
+        return TaylorJet._raw(-self.coeffs)
 
     def __sub__(self, other) -> "TaylorJet":
         return self + (-self._coerce(other))
@@ -133,30 +147,35 @@ class TaylorJet:
             # the Cauchy product with a constant jet: its zero terms add +0.0
             return TaylorJet(self.coeffs * other + 0.0)
         a, b = self.coeffs, self._coerce(other).coeffs
-        n = self.order
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        nonzero = a != 0.0
-        points = tuple(range(1, a.ndim))
-        for i, (every, some) in enumerate(zip(nonzero.all(axis=points).tolist(),
-                                              nonzero.any(axis=points).tolist())):
-            if every:
-                out[i:] += a[i] * b[: n + 1 - i]
-            elif some:              # a[i] is zero at some points: skip those
-                out[i:] += np.where(nonzero[i], a[i] * b[: n + 1 - i], 0.0)
-        return TaylorJet(out)
+        n = len(a) - 1
+        out = np.zeros(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
+        # A zero a[i] times a finite b[j] adds a signed zero, which leaves a
+        # sum started at +0.0 as it is; times an inf or a nan it would add a
+        # nan, so if b has one, the zero terms are skipped point by point.
+        finite = np.count_nonzero(np.isfinite(b)) == b.size
+        for i in range(n + 1):
+            term = a[i] * b[: n + 1 - i]
+            out[i:] += term if finite else np.where(a[i] != 0.0, term, 0.0)
+        return TaylorJet._raw(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TaylorJet":
         a, b = self.coeffs, self._coerce(other).coeffs
-        require(b[0] != 0.0, DivisionByZeroJet, lambda i: "jet division by a jet with "
-                f"zero constant term{f' at point {i}' if b.ndim > 1 else ''}")
-        b, out = list(b), []          # rows
-        for k, acc in enumerate(a):
-            for j in range(1, k + 1):
-                acc = acc - b[j] * out[k - j]
-            out.append(acc / b[0])
-        return TaylorJet(np.array(out))
+        b0 = b[0]
+        if np.count_nonzero(b0) < b0.size:      # nan passes, as it does b0 != 0
+            require(b0 != 0.0, DivisionByZeroJet, lambda i: "jet division by a jet with "
+                    f"zero constant term{f' at point {i}' if b.ndim > 1 else ''}")
+        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+        # out[k] = (a[k] - b[1] out[k-1] - ... - b[k] out[0]) / b[0], the
+        # differences taken left to right by one sequential reduce per step
+        out, terms = np.empty(shape), np.empty(shape)
+        out[0] = a[0] / b0
+        for k in range(1, len(a)):
+            terms[0] = a[k]
+            np.multiply(b[1: k + 1], out[k - 1::-1], out=terms[1: k + 1])
+            out[k] = np.subtract.reduce(terms[: k + 1]) / b0
+        return TaylorJet._raw(out)
 
     def __rtruediv__(self, other) -> "TaylorJet":
         return self._coerce(other) / self
@@ -182,7 +201,7 @@ def exp(a: TaylorJet) -> TaylorJet:
         for j in range(1, k + 1):
             acc = acc + j * c[j] * out[k - j]
         out.append(acc / k)
-    return TaylorJet(np.array(out))
+    return TaylorJet._raw(np.array(out))
 
 
 def log(a: TaylorJet) -> TaylorJet:
@@ -196,7 +215,7 @@ def log(a: TaylorJet) -> TaylorJet:
         for j in range(1, k):
             acc = acc - j * out[j] * c[k - j]
         out.append(acc / (k * c[0]))
-    return TaylorJet(np.array(out))
+    return TaylorJet._raw(np.array(out))
 
 
 def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:

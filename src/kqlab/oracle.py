@@ -285,13 +285,14 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
         shells = terms.sum(axis=0)
         eps_val = float(shells.sum())
         values.append(eps_val)
+        if not math.isfinite(eps_val):      # before the tail ratio, which would be inf/inf
+            raise QuadratureNonConvergent(
+                f"Gram-oracle value {eps_val} at sample ({s0}, {rho0}) is not finite "
+                f"at q_cap={Q}")
         if rho0 > 0 and shells[-2] > 0:
             ratio = shells[-1] / shells[-2]
             tail = shells[-1] * ratio / (1.0 - ratio) if ratio < 1 else math.inf
             worst_tail = max(worst_tail, tail / max(eps_val, 1e-300))
-    if not all(math.isfinite(v) for v in values):
-        raise QuadratureNonConvergent(
-            f"Gram-oracle values {values} are not finite at q_cap={Q}")
     if worst_tail > cfg.tail_tol:
         raise TruncationInsufficient(
             f"fiber-degree tail estimate {worst_tail:.3e} above {cfg.tail_tol:.1e}; "

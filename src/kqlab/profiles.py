@@ -88,11 +88,11 @@ class RadialProfile:
     def __post_init__(self):
         if self.family == "custom":
             if self.rule is None:
-                raise ValueError("custom profile needs a jet rule")
+                raise PreconditionFailed("custom profile needs a jet rule")
         elif self.family not in FAMILIES:
-            raise ValueError(f"unknown profile family {self.family!r}")
+            raise PreconditionFailed(f"unknown profile family {self.family!r}")
         elif not FAMILIES[self.family].valid(self.A, self.c):
-            raise ValueError(f"{self.family} needs {FAMILIES[self.family].rule}")
+            raise PreconditionFailed(f"{self.family} needs {FAMILIES[self.family].rule}")
 
     def params(self) -> dict[str, float]:
         """The parameters the family reads, by name (none for custom profiles)."""
@@ -102,7 +102,7 @@ class RadialProfile:
     def scaled(self, factor: float) -> "RadialProfile":
         """The profile ``factor * F`` (same family, rescaled parameters)."""
         if factor <= 0:
-            raise ValueError("scaling factor must be positive")
+            raise PreconditionFailed("scaling factor must be positive")
         if self.family in FAMILIES:
             return from_params(self.family, *FAMILIES[self.family].scaled(self.A, self.c, factor))
         rule, form = self.rule, self.rule_form
@@ -131,7 +131,7 @@ def log_affine(A: float, c: float) -> RadialProfile:
 
 def custom(rule: JetRule, form: str = "t") -> RadialProfile:
     if form not in ("t", "rho"):
-        raise ValueError("rule_form must be 't' or 'rho'")
+        raise PreconditionFailed("rule_form must be 't' or 'rho'")
     return RadialProfile("custom", rule=rule, rule_form=form)
 
 
@@ -139,7 +139,7 @@ def profile_jet(p: RadialProfile, point, order: int = DEFAULT_ORDER,
                 form: str = "t") -> TaylorJet:
     """Jet of F at ``point`` (a float or a 1-d array) in the requested parameterization."""
     if form not in ("t", "rho"):
-        raise ValueError("form must be 't' or 'rho'")
+        raise PreconditionFailed("form must be 't' or 'rho'")
     point = np.asarray(point, dtype=float)
     if form == "rho":
         require(point >= 0, OutOfDomain,
@@ -320,7 +320,7 @@ def admissibility(p: RadialProfile, twist: float, domain: str,
                   tail_tol: float = 1e-6) -> AdmissibilityReport:
     """Pointwise positivity flags plus a completeness verdict for the fiber metric."""
     if domain not in ("ball", "fullspace"):
-        raise ValueError("domain must be 'ball' or 'fullspace'")
+        raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
     if len(grid) == 0:
         raise EmptyGrid("admissibility needs a non-empty grid")
     pts = []

@@ -10,7 +10,7 @@ from kqlab.curvature import (BaseGeometry, ClassificationVerdict,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
-from kqlab.errors import EmptyGrid, KQLabError, OutOfDomain
+from kqlab.errors import EmptyGrid, KQLabError, OrderExceeded, OutOfDomain
 from kqlab.jets import TaylorJet
 from kqlab.profiles import custom, linear, log_affine, log_ball, t_from_x
 
@@ -298,6 +298,31 @@ def test_array_grid_report_equals_pointwise_reports(name, d, d0, lam, fractions)
         for field in _REPORT_FIELDS:
             assert getattr(report, field)[j] == pytest.approx(
                 getattr(point, field), rel=1e-13, abs=0.0), field
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_PROFILES))
+@pytest.mark.parametrize("d, d0", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("lam", [0.7, -0.4])
+def test_default_order_report_is_bit_identical_to_order_8(name, d, d0, lam):
+    # the fields read six derivatives of F, and a jet coefficient depends
+    # only on coefficients of its own and lower orders
+    p, closed = _GRID_PROFILES[name]
+    cap = 2.5 if lam > 0 else 0.9 / abs(lam)
+    if closed.family == "logaffine":
+        cap = min(cap, 0.9 / abs(closed.A))
+    grid = [t_from_x(closed, cap * f) for f in (0.05, 0.3, 0.55, 0.8, 0.95)]
+    base = BaseGeometry.from_coefficients(d, lam, a1=0.3, a2=-0.2)
+    for t in (np.array(grid), grid[2]):
+        default = curvature_report(base, p, d0, t)
+        eight = curvature_report(base, p, d0, t, order=8)
+        for field in _REPORT_FIELDS:
+            assert (np.asarray(getattr(default, field)).tobytes()
+                    == np.asarray(getattr(eight, field)).tobytes()), field
+
+
+def test_order_5_is_too_low_for_a_report():
+    with pytest.raises(OrderExceeded):
+        curvature_report(BaseGeometry.flat(1), log_ball(1.0), 1, -1.0, order=5)
 
 
 @pytest.mark.parametrize("twist, p, bad", [

@@ -174,3 +174,89 @@ def test_array_pivots_name_the_first_failing_point():
     with pytest.raises(LogDomain, match="got 0.0 at point 2"):
         jets.log(points)
     assert jets.exp(points).coeffs.shape == (5, 4)
+
+
+# -- products and quotients against the term-by-term recurrences ---------------
+
+
+def _reference_mul(a, b):
+    """Cauchy product row by row, skipping a[i] at the points where it is zero."""
+    n = len(a) - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    nonzero = a != 0.0
+    points = tuple(range(1, a.ndim))
+    for i, (every, some) in enumerate(zip(nonzero.all(axis=points).tolist(),
+                                          nonzero.any(axis=points).tolist())):
+        if every:
+            out[i:] += a[i] * b[: n + 1 - i]
+        elif some:
+            out[i:] += np.where(nonzero[i], a[i] * b[: n + 1 - i], 0.0)
+    return out
+
+
+def _reference_div(a, b):
+    """Quotient recurrence, one subtraction at a time."""
+    b, out = list(b), []
+    for k, acc in enumerate(a):
+        for j in range(1, k + 1):
+            acc = acc - b[j] * out[k - j]
+        out.append(acc / b[0])
+    return np.array(out)
+
+
+non_finite = st.sampled_from((math.inf, -math.inf, math.nan))
+signed_zero = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def coeff_pairs(draw, elements):
+    """Two coefficient arrays of one shape: a scalar jet, one point or five."""
+    shape = (draw(st.integers(min_value=0, max_value=8)) + 1,
+             *draw(st.sampled_from(((), (1,), (5,)))))
+    size = math.prod(shape)
+    a, b = (np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                     dtype=float).reshape(shape) for _ in range(2))
+    b[0] = np.where(b[0] == 0.0, 1.5, b[0])    # a nonzero pivot at every point
+    return a, b
+
+
+def _same_bits(x, y):
+    """Bit for bit, signed zeros and infinities included; a nan matches any
+    nan (its sign bit is left to the processor and the numpy code path)."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+def _assert_same_bits_as_the_recurrences(a, b):
+    assert _same_bits((TaylorJet(a) * TaylorJet(b)).coeffs, _reference_mul(a, b))
+    assert _same_bits((TaylorJet(a) / TaylorJet(b)).coeffs, _reference_div(a, b))
+
+
+@given(coeff_pairs(st.one_of(coeff, signed_zero)))
+@settings(max_examples=60, deadline=None)
+def test_products_and_quotients_are_bit_identical_to_the_recurrences(pair):
+    with np.errstate(all="ignore"):     # a subnormal pivot may overflow
+        _assert_same_bits_as_the_recurrences(*pair)
+
+
+@given(coeff_pairs(st.one_of(coeff, signed_zero, non_finite)))
+@settings(max_examples=60, deadline=None)
+def test_non_finite_coefficients_keep_the_recurrences_pattern(pair):
+    # a zero coefficient never meets an inf or a nan of the other factor
+    with np.errstate(all="ignore"):
+        _assert_same_bits_as_the_recurrences(*pair)
+
+
+def test_one_point_and_many_points_broadcast_as_the_recurrences_do():
+    one = np.array([[2.0], [0.0], [-0.5], [0.0], [1.0]])
+    many = np.array([[1.5, -2.0, 3.0], [0.0, 1.0, -0.0], [0.5, 0.0, 2.0],
+                     [0.0, 0.0, 0.0], [-1.0, 4.0, 0.25]])
+    for a, b in ((one, many), (many, one)):
+        _assert_same_bits_as_the_recurrences(a, b)
+
+
+def test_a_nan_pivot_divides_and_a_zero_pivot_is_named():
+    points = TaylorJet(np.array([[1.0, math.nan, 2.0], [0.5, 0.5, 0.5]]))
+    assert np.isnan((1.0 / points).coeffs[:, 1]).all()
+    with pytest.raises(DivisionByZeroJet, match="at point 1"):
+        _ = 1.0 / TaylorJet(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5]]))

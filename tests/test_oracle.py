@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ def test_underflowing_norms_stay_zero_and_are_refused(monkeypatch):
     assert np.all(N[_integrable(cfg)] == 0.0)
     with pytest.raises(QuadratureNonConvergent):
         hartogs_gram_oracle(cfg, setup)
+
+
+def test_underflowing_norms_are_refused_before_any_warning(monkeypatch):
+    # the sample value is checked before the tail ratio, which would divide
+    # inf by inf and warn on the way to the refusal
+    radial_weight = oracle._radial_weight
+
+    def underflowing(cfg, setup):
+        s, phi, xi, F, logk = radial_weight(cfg, setup)
+        return s, phi, xi, F, logk - 1500.0
+
+    monkeypatch.setattr(oracle, "_radial_weight", underflowing)
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureNonConvergent, match="not finite"):
+            hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))
 
 
 def test_basis_size_counts_the_integrable_monomials():

@@ -38,14 +38,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from .curvature import BaseGeometry, _close, _spread
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import elementwise, require
 from .profiles import RadialProfile, linear, log_ball, profile_jet
-from .special import product_shifted
+# roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
+# block rule, so that a caller can wrap them to count the rules built
+from .special import (gammaln, gauss_rule, legendre, product_shifted,
+                      roots_genlaguerre, roots_jacobi)
 
 _MEMBERSHIP_TOL = 1e-9
 
@@ -159,7 +161,7 @@ def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarra
     aexp = s.alpha / s.profile.A - s.n - 1
     if aexp <= -1:
         raise BranchInvalid(f"ball moment diverges: alpha <= n*A = {s.n * s.profile.A}")
-    xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
+    xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     u = 0.5 * (xs + 1.0)
     return (ws, u, [aexp * math.log1p(-ui) for ui in u], u ** j,
             [2.0 ** (-(aexp + b0 + 1))] * len(j))
@@ -188,7 +190,7 @@ def _linear_ratio(s: QuantizationSetup, k: int) -> float:
 def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
     if s.alpha <= 0:
         raise BranchInvalid("full-space moment needs alpha > 0")
-    xs, ws = _gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
+    xs, ws = gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
     scale = s.alpha * s.profile.c
     u = xs / scale
     return (ws, u, [-s.alpha * s.profile.c * ui for ui in u], xs ** j,
@@ -217,7 +219,7 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
     aexp = -s.alpha / A - k1
     if aexp <= -1:
         raise BranchInvalid(f"moment diverges: fiber degree k={k1} above alpha*|1/A|")
-    xs, ws = _gauss_rule(roots_jacobi, nodes, aexp, b0)
+    xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     v = 0.5 * (xs + 1.0)
     u = v / (c * (1.0 - v))
     return (ws, u, [(aexp + k1 + s.d0 + 1) * math.log1p(-vi) for vi in v],
@@ -231,6 +233,12 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
 # generating series (rhs); the Gauss rule of one block of moments, as (weights,
 # nodes u, log of the weight at u, leftover factors, scales), which reads no
 # closed form; and the last fiber degree with a convergent moment.
+# The windows are not those of curvature.BRANCHES (2.10-2.14), where a1 and
+# a2 are constant at any level: the Gamma closed forms need convergent moments
+# at the level alpha, so alpha > n*A on the ball (A equal to the twist for
+# d > 1), alpha, twist > 0 for the linear profile (d = 1), and for log-affine
+# only the projective form A = twist = -1 at a natural level, a corner of 2.13
+# and 2.14.
 _MomentModel = namedtuple("_MomentModel", "window psi ratio target rhs gauss last_degree")
 
 
@@ -275,16 +283,6 @@ def _psi_closed(s: QuantizationSetup, k: int) -> float:
 def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
     """psi(alpha, k) / psi(alpha, k+1), in branch closed form (stable)."""
     return _model(s, "closed psi ratio").ratio(s, k)
-
-
-def _gauss_rule(rule, nodes: int, *exponents: float):
-    """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
-    with np.errstate(all="ignore"):   # checked below, typed
-        xs, ws = rule(nodes, *exponents)
-    if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
-        raise QuadratureNonConvergent(
-            f"{nodes}-node Gauss rule with weight exponents {exponents} is not finite")
-    return xs, ws
 
 
 def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
@@ -445,9 +443,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
         raise BranchInvalid("direct fiber moments are implemented on the ball fiber")
     if len(m) != s.d0 or s.d0 not in (1, 2):
         raise BranchInvalid("direct fiber moments cover d0 in {1, 2}")
-    xs, ws = roots_legendre(nodes)
-    xi = 0.5 * (xs + 1.0)
-    wxi = 0.5 * ws
+    xi, wxi = legendre(nodes)
     H = density_H(s, xi)
     if s.d0 == 1:
         return float(np.dot(wxi, xi ** m[0] * H))
@@ -543,7 +539,7 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
     psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
     rho_max = max(rho_grid)
     if s.twist < 0:
-        k_count = len(s.fiber_degrees(k_max))
+        coeffs = _coefficients(s, len(s.fiber_degrees(k_max)), psi)
     else:
         # grow the coefficient list until the largest-rho tail is negligible
         k_count = 8
@@ -556,7 +552,6 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
             k_count *= 2
         else:
             raise SeriesNonConvergent("generating series does not settle")
-    coeffs = _coefficients(s, k_count, psi)
     rows = []
     worst = 0.0
     for rho in rho_grid:

@@ -64,9 +64,6 @@ class BaseGeometry:
     def with_eps(self, eps: Callable[[float], float]) -> "BaseGeometry":
         return replace(self, eps=eps)
 
-    def with_twist(self, twist: float) -> "BaseGeometry":
-        return replace(self, twist=twist)
-
     def unit_twist_rescaled(self) -> "BaseGeometry":
         """The same geometry measured against ``twist * metric`` (twist > 0).
 
@@ -188,8 +185,9 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
 
     w = shift ** d * xj ** (d0 - 1)     # common denominator weight
     g = w * phij
-    sigma_j = _ddx(g, phij) / w.truncated(g.order - 1)
-    gxx = _ddx(_ddx(g, phij), phij)
+    gx = _ddx(g, phij)
+    sigma_j = gx / w.truncated(gx.order)
+    gxx = _ddx(gx, phij)
     chi_j = -gxx / w.truncated(gxx.order)
     if d0 > 1:
         chi_j = chi_j + (d0 * (d0 - 1)) / xj.truncated(chi_j.order)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroJet, LogDomain, OrderExceeded, OrderMismatch
+from .errors import (DivisionByZeroJet, LogDomain, OrderExceeded, OrderMismatch,
+                     PreconditionFailed)
 
 DEFAULT_ORDER = 8
 
@@ -123,6 +124,9 @@ class TaylorJet:
                 raise OrderMismatch(
                     f"jet orders differ: {self.order} vs {other.order}"
                 )
+            if other.coeffs.ndim != self.coeffs.ndim:
+                raise PreconditionFailed("a scalar jet and a point-array jet do not mix: "
+                                         f"shapes {self.coeffs.shape} and {other.coeffs.shape}")
             return other
         out = np.zeros(self.coeffs.shape)
         out[0] = other

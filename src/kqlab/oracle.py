@@ -13,46 +13,27 @@ monomials on the chart, so the oracle is finite-dimensional per fiber
 degree.  Norms are computed for the integrable exponents p <= k*(m + q)
 only; the others are infinite by definition.  Fiber powers are taken
 relative to a power of two above the largest fiber node, so the total-space
-oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.  Each Gauss rule
-is built once per node count and shared read-only.
+oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.
+The Gauss rules are special.legendre and special.laguerre, shared read-only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre
 
 from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, TruncationInsufficient)
 from .profiles import profile_jet, profile_rho_arrays
+from .special import laguerre, legendre
 
 # exp of an exponent below this is subnormal or 0; numpy's exp takes 20-100x
 # longer there than on normal results, so those kernel terms are set to 0
 _EXP_FLOOR = math.log(np.finfo(float).tiny)
-
-
-def _frozen(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    for a in (xs, ws):
-        a.flags.writeable = False
-    return xs, ws
-
-
-@functools.lru_cache(maxsize=32)
-def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on (-1, 1), built once per count."""
-    return _frozen(*roots_legendre(nodes))
-
-
-@functools.lru_cache(maxsize=32)
-def _laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Laguerre rule (weight e^-x), built once per finite count."""
-    return _frozen(*bergman._gauss_rule(roots_genlaguerre, nodes, 0))
 
 
 @dataclass(frozen=True)
@@ -114,9 +95,7 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
     if min(z_grid) < 0:
         raise OutOfDomain("|z|^2 grid values must be non-negative")
     # |z^j|^2 = k * int_0^inf s^j (1+s)^(-mk-2) ds, mapped to (0,1) by s = v/(1-v)
-    xs, ws = _legendre(nodes)
-    v = 0.5 * (xs + 1.0)
-    wv = 0.5 * ws
+    v, wv = legendre(nodes)
     jmax = m * k
     norms = []
     for j in range(jmax + 1):
@@ -157,9 +136,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     quadrature weights).
     """
     k, m = cfg.bundle_degree, cfg.power
-    xs, ws = _legendre(cfg.s_nodes)
-    sig = 0.5 * (xs + 1.0)
-    wsig = 0.5 * ws
+    sig, wsig = legendre(cfg.s_nodes)
     s = sig / (1.0 - sig)
     jac = 1.0 / (1.0 - sig) ** 2
     phi = k * np.log1p(s)
@@ -167,15 +144,13 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     phi_pp = -k / (1.0 + s) ** 2
 
     if setup.domain == "ball":
-        xf, wf = _legendre(cfg.fiber_nodes)
-        xi = 0.5 * (xf + 1.0)
-        wxi = 0.5 * wf
+        xi, wxi = legendre(cfg.fiber_nodes)
         log_comp = np.zeros_like(xi)
     else:
         # integrate the fiber variable, in units of the profile scale c, against
         # the exponential envelope e^(-m c rho) of the linear profile
         rate = m * setup.profile.c
-        xf, wf = _laguerre(cfg.fiber_nodes)
+        xf, wf = laguerre(cfg.fiber_nodes)
         xi = xf / rate
         wxi = wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight

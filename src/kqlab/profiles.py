@@ -29,6 +29,7 @@ from . import jets
 from .errors import (DegenerateJet, EmptyGrid, KQLabError, OutOfDomain,
                      PreconditionFailed)
 from .jets import DEFAULT_ORDER, TaylorJet, require
+from .special import legendre
 
 JetRule = Callable[[float, int], TaylorJet]
 
@@ -253,24 +254,11 @@ class AdmissibilityReport:
         return self.admissible
 
 
-# 16-node Gauss-Legendre on [-1, 1] for the completeness segments
-_GL16 = None
-
-
-def _gl16():
-    global _GL16
-    if _GL16 is None:
-        from scipy.special import roots_legendre
-
-        _GL16 = roots_legendre(16)
-    return _GL16
-
-
 def _segment_integral(p: RadialProfile, a: float, b: float) -> float:
-    xs, ws = _gl16()
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    fpp = profile_jet(p, mid + half * xs, 2, "t").derivative(2).tolist()
-    return half * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws, fpp))
+    """Integral of sqrt(F'') over [a, b] by the 16-node Gauss-Legendre rule."""
+    us, ws = legendre(16)
+    fpp = profile_jet(p, a + (b - a) * us, 2, "t").derivative(2).tolist()
+    return (b - a) * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws, fpp))
 
 
 def _fiber_length_verdict(p: RadialProfile, domain: str, threshold: float,

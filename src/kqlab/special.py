@@ -1,18 +1,23 @@
-"""Gamma-family special functions and exact product/dimension formulas.
+"""Gamma-family special functions, Gauss rules, and exact product/dimension formulas.
 
 Everything is computed in log space (``scipy.special.gammaln``) so that
 ratio-of-Gamma closed forms stay finite well past the overflow point of
-``Gamma`` itself.
+``Gamma`` itself.  Every Gauss rule of kqlab is built here, and no other
+module imports ``scipy.special``: ``legendre`` and ``laguerre`` are built
+once per node count and shared read-only, and ``bergman`` builds its block
+rules per setup with ``gauss_rule`` and the constructors it imports from here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
+import numpy as np
+from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
-from .errors import NegativeInput, NonPositiveArgument
+from .errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
 
 
 def log_gamma(x: float) -> float:
@@ -70,3 +75,32 @@ def dim_h0_cpd(d: int, m: int) -> int:
     for j in range(1, d + 1):
         num *= m + j
     return num // math.factorial(d)
+
+
+def gauss_rule(rule, nodes: int, *exponents: float):
+    """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
+    with np.errstate(all="ignore"):   # checked below, typed
+        xs, ws = rule(nodes, *exponents)
+    if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
+        raise QuadratureNonConvergent(
+            f"{nodes}-node Gauss rule with weight exponents {exponents} is not finite")
+    return xs, ws
+
+
+def _frozen(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    for a in (xs, ws):
+        a.flags.writeable = False
+    return xs, ws
+
+
+@functools.lru_cache(maxsize=32)
+def legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on (0, 1), built once per count."""
+    xs, ws = gauss_rule(roots_legendre, nodes)
+    return _frozen(0.5 * (xs + 1.0), 0.5 * ws)
+
+
+@functools.lru_cache(maxsize=32)
+def laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Laguerre rule (weight e^-x), built once per count."""
+    return _frozen(*gauss_rule(roots_genlaguerre, nodes, 0))

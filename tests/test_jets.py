@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from kqlab import jets
 from kqlab.errors import (DivisionByZeroJet, LogDomain, OrderExceeded,
-                          OrderMismatch)
+                          OrderMismatch, PreconditionFailed)
 from kqlab.jets import TaylorJet
 
 from fd_oracle import fd_derivative, mp_profile
@@ -253,6 +254,17 @@ def test_one_point_and_many_points_broadcast_as_the_recurrences_do():
                      [0.0, 0.0, 0.0], [-1.0, 4.0, 0.25]])
     for a, b in ((one, many), (many, one)):
         _assert_same_bits_as_the_recurrences(a, b)
+
+
+@pytest.mark.parametrize("points", [1, 3, 5])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_scalar_jet_and_a_point_array_jet_are_refused(op, points):
+    scalar = TaylorJet.variable(0.5, 4)
+    grid = TaylorJet.variable(np.full(points, 0.5), 4)
+    with pytest.raises(PreconditionFailed, match=rf"\(5,\) and \(5, {points}\)"):
+        op(scalar, grid)
+    with pytest.raises(PreconditionFailed, match=rf"\(5, {points}\) and \(5,\)"):
+        op(grid, scalar)
 
 
 def test_a_nan_pivot_divides_and_a_zero_pivot_is_named():

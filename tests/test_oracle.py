@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kqlab import oracle
+from kqlab import oracle, special
 from kqlab.bergman import balanced_setup, closed_target, psi_moment
 from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
                           TruncationInsufficient)
@@ -216,9 +216,9 @@ def test_total_space_oracle_reaches_q120(m):
     assert rep.max_abs_error <= 1e-12 * rep.target
 
 
-@pytest.mark.parametrize("rule, nodes", [(oracle._legendre, 200), (oracle._legendre, 32),
-                                         (oracle._laguerre, 200)],
-                         ids=["legendre-200", "legendre-32", "laguerre-200"])
+@pytest.mark.parametrize("rule, nodes", [(special.legendre, 200), (special.legendre, 32),
+                                         (special.laguerre, 200), (special.legendre, 16)],
+                         ids=["legendre-200", "legendre-32", "laguerre-200", "legendre-16"])
 def test_gauss_rules_are_built_once_and_read_only(rule, nodes):
     xs, ws = rule(nodes)
     assert rule(nodes)[0] is xs and rule(nodes)[1] is ws

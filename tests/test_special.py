@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from kqlab.errors import NegativeInput, NonPositiveArgument
-from kqlab.special import (ShiftedProduct, beta, dim_h0_cpd, gamma_ratio,
+from kqlab.special import (ShiftedProduct, beta, dim_h0_cpd, gamma_ratio, legendre,
                            log_gamma, product_shifted)
 
 
@@ -71,3 +73,10 @@ def test_dim_h0_against_enumeration():
     for d in range(1, 5):
         for m in range(13):
             assert dim_h0_cpd(d, m) == _count_monomials(d, m)
+
+
+@pytest.mark.parametrize("nodes", [16, 32, 200])
+def test_legendre_is_the_scipy_rule_mapped_to_the_unit_interval(nodes):
+    xs, ws = roots_legendre(nodes)
+    us, wu = legendre(nodes)
+    assert np.array_equal(us, 0.5 * (xs + 1.0)) and np.array_equal(wu, 0.5 * ws)

@@ -46,8 +46,8 @@ from .jets import elementwise, require
 from .profiles import RadialProfile, linear, log_ball, profile_jet
 # roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
 # block rule, so that a caller can wrap them to count the rules built
-from .special import (gammaln, gauss_rule, legendre, product_shifted,
-                      roots_genlaguerre, roots_jacobi)
+from .special import (gauss_rule, legendre, product_shifted, roots_genlaguerre,
+                      roots_jacobi)
 
 _MEMBERSHIP_TOL = 1e-9
 
@@ -133,18 +133,19 @@ def _ball_window(s: QuantizationSetup) -> None:
     A = s.profile.A
     if s.d > 1 and not _close(A, s.twist):
         raise BranchInvalid("ball closed form for d > 1 needs A equal to the twist")
-    if s.alpha <= s.n * A:
+    # alpha/A - n (alpha/twist - n for d > 1) is a Gamma argument of psi
+    if s.alpha <= s.n * A or s.alpha / (A if s.d == 1 else s.twist) <= s.n:
         raise BranchInvalid(f"ball closed form needs alpha > n*A = {s.n * A}")
 
 
 def _ball_psi(s: QuantizationSetup, k: int) -> float:
     alpha, lam, d0, n, A = s.alpha, s.twist, s.d0, s.n, s.profile.A
     if s.d == 1:
-        return math.exp(gammaln(k + 1) + gammaln(alpha / A - n)
-                        - n * math.log(A) - gammaln(alpha / A + k)) \
+        return math.exp(math.lgamma(k + 1) + math.lgamma(alpha / A - n)
+                        - n * math.log(A) - math.lgamma(alpha / A + k)) \
             * (alpha + lam * k + d0 * lam - n * A)
-    return math.exp(gammaln(k + 1) + gammaln(alpha / lam - n)
-                    - d0 * math.log(lam) - gammaln(alpha / lam + k - s.d))
+    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha / lam - n)
+                    - d0 * math.log(lam) - math.lgamma(alpha / lam + k - s.d))
 
 
 def _ball_ratio(s: QuantizationSetup, k: int) -> float:
@@ -176,7 +177,7 @@ def _linear_window(s: QuantizationSetup) -> None:
 
 def _linear_psi(s: QuantizationSetup, k: int) -> float:
     alpha, lam, d0, c = s.alpha, s.twist, s.d0, s.profile.c
-    return math.exp(gammaln(k + 1) - k * math.log(c)
+    return math.exp(math.lgamma(k + 1) - k * math.log(c)
                     - (k + d0 + 1) * math.log(alpha)) * (alpha + lam * k + lam * d0)
 
 
@@ -208,8 +209,8 @@ def _projective_psi(s: QuantizationSetup, k: int) -> float:
     alpha = s.alpha
     if not 0 <= k <= alpha + _MEMBERSHIP_TOL:
         raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
-    return math.exp(gammaln(k + 1) + gammaln(alpha - k + s.d + 1)
-                    - k * math.log(s.profile.c) - gammaln(alpha + s.n + 1))
+    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha - k + s.d + 1)
+                    - k * math.log(s.profile.c) - math.lgamma(alpha + s.n + 1))
 
 
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
@@ -311,7 +312,7 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
         integrals = (leftover * g) @ ws
     out = []
     for k, scale, integral in zip(ks, scales, integrals):
-        psi = math.exp(gammaln(k + 1) - gammaln(k + s.d0)) * (scale * float(integral))
+        psi = math.exp(math.lgamma(k + 1) - math.lgamma(k + s.d0)) * (scale * float(integral))
         if not (math.isfinite(psi) and psi > 0):
             raise QuadratureNonConvergent(
                 f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss "
@@ -330,7 +331,7 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
     if not (math.isfinite(val) and val > 0) or err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureNonConvergent(
             f"adaptive fiber moment failed: value={val}, abserr={err}")
-    return math.exp(gammaln(k + 1) - gammaln(k + s.d0)) * val
+    return math.exp(math.lgamma(k + 1) - math.lgamma(k + s.d0)) * val
 
 
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
@@ -413,12 +414,12 @@ class _PsiCache:
 
 def sphere_monomial_integral(m: Sequence[int]) -> float:
     """Integral of |w^m|^2 over the unit sphere S^(2*d0-1) (invariant measure)."""
-    if any(mi < 0 for mi in m):
-        raise PreconditionFailed("multi-index entries must be non-negative")
+    if not m or any(mi < 0 for mi in m):
+        raise PreconditionFailed("multi-index must be non-empty with non-negative entries")
     d0 = len(m)
     tot = sum(m)
     return 2.0 * math.pi ** d0 * math.exp(
-        sum(gammaln(1 + mi) for mi in m) - gammaln(tot + d0))
+        sum(math.lgamma(1 + mi) for mi in m) - math.lgamma(tot + d0))
 
 
 def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
@@ -426,8 +427,10 @@ def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
     """Monomial fiber moment I_m: Gamma prefactor times psi(alpha, |m|)."""
     if len(m) != s.d0:
         raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
+    if any(mi < 0 for mi in m):
+        raise PreconditionFailed("multi-index entries must be non-negative")
     tot = sum(m)
-    pref = math.exp(sum(gammaln(1 + mi) for mi in m) - gammaln(tot + 1))
+    pref = math.exp(sum(math.lgamma(1 + mi) for mi in m) - math.lgamma(tot + 1))
     return pref * psi_moment(s, tot, method, nodes)
 
 

@@ -322,7 +322,8 @@ def cmd_coeffs(args) -> int:
     rows = [{"point": t, "value": v} for t, v in zip(grid, getattr(report, quantity).tolist())]
     mean, dev = curvature._spread([row["value"] for row in rows])
     summary = {"verdict": "pass", "max_deviation": dev, "target": None,
-               "quantity": quantity, "mean": mean, "branch": None}
+               "quantity": quantity, "mean": mean, "branch": None,
+               "jet_order": curvature.REPORT_ORDER, "points": len(grid)}
     _emit(args, _report(setup, rows, summary), rows, t0)
     return 0
 
@@ -340,6 +341,8 @@ def cmd_classify(args) -> int:
         "a1": verdict.a1_value,
         "a2": verdict.a2_value,
         "ricci_constant": verdict.ricci_constant,
+        "jet_order": curvature.REPORT_ORDER,
+        "points": len(grid),
     }
     _emit(args, _report(setup, rows, summary), rows, t0)
     return _EXIT[summary["verdict"]]
@@ -361,8 +364,13 @@ def cmd_psi(args) -> int:
             worst = max(worst, abs(quad - closed) / abs(closed))
         rows.append({"point": k, "value": quad if closed is None else closed})
     verdict = "pass" if (args.method != "both" or worst <= args.tol) else "fail"
+    # one Gauss rule per quadrature moment; a family without a moment model
+    # on this domain is integrated adaptively, with no Gauss rule
+    rules = (len(rows) if args.method != "closed"
+             and (s.domain, s.profile.family) in bergman._MODELS else 0)
     summary = {"verdict": verdict, "max_deviation": worst, "target": None,
-               "method": args.method, "branch": None}
+               "method": args.method, "branch": None,
+               "gauss_rules": rules, "nodes_per_rule": args.quad_nodes if rules else 0}
     _emit(args, _report(echo, rows, summary), rows, t0)
     return _EXIT[verdict]
 

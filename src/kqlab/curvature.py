@@ -27,6 +27,7 @@ from .profiles import RadialProfile, _ddx, profile_jet
 from .special import product_shifted
 
 X_MIN = 1e-6  # fiber evaluation floor; the zero section is out of scope
+REPORT_ORDER = 6  # jet order of curvature_report, the least its fields allow
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _pow(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
-                     order: int = 6) -> CurvatureReport:
+                     order: int = REPORT_ORDER) -> CurvatureReport:
     """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
     a float or a 1-d array (one pass of array-valued jets for the whole grid).
 

@@ -258,7 +258,7 @@ def _segment_integral(p: RadialProfile, a: float, b: float) -> float:
     """Integral of sqrt(F'') over [a, b] by the 16-node Gauss-Legendre rule."""
     us, ws = legendre(16)
     fpp = profile_jet(p, a + (b - a) * us, 2, "t").derivative(2).tolist()
-    return (b - a) * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws, fpp))
+    return (b - a) * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws.tolist(), fpp))
 
 
 def _fiber_length_verdict(p: RadialProfile, domain: str, threshold: float,

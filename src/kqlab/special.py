@@ -1,11 +1,13 @@
 """Gamma-family special functions, Gauss rules, and exact product/dimension formulas.
 
-Everything is computed in log space (``scipy.special.gammaln``) so that
+Everything is computed in log space (``math.lgamma``) so that
 ratio-of-Gamma closed forms stay finite well past the overflow point of
 ``Gamma`` itself.  Every Gauss rule of kqlab is built here, and no other
 module imports ``scipy.special``: ``legendre`` and ``laguerre`` are built
 once per node count and shared read-only, and ``bergman`` builds its block
 rules per setup with ``gauss_rule`` and the constructors it imports from here.
+The constructors import scipy when first called, so a command that builds no
+Gauss rule (the curvature layer, the closed-form series) never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from .errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
 
@@ -23,20 +24,20 @@ from .errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
 def log_gamma(x: float) -> float:
     if x <= 0.0:
         raise NonPositiveArgument(f"log_gamma needs x > 0, got {x}")
-    return float(gammaln(x))
+    return math.lgamma(x)
 
 
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a) / Gamma(b) for positive a, b, via exp(logGamma difference)."""
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"gamma_ratio needs a, b > 0, got ({a}, {b})")
-    return math.exp(float(gammaln(a) - gammaln(b)))
+    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def beta(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"beta needs a, b > 0, got ({a}, {b})")
-    return math.exp(float(gammaln(a) + gammaln(b) - gammaln(a + b)))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def product_shifted(level: float, shift: float, n: int) -> float:
@@ -75,6 +76,22 @@ def dim_h0_cpd(d: int, m: int) -> int:
     for j in range(1, d + 1):
         num *= m + j
     return num // math.factorial(d)
+
+
+# scipy's rule constructors, with scipy imported at the first rule built
+def roots_jacobi(nodes: int, a: float, b: float):
+    from scipy.special import roots_jacobi as rule
+    return rule(nodes, a, b)
+
+
+def roots_genlaguerre(nodes: int, a: float):
+    from scipy.special import roots_genlaguerre as rule
+    return rule(nodes, a)
+
+
+def roots_legendre(nodes: int):
+    from scipy.special import roots_legendre as rule
+    return rule(nodes)
 
 
 def gauss_rule(rule, nodes: int, *exponents: float):

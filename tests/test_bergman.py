@@ -1,5 +1,7 @@
 import math
+import statistics
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,66 @@ def test_psi_branch_windows():
     s3 = full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 2.0)
     with pytest.raises(BranchInvalid):
         psi_moment(s3, 3, "closed")  # k beyond the finite spectrum
+
+
+def _closed_psi_cases():
+    """(setup, k) of the accuracy set: d = 1 balls to k = 500, projective forms to alpha = 60."""
+    for A in (0.25, 1 / 3, 0.5, 1.0, 1.75):
+        for lam in (0.5, 1.0, 2.0):
+            for d0 in (1, 2, 3):
+                for excess in (0.5, 3.0, 40.0):
+                    s = ball_setup(A, lam, 1, d0, (1 + d0) * A + excess)
+                    for k in (0, 1, 2, 3, 7, 16, 31, 64, 100, 199, 256, 333, 500):
+                        yield s, k
+    for d in (1, 2):
+        for d0 in (1, 2):
+            for alpha in (0, 3, 10, 25, 60):
+                s = full_setup(log_affine(-1.0, 1.0), -1.0, d, d0, float(alpha))
+                for k in range(0, alpha + 1, 1 if alpha <= 10 else 3):
+                    yield s, k
+
+
+def _closed_psi_reference(s, k):
+    """40-digit psi(alpha, k) of the Gamma closed form, and the size of its log terms."""
+    with mp.workdps(40):
+        alpha, n = mp.mpf(s.alpha), s.n
+        if s.twist > 0:
+            A, lam = mp.mpf(s.profile.A), mp.mpf(s.twist)
+            terms = [mp.loggamma(k + 1), mp.loggamma(alpha / A - n), -n * mp.log(A),
+                     -mp.loggamma(alpha / A + k)]
+            factor = alpha + lam * k + s.d0 * lam - n * A
+        else:
+            terms = [mp.loggamma(k + 1), mp.loggamma(alpha - k + s.d + 1),
+                     -mp.loggamma(alpha + n + 1)]
+            factor = mp.mpf(1)
+        return mp.exp(mp.fsum(terms)) * factor, float(mp.fsum(abs(t) for t in terms))
+
+
+def test_closed_psi_accuracy_against_mpmath():
+    # exp of a sum of log-Gammas: the relative error is a few ulps of the
+    # size of the log terms, which grows with k and alpha/A
+    errors = []
+    for s, k in _closed_psi_cases():
+        ref, size = _closed_psi_reference(s, k)
+        err = float(abs(mp.mpf(psi_moment(s, k, "closed")) - ref) / ref)
+        assert err <= 4 * 2.0 ** -52 * (1.0 + size), (s, k, err)
+        errors.append(err)
+    assert len(errors) == 1939
+    assert statistics.median(errors) <= 3e-14 and max(errors) <= 1e-12
+
+
+def test_ball_closed_form_refuses_a_gamma_pole_at_the_window_edge():
+    # alpha one ulp above n*A, where alpha/A - n rounds to 0: a pole of
+    # Gamma(alpha/A - n), which used to give psi = inf
+    A, d0 = 2.0772406633581872, 5
+    alpha = math.nextafter((1 + d0) * A, math.inf)
+    assert alpha > (1 + d0) * A and alpha / A - (1 + d0) == 0.0
+    s = ball_setup(A, 1.0, 1, d0, alpha)
+    for k in (0, 3):
+        with pytest.raises(BranchInvalid):
+            psi_moment(s, k, "closed")
+    with pytest.raises(BranchInvalid):
+        closed_target(s)
 
 
 def test_moment_table_positive():

@@ -207,6 +207,29 @@ def test_moment_diagnostics_in_summaries(capsys):
     assert summary["nodes_per_rule"] == 0 and summary["fiber_degrees"] > 0
 
 
+@pytest.mark.parametrize("command", ["coeffs", "classify"])
+def test_curvature_diagnostics_in_summaries(capsys, command):
+    _, doc = run_json(capsys, command, "--family", "logball", "--A", "0.5", "--d", "1",
+                      "--d0", "2", "--lambda", "1", "--grid", "-3:-0.5:9")
+    summary = doc["summary"]
+    assert summary["jet_order"] == curvature.REPORT_ORDER == 6
+    assert summary["points"] == len(doc["rows"]) == 9
+
+
+@pytest.mark.parametrize("extra, rules", [
+    (("--family", "logball", "--A", "0.5", "--method", "both"), 5),
+    (("--family", "logball", "--A", "0.5", "--method", "closed"), 0),
+    # no moment model for a linear profile on the ball: adaptive quadrature
+    (("--family", "linear", "--alpha", "3", "--method", "quadrature"), 0),
+], ids=["both", "closed", "adaptive"])
+def test_psi_rule_diagnostics_in_summary(capsys, extra, rules):
+    code, doc = run_json(capsys, "psi", "--d", "1", "--d0", "2", "--lambda", "1",
+                         "--table-k", "4", "--quad-nodes", "48", *extra)
+    assert code == 0 and len(doc["rows"]) == 5
+    assert (doc["summary"]["gauss_rules"], doc["summary"]["nodes_per_rule"]) == (
+        rules, 48 if rules else 0)
+
+
 @pytest.mark.parametrize("p", [log_ball(0.5), linear(2.5), log_affine(-0.7, 1.3)],
                          ids=["logball", "linear", "logaffine"])
 def test_profile_dict_round_trip(p):

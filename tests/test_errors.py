@@ -33,7 +33,10 @@ _SITES = {
     "psi-degree": (lambda: psi_moment(_setup(), -1), "fiber degree k"),
     "psi-method": (lambda: psi_moment(_setup(), 0, "simpson"), "method must be"),
     "sphere-index": (lambda: sphere_monomial_integral([1, -1]), "non-negative"),
+    "sphere-empty-index": (lambda: sphere_monomial_integral([]), "non-empty"),
     "fiber-moment-index": (lambda: fiber_moment(_setup(), [1, 2]), "multi-index length"),
+    "fiber-moment-negative-index": (lambda: fiber_moment(_setup(d0=2), [-1, 2]),
+                                    "non-negative"),
     "series-eps": (lambda: bergman_series(_setup(), 0.5), "no Bergman function eps"),
     "coefficients-eps": (lambda: generating_coefficients(_setup(), 4),
                          "no Bergman function eps"),

@@ -129,6 +129,17 @@ def test_admissibility_verdicts():
     assert rep.admissible and rep.completeness == "incomplete"
 
 
+@pytest.mark.parametrize("profile, twist, domain, finite", [
+    (linear(1.0), 1.0, "fullspace", True),
+    (log_affine(-1.0, 1.0), -1.0, "fullspace", True),
+    (log_ball(1.0), 1.0, "ball", False),
+], ids=["linear", "logaffine", "logball"])
+def test_admissibility_integral_estimate_is_a_float(profile, twist, domain, finite):
+    estimate = admissibility(profile, twist, domain, [-1.0, -0.5]).integral_estimate
+    assert type(estimate) is float
+    assert math.isfinite(estimate) == finite
+
+
 def test_admissibility_flags_positivity_failure():
     # negative twist with large x drives 1 + twist*x below zero
     rep = admissibility(linear(1.0), -1.0, "fullspace", [1.0])

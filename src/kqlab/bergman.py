@@ -23,11 +23,12 @@ Quadrature moments of the three families come from Gauss rules matched to
 the density (Golub & Welsch, Math. Comp. 23 (1969)), with the density itself
 evaluated through the profile jets, never through the closed forms.  A
 single moment gets its own rule; a series or a moment table shares one rule,
-and one sweep of the density over its nodes, among each aligned block of 16
-consecutive fiber degrees.  The rule's node count is the ``nodes`` argument
-(``--quad-nodes`` on the command line).  Custom profiles use adaptive
-quadrature one moment at a time.  A moment that is not finite and positive
-raises QuadratureNonConvergent.
+and one sweep of the density over its nodes, among each aligned block of
+min(64, nodes) consecutive fiber degrees: an N-node rule (``--quad-nodes``) is
+exact to degree 2N-1, so a span of at most N keeps each block moment as exact
+as a rule of its own.  Custom profiles use adaptive quadrature one moment at a
+time.  A moment that is not finite and positive raises QuadratureNonConvergent
+when it is asked for.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ from .special import (gauss_rule, legendre, product_shifted, roots_genlaguerre,
 
 _MEMBERSHIP_TOL = 1e-9
 
-# Fiber degrees per Gauss rule when a series or table fills its moments.
-_GAUSS_BLOCK = 16
+# A series or table fills its moments min(64, nodes) fiber degrees per Gauss
+# rule: the leftover u^j, of degree below the span, stays within an N-node
+# rule's exactness, and the cap keeps the Laguerre leftover x^j finite at large N.
+_GAUSS_BLOCK = 64
 
 
 def _is_natural(level: float) -> bool:
@@ -195,7 +198,7 @@ def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndar
     scale = s.alpha * s.profile.c
     u = xs / scale
     return (ws, u, [-s.alpha * s.profile.c * ui for ui in u], xs ** j,
-            [scale ** (-(k + s.d0)) for k in range(k0, k1 + 1)])
+            [_power(scale, -(k + s.d0)) for k in range(k0, k1 + 1)])
 
 
 def _projective_window(s: QuantizationSetup) -> None:
@@ -225,7 +228,7 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
     u = v / (c * (1.0 - v))
     return (ws, u, [(aexp + k1 + s.d0 + 1) * math.log1p(-vi) for vi in v],
             v ** j * (1.0 - v) ** (k1 - k0 - j),
-            [c ** (-(k + s.d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in range(k0, k1 + 1)])
+            [_power(c, -(k + s.d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in range(k0, k1 + 1)])
 
 
 # One record per family states its moments once: the branch window (raises
@@ -278,7 +281,11 @@ def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel
 
 def _psi_closed(s: QuantizationSetup, k: int) -> float:
     """Gamma closed forms of psi(alpha, k) for the three profile families."""
-    return _model(s, "closed psi").psi(s, k)
+    try:
+        return _model(s, "closed psi").psi(s, k)
+    except OverflowError as exc:     # from math.lgamma or math.exp
+        raise QuadratureNonConvergent(
+            f"closed fiber moment psi(alpha, {k}) leaves the float range") from exc
 
 
 def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
@@ -301,24 +308,37 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
-    moment.  Every moment must come out finite and positive.
+    moment.  The values are unchecked, so that a moment never asked for
+    refuses nothing; _checked refuses each when it is handed out.
     """
     ks = range(k0, k1 + 1)
     j = np.arange(len(ks))[:, None]
     ws, u, log_weight, leftover, scales = _model(s, "Gauss rule", window=False).gauss(
         s, k0, k1, nodes, j)
     g = elementwise(math.exp, _log_density_H(s, u) - np.asarray(log_weight))
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below, typed
+    with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
         integrals = (leftover * g) @ ws
-    out = []
-    for k, scale, integral in zip(ks, scales, integrals):
-        psi = math.exp(math.lgamma(k + 1) - math.lgamma(k + s.d0)) * (scale * float(integral))
-        if not (math.isfinite(psi) and psi > 0):
-            raise QuadratureNonConvergent(
-                f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss "
-                "rule is not finite and positive")
-        out.append(psi)
-    return out
+    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)), exact in integers where an
+    # lgamma difference errs by |lgamma| ulps; not special.product_shifted,
+    # which computes the targets these moments certify
+    return [scale * float(integral) / math.prod(range(k + 1, k + s.d0))
+            for k, scale, integral in zip(ks, scales, integrals)]
+
+
+def _checked(psi: float, k: int, nodes: int) -> float:
+    """A quadrature moment as handed out: finite and positive, or refused."""
+    if math.isfinite(psi) and psi > 0:
+        return psi
+    raise QuadratureNonConvergent(f"fiber moment psi(alpha, {k}) = {psi} from a "
+                                  f"{nodes}-node Gauss rule is not finite and positive")
+
+
+def _power(x: float, e: int) -> float:
+    """x ** e, or inf past the float range: the scale of a moment refused when asked for."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
 
 
 def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
@@ -331,7 +351,7 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
     if not (math.isfinite(val) and val > 0) or err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureNonConvergent(
             f"adaptive fiber moment failed: value={val}, abserr={err}")
-    return math.exp(math.lgamma(k + 1) - math.lgamma(k + s.d0)) * val
+    return val / math.prod(range(k + 1, k + s.d0))
 
 
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
@@ -343,7 +363,7 @@ def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
         return _psi_closed(s, k)
     if method == "quadrature":
         if (s.domain, s.profile.family) in _MODELS:
-            return _psi_quadrature_block(s, k, k, nodes)[0]
+            return _checked(_psi_quadrature_block(s, k, k, nodes)[0], k, nodes)
         return _psi_adaptive(s, k)
     raise PreconditionFailed("method must be 'closed' or 'quadrature'")
 
@@ -369,22 +389,25 @@ class _PsiCache:
     """Memoized psi(alpha, k) for one setup/method, with counts of the work done.
 
     Quadrature moments of the three profile families are filled an aligned
-    block of _GAUSS_BLOCK fiber degrees at a time, one Gauss rule per block;
-    closed forms and custom profiles go one moment at a time.
+    block of min(_GAUSS_BLOCK, nodes) fiber degrees at a time, one Gauss rule
+    per block, each checked when first handed out; closed forms and custom
+    profiles go one moment at a time.
     """
 
     def __init__(self, s: QuantizationSetup, method: str, nodes: int):
         self._s, self._method, self._nodes = s, method, nodes
         self._vals: dict[int, float] = {}
         self._model = _MODELS.get((s.domain, s.profile.family)) if method == "quadrature" else None
+        if self._model is not None and nodes < 1:
+            raise PreconditionFailed(f"a Gauss rule needs at least one node, got {nodes}")
         self._blocks: set[tuple[int, int]] = set()
         self._used: set[int] = set()
 
     def _block(self, k: int) -> tuple[int, int]:
         """The aligned block holding k, clipped to the moments that exist."""
-        s = self._s
-        k0 = k - k % _GAUSS_BLOCK
-        k1 = k0 + _GAUSS_BLOCK - 1
+        s, span = self._s, min(_GAUSS_BLOCK, self._nodes)
+        k0 = k - k % span
+        k1 = k0 + span - 1
         if s.twist < 0:
             k1 = s.fiber_degrees(k1)[-1]
         return k0, max(k, min(k1, self._model.last_degree(s)))
@@ -398,6 +421,8 @@ class _PsiCache:
                 self._blocks.add((k0, k1))
             else:
                 self._vals[k] = psi_moment(self._s, k, self._method, self._nodes)
+        if k not in self._used and self._model is not None:
+            _checked(self._vals[k], k, self._nodes)
         self._used.add(k)
         return self._vals[k]
 

@@ -24,20 +24,23 @@ from .errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
 def log_gamma(x: float) -> float:
     if x <= 0.0:
         raise NonPositiveArgument(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError as exc:     # past x ~ 2.5e305
+        raise QuadratureNonConvergent(f"log_gamma({x!r}) leaves the float range") from exc
 
 
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a) / Gamma(b) for positive a, b, via exp(logGamma difference)."""
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"gamma_ratio needs a, b > 0, got ({a}, {b})")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
+    return math.exp(log_gamma(a) - log_gamma(b))
 
 
 def beta(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"beta needs a, b > 0, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
 def product_shifted(level: float, shift: float, n: int) -> float:

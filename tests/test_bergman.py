@@ -181,7 +181,11 @@ def _closed_psi_reference(s, k):
     """40-digit psi(alpha, k) of the Gamma closed form, and the size of its log terms."""
     with mp.workdps(40):
         alpha, n = mp.mpf(s.alpha), s.n
-        if s.twist > 0:
+        if s.profile.family == "linear":
+            c, lam = mp.mpf(s.profile.c), mp.mpf(s.twist)
+            terms = [mp.loggamma(k + 1), -k * mp.log(c), -(k + s.d0 + 1) * mp.log(alpha)]
+            factor = alpha + lam * (k + s.d0)
+        elif s.twist > 0:
             A, lam = mp.mpf(s.profile.A), mp.mpf(s.twist)
             terms = [mp.loggamma(k + 1), mp.loggamma(alpha / A - n), -n * mp.log(A),
                      -mp.loggamma(alpha / A + k)]
@@ -400,8 +404,8 @@ def test_generating_identity_builds_each_moment_once(monkeypatch):
     s = full_setup(linear(1.0), 1.0, 1, 1, 2.0, eps=lambda a: a + 1.0)
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7), psi_method="quadrature")
     assert rep.max_deviation <= 1e-10
-    # the coefficient list doubles 8 -> 16 -> 32: two blocks of 16 degrees
-    assert [args[1] for args in rules] == [0, 16]
+    # the coefficient list doubles 8 -> 16 -> 32: one block of 64 degrees
+    assert [args[1] for args in rules] == [0]
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -436,22 +440,62 @@ def test_projective_series_equals_product(alpha):
 
 
 def _block_setups():
-    yield ball_setup(0.5, 1.0, 1, 2, 4.0)
-    yield full_setup(linear(1.0), 1.0, 1, 1, 2.0)
-    # log-affine at level 45: admissible fiber degrees 0..45
-    yield full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 45.0)
+    # k = 0..130 crosses the block boundaries at 63/64/65 and 127/128/129
+    yield ball_setup(0.5, 1.0, 1, 2, 4.0), 131, 3
+    yield full_setup(linear(1.0), 1.0, 1, 1, 2.0), 131, 3
+    # log-affine at level 45: admissible fiber degrees 0..45, one block
+    yield full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 45.0), 46, 1
 
 
-@pytest.mark.parametrize("s", list(_block_setups()),
+@pytest.mark.parametrize("s, degrees, rules", list(_block_setups()),
                          ids=["logball", "linear", "logaffine"])
-def test_block_moments_match_single_moments(s):
-    # k = 0..40 crosses the block boundaries at 15/16/17 and 31/32/33
+def test_block_moments_match_single_moments(s, degrees, rules):
     cache = _PsiCache(s, "quadrature", 64)
-    for k in range(41):
+    for k in range(degrees):
         single = psi_moment(s, k, "quadrature")
         assert cache(k) == pytest.approx(single, rel=1e-12, abs=0.0)
-    assert cache.counts() == {"gauss_rules": 3, "nodes_per_rule": 64,
-                              "fiber_degrees": 41}
+    assert cache.counts() == {"gauss_rules": rules, "nodes_per_rule": 64,
+                              "fiber_degrees": degrees}
+
+
+@pytest.mark.parametrize("nodes", [4, 8, 16, 64])
+def test_block_moments_exact_at_any_node_count(nodes):
+    # an N-node rule is exact to degree 2N-1: blocks span min(64, N) degrees
+    s = balanced_setup(2, 2, 3, "ball")
+    cache = _PsiCache(s, "quadrature", nodes)
+    for k in range(130):
+        single = psi_moment(s, k, "quadrature", nodes)
+        assert cache(k) == pytest.approx(single, rel=1e-12, abs=0.0), k
+    assert cache.counts()["gauss_rules"] == -(-130 // min(64, nodes))
+
+
+def test_block_moments_against_mpmath():
+    # block moments of balanced setups against 40-digit closed values: ball
+    # parts to k = 600, the total space to k = 150 (its moments overflow at 171)
+    errors = []
+    for (k, r, m), part, ks in [((2, 2, 3), "ball", range(0, 601, 5)),
+                                ((1, 2, 4), "ball", range(3, 601, 11)),
+                                ((3, 1, 1), "ball", range(7, 601, 13)),
+                                ((1, 1, 2), "total", range(0, 151, 3)),
+                                ((1, 1, 4), "total", range(1, 151, 7))]:
+        s = balanced_setup(k, r, m, part)
+        cache = _PsiCache(s, "quadrature", 64)
+        for kk in ks:
+            ref, _ = _closed_psi_reference(s, kk)
+            errors.append(float(abs(mp.mpf(cache(kk)) - ref) / ref))
+    assert len(errors) == 295
+    assert statistics.median(errors) <= 1e-13 and max(errors) <= 2e-12
+
+
+def test_block_scale_past_the_float_range_refuses_only_its_moment():
+    # scale alpha*c = 1e-3: scale^-(k+1) leaves the float range from k = 102,
+    # inside the block 64..127; psi itself is finite up to k = 69
+    s = full_setup(linear(1e-3), 1.0, 1, 1, 1.0)
+    table = moment_table(s, 64, "quadrature")
+    for k, entry in enumerate(table.entries):
+        assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
+    with pytest.raises(QuadratureNonConvergent):
+        moment_table(s, 70, "quadrature")
 
 
 def test_negative_twist_block_stops_at_last_admissible_degree():
@@ -507,7 +551,7 @@ def test_series_same_with_block_and_single_moments(s):
 
 def test_balanced_certificate_counts():
     cert = balanced_certify(2, 2, 3)
-    assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (27, 64, 419)
+    assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (7, 64, 419)
     closed = balanced_certify(2, 2, 3, psi_method="closed")
     assert (closed.gauss_rules, closed.nodes_per_rule, closed.fiber_degrees) == (0, 0, 419)
 
@@ -535,7 +579,7 @@ def test_quadrature_moment_table_uses_blocks(monkeypatch):
                         lambda *args: rules.append(args) or roots_jacobi(*args))
     s = ball_setup(0.5, 1.0, 1, 2, 4.0)
     table = moment_table(s, 20, "quadrature")
-    assert [args[2] for args in rules] == [1, 17]   # u^(k0+d0-1), k0 = 0, 16
+    assert [args[2] for args in rules] == [1]   # u^(k0+d0-1), k0 = 0
     for k, entry in enumerate(table.entries):
         assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
 

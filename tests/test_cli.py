@@ -198,7 +198,7 @@ def test_moment_diagnostics_in_summaries(capsys):
     assert code == 0
     summary = doc["summary"]
     assert (summary["gauss_rules"], summary["nodes_per_rule"],
-            summary["fiber_degrees"]) == (27, 64, 419)
+            summary["fiber_degrees"]) == (7, 64, 419)
     code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
                          "--d0", "1", "--lambda", "1", "--domain", "fullspace",
                          "--alpha", "3", "--grid", "0:1.5:7")
@@ -264,6 +264,42 @@ def test_overflowing_series_term_exits_nonconvergent(capsys):
                          "--alpha", "3", "--grid", "0:60:3")
     assert code == 3
     assert doc["error"]["type"] == "SeriesNonConvergent"
+
+
+def test_overflowing_closed_moment_exits_nonconvergent(capsys):
+    # alpha/A = 1e306: Gamma(alpha/A) leaves the float range
+    code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "1e-300", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--alpha", "1e6", "--method",
+                         "closed", "--table-k", "1")
+    assert code == 3
+    assert doc["error"]["type"] == "QuadratureNonConvergent"
+    assert "psi(alpha, 0)" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("nodes", ["4", "8"])
+def test_balanced_block_moments_exact_at_few_nodes(capsys, nodes):
+    # a block spans at most as many degrees as the rule has nodes
+    code, doc = run_json(capsys, "balanced", "--k", "2", "--r", "2", "--m", "3",
+                         "--quad-nodes", nodes)
+    assert code == 0 and doc["summary"]["verdict"] == "pass"
+    assert doc["summary"]["max_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_balanced_without_gauss_nodes_is_invalid(capsys, nodes):
+    code, _ = run_json(capsys, "balanced", "--k", "2", "--r", "2", "--m", "3",
+                       "--quad-nodes=" + nodes)
+    assert code == 2
+
+
+@pytest.mark.parametrize("grid, degrees", [("0:20:3", 131), ("0:27:3", 162)])
+def test_total_space_quadrature_series_reach(capsys, grid, degrees):
+    # a block moment that overflows is refused only when the series asks for it
+    code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--domain", "fullspace",
+                         "--alpha", "3", "--psi-method", "quadrature", "--grid", grid)
+    assert code == 0 and doc["summary"]["verdict"] == "pass"
+    assert doc["summary"]["fiber_degrees"] == degrees
 
 
 @pytest.mark.parametrize("extra", [("--Q", "40", "--quad-nodes", "400")],

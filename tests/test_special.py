@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from kqlab.errors import NegativeInput, NonPositiveArgument
+from kqlab.errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
 from kqlab.special import (ShiftedProduct, beta, dim_h0_cpd, gamma_ratio, legendre,
                            log_gamma, product_shifted)
 
@@ -26,6 +26,15 @@ def test_gamma_domain():
             gamma_ratio(bad, 2.0)
         with pytest.raises(NonPositiveArgument):
             beta(1.0, bad)
+
+
+@pytest.mark.parametrize("fn, args", [(log_gamma, (1e306,)), (gamma_ratio, (1e306, 2.0)),
+                                      (beta, (1e306, 1.0))],
+                         ids=["log_gamma", "gamma_ratio", "beta"])
+def test_gamma_overflow_is_a_typed_error(fn, args):
+    # math.lgamma overflows past about 2.5e305
+    with pytest.raises(QuadratureNonConvergent, match="log_gamma.*float range"):
+        fn(*args)
 
 
 def test_product_shifted_examples():

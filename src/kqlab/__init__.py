@@ -24,8 +24,7 @@ from .oracle import (Cp1OracleReport, GramOracleConfig, HartogsOracleReport,
 from .profiles import (AdmissibilityReport, FiberCoordinates, RadialProfile,
                        admissibility, custom, fiber_coordinates, linear,
                        log_affine, log_ball, profile_jet, t_from_x)
-from .special import (ShiftedProduct, beta, dim_h0_cpd, gamma_ratio, log_gamma,
-                      product_shifted)
+from .special import beta, dim_h0_cpd, gamma_ratio, log_gamma, product_shifted
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,6 @@ __all__ = [
     "MomentTable",
     "QuantizationSetup",
     "RadialProfile",
-    "ShiftedProduct",
     "TaylorJet",
     "admissibility",
     "balanced_certify",

@@ -57,6 +57,10 @@ _MEMBERSHIP_TOL = 1e-9
 # rule's exactness, and the cap keeps the Laguerre leftover x^j finite at large N.
 _GAUSS_BLOCK = 64
 
+# A positive-twist series stops after three terms in a row below this
+# fraction of the running sum.
+_SERIES_REL_TOL = 1e-14
+
 
 def _is_natural(level: float) -> bool:
     return level >= -_MEMBERSHIP_TOL and abs(level - round(level)) <= _MEMBERSHIP_TOL
@@ -282,10 +286,14 @@ def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel
 def _psi_closed(s: QuantizationSetup, k: int) -> float:
     """Gamma closed forms of psi(alpha, k) for the three profile families."""
     try:
-        return _model(s, "closed psi").psi(s, k)
+        psi = _model(s, "closed psi").psi(s, k)
     except OverflowError as exc:     # from math.lgamma or math.exp
         raise QuadratureNonConvergent(
             f"closed fiber moment psi(alpha, {k}) leaves the float range") from exc
+    if math.isfinite(psi) and psi > 0:
+        return psi
+    raise QuadratureNonConvergent(      # underflow to 0
+        f"closed fiber moment psi(alpha, {k}) = {psi} is not finite and positive")
 
 
 def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
@@ -486,7 +494,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
 
 
 def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
-                   nodes: int = 64, rel_tol: float = 1e-14, k_max: int = 10000,
+                   nodes: int = 64, k_max: int = 10000,
                    psi: Optional[Callable[[int], float]] = None) -> float:
     """Bergman function of the fibered metric at fiber radius rho.
 
@@ -510,13 +518,13 @@ def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
             term = eps(alpha + lam * k) / psi(k) * rho ** k
             total += term
             if not finite and k >= 1:
-                quiet = quiet + 1 if abs(term) <= rel_tol * abs(total) else 0
+                quiet = quiet + 1 if abs(term) <= _SERIES_REL_TOL * abs(total) else 0
                 if quiet >= 3:
                     break
         else:
             if not finite:
                 raise SeriesNonConvergent(
-                    f"series tail not below {rel_tol} after {k_max} fiber degrees")
+                    f"series tail not below {_SERIES_REL_TOL} after {k_max} fiber degrees")
         value = math.exp(-alpha * F) * total
     except (OverflowError, ZeroDivisionError) as exc:
         raise SeriesNonConvergent(f"term at rho={rho} leaves the float range: {exc}") from exc

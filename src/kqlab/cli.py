@@ -3,7 +3,9 @@
 Every subcommand writes one machine-readable report (JSON by default, CSV
 rows on request) with deterministic serialization: keys sorted, floats at 15
 significant digits, rows in input order.  Identical inputs therefore produce
-byte-identical reports; wall time goes to stderr only.
+byte-identical reports; wall time goes to stderr only.  A ``cmd_*`` function
+computes its report's setup, rows and summary; ``main`` renders, writes and
+times the report and maps the summary's verdict to the exit code.
 
 Exit codes: 0 pass, 1 fail verdict, 2 invalid input or branch, 3 numerical
 non-convergence.
@@ -210,36 +212,30 @@ def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(args, report: Optional[dict], rows: Sequence[dict], t0: float) -> None:
-    _write(args, render_csv(rows) if args.output == "csv" else render_json(report) + "\n")
-    print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
-
-
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 0}
-
-
-def _report(setup: dict, rows: Sequence[dict], summary: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "setup": setup,
-            "rows": list(rows), "summary": summary}
 
 
 # ---------------------------------------------------------------------------
 # shared argument plumbing
 
 
-def _add_common(sp: argparse.ArgumentParser, tol: float) -> None:
-    sp.add_argument("--tol", type=float, default=tol, help="verdict tolerance")
-    sp.add_argument("--max-k", type=int, default=10000,
-                    help="series / table truncation cap")
-    sp.add_argument("--quad-nodes", type=int, default=64,
-                    help="quadrature nodes per Gauss rule (per axis for the oracles)")
+def _add_common(sp: argparse.ArgumentParser, tol: Optional[float] = None,
+                max_k: bool = False, quad_nodes: Optional[int] = None) -> None:
+    """The report options, and of --tol, --max-k and --quad-nodes those given here."""
+    if tol is not None:
+        sp.add_argument("--tol", type=float, default=tol, help="verdict tolerance")
+    if max_k:
+        sp.add_argument("--max-k", type=int, default=10000, help="series truncation cap")
+    if quad_nodes is not None:
+        sp.add_argument("--quad-nodes", type=int, default=quad_nodes,
+                        help="quadrature nodes per Gauss rule (per axis for the oracles)")
     sp.add_argument("--output", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report to PATH")
 
@@ -314,8 +310,7 @@ def _curvature_model(args):
     return p, base, grid, setup
 
 
-def cmd_coeffs(args) -> int:
-    t0 = time.perf_counter()
+def cmd_coeffs(args) -> tuple[dict, list, dict]:
     p, base, grid, setup = _curvature_model(args)
     report = curvature.curvature_report(base, p, args.d0, np.asarray(grid))
     quantity = args.quantity
@@ -324,12 +319,10 @@ def cmd_coeffs(args) -> int:
     summary = {"verdict": "pass", "max_deviation": dev, "target": None,
                "quantity": quantity, "mean": mean, "branch": None,
                "jet_order": curvature.REPORT_ORDER, "points": len(grid)}
-    _emit(args, _report(setup, rows, summary), rows, t0)
-    return 0
+    return setup, rows, summary
 
 
-def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_classify(args) -> tuple[dict, list, dict]:
     p, base, grid, setup = _curvature_model(args)
     report, verdict = curvature._classify(base, p, args.d0, args.domain, grid, args.tol)
     rows = [{"point": t, "value": v} for t, v in zip(grid, report.a1.tolist())]
@@ -344,19 +337,16 @@ def cmd_classify(args) -> int:
         "jet_order": curvature.REPORT_ORDER,
         "points": len(grid),
     }
-    _emit(args, _report(setup, rows, summary), rows, t0)
-    return _EXIT[summary["verdict"]]
+    return setup, rows, summary
 
 
-def cmd_psi(args) -> int:
-    t0 = time.perf_counter()
+def cmd_psi(args) -> tuple[dict, list, dict]:
     s, echo = _setup_from_args(args)
-    kmax = min(args.max_k, args.table_k)
-    if kmax < 0:
-        raise EmptyGrid(f"psi table up to k = {kmax} has no rows")
+    if args.table_k < 0:
+        raise EmptyGrid(f"psi table up to k = {args.table_k} has no rows")
     rows = []
     worst = 0.0
-    for k in range(kmax + 1):
+    for k in range(args.table_k + 1):
         closed = bergman.psi_moment(s, k, "closed") if args.method != "quadrature" else None
         quad = (bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
                 if args.method != "closed" else None)
@@ -371,12 +361,10 @@ def cmd_psi(args) -> int:
     summary = {"verdict": verdict, "max_deviation": worst, "target": None,
                "method": args.method, "branch": None,
                "gauss_rules": rules, "nodes_per_rule": args.quad_nodes if rules else 0}
-    _emit(args, _report(echo, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    return echo, rows, summary
 
 
-def cmd_bergman(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bergman(args) -> tuple[dict, list, dict]:
     s, echo = _setup_from_args(args, default_eps_required=True)
     grid = parse_grid(args.grid)
     cache = bergman._PsiCache(s, args.psi_method, args.quad_nodes)
@@ -395,12 +383,10 @@ def cmd_bergman(args) -> int:
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
                "psi_method": args.psi_method, "branch": None,
                **cache.counts()}
-    _emit(args, _report(echo, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    return echo, rows, summary
 
 
-def cmd_identity(args) -> int:
-    t0 = time.perf_counter()
+def cmd_identity(args) -> tuple[dict, list, dict]:
     s, echo = _setup_from_args(args, default_eps_required=True)
     grid = parse_grid(args.grid)
     rep = bergman.generating_identity_check(s, grid, psi_method=args.psi_method,
@@ -409,12 +395,10 @@ def cmd_identity(args) -> int:
     verdict = "pass" if rep.max_deviation <= args.tol else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_deviation,
                "target": None, "psi_method": args.psi_method, "branch": None}
-    _emit(args, _report(echo, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    return echo, rows, summary
 
 
-def cmd_balanced(args) -> int:
-    t0 = time.perf_counter()
+def cmd_balanced(args) -> tuple[dict, list, dict]:
     grid = parse_grid(args.grid)
     cert = bergman.balanced_certify(args.k, args.r, args.m, part=args.part,
                                     rho_grid=grid, c=args.c,
@@ -431,12 +415,10 @@ def cmd_balanced(args) -> int:
                "fiber_degrees": cert.fiber_degrees}
     setup = {"part": args.part, "k": args.k, "r": args.r, "m": args.m, "c": args.c,
              "grid": args.grid, "psi_method": args.psi_method}
-    _emit(args, _report(setup, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    return setup, rows, summary
 
 
-def cmd_oracle_cp1(args) -> int:
-    t0 = time.perf_counter()
+def cmd_oracle_cp1(args) -> tuple[dict, list, dict]:
     grid = parse_grid(args.grid)
     rep = oracle.cp1_bergman_oracle(args.k, args.m, grid, nodes=args.quad_nodes)
     rows = [{"point": s, "value": v} for s, v in zip(rep.grid, rep.values)]
@@ -445,12 +427,10 @@ def cmd_oracle_cp1(args) -> int:
                "target": rep.target, "branch": None,
                "nodes_per_rule": args.quad_nodes}
     setup = {"k": args.k, "m": args.m, "grid": args.grid}
-    _emit(args, _report(setup, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    return setup, rows, summary
 
 
-def cmd_oracle_hartogs(args) -> int:
-    t0 = time.perf_counter()
+def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
     samples = parse_samples(args.samples)
     cfg = oracle.GramOracleConfig(bundle_degree=args.k, power=args.m,
                                   q_cap=args.Q, p_cap=args.P,
@@ -458,8 +438,9 @@ def cmd_oracle_hartogs(args) -> int:
                                   fiber_nodes=args.quad_nodes,
                                   sample_points=tuple(samples),
                                   tail_tol=args.tail_tol)
-    setup = bergman.balanced_setup(args.k, args.r, args.m, part=args.part, c=args.c)
-    rep = oracle.hartogs_gram_oracle(cfg, setup)
+    # the Gram oracle covers rank r = 1 only
+    model = bergman.balanced_setup(args.k, 1, args.m, part=args.part, c=args.c)
+    rep = oracle.hartogs_gram_oracle(cfg, model)
     rows = [{"point": list(pt), "value": v} for pt, v in zip(rep.samples, rep.values)]
     verdict = "pass" if (rep.max_abs_error is not None
                          and rep.max_abs_error <= args.tol) else "fail"
@@ -467,10 +448,9 @@ def cmd_oracle_hartogs(args) -> int:
                "target": rep.target, "tail_fraction": rep.tail_fraction,
                "basis_size": rep.basis_size, "branch": None,
                "nodes_per_rule": args.quad_nodes}   # per axis
-    setup_doc = {"part": args.part, "k": args.k, "r": args.r, "m": args.m,
-                 "c": args.c, "Q": rep.q_cap, "P": rep.p_cap}
-    _emit(args, _report(setup_doc, rows, summary), rows, t0)
-    return _EXIT[verdict]
+    setup = {"part": args.part, "k": args.k, "r": 1, "m": args.m,
+             "c": args.c, "Q": rep.q_cap, "P": rep.p_cap}
+    return setup, rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default="-4:-0.5:16", help="t-grid start:stop:count")
     sp.add_argument("--quantity", default="a1",
                     choices=("a1", "a2", "scalar", "ric2", "lapk", "riem2"))
-    _add_common(sp, tol=1e-8)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_coeffs)
 
     sp = sub.add_parser("classify", help="constant-coefficient classification check")
@@ -503,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--table-k", type=int, default=12)
     sp.add_argument("--method", choices=("closed", "quadrature", "both"),
                     default="both")
-    _add_common(sp, tol=1e-10)
+    _add_common(sp, tol=1e-10, quad_nodes=64)
     sp.set_defaults(fn=cmd_psi)
 
     for name, fn, help_ in (
@@ -516,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", default="0:0.9:10")
         sp.add_argument("--psi-method", choices=("closed", "quadrature"),
                         default="closed")
-        _add_common(sp, tol=1e-8)
+        _add_common(sp, tol=1e-8, max_k=True, quad_nodes=64)
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("balanced", help="certify the balanced bundle metrics")
@@ -528,19 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default="0:0.9:10")
     sp.add_argument("--psi-method", choices=("closed", "quadrature"),
                     default="quadrature")
-    _add_common(sp, tol=1e-8)
+    _add_common(sp, tol=1e-8, quad_nodes=64)
     sp.set_defaults(fn=cmd_balanced)
 
     sp = sub.add_parser("oracle-cp1", help="sphere-chart Gram oracle")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--grid", default="0:3:7", help="|z|^2 grid")
-    _add_common(sp, tol=1e-6)
-    sp.set_defaults(fn=cmd_oracle_cp1, quad_nodes=200)
+    _add_common(sp, tol=1e-6, quad_nodes=200)
+    sp.set_defaults(fn=cmd_oracle_cp1)
 
     sp = sub.add_parser("oracle-hartogs", help="fibered-model Gram oracle")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--part", choices=("ball", "total"), default="ball")
     sp.add_argument("--c", type=float, default=1.0)
@@ -549,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", default="0,0;0.5,0.3;1,0.5;2,0.7",
                     help="semicolon-separated s,rho sample points")
     sp.add_argument("--tail-tol", type=float, default=1e-3)
-    _add_common(sp, tol=1e-3)
-    sp.set_defaults(fn=cmd_oracle_hartogs, quad_nodes=200)
+    _add_common(sp, tol=1e-3, quad_nodes=200)
+    sp.set_defaults(fn=cmd_oracle_hartogs)
 
     return ap
 
@@ -571,19 +550,28 @@ def _attach_grid_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand: write its report, time it, and exit by its verdict."""
     ap = build_parser()
     args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        setup, rows, summary = args.fn(args)
     except _NONCONVERGENT as exc:
-        _emit_error(args, exc)
+        _write_error(args, exc)
         return 3
     except _INVALID as exc:
-        _emit_error(args, exc)
+        _write_error(args, exc)
         return 2
+    if args.output == "csv":
+        _write(args, render_csv(rows))
+    else:
+        _write(args, render_json({"schema_version": SCHEMA_VERSION, "setup": setup,
+                                  "rows": rows, "summary": summary}) + "\n")
+    print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
+    return _EXIT[summary["verdict"]]
 
 
-def _emit_error(args, exc: Exception) -> None:
+def _write_error(args, exc: Exception) -> None:
     doc = {"schema_version": SCHEMA_VERSION,
            "error": {"type": type(exc).__name__, "message": str(exc)}}
     _write(args, render_json(doc) + "\n")

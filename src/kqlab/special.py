@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +29,25 @@ def log_gamma(x: float) -> float:
         raise QuadratureNonConvergent(f"log_gamma({x!r}) leaves the float range") from exc
 
 
+def _exp(x: float, name: str, a: float, b: float) -> float:
+    """exp(x), or QuadratureNonConvergent naming ``name(a, b)`` if it leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise QuadratureNonConvergent(f"{name}({a!r}, {b!r}) leaves the float range") from exc
+
+
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a) / Gamma(b) for positive a, b, via exp(logGamma difference)."""
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"gamma_ratio needs a, b > 0, got ({a}, {b})")
-    return math.exp(log_gamma(a) - log_gamma(b))
+    return _exp(log_gamma(a) - log_gamma(b), "gamma_ratio", a, b)
 
 
 def beta(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveArgument(f"beta needs a, b > 0, got ({a}, {b})")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    return _exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b), "beta", a, b)
 
 
 def product_shifted(level: float, shift: float, n: int) -> float:
@@ -56,19 +63,6 @@ def product_shifted(level: float, shift: float, n: int) -> float:
     for j in range(1, n + 1):
         out *= level - j * shift
     return out
-
-
-@dataclass(frozen=True)
-class ShiftedProduct:
-    """A product prod_{j=1..n}(level - j*shift) as a value object."""
-
-    level: float
-    shift: float
-    n: int
-
-    @property
-    def value(self) -> float:
-        return product_shifted(self.level, self.shift, self.n)
 
 
 def dim_h0_cpd(d: int, m: int) -> int:

@@ -266,6 +266,17 @@ def test_overflowing_series_term_exits_nonconvergent(capsys):
     assert doc["error"]["type"] == "SeriesNonConvergent"
 
 
+@pytest.mark.parametrize("method", ["both", "closed"])
+def test_underflowing_closed_moment_exits_nonconvergent(capsys, method):
+    # psi(alpha, k) = k!/alpha^(k+1) falls below the smallest double at k = 9
+    code, doc = run_json(capsys, "psi", "--family", "linear", "--domain", "fullspace",
+                         "--d", "1", "--d0", "1", "--lambda", "1", "--alpha", "1e30",
+                         "--table-k", "12", "--method", method)
+    assert code == 3
+    assert doc["error"]["type"] == "QuadratureNonConvergent"
+    assert "psi(alpha, 9)" in doc["error"]["message"]
+
+
 def test_overflowing_closed_moment_exits_nonconvergent(capsys):
     # alpha/A = 1e306: Gamma(alpha/A) leaves the float range
     code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "1e-300", "--d", "1",
@@ -405,7 +416,7 @@ def test_non_finite_grid_is_invalid_input(capsys, argv):
     assert "finite" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("cap", ["--table-k", "--max-k"])
+@pytest.mark.parametrize("cap", ["--table-k"])
 def test_empty_psi_table_is_invalid_input(capsys, cap):
     code, doc = run_json(capsys, "psi", *_LOGBALL, cap, "-1")
     assert code == 2
@@ -471,3 +482,27 @@ def test_malformed_option_is_invalid_input(capsys, argv, option):
     assert code == 2
     assert doc["error"]["type"] == "PreconditionFailed"
     assert option in doc["error"]["message"]
+
+
+_BALANCED = ("--k", "1", "--r", "2", "--m", "2")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("coeffs", *_LOGBALL), "--tol"),
+    (("coeffs", *_LOGBALL), "--max-k"),
+    (("coeffs", *_LOGBALL), "--quad-nodes"),
+    (("classify", *_LOGBALL), "--max-k"),
+    (("classify", *_LOGBALL), "--quad-nodes"),
+    (("balanced", *_BALANCED), "--max-k"),
+    (("oracle-cp1", "--k", "2", "--m", "3"), "--max-k"),
+    (("oracle-hartogs", "--k", "2", "--m", "2"), "--max-k"),
+    (("oracle-hartogs", "--k", "2", "--m", "2"), "--r"),
+    (("psi", *_LOGBALL), "--max-k"),
+], ids=["coeffs-tol", "coeffs-max-k", "coeffs-quad-nodes", "classify-max-k",
+        "classify-quad-nodes", "balanced-max-k", "oracle-cp1-max-k",
+        "oracle-hartogs-max-k", "oracle-hartogs-r", "psi-max-k"])
+def test_option_a_subcommand_does_not_read_is_refused(capsys, argv, option):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, option, "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + option in capsys.readouterr().err

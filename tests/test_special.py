@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from kqlab.errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
-from kqlab.special import (ShiftedProduct, beta, dim_h0_cpd, gamma_ratio, legendre,
-                           log_gamma, product_shifted)
+from kqlab.special import (beta, dim_h0_cpd, gamma_ratio, legendre, log_gamma,
+                           product_shifted)
 
 
 def test_gamma_values():
@@ -28,12 +28,17 @@ def test_gamma_domain():
             beta(1.0, bad)
 
 
-@pytest.mark.parametrize("fn, args", [(log_gamma, (1e306,)), (gamma_ratio, (1e306, 2.0)),
-                                      (beta, (1e306, 1.0))],
-                         ids=["log_gamma", "gamma_ratio", "beta"])
-def test_gamma_overflow_is_a_typed_error(fn, args):
+@pytest.mark.parametrize("fn, args, source", [
     # math.lgamma overflows past about 2.5e305
-    with pytest.raises(QuadratureNonConvergent, match="log_gamma.*float range"):
+    (log_gamma, (1e306,), "log_gamma"),
+    (gamma_ratio, (1e306, 2.0), "log_gamma"),
+    (beta, (1e306, 1.0), "log_gamma"),
+    # finite log Gamma terms whose ratio leaves the float range
+    (gamma_ratio, (200.0, 1.0), "gamma_ratio"),
+    (beta, (1e-310, 1.0), "beta"),
+], ids=["log_gamma", "gamma_ratio", "beta", "gamma_ratio-ratio", "beta-ratio"])
+def test_gamma_overflow_is_a_typed_error(fn, args, source):
+    with pytest.raises(QuadratureNonConvergent, match=source + r"\(.*float range"):
         fn(*args)
 
 
@@ -44,11 +49,6 @@ def test_product_shifted_examples():
     assert product_shifted(3.0, -1.0, 3) == pytest.approx(120.0, rel=1e-15)
     with pytest.raises(NegativeInput):
         product_shifted(1.0, 1.0, 0)
-
-
-def test_shifted_product_object():
-    assert ShiftedProduct(level=2.0, shift=0.25, n=2).value == pytest.approx(
-        (2 - 0.25) * (2 - 0.5), rel=1e-15)
 
 
 @given(st.floats(min_value=0.05, max_value=2.0),

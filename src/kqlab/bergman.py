@@ -46,7 +46,8 @@ from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
 from .jets import elementwise, require
 from .profiles import RadialProfile, linear, log_ball, profile_jet
 # roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
-# block rule, so that a caller can wrap them to count the rules built
+# block rule, so that a caller can wrap them to count the rules asked for (each
+# is built once per (nodes, a, b) and memoised in special)
 from .special import (gauss_rule, legendre, product_shifted, roots_genlaguerre,
                       roots_jacobi)
 
@@ -493,6 +494,11 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
 # kernel series, closed targets, certification
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise PreconditionFailed(f"series cap k_max must be >= 0, got {k_max}")
+
+
 def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
                    nodes: int = 64, k_max: int = 10000,
                    psi: Optional[Callable[[int], float]] = None) -> float:
@@ -504,6 +510,7 @@ def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
     """
     if rho < 0 or (s.domain == "ball" and rho >= 1):
         raise OutOfDomain(f"rho={rho} outside the fiber range")
+    _check_k_max(k_max)
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     if psi is None:
@@ -571,6 +578,7 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
                               psi_method: str = "closed", nodes: int = 64,
                               k_max: int = 10000) -> GeneratingIdentityReport:
     """Sup-norm gap between the assembled moment series and its closed resummation."""
+    _check_k_max(k_max)
     model = _model(s, "generating identity")
     psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
     rho_max = max(rho_grid)

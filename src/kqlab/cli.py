@@ -534,6 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Refuse a --quad-nodes or --tol no command could use, before any work is done."""
+    nodes = getattr(args, "quad_nodes", 1)
+    if nodes < 1:
+        raise PreconditionFailed(f"--quad-nodes must be >= 1, got {nodes}")
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise PreconditionFailed(f"--tol must be finite and >= 0, got {tol}")
+
+
 def _attach_grid_values(argv: Sequence[str]) -> list[str]:
     """Rewrite ``--grid -4:-0.5:16`` as ``--grid=-4:-0.5:16``.
 
@@ -555,6 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
     try:
+        _check_options(args)
         setup, rows, summary = args.fn(args)
     except _NONCONVERGENT as exc:
         _write_error(args, exc)

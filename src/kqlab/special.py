@@ -2,12 +2,12 @@
 
 Everything is computed in log space (``math.lgamma``) so that
 ratio-of-Gamma closed forms stay finite well past the overflow point of
-``Gamma`` itself.  Every Gauss rule of kqlab is built here, and no other
-module imports ``scipy.special``: ``legendre`` and ``laguerre`` are built
-once per node count and shared read-only, and ``bergman`` builds its block
-rules per setup with ``gauss_rule`` and the constructors it imports from here.
-The constructors import scipy when first called, so a command that builds no
-Gauss rule (the curvature layer, the closed-form series) never loads it.
+``Gamma`` itself.  Every Gauss rule of kqlab is built here, with numpy alone:
+``roots_jacobi`` and ``roots_genlaguerre`` are memoised per (nodes, a, b)
+and ``legendre`` per node count, all shared read-only, and
+``bergman`` reads its block rules through ``gauss_rule`` and the constructors
+it imports from here.  No kqlab module imports scipy except for the adaptive
+moments of custom profiles (``bergman._psi_adaptive``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
+from .errors import (NegativeInput, NonPositiveArgument, PreconditionFailed,
+                     QuadratureNonConvergent)
 
 
 def log_gamma(x: float) -> float:
@@ -75,24 +76,112 @@ def dim_h0_cpd(d: int, m: int) -> int:
     return num // math.factorial(d)
 
 
-# scipy's rule constructors, with scipy imported at the first rule built
+# Gauss rules (Golub & Welsch, Math. Comp. 23 (1969)).  The nodes are the
+# eigenvalues of the Jacobi matrix of the weight's three-term recurrence,
+# polished by one Newton step on the degree-n orthonormal polynomial; the
+# weights are the Christoffel numbers mu0 / sum_j p_j(x)^2.  One pass of the
+# recurrence gives both, the sum corrected to first order for the Newton step.
+# mu0 is kept as a mantissa and a power of two, and the recurrence is rescaled
+# by powers of two as it grows, so that weights past the float range come out
+# inf or 0 rather than NaN, and no rescale rounds.  Rules are memoised per
+# exact (nodes, a, b) as read-only arrays; the bound holds the 53-55 distinct
+# rules that one pass of a balanced sweep or of an oracle cross-check asks for.
+_RULE_MEMO = 256
+_RESCALE_ABOVE = 2.0 ** 600     # checked every 4 steps: room for 2^52 growth a step
+
+
+def _beta(p: float, q: float) -> tuple[float, int]:
+    """B(p, q) for p, q > 0 as a mantissa and a binary exponent.
+
+    lgamma of a large argument errs by its own size in ulps, and exp of a
+    large log likewise (3.7e-13 of B(3, 601) by lgamma differences).  So each
+    argument of B(p, q) = B(p, f) prod_j (f+j)/(f+p+j), f = q - n, is shifted
+    below 2 by its integer part n as a float product, and math.lgamma sees
+    arguments below 4 only.
+    """
+    m, e = 1.0, 0
+    for _ in range(2):
+        p, q = sorted((p, q))
+        n = max(math.floor(q) - 1, 0)
+        q -= n
+        for j in range(n):
+            m, de = math.frexp(m * ((q + j) / (q + p + j)))
+            e += de
+    m *= math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+    return m, e
+
+
+def _golub_welsch(diag: np.ndarray, offdiag: np.ndarray, mu0: tuple[float, int]):
+    """Nodes and weights of the n-point rule of the recurrence
+
+        offdiag[k] p_(k+1)(x) = (x - diag[k]) p_k(x) - offdiag[k-1] p_(k-1)(x),
+
+    p_0 = 1, with n = len(diag) and offdiag of length n (its last entry
+    gives p_n, whose zeros are the nodes).
+    """
+    n = len(diag)
+    jacobi = np.diag(diag)
+    jacobi[np.arange(1, n), np.arange(n - 1)] = offdiag[:-1]
+    x = np.linalg.eigvalsh(jacobi)
+    shifted = x - diag[:, None]               # row k: x - diag[k]
+    # rows: p_k and p_k', the same for k - 1, and the sums of p_j^2 and p_j p_j'
+    pk, pk1, sums = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n))
+    pk[0] = sums[0] = 1.0
+    scale = np.zeros(n, dtype=int)            # true p = p * 2^scale
+    prev = 0.0
+    for k in range(n):
+        new = shifted[k] * pk - prev * pk1
+        new[1] += pk[0]
+        new /= offdiag[k]
+        pk1, pk, prev = pk, new, offdiag[k]
+        if k < n - 1:
+            sums += new * new[0]
+            if k % 4 == 3 and sums[0].max() > _RESCALE_ABOVE:
+                h = np.frexp(sums[0])[1] >> 1
+                pk, pk1, sums = np.ldexp(pk, -h), np.ldexp(pk1, -h), np.ldexp(sums, -2 * h)
+                scale += h
+    polished = x - pk[0] / pk[1]              # one Newton step on p_n
+    # the sum of p_j^2 at the polished node, by the step the node really took
+    christoffel = sums[0] + 2.0 * sums[1] * (polished - x)
+    mant, exp2 = mu0
+    return polished, np.ldexp(mant / christoffel, exp2 - 2 * scale)
+
+
+@functools.lru_cache(maxsize=_RULE_MEMO)
 def roots_jacobi(nodes: int, a: float, b: float):
-    from scipy.special import roots_jacobi as rule
-    return rule(nodes, a, b)
+    """Read-only Gauss-Jacobi rule on (-1, 1), weight (1-x)^a (1+x)^b, a, b > -1."""
+    k = np.arange(nodes, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):   # k = 0, 1 set below
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        k1, s1 = k + 1.0, s + 2.0
+        beta = (4.0 * k1 * (k1 + a) * (k1 + b) * (k1 + a + b)
+                / (s1 * s1 * (s1 + 1.0) * (s1 - 1.0)))
+    diag[0] = (b - a) / (a + b + 2.0)
+    # beta_1 with its factor (1 + a + b) cancelled
+    beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    # mu0 = 2^(a+b+1) B(a+1, b+1)
+    m, e = _beta(a + 1.0, b + 1.0)
+    c = math.floor(a + b + 1.0)
+    mu0 = (m * 2.0 ** (a + b + 1.0 - c), e + c)
+    return _frozen(*_golub_welsch(diag, np.sqrt(beta), mu0))
 
 
+@functools.lru_cache(maxsize=_RULE_MEMO)
 def roots_genlaguerre(nodes: int, a: float):
-    from scipy.special import roots_genlaguerre as rule
-    return rule(nodes, a)
-
-
-def roots_legendre(nodes: int):
-    from scipy.special import roots_legendre as rule
-    return rule(nodes)
+    """Read-only generalised Gauss-Laguerre rule, weight x^a e^-x, a > -1."""
+    k = np.arange(nodes, dtype=float)
+    try:        # mu0 = Gamma(a+1); exp(lgamma) would err by lgamma's size in ulps
+        mu0 = math.frexp(math.gamma(a + 1.0))
+    except OverflowError:       # a > 170: weights past the float range
+        mu0 = (math.inf, 0)
+    return _frozen(*_golub_welsch(2.0 * k + a + 1.0, np.sqrt((k + 1.0) * (k + 1.0 + a)), mu0))
 
 
 def gauss_rule(rule, nodes: int, *exponents: float):
     """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
+    if nodes < 1:
+        raise PreconditionFailed(f"a Gauss rule needs at least one node, got {nodes}")
     with np.errstate(all="ignore"):   # checked below, typed
         xs, ws = rule(nodes, *exponents)
     if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
@@ -110,11 +199,10 @@ def _frozen(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=32)
 def legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on (0, 1), built once per count."""
-    xs, ws = gauss_rule(roots_legendre, nodes)
+    xs, ws = gauss_rule(roots_jacobi, nodes, 0.0, 0.0)
     return _frozen(0.5 * (xs + 1.0), 0.5 * ws)
 
 
-@functools.lru_cache(maxsize=32)
 def laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Laguerre rule (weight e^-x), built once per count."""
-    return _frozen(*gauss_rule(roots_genlaguerre, nodes, 0))
+    return gauss_rule(roots_genlaguerre, nodes, 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqlab import bergman, jets
+from kqlab import bergman, jets, special
 from kqlab.bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
                            _psi_quadrature_block, _PsiCache,
                            balanced_certify, balanced_setup,
@@ -298,6 +298,14 @@ def test_series_nonconstant_off_law():
 # -- closed targets ---------------------------------------------------------
 
 
+def test_negative_k_max_is_a_precondition():
+    s = full_setup(linear(1.0), 1.0, 1, 1, 3.0, eps=lambda a: a + 1.0)
+    with pytest.raises(PreconditionFailed, match="k_max"):
+        bergman_series(s, 0.5, k_max=-3)
+    with pytest.raises(PreconditionFailed, match="k_max"):
+        generating_identity_check(s, [0.0, 0.5], k_max=-3)
+
+
 def test_closed_targets():
     s = balanced_setup(1, 2, 2, "ball")
     assert closed_target(s) == pytest.approx(20.0 / 9.0, rel=1e-14)
@@ -556,13 +564,48 @@ def test_balanced_certificate_counts():
     assert (closed.gauss_rules, closed.nodes_per_rule, closed.fiber_degrees) == (0, 0, 419)
 
 
-def test_overflowing_rule_raises_instead_of_nan():
-    # a 2000-node Gauss-Jacobi rule overflows at this degree
+def test_second_certificate_builds_no_gauss_rule():
+    # the rules are memoised per (nodes, a, b): a repeat asks for the same 7
+    balanced_certify(2, 2, 3)
+    before = special.roots_jacobi.cache_info()
+    cert = balanced_certify(2, 2, 3)
+    after = special.roots_jacobi.cache_info()
+    assert cert.gauss_rules == 7
+    assert (after.misses, after.hits) == (before.misses, before.hits + 7)
+    # the block k0 = 0: a = alpha/A - n - 1 = 2, b = k0 + d0 - 1 = 1
+    xs, ws = bergman.roots_jacobi(64, 2.0, 1.0)
+    assert bergman.roots_jacobi(64, 2, 1)[0] is xs
+    for a in (xs, ws):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def _nan_weight(rule):
+    """A rule constructor whose first weight is NaN."""
+    def build(*args):
+        xs, ws = rule(*args)
+        return xs, np.where(np.arange(len(ws)) == 0, math.nan, ws)
+    return build
+
+
+def test_overflowing_rule_raises_instead_of_nan(monkeypatch):
+    # a rule whose weights are not finite is refused, not summed into a NaN moment
+    monkeypatch.setattr(bergman, "roots_jacobi", _nan_weight(bergman.roots_jacobi))
     s = balanced_setup(2, 2, 3, "ball")
-    with pytest.raises(QuadratureNonConvergent):
-        psi_moment(s, 300, "quadrature", nodes=2000)
-    with pytest.raises(QuadratureNonConvergent):
-        _PsiCache(s, "quadrature", 2000)(300)
+    with pytest.raises(QuadratureNonConvergent, match="not finite"):
+        psi_moment(s, 300, "quadrature")
+    with pytest.raises(QuadratureNonConvergent, match="not finite"):
+        _PsiCache(s, "quadrature", 64)(300)
+
+
+def test_2000_node_rule_at_degree_300_is_finite_and_exact():
+    # scipy's 2000-node Gauss-Jacobi rule overflowed here; the running rescale
+    # of the Christoffel sum keeps it finite
+    s = balanced_setup(2, 2, 3, "ball")
+    ref, _ = _closed_psi_reference(s, 300)
+    for psi in (psi_moment(s, 300, "quadrature", nodes=2000),
+                _PsiCache(s, "quadrature", 2000)(300)):
+        assert float(abs(mp.mpf(psi) - ref) / ref) <= 1e-13
 
 
 def test_non_finite_moment_raises(monkeypatch):

@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from kqlab import curvature
+from kqlab import bergman, curvature, special
 from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
                        render_json)
 from kqlab.curvature import branch_coefficients
@@ -162,14 +164,33 @@ def test_coeffs_quantities(capsys):
     assert doc["summary"]["max_deviation"] <= 1e-9
 
 
-def test_overflowing_quadrature_exits_nonconvergent(capsys):
-    # a 2000-node Gauss-Jacobi rule with weight exponent 300 overflows
-    code, doc = run_json(capsys, "bergman", "--family", "logball", "--A", "0.5",
-                         "--d", "1", "--d0", "2", "--alpha", "152",
-                         "--psi-method", "quadrature", "--quad-nodes", "2000",
-                         "--grid", "0.5:0.5:1", "--max-k", "20")
+def _nan_weight(rule):
+    """A rule constructor whose first weight is NaN."""
+    def build(*args):
+        xs, ws = rule(*args)
+        return xs, np.where(np.arange(len(ws)) == 0, math.nan, ws)
+    return build
+
+
+_ALPHA_152 = ("bergman", "--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2",
+              "--alpha", "152", "--psi-method", "quadrature", "--grid", "0.5:0.5:1",
+              "--max-k", "20")
+
+
+def test_overflowing_quadrature_exits_nonconvergent(capsys, monkeypatch):
+    monkeypatch.setattr(bergman, "roots_jacobi", _nan_weight(bergman.roots_jacobi))
+    code, doc = run_json(capsys, *_ALPHA_152)
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
+
+
+def test_2000_node_rule_with_exponent_300_is_finite(capsys):
+    # scipy's 2000-node Gauss-Jacobi rule with weight exponent 300 overflowed
+    # here; the rule is finite now, and 20 fiber degrees are too few at rho 0.5
+    code, doc = run_json(capsys, *_ALPHA_152, "--quad-nodes", "2000")
+    assert code == 3
+    assert doc["error"] == {"type": "SeriesNonConvergent", "message":
+                            "series tail not below 1e-14 after 20 fiber degrees"}
 
 
 def test_negative_grid_as_separate_word(capsys):
@@ -303,6 +324,42 @@ def test_balanced_without_gauss_nodes_is_invalid(capsys, nodes):
     assert code == 2
 
 
+# One argv per subcommand that registers --tol; all but classify also register
+# --quad-nodes.  psi, bergman, identity and balanced build no Gauss rule here.
+_ARGV = {
+    "classify": ("classify", "--family", "logball", "--A", "0.5"),
+    "psi": ("psi", "--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2",
+            "--method", "closed"),
+    "bergman": ("bergman", "--family", "linear", "--d", "1", "--d0", "1", "--lambda", "1",
+                "--domain", "fullspace", "--alpha", "3"),
+    "identity": ("identity", "--family", "linear", "--domain", "fullspace"),
+    "balanced": ("balanced", "--k", "2", "--r", "1", "--psi-method", "closed"),
+    "oracle-cp1": ("oracle-cp1", "--k", "1", "--m", "1"),
+    "oracle-hartogs": ("oracle-hartogs", "--k", "1", "--m", "1"),
+}
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--quad-nodes", "-5"), ("--quad-nodes", "0"), ("--tol", "-1"), ("--tol", "nan"),
+], ids=["quad-nodes-negative", "quad-nodes-zero", "tol-negative", "tol-nan"])
+def test_option_values_are_checked_at_parse_time(capsys, option, value):
+    for command, argv in _ARGV.items():
+        if option == "--quad-nodes" and command == "classify":
+            continue
+        code, doc = run_json(capsys, *argv, option + "=" + value)
+        assert code == 2, command
+        assert doc["error"]["type"] == "PreconditionFailed", command
+        assert option in doc["error"]["message"], command
+
+
+@pytest.mark.parametrize("command", ["bergman", "identity"])
+def test_negative_max_k_is_invalid_input(capsys, command):
+    code, doc = run_json(capsys, *_ARGV[command], "--max-k", "-3")
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert "max" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("grid, degrees", [("0:20:3", 131), ("0:27:3", 162)])
 def test_total_space_quadrature_series_reach(capsys, grid, degrees):
     # a block moment that overflows is refused only when the series asks for it
@@ -315,11 +372,22 @@ def test_total_space_quadrature_series_reach(capsys, grid, degrees):
 
 @pytest.mark.parametrize("extra", [("--Q", "40", "--quad-nodes", "400")],
                          ids=["rule-overflows"])
-def test_non_finite_gram_oracle_exits_nonconvergent(capsys, extra):
+def test_non_finite_gram_oracle_exits_nonconvergent(capsys, monkeypatch, extra):
+    monkeypatch.setattr(special, "roots_genlaguerre", _nan_weight(special.roots_genlaguerre))
     code, doc = run_json(capsys, "oracle-hartogs", "--k", "1", "--m", "2",
                          "--part", "total", *extra)
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
+
+
+def test_total_space_gram_oracle_at_400_laguerre_nodes(capsys):
+    # scipy's 400-node Laguerre rule overflowed here; its weights past the
+    # float range are 0 now, and the oracle meets its target m^2 = 4
+    code, doc = run_json(capsys, "oracle-hartogs", "--k", "1", "--m", "2",
+                         "--part", "total", "--Q", "40", "--quad-nodes", "400")
+    assert code == 0
+    assert doc["summary"]["target"] == 4.0
+    assert doc["summary"]["max_deviation"] <= 1e-13
 
 
 def test_total_space_gram_oracle_reaches_q120(capsys):

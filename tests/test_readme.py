@@ -73,11 +73,13 @@ print(json.dumps([after_import, codes, scipy_modules()]))
 """
 
 
-@pytest.mark.parametrize("commands, loads_scipy", [
-    (("coeffs", "classify", "bergman", "identity"), False),
-    (("psi",), True),   # builds Gauss rules: scipy is loaded on demand
-], ids=["no-gauss-rule", "psi"])
-def test_readme_examples_load_scipy_only_to_build_gauss_rules(commands, loads_scipy):
+@pytest.mark.parametrize("commands", [
+    ("coeffs", "classify", "bergman", "identity"),
+    ("psi",),
+    ("balanced", "oracle-cp1", "oracle-hartogs"),
+], ids=["no-gauss-rule", "psi", "gauss-rules"])
+def test_readme_examples_load_scipy_only_to_build_gauss_rules(commands):
+    # Gauss rules are built with numpy: no README example loads scipy
     examples = [(argv, comment) for argv, comment in EXAMPLES if argv[0] in commands]
     assert len(examples) == len(commands)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -87,4 +89,4 @@ def test_readme_examples_load_scipy_only_to_build_gauss_rules(commands, loads_sc
     after_import, codes, after_run = json.loads(out)
     assert after_import == []
     assert codes == [_stated_exit(comment) for _, comment in examples]
-    assert bool(after_run) == loads_scipy
+    assert after_run == []

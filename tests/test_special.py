@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
+import mpmath as mp
+import scipy.special
 
-from kqlab.errors import NegativeInput, NonPositiveArgument, QuadratureNonConvergent
+from kqlab import special
+from kqlab.errors import (NegativeInput, NonPositiveArgument, PreconditionFailed,
+                          QuadratureNonConvergent)
 from kqlab.special import (beta, dim_h0_cpd, gamma_ratio, legendre, log_gamma,
                            product_shifted)
 
@@ -84,8 +87,74 @@ def test_dim_h0_against_enumeration():
             assert dim_h0_cpd(d, m) == _count_monomials(d, m)
 
 
-@pytest.mark.parametrize("nodes", [16, 32, 200])
-def test_legendre_is_the_scipy_rule_mapped_to_the_unit_interval(nodes):
-    xs, ws = roots_legendre(nodes)
-    us, wu = legendre(nodes)
-    assert np.array_equal(us, 0.5 * (xs + 1.0)) and np.array_equal(wu, 0.5 * ws)
+def _christoffel_weights(kind, nodes, a, b, xs):
+    """40-digit Christoffel numbers mu0 / sum_j p_j(x)^2 at the nodes xs.
+
+    The orthonormal recurrence of the Jacobi weight (1-x)^a (1+x)^b on (-1, 1)
+    or of the Laguerre weight x^a e^-x, with mu0 from mpmath's Beta and Gamma.
+    """
+    with mp.workdps(40):
+        a, b = mp.mpf(a), mp.mpf(b)
+        if kind == "jacobi":
+            mu0 = 2 ** (a + b + 1) * mp.beta(a + 1, b + 1)
+            diag = [(b - a) / (a + b + 2)] + [
+                (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
+                for k in range(1, nodes)]
+            off = [mp.sqrt(4 * k * (k + a) * (k + b) * (k + a + b)
+                           / ((2 * k + a + b) ** 2 * (2 * k + a + b + 1)
+                              * (2 * k + a + b - 1))) for k in range(1, nodes)]
+        else:
+            mu0 = mp.gamma(a + 1)
+            diag = [2 * k + a + 1 for k in range(nodes)]
+            off = [mp.sqrt(k * (k + a)) for k in range(1, nodes)]
+        out = []
+        for x in xs:
+            x = mp.mpf(float(x))
+            p0, p1, prev, total = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(1)
+            for k in range(nodes - 1):
+                p0, p1 = p1, ((x - diag[k]) * p1 - prev * p0) / off[k]
+                prev = off[k]
+                total += p1 * p1
+            out.append(mu0 / total)
+        return out
+
+
+def _worst_weight_error(kind, nodes, a, b, xs, ws):
+    """Largest relative weight error against the referee, over normal weights."""
+    ref = _christoffel_weights(kind, nodes, a, b, xs)
+    return max(float(abs(mp.mpf(float(w)) - r) / r)
+               for w, r in zip(ws, ref) if r > np.finfo(float).tiny)
+
+
+_RULES = [("jacobi", 64, 0.5, 3.0), ("jacobi", 64, 1.0, 300.0), ("jacobi", 64, 2.0, 600.0),
+          ("laguerre", 64, 0.0, 0.0), ("laguerre", 200, 0.0, 0.0),
+          ("legendre", 16, 0.0, 0.0), ("legendre", 32, 0.0, 0.0), ("legendre", 200, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("kind, nodes, a, b", _RULES,
+                         ids=[f"{kind}-{nodes}" + (f"-{a:g}-{b:g}" if kind == "jacobi" else "")
+                              for kind, nodes, a, b in _RULES])
+def test_gauss_rule_weights_match_the_mpmath_christoffel_referee(kind, nodes, a, b):
+    # each rule's weights at its own nodes, against 40 digits, and at least as
+    # accurate as scipy's rule against the same referee at scipy's nodes
+    if kind == "laguerre":
+        ours, theirs = (special.roots_genlaguerre(nodes, a),
+                        scipy.special.roots_genlaguerre(nodes, a))
+    else:
+        ours, theirs = (special.roots_jacobi(nodes, a, b),
+                        scipy.special.roots_jacobi(nodes, a, b))
+    family = "laguerre" if kind == "laguerre" else "jacobi"
+    err = _worst_weight_error(family, nodes, a, b, *ours)
+    assert err <= nodes * 1e-15
+    assert err <= _worst_weight_error(family, nodes, a, b, *theirs)
+    # the same nodes as scipy's to a few ulps of the largest
+    assert np.max(np.abs(ours[0] - theirs[0])) <= 8 * np.spacing(np.max(np.abs(theirs[0])))
+    if kind == "legendre":
+        us, wu = legendre(nodes)
+        assert np.array_equal(us, 0.5 * (ours[0] + 1.0)) and np.array_equal(wu, 0.5 * ours[1])
+
+
+@pytest.mark.parametrize("nodes", [0, -5])
+def test_gauss_rule_needs_a_node(nodes):
+    with pytest.raises(PreconditionFailed):
+        special.gauss_rule(special.roots_jacobi, nodes, 0.0, 0.0)

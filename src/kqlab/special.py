@@ -88,6 +88,8 @@ def dim_h0_cpd(d: int, m: int) -> int:
 # rules that one pass of a balanced sweep or of an oracle cross-check asks for.
 _RULE_MEMO = 256
 _RESCALE_ABOVE = 2.0 ** 600     # checked every 4 steps: room for 2^52 growth a step
+_EXACT_SHIFTS = 2 ** 10         # Beta arguments shifted by exact products below this
+_EXP2_BOUND = 2 ** 24           # |binary exponent| of mu0 past which every weight is 0 or inf
 
 
 def _beta(p: float, q: float) -> tuple[float, int]:
@@ -97,18 +99,30 @@ def _beta(p: float, q: float) -> tuple[float, int]:
     large log likewise (3.7e-13 of B(3, 601) by lgamma differences).  So each
     argument of B(p, q) = B(p, f) prod_j (f+j)/(f+p+j), f = q - n, is shifted
     below 2 by its integer part n as a float product, and math.lgamma sees
-    arguments below 4 only.
+    arguments below 4 only.  An argument past _EXACT_SHIFTS is not shifted,
+    which would take one step per unit: lgamma(q) - lgamma(q + p) then comes
+    from Stirling's series, in log1p form so that nothing of size q cancels.
     """
     m, e = 1.0, 0
     for _ in range(2):
         p, q = sorted((p, q))
-        n = max(math.floor(q) - 1, 0)
+        if q >= _EXACT_SHIFTS:       # shift the other argument, if it is small enough
+            p, q = q, p
+        n = max(math.floor(q) - 1, 0) if q < _EXACT_SHIFTS else 0
         q -= n
         for j in range(n):
             m, de = math.frexp(m * ((q + j) / (q + p + j)))
             e += de
-    m *= math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
-    return m, e
+    p, q = sorted((p, q))
+    if q < _EXACT_SHIFTS:
+        log_b = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    else:
+        r = q + p
+        log_b = (math.lgamma(p) - (q - 0.5) * math.log1p(p / q) - p * math.log(r) + p
+                 + p / (12.0 * q * r) - ((1.0 / q) ** 3 - (1.0 / r) ** 3) / 360.0)
+    # a power of two out of log_b where exp of it would leave the float range
+    e2 = 0 if abs(log_b) < 700.0 else math.floor(log_b / math.log(2.0))
+    return m * math.exp(log_b - e2 * math.log(2.0)), e + e2
 
 
 def _golub_welsch(diag: np.ndarray, offdiag: np.ndarray, mu0: tuple[float, int]):
@@ -144,6 +158,7 @@ def _golub_welsch(diag: np.ndarray, offdiag: np.ndarray, mu0: tuple[float, int])
     # the sum of p_j^2 at the polished node, by the step the node really took
     christoffel = sums[0] + 2.0 * sums[1] * (polished - x)
     mant, exp2 = mu0
+    exp2 = min(max(exp2, -_EXP2_BOUND), _EXP2_BOUND)
     return polished, np.ldexp(mant / christoffel, exp2 - 2 * scale)
 
 
@@ -159,7 +174,9 @@ def roots_jacobi(nodes: int, a: float, b: float):
                 / (s1 * s1 * (s1 + 1.0) * (s1 - 1.0)))
     diag[0] = (b - a) / (a + b + 2.0)
     # beta_1 with its factor (1 + a + b) cancelled
-    beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) * (2.0 + a + b) * (3.0 + a + b))
+    if not (np.isfinite(diag).all() and np.isfinite(beta).all()):     # a or b past ~1e153
+        return _frozen(np.full(nodes, math.nan), np.full(nodes, math.nan))   # gauss_rule refuses
     # mu0 = 2^(a+b+1) B(a+1, b+1)
     m, e = _beta(a + 1.0, b + 1.0)
     c = math.floor(a + b + 1.0)
@@ -196,6 +213,8 @@ def _frozen(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
+# The (0, 1) mapping makes new arrays, so they are memoised here too, to be
+# built once and shared; laguerre hands out the memoised arrays themselves.
 @functools.lru_cache(maxsize=32)
 def legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on (0, 1), built once per count."""

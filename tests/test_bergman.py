@@ -22,6 +22,8 @@ from kqlab.jets import TaylorJet
 from kqlab.profiles import custom, linear, log_affine, log_ball
 from kqlab.special import product_shifted
 
+from rule_faults import nan_weight
+
 
 def ball_setup(A, lam, d, d0, alpha, eps=None):
     base = BaseGeometry.from_coefficients(d, lam, a1=0.0, a2=0.0, eps=eps)
@@ -580,17 +582,9 @@ def test_second_certificate_builds_no_gauss_rule():
             a[0] = 0.0
 
 
-def _nan_weight(rule):
-    """A rule constructor whose first weight is NaN."""
-    def build(*args):
-        xs, ws = rule(*args)
-        return xs, np.where(np.arange(len(ws)) == 0, math.nan, ws)
-    return build
-
-
 def test_overflowing_rule_raises_instead_of_nan(monkeypatch):
     # a rule whose weights are not finite is refused, not summed into a NaN moment
-    monkeypatch.setattr(bergman, "roots_jacobi", _nan_weight(bergman.roots_jacobi))
+    monkeypatch.setattr(bergman, "roots_jacobi", nan_weight(bergman.roots_jacobi))
     s = balanced_setup(2, 2, 3, "ball")
     with pytest.raises(QuadratureNonConvergent, match="not finite"):
         psi_moment(s, 300, "quadrature")

@@ -1,7 +1,6 @@
 import json
-import math
+import time
 
-import numpy as np
 import pytest
 
 from kqlab import bergman, curvature, special
@@ -9,6 +8,8 @@ from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
                        render_json)
 from kqlab.curvature import branch_coefficients
 from kqlab.profiles import linear, log_affine, log_ball
+
+from rule_faults import nan_weight
 
 
 def run_cli(capsys, *argv):
@@ -164,22 +165,29 @@ def test_coeffs_quantities(capsys):
     assert doc["summary"]["max_deviation"] <= 1e-9
 
 
-def _nan_weight(rule):
-    """A rule constructor whose first weight is NaN."""
-    def build(*args):
-        xs, ws = rule(*args)
-        return xs, np.where(np.arange(len(ws)) == 0, math.nan, ws)
-    return build
-
-
 _ALPHA_152 = ("bergman", "--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2",
               "--alpha", "152", "--psi-method", "quadrature", "--grid", "0.5:0.5:1",
               "--max-k", "20")
 
 
 def test_overflowing_quadrature_exits_nonconvergent(capsys, monkeypatch):
-    monkeypatch.setattr(bergman, "roots_jacobi", _nan_weight(bergman.roots_jacobi))
+    monkeypatch.setattr(bergman, "roots_jacobi", nan_weight(bergman.roots_jacobi))
     code, doc = run_json(capsys, *_ALPHA_152)
+    assert code == 3
+    assert doc["error"]["type"] == "QuadratureNonConvergent"
+
+
+@pytest.mark.parametrize("A, alpha", [("1e-6", "1000"), ("1", "1e9"), ("1e-300", "1e6")],
+                         ids=["exponent-1e9", "alpha-1e9", "exponent-1e306"])
+def test_huge_weight_exponent_is_refused_at_once(capsys, A, alpha):
+    # the Jacobi weight exponent alpha/A - n - 1 reaches 1e9 and 1e306 here, and
+    # the rule's weights leave the float range: a typed refusal, not one Beta
+    # shift step per unit of the exponent
+    start = time.process_time()
+    code, doc = run_json(capsys, "psi", "--family", "logball", "--A", A, "--d", "1",
+                         "--d0", "2", "--lambda", "1", "--alpha", alpha,
+                         "--method", "quadrature")
+    assert time.process_time() - start < 5.0
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
 
@@ -373,7 +381,7 @@ def test_total_space_quadrature_series_reach(capsys, grid, degrees):
 @pytest.mark.parametrize("extra", [("--Q", "40", "--quad-nodes", "400")],
                          ids=["rule-overflows"])
 def test_non_finite_gram_oracle_exits_nonconvergent(capsys, monkeypatch, extra):
-    monkeypatch.setattr(special, "roots_genlaguerre", _nan_weight(special.roots_genlaguerre))
+    monkeypatch.setattr(special, "roots_genlaguerre", nan_weight(special.roots_genlaguerre))
     code, doc = run_json(capsys, "oracle-hartogs", "--k", "1", "--m", "2",
                          "--part", "total", *extra)
     assert code == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,36 @@ def test_gauss_rule_weights_match_the_mpmath_christoffel_referee(kind, nodes, a,
     if kind == "legendre":
         us, wu = legendre(nodes)
         assert np.array_equal(us, 0.5 * (ours[0] + 1.0)) and np.array_equal(wu, 0.5 * ours[1])
+
+
+@pytest.mark.parametrize("a, b", [(20.0, 1100.0), (300.0, 1100.0)])
+def test_jacobi_rule_past_the_exact_beta_shifts_matches_the_referee(a, b):
+    # b + 1 is past special._EXACT_SHIFTS: mu0 takes Stirling's series there
+    xs, ws = special.gauss_rule(special.roots_jacobi, 64, a, b)
+    assert _worst_weight_error("jacobi", 64, a, b, xs, ws) <= 64e-15
+
+
+@pytest.mark.parametrize("p, q, rel", [(3.0, 1023.5, 1e-14), (3.0, 1025.25, 1e-14),
+                                       (0.001, 5000.0, 1e-14), (0.5, 12345.678, 1e-14),
+                                       (2.5, 1e9, 1e-14), (601.0, 1100.0, 1e-14),
+                                       (2.5, 1e300, 1e-13), (1101.0, 1101.0, 1e-12)])
+def test_beta_is_exact_past_the_shift_bound_and_the_float_range(p, q, rel):
+    # as a mantissa and a binary exponent, in time independent of q; B(2.5, 1e300)
+    # and B(1101, 1101) are below the float range, and their logs are large
+    start = time.process_time()
+    m, e = special._beta(p, q)
+    assert time.process_time() - start < 0.1
+    with mp.workdps(340):
+        ref = mp.beta(p, q)
+        assert abs(mp.mpf(m) * mp.mpf(2) ** e / ref - 1) <= rel
+
+
+@pytest.mark.parametrize("a", [1e9, 1e100, 1e200, 1e306])
+def test_jacobi_rule_with_a_huge_exponent_is_refused_at_once(a):
+    start = time.process_time()
+    with pytest.raises(QuadratureNonConvergent, match="not finite"):
+        special.gauss_rule(special.roots_jacobi, 64, a, 1.0)
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("nodes", [0, -5])

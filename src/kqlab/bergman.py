@@ -481,13 +481,10 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
     if len(m) != s.d0 or s.d0 not in (1, 2):
         raise BranchInvalid("direct fiber moments cover d0 in {1, 2}")
     xi, wxi = legendre(nodes)
-    H = density_H(s, xi)
-    if s.d0 == 1:
-        return float(np.dot(wxi, xi ** m[0] * H))
-    # v1 = xi*eta, v2 = xi*(1 - eta), Jacobian xi; full tensor-grid sum
-    eta, weta = xi, wxi
-    integrand = np.outer(xi ** (m[0] + m[1] + 1) * H, eta ** m[0] * (1.0 - eta) ** m[1])
-    return float(wxi @ integrand @ weta)
+    # v1 = xi*eta, v2 = xi*(1 - eta), Jacobian xi: a xi sum times an eta sum (none if d0 = 1)
+    radial = float(np.dot(wxi, xi ** (sum(m) + s.d0 - 1) * density_H(s, xi)))
+    return radial * math.prod(float(np.dot(wxi, xi ** mj * (1.0 - xi) ** m[-1]))
+                              for mj in m[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import re
@@ -31,7 +33,7 @@ SCHEMA_VERSION = 1
 
 _NONCONVERGENT = (QuadratureNonConvergent, SeriesNonConvergent,
                   TruncationInsufficient)
-_INVALID = (KQLabError, ValueError)   # every other typed error, and bad values
+_ERRORS = (KQLabError, ValueError)    # every typed error, and bad values
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +213,6 @@ def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
 # report assembly
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 0}
 
 
@@ -240,50 +234,64 @@ def _add_common(sp: argparse.ArgumentParser, tol: Optional[float] = None,
     sp.add_argument("--out", default=None, help="write the report to PATH")
 
 
-def _add_model(sp: argparse.ArgumentParser) -> None:
+class _ModelFlag(argparse.Action):
+    """Store a model option and note that it was given, even at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.model_flags = (*namespace.model_flags, self.option_strings[0])
+
+
+def _add_model(sp: argparse.ArgumentParser, alpha: Optional[float] = None) -> None:
+    """The model flags; with a default ``alpha`` also --alpha and --setup, which refuses them."""
     families = tuple(profiles.FAMILIES)
-    sp.add_argument("--family", choices=families, default=families[0])
-    sp.add_argument("--A", type=float, default=None,
-                    help="momentum-profile curvature parameter")
-    sp.add_argument("--c", type=float, default=1.0, help="profile scale parameter")
-    sp.add_argument("--lambda", dest="twist", type=float, default=1.0,
-                    help="twist of the fibration")
-    sp.add_argument("--d", type=int, default=1, help="base dimension")
-    sp.add_argument("--d0", type=int, default=1, help="fiber dimension")
-    sp.add_argument("--domain", choices=("ball", "fullspace"), default="ball")
-    sp.add_argument("--base", choices=("branch", "cp1", "cpd", "flat", "coeffs"),
-                    default="branch", help="base geometry preset")
-    sp.add_argument("--base-k", type=int, default=1, help="degree for the cp1 preset")
-    sp.add_argument("--a1-base", type=float, default=0.0)
-    sp.add_argument("--a2-base", type=float, default=0.0)
+    sp.set_defaults(model_flags=())
+    add = functools.partial(sp.add_argument, action=_ModelFlag)
+    add("--family", choices=families, default=families[0])
+    add("--A", type=float, default=None, help="momentum-profile curvature parameter")
+    add("--c", type=float, default=1.0, help="profile scale parameter")
+    add("--lambda", dest="twist", type=float, default=1.0, help="twist of the fibration")
+    add("--d", type=int, default=1, help="base dimension")
+    add("--d0", type=int, default=1, help="fiber dimension")
+    add("--domain", choices=("ball", "fullspace"), default="ball")
+    add("--base", choices=("branch", "cp1", "cpd", "flat", "coeffs"),
+        default="branch", help="base geometry preset")
+    add("--base-k", type=int, default=1, help="degree for the cp1 preset")
+    add("--a1-base", type=float, default=0.0)
+    add("--a2-base", type=float, default=0.0)
+    if alpha is not None:
+        add("--alpha", type=float, default=alpha)
+        sp.add_argument("--setup", default=None, help="JSON setup document")
 
 
-def _profile_from_args(args) -> profiles.RadialProfile:
-    return profiles.from_params(args.family, args.A, args.c)
-
-
-def _base_from_args(args, p: profiles.RadialProfile) -> tuple[curvature.BaseGeometry, dict]:
-    """The base geometry of ``--base`` and its description for the report."""
+def _model_from_args(args) -> tuple[profiles.RadialProfile, curvature.BaseGeometry, dict]:
+    """The profile, the base geometry of ``--base`` and its description for the report."""
+    p = profiles.from_params(args.family, args.A, args.c)
     if args.base in ("cp1", "cpd", "flat"):
         desc = {"preset": args.base, **({"k": args.base_k} if args.base == "cp1" else {})}
-        return base_from_dict(desc, args.d, args.twist), desc
+        return p, base_from_dict(desc, args.d, args.twist), desc
     if args.base == "branch":
         a1, a2 = curvature.required_base(p, args.d, args.d0, args.twist)
     else:
         a1, a2 = args.a1_base, args.a2_base
     b = base_from_dict({"a1": a1, "a2": a2}, args.d, args.twist)
     desc = {"a1": b.a1, "a2": b.a2}
-    return b, dict(desc, preset="branch") if args.base == "branch" else desc
+    return p, b, dict(desc, preset="branch") if args.base == "branch" else desc
 
 
 def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.QuantizationSetup, dict]:
-    if getattr(args, "setup", None):
-        with open(args.setup) as fh:
-            doc = json.load(fh)
+    if args.setup:
+        if args.model_flags:
+            raise PreconditionFailed("--setup reads the model from its document; refused "
+                                     "model flags: " + ", ".join(dict.fromkeys(args.model_flags)))
+        try:
+            with open(args.setup) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise PreconditionFailed(f"cannot read --setup {args.setup!r}: {exc.strerror}") from None
         s = setup_from_dict(doc)
         return s, setup_echo(s, doc["base"])
-    p = _profile_from_args(args)
-    base, bdesc = _base_from_args(args, p)
+    p, base, bdesc = _model_from_args(args)
     if base.eps is None and default_eps_required:
         # the required base's Bergman law: alpha + a1 for d = 1, else prod_j (alpha - j*twist)
         eps = ({"kind": "affine", "offset": base.a1} if args.d == 1
@@ -301,8 +309,7 @@ def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.
 
 def _curvature_model(args):
     """Profile, base, t-grid and report setup of ``coeffs`` and ``classify``."""
-    p = _profile_from_args(args)
-    base, bdesc = _base_from_args(args, p)
+    p, base, bdesc = _model_from_args(args)
     grid = parse_grid(args.grid)
     setup = {"d": args.d, "d0": args.d0, "twist": args.twist,
              "domain": args.domain, "profile": profile_to_dict(p), "base": bdesc,
@@ -477,9 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("psi", help="fiber moments by closed form and quadrature")
-    _add_model(sp)
-    sp.add_argument("--alpha", type=float, default=4.0)
-    sp.add_argument("--setup", default=None, help="JSON setup document")
+    _add_model(sp, alpha=4.0)
     sp.add_argument("--table-k", type=int, default=12)
     sp.add_argument("--method", choices=("closed", "quadrature", "both"),
                     default="both")
@@ -490,9 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("bergman", cmd_bergman, "Bergman function over a fiber-radius grid"),
             ("identity", cmd_identity, "generating-function identity check")):
         sp = sub.add_parser(name, help=help_)
-        _add_model(sp)
-        sp.add_argument("--alpha", type=float, default=2.0)
-        sp.add_argument("--setup", default=None)
+        _add_model(sp, alpha=2.0)
         sp.add_argument("--grid", default="0:0.9:10")
         sp.add_argument("--psi-method", choices=("closed", "quadrature"),
                         default="closed")
@@ -564,28 +567,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
-    try:
-        _check_options(args)
-        setup, rows, summary = args.fn(args)
-    except _NONCONVERGENT as exc:
-        _write_error(args, exc)
-        return 3
-    except _INVALID as exc:
-        _write_error(args, exc)
-        return 2
-    if args.output == "csv":
-        _write(args, render_csv(rows))
-    else:
-        _write(args, render_json({"schema_version": SCHEMA_VERSION, "setup": setup,
-                                  "rows": rows, "summary": summary}) + "\n")
+    try:    # before any work: an unwritable --out would discard it
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        return _write_error(sys.stdout, 2, PreconditionFailed(
+            f"cannot write the report to {args.out!r}: {exc.strerror}"))
+    with out as fh:
+        try:
+            _check_options(args)
+            setup, rows, summary = args.fn(args)
+        except _ERRORS as exc:
+            return _write_error(fh, 3 if isinstance(exc, _NONCONVERGENT) else 2, exc)
+        fh.write(render_csv(rows) if args.output == "csv" else
+                 render_json({"schema_version": SCHEMA_VERSION, "setup": setup,
+                              "rows": rows, "summary": summary}) + "\n")
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return _EXIT[summary["verdict"]]
 
 
-def _write_error(args, exc: Exception) -> None:
+def _write_error(fh, code: int, exc: Exception) -> int:
     doc = {"schema_version": SCHEMA_VERSION,
            "error": {"type": type(exc).__name__, "message": str(exc)}}
-    _write(args, render_json(doc) + "\n")
+    fh.write(render_json(doc) + "\n")
+    return code
 
 
 if __name__ == "__main__":

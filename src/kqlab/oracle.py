@@ -35,6 +35,8 @@ from .special import laguerre, legendre
 # longer there than on normal results, so those kernel terms are set to 0
 _EXP_FLOOR = math.log(np.finfo(float).tiny)
 
+_PROBE_RADII, _PROBE_ANGLES = 32, 24    # Gram probe: Gauss nodes per radius, points per angle
+
 
 @dataclass(frozen=True)
 class GramOracleConfig:
@@ -288,32 +290,27 @@ class OffDiagonalEntry:
 
 
 def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: bergman.QuantizationSetup,
-                           pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
-                           radial_nodes: int = 32,
-                           angular_nodes: int = 24) -> tuple[OffDiagonalEntry, ...]:
-    """Numerically integrate off-diagonal Gram entries on a full 4-d grid.
+                           pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]]
+                           ) -> tuple[OffDiagonalEntry, ...]:
+    """Numerically integrate Gram entries over both radii and both angles.
 
-    The integrand keeps its angular factors; the uniform angular grids each
-    annihilate non-matching exponents, certifying the diagonality that the
-    fast path assumes from rotational symmetry.
+    The weight has no angular dependence, so each entry is its radial sum times
+    two uniform angular sums; these annihilate non-matching exponents, certifying
+    the diagonality that the fast path assumes from rotational symmetry.
     """
-    small = replace(cfg, s_nodes=radial_nodes, fiber_nodes=radial_nodes)
+    small = replace(cfg, s_nodes=_PROBE_RADII, fiber_nodes=_PROBE_RADII)
     s, phi, xi, F, logk = _radial_weight(small, setup)
     weight = np.exp(logk)                      # radial measure incl. quad weights
-    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    theta = 2.0 * math.pi * np.arange(_PROBE_ANGLES) / _PROBE_ANGLES
     out = []
     for (p1, q1), (p2, q2) in pairs:
-        zpow = np.sqrt(s) ** (p1 + p2)
-        vhalf = np.exp(-0.5 * (q1 + q2) * phi)
-        wpow = np.sqrt(xi) ** (q1 + q2)
-        radial = weight * np.outer(zpow * vhalf, wpow)
-        az = np.exp(1j * (p1 - p2) * theta) / angular_nodes
-        aw = np.exp(1j * (q1 - q2) * theta) / angular_nodes
-        full = (radial[:, :, None, None]
-                * az[None, None, :, None] * aw[None, None, None, :])
-        entry = complex(full.sum())
-        n1 = float((weight * np.outer(s ** p1 * np.exp(-q1 * phi), xi ** q1)).sum())
-        n2 = float((weight * np.outer(s ** p2 * np.exp(-q2 * phi), xi ** q2)).sum())
-        out.append(OffDiagonalEntry(first=(p1, q1), second=(p2, q2),
-                                    magnitude=abs(entry) / math.sqrt(n1 * n2)))
+        if max(abs(p1 - p2), abs(q1 - q2)) >= _PROBE_ANGLES:
+            raise PreconditionFailed(f"exponent gap of ({p1}, {q1}) and ({p2}, {q2}) "
+                                     f"reaches {_PROBE_ANGLES}: the angular grid aliases it")
+        radial = (np.sqrt(s) ** (p1 + p2) * np.exp(-0.5 * (q1 + q2) * phi)
+                  @ weight @ np.sqrt(xi) ** (q1 + q2))
+        angular = np.exp(1j * np.outer((p1 - p2, q1 - q2), theta)).mean(axis=1)
+        n1, n2 = (s ** p * np.exp(-q * phi) @ weight @ xi ** q for p, q in ((p1, q1), (p2, q2)))
+        out.append(OffDiagonalEntry(first=(p1, q1), second=(p2, q2), magnitude=float(
+            abs(radial * angular.prod()) / math.sqrt(n1 * n2))))
     return tuple(out)

@@ -247,14 +247,17 @@ def test_fiber_moment_reduction_ratio():
         0.5, rel=1e-13)
 
 
-def test_fiber_moment_direct_distribution_independence():
-    s = ball_setup(0.5, 1.0, 1, 2, 6.0)
-    i11 = fiber_moment_direct(s, (1, 1))
-    i20 = fiber_moment_direct(s, (2, 0))
-    gamma_11 = math.gamma(2) * math.gamma(2) / math.gamma(3)
-    gamma_20 = math.gamma(3) * math.gamma(1) / math.gamma(3)
-    assert i11 / gamma_11 == pytest.approx(i20 / gamma_20, rel=1e-6)
-    assert i11 == pytest.approx(fiber_moment(s, (1, 1)), rel=1e-6)
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+@pytest.mark.parametrize("m", [(0,), (3,), (1, 1), (2, 0), (0, 3), (4, 1), (2, 2)],
+                         ids=lambda m: "m" + "".join(map(str, m)))
+def test_fiber_moment_direct_distribution_independence(m, alpha):
+    s = ball_setup(0.5, 1.0, 1, len(m), alpha)
+    direct = fiber_moment_direct(s, m)
+    # the Gamma prefactor carries all dependence on how |m| is distributed
+    gamma_m = math.prod(math.factorial(mi) for mi in m) / math.factorial(sum(m))
+    lumped = fiber_moment_direct(s, (sum(m),) + (0,) * (len(m) - 1))
+    assert direct / gamma_m == pytest.approx(lumped, rel=1e-12)
+    assert direct == pytest.approx(fiber_moment(s, m), rel=1e-12)
 
 
 # -- series -----------------------------------------------------------------
@@ -404,6 +407,22 @@ def test_generating_identity_quadrature_route():
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7),
                                     psi_method="quadrature")
     assert rep.max_deviation <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_generating_identity_negative_twist_is_a_finite_binomial(method):
+    # branch 2.14 over the projective plane: base law (alpha+1)(alpha+2), and
+    # a negative twist leaves alpha + 1 fiber degrees, summed exactly
+    alpha, c = 9.0, 1.0
+    base = BaseGeometry.from_coefficients(2, -1.0, a1=3.0, a2=2.0,
+                                          eps=lambda a: product_shifted(a, -1.0, 2))
+    s = full_setup(log_affine(-1.0, c), -1.0, 2, 1, alpha, base=base)
+    rho_grid = np.linspace(0.0, 0.9, 8)
+    rep = generating_identity_check(s, rho_grid, psi_method=method)
+    assert len(rep.rows) == len(rho_grid)
+    for rho, lhs, rhs in rep.rows:
+        assert lhs == pytest.approx((1.0 + c * rho) ** alpha, rel=1e-8)
+        assert rhs == pytest.approx((1.0 + c * rho) ** alpha, rel=1e-8)
 
 
 def test_generating_identity_builds_each_moment_once(monkeypatch):

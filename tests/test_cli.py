@@ -582,3 +582,46 @@ def test_option_a_subcommand_does_not_read_is_refused(capsys, argv, option):
         main([*argv, option, "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: " + option in capsys.readouterr().err
+
+
+# -- files that cannot be read or written, and models given twice -------------
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_setup_document_is_invalid_input(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    code, doc = run_json(capsys, "psi", "--setup", path)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert repr(path) in doc["error"]["message"]
+
+
+def test_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bergman, "psi_moment", lambda *args, **kw: calls.append(args))
+    path = str(tmp_path / "no-such-dir" / "report.json")
+    code, doc = run_json(capsys, "psi", *_LOGBALL, "--table-k", "1", "--out", path)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert repr(path) in doc["error"]["message"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("psi", ("--table-k", "1", "--alpha", "7", "--family", "linear", "--d0", "1",
+             "--base", "cp1")),
+    ("psi", ("--alpha", "4")),                         # the default alpha of psi
+    ("bergman", ("--family", "logball", "--lambda", "1")),   # both at their defaults
+    ("bergman", ("--A=0.5", "--c", "2", "--domain", "ball", "--a1-base", "0.5")),
+    ("identity", ("--d", "1", "--base-k", "1", "--a2-base", "0", "--alpha", "2")),
+], ids=["psi-four-flags", "psi-default-alpha", "bergman-defaults", "bergman-profile",
+        "identity-base"])
+def test_model_flags_given_with_a_setup_document_are_refused(tmp_path, capsys,
+                                                             command, flags):
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text(json.dumps(_SETUP))
+    code, doc = run_json(capsys, command, "--setup", str(doc_path), *flags)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    named = {f.partition("=")[0] for f in flags if f.startswith("--") and f != "--table-k"}
+    assert set(doc["error"]["message"].rpartition(": ")[2].split(", ")) == named

@@ -104,6 +104,23 @@ def test_gram_offdiagonal_entries_vanish():
         assert e.magnitude <= 1e-10
 
 
+@pytest.mark.parametrize("pair", [((0, 0), (0, 0)), ((3, 2), (3, 2))])
+def test_gram_diagonal_entries_have_unit_magnitude(pair):
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=8)
+    (entry,) = gram_offdiagonal_probe(cfg, balanced_setup(2, 1, 2, "ball"), [pair])
+    assert entry.magnitude == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [
+    ((1, 0), (25, 0)), ((0, 1), (0, 25)), ((24, 0), (0, 0)), ((2, 30), (2, 3)),
+], ids=["z-gap-24", "w-gap-24", "z-gap-24-exact", "w-gap-27"])
+def test_gram_probe_refuses_gaps_its_angular_grid_aliases(pair):
+    # e^(i n theta) sums to 1, not 0, over 24 uniform angles when 24 divides n
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=8)
+    with pytest.raises(PreconditionFailed, match="24"):
+        gram_offdiagonal_probe(cfg, balanced_setup(2, 1, 2, "ball"), [((0, 0), (1, 1)), pair])
+
+
 def test_hartogs_target_errors_other_than_branch_propagate(monkeypatch):
     import kqlab.bergman
 

@@ -185,6 +185,12 @@ def test_jacobi_rule_with_a_huge_exponent_is_refused_at_once(a):
     assert time.process_time() - start < 1.0
 
 
+def test_laguerre_rule_past_the_gamma_range_is_refused():
+    # mu0 = Gamma(a + 1) overflows for a > 170
+    with pytest.raises(QuadratureNonConvergent):
+        special.gauss_rule(special.roots_genlaguerre, 64, 171.5)
+
+
 @pytest.mark.parametrize("nodes", [0, -5])
 def test_gauss_rule_needs_a_node(nodes):
     with pytest.raises(PreconditionFailed):

@@ -133,7 +133,7 @@ class HartogsOracleReport:
 def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Log-weights of the tensor quadrature in (|z|^2, rho) coordinates.
 
-    Returns (log s, base potential phi, fiber nodes xi, fiber values F,
+    Returns (s = |z|^2, base potential phi, fiber nodes xi, fiber values F,
     log of the full measure including the Hessian determinant and all
     quadrature weights).
     """

@@ -168,45 +168,67 @@ def _eps_from_dict(d: dict) -> Callable[[float], float]:
     return lambda a: a ** exponent
 
 
-def base_from_dict(d: dict, dim: int, twist: float) -> curvature.BaseGeometry:
-    preset = _field(d, "preset", _one_of("cp1", "cpd", "flat"), None)
+def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist: float,
+                    law: bool) -> tuple[curvature.BaseGeometry, dict]:
+    """The base of a setup document, and its ``"base"`` with what was filled in.
+
+    ``"branch"`` fills in ``curvature.required_base`` as ``"a1"`` and ``"a2"``.
+    A base with no Bergman law of its own reads ``"eps"``; with ``law``, an
+    absent one is the required base's: alpha + a1 for d = 1, else
+    prod_j (alpha - j*twist).
+    """
+    preset = _field(d, "preset", _one_of("branch", "cp1", "cpd", "flat"), None)
     if preset == "cp1":
-        return curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", int, 1), twist)
-    if preset == "cpd":
-        return curvature.BaseGeometry.fubini_study_cpd(dim, twist)
-    if preset == "flat":
-        return curvature.BaseGeometry.flat(dim, twist)
-    eps = _field(d, "eps", _object, None)
-    return curvature.BaseGeometry.from_coefficients(
-        dim, twist, _field(d, "a1"), _field(d, "a2"),
-        eps=None if eps is None else _eps_from_dict(eps))
+        base = curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", int, 1), twist)
+    elif preset == "cpd":
+        base = curvature.BaseGeometry.fubini_study_cpd(dim, twist)
+    elif preset == "flat":
+        base = curvature.BaseGeometry.flat(dim, twist)
+    else:
+        a1, a2 = (curvature.required_base(p, dim, d0, twist) if preset == "branch"
+                  else (_field(d, "a1"), _field(d, "a2")))
+        base = curvature.BaseGeometry.from_coefficients(dim, twist, a1, a2)
+        # a stated value echoes a report at 15 digits, maybe of a model given with
+        # more; the rounding of a2 grows as a1^2
+        for key, scale in (("a1", 1.0 + abs(base.a1)), ("a2", 1.0 + base.a1 ** 2)):
+            if preset == "branch" and key in d and not (
+                    abs(_field(d, key) - getattr(base, key)) <= 1e-13 * scale):
+                raise PreconditionFailed(f"setup field {key!r} is {d[key]!r}, but the "
+                                         f"branch base has {getattr(base, key)!r}")
+        d = dict(d, a1=base.a1, a2=base.a2)
+    if base.eps is None and law and "eps" not in d:
+        d = dict(d, eps={"kind": "affine", "offset": base.a1} if dim == 1
+                 else {"kind": "product", "shift": twist, "count": dim})
+    if base.eps is None and "eps" in d:
+        base = base.with_eps(_eps_from_dict(_field(d, "eps", _object)))
+    return base, d
+
+
+def _read_model(d: dict, law: bool = False) -> tuple[profiles.RadialProfile,
+                                                    curvature.BaseGeometry, dict]:
+    """The profile and base of a setup document, and the document as read."""
+    if not isinstance(d, dict):
+        raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
+    dim = _field(d, "d", int)
+    twist = _field(d, "twist") if "twist" in d else _field(d, "lambda", float, 1.0)
+    d0 = _field(d, "d0", int)
+    domain = _field(d, "domain", _one_of("ball", "fullspace"))
+    p = profile_from_dict(_field(d, "profile", _object))
+    base, bdoc = _base_from_dict(_field(d, "base", _object), p, dim, d0, twist, law)
+    return p, base, {"d": dim, "d0": d0, "twist": twist, "domain": domain,
+                     "profile": profile_to_dict(p), "base": bdoc}
+
+
+def _read_setup(d: dict, law: bool = False) -> tuple[bergman.QuantizationSetup, dict]:
+    """The setup of a document, and the document as read, with what was filled in."""
+    p, base, echo = _read_model(d, law)
+    echo["alpha"] = _field(d, "alpha")
+    return bergman.QuantizationSetup(**dict(echo, profile=p, base=base)), echo
 
 
 def setup_from_dict(d: dict) -> bergman.QuantizationSetup:
     """The setup of a JSON document; a missing or malformed field is PreconditionFailed."""
-    if not isinstance(d, dict):
-        raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
-    dim = _field(d, "d", int)
-    twist = _field(d, "twist", float, None)
-    if twist is None:
-        twist = _field(d, "lambda", float, 1.0)
-    return bergman.QuantizationSetup(
-        d=dim,
-        d0=_field(d, "d0", int),
-        twist=twist,
-        domain=_field(d, "domain", _one_of("ball", "fullspace")),
-        profile=profile_from_dict(_field(d, "profile", _object)),
-        base=base_from_dict(_field(d, "base", _object), dim, twist),
-        alpha=_field(d, "alpha"),
-    )
-
-
-def setup_echo(s: bergman.QuantizationSetup, base_desc: dict) -> dict:
-    return {
-        "d": s.d, "d0": s.d0, "twist": s.twist, "domain": s.domain,
-        "alpha": s.alpha, "profile": profile_to_dict(s.profile),
-        "base": base_desc,
-    }
+    return _read_setup(d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,43 +286,26 @@ def _add_model(sp: argparse.ArgumentParser, alpha: Optional[float] = None) -> No
         sp.add_argument("--setup", default=None, help="JSON setup document")
 
 
-def _model_from_args(args) -> tuple[profiles.RadialProfile, curvature.BaseGeometry, dict]:
-    """The profile, the base geometry of ``--base`` and its description for the report."""
-    p = profiles.from_params(args.family, args.A, args.c)
-    if args.base in ("cp1", "cpd", "flat"):
-        desc = {"preset": args.base, **({"k": args.base_k} if args.base == "cp1" else {})}
-        return p, base_from_dict(desc, args.d, args.twist), desc
-    if args.base == "branch":
-        a1, a2 = curvature.required_base(p, args.d, args.d0, args.twist)
-    else:
-        a1, a2 = args.a1_base, args.a2_base
-    b = base_from_dict({"a1": a1, "a2": a2}, args.d, args.twist)
-    desc = {"a1": b.a1, "a2": b.a2}
-    return p, b, dict(desc, preset="branch") if args.base == "branch" else desc
-
-
-def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.QuantizationSetup, dict]:
-    if args.setup:
+def _document(args) -> dict:
+    """The ``--setup`` document, or the one the model flags write."""
+    if getattr(args, "setup", None):
         if args.model_flags:
             raise PreconditionFailed("--setup reads the model from its document; refused "
                                      "model flags: " + ", ".join(dict.fromkeys(args.model_flags)))
         try:
             with open(args.setup) as fh:
-                doc = json.load(fh)
+                return json.load(fh)
         except OSError as exc:
             raise PreconditionFailed(f"cannot read --setup {args.setup!r}: {exc.strerror}") from None
-        s = setup_from_dict(doc)
-        return s, setup_echo(s, doc["base"])
-    p, base, bdesc = _model_from_args(args)
-    if base.eps is None and default_eps_required:
-        # the required base's Bergman law: alpha + a1 for d = 1, else prod_j (alpha - j*twist)
-        eps = ({"kind": "affine", "offset": base.a1} if args.d == 1
-               else {"kind": "product", "shift": args.twist, "count": args.d})
-        base, bdesc = base.with_eps(_eps_from_dict(eps)), dict(bdesc, eps=eps)
-    s = bergman.QuantizationSetup(d=args.d, d0=args.d0, twist=args.twist,
-                                  domain=args.domain, profile=p, base=base,
-                                  alpha=args.alpha)
-    return s, setup_echo(s, bdesc)
+    base = ({"a1": args.a1_base, "a2": args.a2_base} if args.base == "coeffs" else
+            {"preset": args.base, **({"k": args.base_k} if args.base == "cp1" else {})})
+    doc = {"d": args.d, "d0": args.d0, "twist": args.twist, "domain": args.domain,
+           "profile": {"family": args.family, "c": args.c,
+                       **({} if args.A is None else {"A": args.A})},
+           "base": base}
+    if "alpha" in vars(args):
+        doc["alpha"] = args.alpha
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +314,8 @@ def _setup_from_args(args, default_eps_required: bool = False) -> tuple[bergman.
 
 def _curvature_model(args):
     """Profile, base, t-grid and report setup of ``coeffs`` and ``classify``."""
-    p, base, bdesc = _model_from_args(args)
-    grid = parse_grid(args.grid)
-    setup = {"d": args.d, "d0": args.d0, "twist": args.twist,
-             "domain": args.domain, "profile": profile_to_dict(p), "base": bdesc,
-             "grid": args.grid}
-    return p, base, grid, setup
+    p, base, setup = _read_model(_document(args))
+    return p, base, parse_grid(args.grid), dict(setup, grid=args.grid)
 
 
 def cmd_coeffs(args) -> tuple[dict, list, dict]:
@@ -348,7 +349,7 @@ def cmd_classify(args) -> tuple[dict, list, dict]:
 
 
 def cmd_psi(args) -> tuple[dict, list, dict]:
-    s, echo = _setup_from_args(args)
+    s, echo = _read_setup(_document(args))
     if args.table_k < 0:
         raise EmptyGrid(f"psi table up to k = {args.table_k} has no rows")
     rows = []
@@ -372,7 +373,7 @@ def cmd_psi(args) -> tuple[dict, list, dict]:
 
 
 def cmd_bergman(args) -> tuple[dict, list, dict]:
-    s, echo = _setup_from_args(args, default_eps_required=True)
+    s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
     cache = bergman._PsiCache(s, args.psi_method, args.quad_nodes)
     values = [bergman.bergman_series(s, r, psi=cache, k_max=args.max_k) for r in grid]
@@ -394,7 +395,7 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
 
 
 def cmd_identity(args) -> tuple[dict, list, dict]:
-    s, echo = _setup_from_args(args, default_eps_required=True)
+    s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
     rep = bergman.generating_identity_check(s, grid, psi_method=args.psi_method,
                                             nodes=args.quad_nodes, k_max=args.max_k)
@@ -440,9 +441,7 @@ def cmd_oracle_cp1(args) -> tuple[dict, list, dict]:
 def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
     samples = parse_samples(args.samples)
     cfg = oracle.GramOracleConfig(bundle_degree=args.k, power=args.m,
-                                  q_cap=args.Q, p_cap=args.P,
-                                  s_nodes=args.quad_nodes,
-                                  fiber_nodes=args.quad_nodes,
+                                  q_cap=args.Q, s_nodes=args.quad_nodes,
                                   sample_points=tuple(samples),
                                   tail_tol=args.tail_tol)
     # the Gram oracle covers rank r = 1 only
@@ -527,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--part", choices=("ball", "total"), default="ball")
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--Q", type=int, default=40, help="fiber-degree cap")
-    sp.add_argument("--P", type=int, default=None, help="z-exponent cap")
     sp.add_argument("--samples", default="0,0;0.5,0.3;1,0.5;2,0.7",
                     help="semicolon-separated s,rho sample points")
     sp.add_argument("--tail-tol", type=float, default=1e-3)

@@ -42,17 +42,16 @@ _PROBE_RADII, _PROBE_ANGLES = 32, 24    # Gram probe: Gauss nodes per radius, po
 class GramOracleConfig:
     """Basis caps and quadrature resolution for the Gram-matrix oracle.
 
-    ``q_cap`` bounds the fiber degree; the z-exponent cap defaults to the
-    largest integrable exponent k*(m + q_cap) plus a safety margin.  Sample
-    points are (|z|^2, rho) pairs with rho the scaled fiber radius.
+    ``q_cap`` bounds the fiber degree, and the z-exponent cap is the largest
+    integrable exponent k*(m + q_cap) plus a safety margin.  ``s_nodes`` is
+    the Gauss rule size on each radial axis.  Sample points are (|z|^2, rho)
+    pairs with rho the scaled fiber radius.
     """
 
     bundle_degree: int
     power: int
     q_cap: int = 40
-    p_cap: Optional[int] = None
     s_nodes: int = 200
-    fiber_nodes: int = 200
     sample_points: tuple[tuple[float, float], ...] = (
         (0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 0.7))
     tail_tol: float = 1e-3
@@ -65,8 +64,6 @@ class GramOracleConfig:
 
     @property
     def effective_p_cap(self) -> int:
-        if self.p_cap is not None:
-            return self.p_cap
         return self.bundle_degree * (self.power + self.q_cap) + 8
 
 
@@ -146,13 +143,13 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     phi_pp = -k / (1.0 + s) ** 2
 
     if setup.domain == "ball":
-        xi, wxi = legendre(cfg.fiber_nodes)
+        xi, wxi = legendre(cfg.s_nodes)
         log_comp = np.zeros_like(xi)
     else:
         # integrate the fiber variable, in units of the profile scale c, against
         # the exponential envelope e^(-m c rho) of the linear profile
         rate = m * setup.profile.c
-        xf, wf = laguerre(cfg.fiber_nodes)
+        xf, wf = laguerre(cfg.s_nodes)
         xi = xf / rate
         wxi = wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
@@ -235,6 +232,8 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     if abs(setup.alpha - m) > 1e-12:
         raise PreconditionFailed("setup level and oracle power disagree")
     k = cfg.bundle_degree
+    if abs(setup.base.scalar - 2.0 / k) > 1e-12:   # the degree-k sphere of the chart weight
+        raise PreconditionFailed("setup base and oracle bundle degree disagree")
     N = _norm_matrix(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
     parr = np.arange(P + 1, dtype=float)
@@ -298,7 +297,7 @@ def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: bergman.QuantizationSet
     two uniform angular sums; these annihilate non-matching exponents, certifying
     the diagonality that the fast path assumes from rotational symmetry.
     """
-    small = replace(cfg, s_nodes=_PROBE_RADII, fiber_nodes=_PROBE_RADII)
+    small = replace(cfg, s_nodes=_PROBE_RADII)
     s, phi, xi, F, logk = _radial_weight(small, setup)
     weight = np.exp(logk)                      # radial measure incl. quad weights
     theta = 2.0 * math.pi * np.arange(_PROBE_ANGLES) / _PROBE_ANGLES

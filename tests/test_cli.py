@@ -10,6 +10,7 @@ from kqlab.curvature import branch_coefficients
 from kqlab.profiles import linear, log_affine, log_ball
 
 from rule_faults import nan_weight
+from test_readme import EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -573,10 +574,11 @@ _BALANCED = ("--k", "1", "--r", "2", "--m", "2")
     (("oracle-cp1", "--k", "2", "--m", "3"), "--max-k"),
     (("oracle-hartogs", "--k", "2", "--m", "2"), "--max-k"),
     (("oracle-hartogs", "--k", "2", "--m", "2"), "--r"),
+    (("oracle-hartogs", "--k", "2", "--m", "2"), "--P"),
     (("psi", *_LOGBALL), "--max-k"),
 ], ids=["coeffs-tol", "coeffs-max-k", "coeffs-quad-nodes", "classify-max-k",
         "classify-quad-nodes", "balanced-max-k", "oracle-cp1-max-k",
-        "oracle-hartogs-max-k", "oracle-hartogs-r", "psi-max-k"])
+        "oracle-hartogs-max-k", "oracle-hartogs-r", "oracle-hartogs-P", "psi-max-k"])
 def test_option_a_subcommand_does_not_read_is_refused(capsys, argv, option):
     with pytest.raises(SystemExit) as exit_:
         main([*argv, option, "1"])
@@ -625,3 +627,77 @@ def test_model_flags_given_with_a_setup_document_are_refused(tmp_path, capsys,
     assert doc["error"]["type"] == "PreconditionFailed"
     named = {f.partition("=")[0] for f in flags if f.startswith("--") and f != "--table-k"}
     assert set(doc["error"]["message"].rpartition(": ")[2].split(", ")) == named
+
+
+# -- one model path: the flags write the document that --setup reads -----------
+
+
+def _write(tmp_path, doc: dict) -> str:
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["psi", "bergman", "identity"])
+def test_branch_preset_document_runs(tmp_path, capsys, command):
+    doc = dict(_SETUP, alpha=2.0, base={"preset": "branch"})
+    code, out = run_json(capsys, command, "--setup", _write(tmp_path, doc))
+    assert code == 0 and out["summary"]["verdict"] == "pass"
+    # d = 1: the branch base is (d0*twist - n*A, 0) = (0.5, 0)
+    assert (out["setup"]["base"]["a1"], out["setup"]["base"]["a2"]) == (0.5, 0)
+    if command != "psi":
+        assert out["setup"]["base"]["eps"] == {"kind": "affine", "offset": 0.5}
+
+
+@pytest.mark.parametrize("command", ["bergman", "identity"])
+def test_base_without_a_law_gets_the_required_law(tmp_path, capsys, command):
+    model = ("--family", "logball", "--A", "0.5", "--d", "1", "--d0", "2", "--alpha", "2")
+    flags = run_json(capsys, command, *model, "--base", "coeffs", "--a1-base", "0")
+    doc = dict(_SETUP, alpha=2.0, base={"a1": 0, "a2": 0})
+    code, out = run_json(capsys, command, "--setup", _write(tmp_path, doc))
+    assert code == flags[0] == 1
+    assert (out["rows"], out["summary"], out["setup"]) == (
+        flags[1]["rows"], flags[1]["summary"], flags[1]["setup"])
+
+
+_PROJECTIVE = ("--family", "logaffine", "--A", "-1", "--d", "2", "--d0", "1",
+               "--lambda", "-1", "--domain", "fullspace", "--alpha", "4")
+
+
+@pytest.mark.parametrize("command, model, options", [
+    ("psi", (*_LOGBALL, "--lambda", "1", "--alpha", "4"), ("--table-k", "6")),
+    ("psi", (*_LOGBALL, "--alpha", "4", "--base", "cp1", "--base-k", "2"), ("--table-k", "6")),
+    ("psi", (*_PROJECTIVE, "--base", "cpd"), ("--table-k", "4")),
+    ("bergman", ("--family", "linear", "--d", "1", "--d0", "1", "--lambda", "1",
+                 "--domain", "fullspace", "--alpha", "3"), ()),
+    ("bergman", (*_LOGBALL, "--alpha", "2", "--base", "flat"), ()),
+    ("bergman", (*_LOGBALL, "--alpha", "2", "--base", "coeffs", "--a1-base", "0.5"), ()),
+    ("identity", ("--family", "logball", "--A", "0.3333333333333333", "--d", "1",
+                  "--d0", "2", "--lambda", "1", "--alpha", "2"), ()),
+    ("identity", _PROJECTIVE, ("--psi-method", "quadrature")),
+], ids=["psi-branch", "psi-cp1", "psi-cpd", "bergman-branch", "bergman-flat",
+        "bergman-coeffs", "identity-branch", "identity-projective-branch"])
+def test_setup_echo_reads_back_with_the_flags_exit_code(tmp_path, capsys, command,
+                                                        model, options):
+    code, out = run_json(capsys, command, *model, *options)
+    path = _write(tmp_path, out["setup"])
+    replay, again = run_json(capsys, command, "--setup", path, *options)
+    assert replay == code
+    assert again["summary"]["verdict"] == out["summary"]["verdict"]
+
+
+@pytest.mark.parametrize("command", ["psi", "bergman"])
+def test_readme_example_replays_byte_identically(tmp_path, capsys, command):
+    (argv,) = [argv for argv, _ in EXAMPLES if argv[0] == command]
+    code, out = run_cli(capsys, *argv)
+    path = _write(tmp_path, json.loads(out)["setup"])
+    assert run_cli(capsys, command, "--setup", path) == (code, out)
+
+
+@pytest.mark.parametrize("field, value", [("a1", 0.7), ("a2", 1.0)])
+def test_branch_document_contradicting_its_base_is_refused(tmp_path, capsys, field, value):
+    doc = dict(_SETUP, base={"preset": "branch", field: value})
+    code, out = run_json(capsys, "psi", "--setup", _write(tmp_path, doc))
+    assert code == 2
+    assert out["error"]["type"] == "PreconditionFailed"
+    assert repr(field) in out["error"]["message"]

@@ -90,6 +90,15 @@ def test_hartogs_rejects_mismatched_level():
         hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))
 
 
+@pytest.mark.parametrize("degree, setup_k", [(3, 2), (2, 3)], ids=["3-on-2", "2-on-3"])
+def test_hartogs_rejects_mismatched_bundle_degree(degree, setup_k):
+    # the chart weight k*log(1+|z|^2) of another degree gave values up to 0.18
+    # off the setup's target, with no error
+    cfg = GramOracleConfig(bundle_degree=degree, power=2, q_cap=60)
+    with pytest.raises(PreconditionFailed, match="bundle degree"):
+        hartogs_gram_oracle(cfg, balanced_setup(setup_k, 1, 2, "ball"))
+
+
 def test_gram_offdiagonal_entries_vanish():
     rng = random.Random(20240811)
     pairs = []

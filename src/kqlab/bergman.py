@@ -58,9 +58,8 @@ _MEMBERSHIP_TOL = 1e-9
 # rule's exactness, and the cap keeps the Laguerre leftover x^j finite at large N.
 _GAUSS_BLOCK = 64
 
-# A positive-twist series stops after three terms in a row below this
-# fraction of the running sum.
-_SERIES_REL_TOL = 1e-14
+# A positive-twist series stops once its tail bound is below this fraction of the sum.
+_SERIES_REL_TOL = 1e-16
 
 
 def _is_natural(level: float) -> bool:
@@ -400,11 +399,13 @@ class _PsiCache:
     Quadrature moments of the three profile families are filled an aligned
     block of min(_GAUSS_BLOCK, nodes) fiber degrees at a time, one Gauss rule
     per block, each checked when first handed out; closed forms and custom
-    profiles go one moment at a time.
+    profiles go one moment at a time.  ``ratio(k)`` is psi(k-1)/psi(k): on the
+    closed route the Gamma closed ratio, finite where psi(k) itself is not.
     """
 
     def __init__(self, s: QuantizationSetup, method: str, nodes: int):
         self._s, self._method, self._nodes = s, method, nodes
+        self._closed = method == "closed"
         self._vals: dict[int, float] = {}
         self._model = _MODELS.get((s.domain, s.profile.family)) if method == "quadrature" else None
         if self._model is not None and nodes < 1:
@@ -434,6 +435,12 @@ class _PsiCache:
             _checked(self._vals[k], k, self._nodes)
         self._used.add(k)
         return self._vals[k]
+
+    def ratio(self, k: int) -> float:
+        if self._closed:
+            self._used.add(k)
+            return _psi_ratio_closed(self._s, k - 1)
+        return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:
         """Gauss rules built, nodes per rule and fiber degrees used so far."""
@@ -491,50 +498,75 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
 # kernel series, closed targets, certification
 
 
-def _check_k_max(k_max: int) -> None:
+def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: Callable[[int], float],
+                   k_max: int = 10000, count: Optional[int] = None):
+    """The terms d_k = eps(alpha + lam k) psi(0)/psi(k) top^k at top = max |rho|, and
+    sum_k d_k (rho/top)^k at each radius: each degree multiplies the moment part by
+    top psi(k-1)/psi(k), so no top^k, nor on the closed route any psi(k), is formed.
+
+    ``count`` fixes the number of terms.  Otherwise a negative twist sums every
+    admissible degree, and a positive twist stops at the first k with r = d_k/d_(k-1)
+    below 1 and d_k r/(1 - r) <= _SERIES_REL_TOL of the sum: a tail bound, as the
+    term ratios do not grow (moments of positive densities are log-convex; the
+    affine, product and power laws have falling ratios).
+    """
     if k_max < 0:
         raise PreconditionFailed(f"series cap k_max must be >= 0, got {k_max}")
-
-
-def bergman_series(s: QuantizationSetup, rho: float, psi_method: str = "closed",
-                   nodes: int = 64, k_max: int = 10000,
-                   psi: Optional[Callable[[int], float]] = None) -> float:
-    """Bergman function of the fibered metric at fiber radius rho.
-
-    Truncated moment series with tail control for positive twist; for
-    negative twist the sum over admissible fiber degrees is finite and is
-    evaluated exactly.
-    """
-    if rho < 0 or (s.domain == "ball" and rho >= 1):
-        raise OutOfDomain(f"rho={rho} outside the fiber range")
-    _check_k_max(k_max)
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
+    eps, alpha, lam = s.base.eps, s.alpha, s.twist
+    ratio = psi.ratio if isinstance(psi, _PsiCache) else (lambda k: psi(k - 1) / psi(k))
+    top = float(np.abs(radii).max())
+    bounded = count is None and lam > 0
+    degrees = (range(1, count) if count is not None else
+               range(1, k_max + 1) if bounded else s.fiber_degrees(k_max)[1:])
+    moment, terms = 1.0, [eps(alpha)]
+    total = terms[0]
+    for k in degrees:
+        moment *= top * ratio(k)
+        terms.append(eps(alpha + lam * k) * moment)
+        total += terms[-1]
+        if not math.isfinite(total):
+            raise SeriesNonConvergent(f"series term {k} at rho={top} leaves the float range")
+        r = abs(terms[-1] / terms[-2]) if bounded and terms[-2] else math.inf
+        if r < 1 and abs(terms[-1]) * r / (1 - r) <= _SERIES_REL_TOL * abs(total):
+            break
+    else:
+        if bounded:
+            raise SeriesNonConvergent(
+                f"series tail not below {_SERIES_REL_TOL} after {k_max} fiber degrees")
+    x = radii / top if top else radii
+    return terms, np.reshape([_horner(terms, xi) for xi in x.ravel().tolist()], radii.shape)
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    """sum_k coeffs[k] x^k by Horner's rule, in floats (a numpy array op per degree costs more)."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
+                   nodes: int = 64, k_max: int = 10000,
+                   psi: Optional[Callable[[int], float]] = None):
+    """Bergman function of the fibered metric at fiber radius rho, or at each of several radii.
+
+    e^(-alpha F(rho)) / psi(alpha, 0) * sum_k d_k (rho/top)^k, with the series
+    terms d_k of _moment_series at the largest radius top: one sum serves the
+    whole grid.  A float rho gives a float, a sequence a list.
+    """
+    radii = np.asarray(rho, dtype=float)
+    require((radii >= 0) & ((radii < 1) | (s.domain != "ball")), OutOfDomain,
+            lambda i: f"rho={radii.flat[i]} outside the fiber range")
     if psi is None:
         psi = _PsiCache(s, psi_method, nodes)
-    eps, alpha, lam = s.base.eps, s.alpha, s.twist
-    F = profile_jet(s.profile, rho, 2, "rho").value
-
-    finite = lam < 0            # negative twist: an exact finite sum
-    total, quiet = 0.0, 0
-    try:
-        for k in s.fiber_degrees(k_max) if finite else range(k_max + 1):
-            term = eps(alpha + lam * k) / psi(k) * rho ** k
-            total += term
-            if not finite and k >= 1:
-                quiet = quiet + 1 if abs(term) <= _SERIES_REL_TOL * abs(total) else 0
-                if quiet >= 3:
-                    break
-        else:
-            if not finite:
-                raise SeriesNonConvergent(
-                    f"series tail not below {_SERIES_REL_TOL} after {k_max} fiber degrees")
-        value = math.exp(-alpha * F) * total
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise SeriesNonConvergent(f"term at rho={rho} leaves the float range: {exc}") from exc
-    if not math.isfinite(value):
-        raise SeriesNonConvergent(f"series at rho={rho} sums to {value}")
-    return value
+    _, sums = _moment_series(s, radii, psi, k_max)
+    F = profile_jet(s.profile, radii, 0, "rho").value
+    values = elementwise(math.exp, -s.alpha * F) * sums / psi(0)
+    require(np.isfinite(values), SeriesNonConvergent,
+            lambda i: f"series at rho={radii.flat[i]} sums to {np.ravel(values)[i]}")
+    return values.tolist()
 
 
 def closed_target(s: QuantizationSetup) -> float:
@@ -551,58 +583,19 @@ class GeneratingIdentityReport:
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
     """Series coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
-    psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
-    return _coefficients(s, k_count, psi)
-
-
-def _coefficients(s: QuantizationSetup, k_count: int,
-                  psi: Optional[_PsiCache]) -> list[float]:
-    """generating_coefficients from closed ratios (psi None) or from a moment cache."""
-    if s.base.eps is None:
-        raise PreconditionFailed("setup base carries no Bergman function eps")
-    eps, alpha, lam = s.base.eps, s.alpha, s.twist
-    if psi is None:
-        out = [1.0]
-        for k in range(k_count - 1):
-            ratio = _psi_ratio_closed(s, k)
-            out.append(out[-1] * (eps(alpha + lam * (k + 1)) / eps(alpha + lam * k)) * ratio)
-        return out
-    e0, p0 = eps(alpha), psi(0)
-    return [eps(alpha + lam * k) / e0 * p0 / psi(k) for k in range(k_count)]
+    terms, _ = _moment_series(s, np.ones(1), _PsiCache(s, psi_method, nodes), count=k_count)
+    return [d / terms[0] for d in terms]
 
 
 def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
                               psi_method: str = "closed", nodes: int = 64,
                               k_max: int = 10000) -> GeneratingIdentityReport:
     """Sup-norm gap between the assembled moment series and its closed resummation."""
-    _check_k_max(k_max)
     model = _model(s, "generating identity")
-    psi = None if psi_method == "closed" else _PsiCache(s, psi_method, nodes)
-    rho_max = max(rho_grid)
-    if s.twist < 0:
-        coeffs = _coefficients(s, len(s.fiber_degrees(k_max)), psi)
-    else:
-        # grow the coefficient list until the largest-rho tail is negligible
-        k_count = 8
-        while k_count < k_max:
-            coeffs = _coefficients(s, k_count, psi)
-            tail = abs(coeffs[-1]) * rho_max ** (k_count - 1)
-            partial = sum(c * rho_max ** j for j, c in enumerate(coeffs))
-            if rho_max == 0 or tail <= 1e-16 * max(1.0, abs(partial)):
-                break
-            k_count *= 2
-        else:
-            raise SeriesNonConvergent("generating series does not settle")
-    rows = []
-    worst = 0.0
-    for rho in rho_grid:
-        lhs = 0.0
-        for c in reversed(coeffs):
-            lhs = lhs * rho + c
-        rhs = model.rhs(s, rho)
-        worst = max(worst, abs(lhs - rhs))
-        rows.append((float(rho), lhs, rhs))
-    return GeneratingIdentityReport(rows=tuple(rows), max_deviation=worst)
+    radii = np.asarray(rho_grid, dtype=float)
+    terms, sums = _moment_series(s, radii, _PsiCache(s, psi_method, nodes), k_max)
+    rows = tuple((r, a / terms[0], model.rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
+    return GeneratingIdentityReport(rows, max(abs(a - b) for _, a, b in rows))
 
 
 @dataclass(frozen=True)
@@ -665,7 +658,7 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
     if rho_grid is None:
         rho_grid = np.linspace(0.0, 0.9, 10)
     cache = _PsiCache(s, psi_method, nodes)
-    values = tuple(bergman_series(s, float(rho), psi=cache) for rho in rho_grid)
+    values = tuple(bergman_series(s, rho_grid, psi=cache))
     _, spread = _spread(values)
     err = max(abs(v - target) for v in values) / (1.0 + abs(target))
     return BalancedCertificate(part=part, k=k, r=r, m=m, c=c, A=A, mu=mu,

@@ -196,10 +196,12 @@ def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist
                 raise PreconditionFailed(f"setup field {key!r} is {d[key]!r}, but the "
                                          f"branch base has {getattr(base, key)!r}")
         d = dict(d, a1=base.a1, a2=base.a2)
+    if base.eps is not None and "eps" in d:
+        raise PreconditionFailed(f"setup field 'eps' is refused: {preset!r} has its own law")
     if base.eps is None and law and "eps" not in d:
         d = dict(d, eps={"kind": "affine", "offset": base.a1} if dim == 1
                  else {"kind": "product", "shift": twist, "count": dim})
-    if base.eps is None and "eps" in d:
+    if "eps" in d:
         base = base.with_eps(_eps_from_dict(_field(d, "eps", _object)))
     return base, d
 
@@ -297,6 +299,10 @@ def _document(args) -> dict:
                 return json.load(fh)
         except OSError as exc:
             raise PreconditionFailed(f"cannot read --setup {args.setup!r}: {exc.strerror}") from None
+    reads = {"cp1": {"--base-k"}, "coeffs": {"--a1-base", "--a2-base"}}
+    unread = set(args.model_flags) & (set().union(*reads.values()) - reads.get(args.base, set()))
+    if unread:
+        raise PreconditionFailed(f"--base {args.base} does not read {', '.join(sorted(unread))}")
     base = ({"a1": args.a1_base, "a2": args.a2_base} if args.base == "coeffs" else
             {"preset": args.base, **({"k": args.base_k} if args.base == "cp1" else {})})
     doc = {"d": args.d, "d0": args.d0, "twist": args.twist, "domain": args.domain,
@@ -376,7 +382,7 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
     s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
     cache = bergman._PsiCache(s, args.psi_method, args.quad_nodes)
-    values = [bergman.bergman_series(s, r, psi=cache, k_max=args.max_k) for r in grid]
+    values = bergman.bergman_series(s, grid, psi=cache, k_max=args.max_k)
     rows = [{"point": g, "value": v} for g, v in zip(grid, values)]
     try:
         target = bergman.closed_target(s)
@@ -400,8 +406,9 @@ def cmd_identity(args) -> tuple[dict, list, dict]:
     rep = bergman.generating_identity_check(s, grid, psi_method=args.psi_method,
                                             nodes=args.quad_nodes, k_max=args.max_k)
     rows = [{"point": r, "value": lhs} for r, lhs, _ in rep.rows]
-    verdict = "pass" if rep.max_deviation <= args.tol else "fail"
-    summary = {"verdict": verdict, "max_deviation": rep.max_deviation,
+    dev = max(abs(lhs - rhs) / (1.0 + abs(rhs)) for _, lhs, rhs in rep.rows)
+    verdict = "pass" if dev <= args.tol else "fail"
+    summary = {"verdict": verdict, "max_deviation": dev,
                "target": None, "psi_method": args.psi_method, "branch": None}
     return echo, rows, summary
 

@@ -193,7 +193,7 @@ def test_criterion_5_balanced_products(capsys):
         assert cert.balanced
         assert cert.target == pytest.approx(float(m) ** 2, rel=1e-14)
         worst = max(worst, cert.max_spread, cert.max_error)
-    ok = worst <= 1e-8
+    ok = worst <= 1e-13
     _verdict(capsys, "criterion 5 (balanced product laws)", ok,
              f"worst grid/value gap {worst:.2e}")
 

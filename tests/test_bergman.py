@@ -433,7 +433,7 @@ def test_generating_identity_builds_each_moment_once(monkeypatch):
     s = full_setup(linear(1.0), 1.0, 1, 1, 2.0, eps=lambda a: a + 1.0)
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7), psi_method="quadrature")
     assert rep.max_deviation <= 1e-10
-    # the coefficient list doubles 8 -> 16 -> 32: one block of 64 degrees
+    # the series at rho 0.9 needs fewer than 64 degrees: one block
     assert [args[1] for args in rules] == [0]
 
 
@@ -580,19 +580,50 @@ def test_series_same_with_block_and_single_moments(s):
 
 def test_balanced_certificate_counts():
     cert = balanced_certify(2, 2, 3)
-    assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (7, 64, 419)
+    assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (8, 64, 491)
     closed = balanced_certify(2, 2, 3, psi_method="closed")
-    assert (closed.gauss_rules, closed.nodes_per_rule, closed.fiber_degrees) == (0, 0, 419)
+    assert (closed.gauss_rules, closed.nodes_per_rule, closed.fiber_degrees) == (0, 0, 491)
+
+
+_CRITERION_5 = [((1, 2, 2), "ball"), ((1, 2, 3), "ball"), ((2, 1, 1), "ball"),
+                ((2, 1, 2), "ball"), ((2, 1, 3), "ball"),
+                ((1, 1, 1), "total"), ((1, 1, 2), "total"), ((1, 1, 3), "total")]
+
+
+@pytest.mark.parametrize("krm, part", _CRITERION_5,
+                         ids=[f"{part}-{k}{r}{m}" for (k, r, m), part in _CRITERION_5])
+def test_balanced_certificate_within_1e14_of_the_law(krm, part):
+    # the series stops on a bound of its whole geometric tail, d_k r/(1 - r);
+    # a rule that leaves about d_k/(1 - rho) out reads 8.2e-14 at rho 0.9
+    cert = balanced_certify(*krm, part=part)
+    assert cert.balanced
+    assert cert.max_error <= 1e-14 and cert.max_spread <= 1e-14
+
+
+@pytest.mark.parametrize("krm, part", _CRITERION_5,
+                         ids=[f"{part}-{k}{r}{m}" for (k, r, m), part in _CRITERION_5])
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_series_on_a_grid_equals_its_radii_one_at_a_time(krm, part, method):
+    s = balanced_setup(*krm, part)
+    grid = np.linspace(0.0, 0.9, 10)
+    values = bergman_series(s, grid, psi_method=method)
+    assert isinstance(values, list) and len(values) == len(grid)
+    for rho, value in zip(grid.tolist(), values):
+        alone = bergman_series(s, rho, psi_method=method)
+        assert type(alone) is float
+        # the grid sums at x = rho/0.9, rounded once: an error that grows
+        # with the mean fiber degree, up to 2.4e-15 here
+        assert value == pytest.approx(alone, rel=4e-15, abs=0.0)
 
 
 def test_second_certificate_builds_no_gauss_rule():
-    # the rules are memoised per (nodes, a, b): a repeat asks for the same 7
+    # the rules are memoised per (nodes, a, b): a repeat asks for the same 8
     balanced_certify(2, 2, 3)
     before = special.roots_jacobi.cache_info()
     cert = balanced_certify(2, 2, 3)
     after = special.roots_jacobi.cache_info()
-    assert cert.gauss_rules == 7
-    assert (after.misses, after.hits) == (before.misses, before.hits + 7)
+    assert cert.gauss_rules == 8
+    assert (after.misses, after.hits) == (before.misses, before.hits + 8)
     # the block k0 = 0: a = alpha/A - n - 1 = 2, b = k0 + d0 - 1 = 1
     xs, ws = bergman.roots_jacobi(64, 2.0, 1.0)
     assert bergman.roots_jacobi(64, 2, 1)[0] is xs

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -199,7 +200,7 @@ def test_2000_node_rule_with_exponent_300_is_finite(capsys):
     code, doc = run_json(capsys, *_ALPHA_152, "--quad-nodes", "2000")
     assert code == 3
     assert doc["error"] == {"type": "SeriesNonConvergent", "message":
-                            "series tail not below 1e-14 after 20 fiber degrees"}
+                            "series tail not below 1e-16 after 20 fiber degrees"}
 
 
 def test_negative_grid_as_separate_word(capsys):
@@ -228,7 +229,7 @@ def test_moment_diagnostics_in_summaries(capsys):
     assert code == 0
     summary = doc["summary"]
     assert (summary["gauss_rules"], summary["nodes_per_rule"],
-            summary["fiber_degrees"]) == (7, 64, 419)
+            summary["fiber_degrees"]) == (8, 64, 491)
     code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
                          "--d0", "1", "--lambda", "1", "--domain", "fullspace",
                          "--alpha", "3", "--grid", "0:1.5:7")
@@ -287,13 +288,39 @@ def test_branch_base_off_the_branch_windows(capsys, model, a1, a2):
                                         pytest.approx(a2, rel=1e-14, abs=1e-14))
 
 
+_TOTAL_SPACE = ("--family", "linear", "--d", "1", "--d0", "1", "--lambda", "1",
+                "--domain", "fullspace", "--alpha", "3")
+
+
 def test_overflowing_series_term_exits_nonconvergent(capsys):
-    # rho ** k overflows at k = 174 for rho = 60, before the series settles
-    code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
-                         "--d0", "1", "--lambda", "1", "--domain", "fullspace",
-                         "--alpha", "3", "--grid", "0:60:3")
+    # at rho = 240 the terms grow as 720^k/k! and leave the float range at
+    # k = 608, long before the series would settle: refused at that term, not
+    # after --max-k degrees
+    start = time.process_time()
+    code, doc = run_json(capsys, "bergman", *_TOTAL_SPACE, "--grid", "0:240:3",
+                         "--max-k", "1000000")
+    assert time.process_time() - start < 5.0
     assert code == 3
-    assert doc["error"]["type"] == "SeriesNonConvergent"
+    assert doc["error"] == {"type": "SeriesNonConvergent", "message":
+                            "series term 608 at rho=240.0 leaves the float range"}
+
+
+@pytest.mark.parametrize("grid", ["0:40:5", "0:60:3", "0:200:9"])
+def test_closed_total_space_series_at_large_radii(capsys, grid):
+    # the terms are normalised at the largest radius, so no rho ** k is formed
+    code, doc = run_json(capsys, "bergman", *_TOTAL_SPACE, "--grid", grid)
+    assert code == 0 and doc["summary"]["target"] == 9
+    assert all(abs(row["value"] - 9.0) <= 1e-10 for row in doc["rows"])
+
+
+@pytest.mark.parametrize("grid", ["0:10:5", "0:40:5"])
+def test_identity_judges_a_relative_deviation(capsys, grid):
+    # the closed side is e^(3 rho), 1.1e13 at rho = 10 and 1.3e52 at rho = 40
+    code, doc = run_json(capsys, "identity", *_TOTAL_SPACE, "--grid", grid)
+    assert code == 0 and doc["summary"]["verdict"] == "pass"
+    assert doc["summary"]["max_deviation"] <= 1e-14
+    assert doc["rows"][-1]["value"] == pytest.approx(math.exp(3.0 * doc["rows"][-1]["point"]),
+                                                     rel=1e-14)
 
 
 @pytest.mark.parametrize("method", ["both", "closed"])
@@ -369,7 +396,7 @@ def test_negative_max_k_is_invalid_input(capsys, command):
     assert "max" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("grid, degrees", [("0:20:3", 131), ("0:27:3", 162)])
+@pytest.mark.parametrize("grid, degrees", [("0:20:3", 135), ("0:27:3", 166)])
 def test_total_space_quadrature_series_reach(capsys, grid, degrees):
     # a block moment that overflows is refused only when the series asks for it
     code, doc = run_json(capsys, "bergman", "--family", "linear", "--d", "1",
@@ -701,3 +728,28 @@ def test_branch_document_contradicting_its_base_is_refused(tmp_path, capsys, fie
     assert code == 2
     assert out["error"]["type"] == "PreconditionFailed"
     assert repr(field) in out["error"]["message"]
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (("--a1-base", "5", "--base-k", "7"), "--a1-base, --base-k"),
+    (("--base", "flat", "--a2-base", "0"), "--a2-base"),
+    (("--base", "cp1", "--base-k", "2", "--a1-base", "1"), "--a1-base"),
+    (("--base", "coeffs", "--a1-base", "0.5", "--base-k", "1"), "--base-k"),
+], ids=["branch", "flat", "cp1", "coeffs"])
+def test_base_flag_the_base_does_not_read_is_refused(capsys, flags, refused):
+    code, doc = run_json(capsys, "psi", *_LOGBALL, "--table-k", "1", *flags)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert doc["error"]["message"].endswith("does not read " + refused)
+
+
+@pytest.mark.parametrize("preset", ["cp1", "cpd"])
+def test_eps_beside_a_base_with_its_own_law_is_refused(tmp_path, capsys, preset):
+    # the preset's law (alpha + 1/k for cp1) is the one summed, so a stated
+    # eps would be echoed but not used
+    doc = dict(_SETUP, alpha=2.0, base={"preset": preset,
+                                        "eps": {"kind": "affine", "offset": 100}})
+    code, out = run_json(capsys, "bergman", "--setup", _write(tmp_path, doc))
+    assert code == 2
+    assert out["error"]["type"] == "PreconditionFailed"
+    assert "'eps'" in out["error"]["message"]

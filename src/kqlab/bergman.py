@@ -14,10 +14,11 @@ the weighted series
 
     eps(alpha; rho) = e^(-alpha F(rho)) * sum_k eps_base(alpha + lam k) / psi(alpha, k) * rho^k.
 
-This module computes psi both by quadrature and by the Gamma closed forms of
-the three profile families, evaluates the series with tail control, and
+This module computes psi both by quadrature and by the closed forms of the
+three profile families, evaluates the series with tail control, and
 certifies the exact product laws of the balanced bundle metrics over the
-Riemann sphere.
+Riemann sphere.  A closed psi(alpha, k) is the finite product psi(alpha, 0)
+over the closed ratios psi(j)/psi(j+1), j < k, with no Gamma function.
 
 Quadrature moments of the three families come from Gauss rules matched to
 the density (Golub & Welsch, Math. Comp. 23 (1969)), with the density itself
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import reduce
+from operator import truediv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -140,19 +143,18 @@ def _ball_window(s: QuantizationSetup) -> None:
     A = s.profile.A
     if s.d > 1 and not _close(A, s.twist):
         raise BranchInvalid("ball closed form for d > 1 needs A equal to the twist")
-    # alpha/A - n (alpha/twist - n for d > 1) is a Gamma argument of psi
-    if s.alpha <= s.n * A or s.alpha / (A if s.d == 1 else s.twist) <= s.n:
+    if s.twist <= 0:        # else 1 + twist*u*F'(u) < 0 towards the boundary |w| = 1
+        raise BranchInvalid("ball closed form needs a positive twist")
+    step = A if s.d == 1 else s.twist    # psi(alpha, 0) divides by alpha - j*step, j <= n
+    if s.alpha <= s.n * A or s.alpha <= s.n * step or s.alpha / step <= s.n:
         raise BranchInvalid(f"ball closed form needs alpha > n*A = {s.n * A}")
 
 
-def _ball_psi(s: QuantizationSetup, k: int) -> float:
+def _ball_psi0(s: QuantizationSetup) -> float:
     alpha, lam, d0, n, A = s.alpha, s.twist, s.d0, s.n, s.profile.A
     if s.d == 1:
-        return math.exp(math.lgamma(k + 1) + math.lgamma(alpha / A - n)
-                        - n * math.log(A) - math.lgamma(alpha / A + k)) \
-            * (alpha + lam * k + d0 * lam - n * A)
-    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha / lam - n)
-                    - d0 * math.log(lam) - math.lgamma(alpha / lam + k - s.d))
+        return reduce(truediv, (alpha - j * A for j in range(1, n + 1)), alpha + d0 * lam - n * A)
+    return reduce(truediv, (alpha - j * lam for j in range(s.d + 1, n + 1)), 1.0)
 
 
 def _ball_ratio(s: QuantizationSetup, k: int) -> float:
@@ -182,10 +184,8 @@ def _linear_window(s: QuantizationSetup) -> None:
         raise BranchInvalid("full-space linear closed form needs alpha, twist > 0")
 
 
-def _linear_psi(s: QuantizationSetup, k: int) -> float:
-    alpha, lam, d0, c = s.alpha, s.twist, s.d0, s.profile.c
-    return math.exp(math.lgamma(k + 1) - k * math.log(c)
-                    - (k + d0 + 1) * math.log(alpha)) * (alpha + lam * k + lam * d0)
+def _linear_psi0(s: QuantizationSetup) -> float:
+    return reduce(truediv, [s.alpha] * (s.d0 + 1), s.alpha + s.twist * s.d0)
 
 
 def _linear_ratio(s: QuantizationSetup, k: int) -> float:
@@ -212,14 +212,6 @@ def _projective_window(s: QuantizationSetup) -> None:
         raise BranchInvalid("projective branch needs a natural level alpha")
 
 
-def _projective_psi(s: QuantizationSetup, k: int) -> float:
-    alpha = s.alpha
-    if not 0 <= k <= alpha + _MEMBERSHIP_TOL:
-        raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
-    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha - k + s.d + 1)
-                    - k * math.log(s.profile.c) - math.lgamma(alpha + s.n + 1))
-
-
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
     A, c, b0 = s.profile.A, s.profile.c, k0 + s.d0 - 1
     if A >= 0:
@@ -236,33 +228,34 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
 
 
 # One record per family states its moments once: the branch window (raises
-# BranchInvalid) shared by the closed forms and the target; the Gamma closed
-# forms of psi and of psi(k)/psi(k+1); the Bergman target; the resummed
-# generating series (rhs); the Gauss rule of one block of moments, as (weights,
-# nodes u, log of the weight at u, leftover factors, scales), which reads no
-# closed form; and the last fiber degree with a convergent moment.
+# BranchInvalid) shared by the closed forms and the target; psi(alpha, 0), one
+# division per factor, and psi(k)/psi(k+1), closed and with no Gamma function;
+# the Bergman target; the resummed generating series (rhs); the Gauss rule of
+# one block of moments, as (weights, nodes u, log of the weight at u, leftover
+# factors, scales), which reads no closed form; and the last convergent degree.
 # The windows are not those of curvature.BRANCHES (2.10-2.14), where a1 and
-# a2 are constant at any level: the Gamma closed forms need convergent moments
+# a2 are constant at any level: the closed forms need convergent moments
 # at the level alpha, so alpha > n*A on the ball (A equal to the twist for
 # d > 1), alpha, twist > 0 for the linear profile (d = 1), and for log-affine
 # only the projective form A = twist = -1 at a natural level, a corner of 2.13
 # and 2.14.
-_MomentModel = namedtuple("_MomentModel", "window psi ratio target rhs gauss last_degree")
+_MomentModel = namedtuple("_MomentModel", "window psi0 ratio target rhs gauss last_degree")
 
 
 _MODELS = {
     ("ball", "logball"): _MomentModel(
-        window=_ball_window, psi=_ball_psi, ratio=_ball_ratio,
+        window=_ball_window, psi0=_ball_psi0, ratio=_ball_ratio,
         target=lambda s: product_shifted(s.alpha, s.profile.A, s.n),
         rhs=lambda s, rho: (1.0 - rho) ** (-s.alpha / (s.profile.A if s.d == 1 else s.twist)),
         gauss=_ball_gauss, last_degree=lambda s: math.inf),
     ("fullspace", "linear"): _MomentModel(
-        window=_linear_window, psi=_linear_psi, ratio=_linear_ratio,
+        window=_linear_window, psi0=_linear_psi0, ratio=_linear_ratio,
         target=lambda s: s.alpha ** s.n,
         rhs=lambda s, rho: math.exp(s.profile.c * s.alpha * rho),
         gauss=_linear_gauss, last_degree=lambda s: math.inf),
     ("fullspace", "logaffine"): _MomentModel(
-        window=_projective_window, psi=_projective_psi,
+        window=_projective_window,
+        psi0=lambda s: reduce(truediv, (s.alpha + j for j in range(s.d + 1, s.n + 1)), 1.0),
         ratio=lambda s, k: s.profile.c * (s.alpha - k + s.d) / (k + 1),
         target=lambda s: product_shifted(s.alpha, -1.0, s.n),
         rhs=lambda s, rho: (1.0 + s.profile.c * rho) ** s.alpha,
@@ -284,16 +277,21 @@ def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel
 
 
 def _psi_closed(s: QuantizationSetup, k: int) -> float:
-    """Gamma closed forms of psi(alpha, k) for the three profile families."""
-    try:
-        psi = _model(s, "closed psi").psi(s, k)
-    except OverflowError as exc:     # from math.lgamma or math.exp
-        raise QuadratureNonConvergent(
-            f"closed fiber moment psi(alpha, {k}) leaves the float range") from exc
-    if math.isfinite(psi) and psi > 0:
+    """psi(alpha, 0) over the closed ratios psi(j)/psi(j+1), j < k, as a mantissa and a
+    power of two: refused only where psi(alpha, k) itself is not a normal float."""
+    model = _model(s, "closed psi")
+    if s.twist < 0 and k > s.alpha + _MEMBERSHIP_TOL:     # the projective spectrum
+        raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
+    m, e = math.frexp(model.psi0(s))
+    for j in range(k):
+        r, re = math.frexp(model.ratio(s, j))
+        m, de = math.frexp(m / r if r else math.inf)
+        e += de - re
+    psi = math.ldexp(m, e) if e <= 1024 else math.inf
+    if 2.0 ** -1022 <= psi < math.inf:     # a normal float
         return psi
-    raise QuadratureNonConvergent(      # underflow to 0
-        f"closed fiber moment psi(alpha, {k}) = {psi} is not finite and positive")
+    raise QuadratureNonConvergent(
+        f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float")
 
 
 def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
@@ -364,7 +362,7 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
 
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
                nodes: int = 64) -> float:
-    """Fiber moment psi(alpha, k), by Gamma closed form or by quadrature."""
+    """Fiber moment psi(alpha, k), by closed form or by quadrature."""
     if k < 0:
         raise PreconditionFailed("fiber degree k must be >= 0")
     if method == "closed":
@@ -400,7 +398,7 @@ class _PsiCache:
     block of min(_GAUSS_BLOCK, nodes) fiber degrees at a time, one Gauss rule
     per block, each checked when first handed out; closed forms and custom
     profiles go one moment at a time.  ``ratio(k)`` is psi(k-1)/psi(k): on the
-    closed route the Gamma closed ratio, finite where psi(k) itself is not.
+    closed route the closed ratio, finite where psi(k) itself is not.
     """
 
     def __init__(self, s: QuantizationSetup, method: str, nodes: int):
@@ -457,21 +455,20 @@ def sphere_monomial_integral(m: Sequence[int]) -> float:
     """Integral of |w^m|^2 over the unit sphere S^(2*d0-1) (invariant measure)."""
     if not m or any(mi < 0 for mi in m):
         raise PreconditionFailed("multi-index must be non-empty with non-negative entries")
-    d0 = len(m)
-    tot = sum(m)
-    return 2.0 * math.pi ** d0 * math.exp(
-        sum(math.lgamma(1 + mi) for mi in m) - math.lgamma(tot + d0))
+    # 2 pi^d0 prod_i m_i! / (|m| + d0 - 1)!, the factorials an exact integer ratio rounded once
+    return 2.0 * math.pi ** len(m) * (math.prod(map(math.factorial, m))
+                                      / math.factorial(sum(m) + len(m) - 1))
 
 
 def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
                  nodes: int = 64) -> float:
-    """Monomial fiber moment I_m: Gamma prefactor times psi(alpha, |m|)."""
+    """Monomial fiber moment I_m: multinomial prefactor prod_i m_i!/|m|! times psi(alpha, |m|)."""
     if len(m) != s.d0:
         raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
     if any(mi < 0 for mi in m):
         raise PreconditionFailed("multi-index entries must be non-negative")
     tot = sum(m)
-    pref = math.exp(sum(math.lgamma(1 + mi) for mi in m) - math.lgamma(tot + 1))
+    pref = math.prod(map(math.factorial, m)) / math.factorial(tot)   # exact, rounded once
     return pref * psi_moment(s, tot, method, nodes)
 
 
@@ -577,7 +574,7 @@ def closed_target(s: QuantizationSetup) -> float:
 @dataclass(frozen=True)
 class GeneratingIdentityReport:
     rows: tuple[tuple[float, float, float], ...]  # (rho, assembled, closed)
-    max_deviation: float
+    max_deviation: float       # worst |assembled - closed| / (1 + |closed|)
 
 
 def generating_coefficients(s: QuantizationSetup, k_count: int,
@@ -590,12 +587,12 @@ def generating_coefficients(s: QuantizationSetup, k_count: int,
 def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
                               psi_method: str = "closed", nodes: int = 64,
                               k_max: int = 10000) -> GeneratingIdentityReport:
-    """Sup-norm gap between the assembled moment series and its closed resummation."""
+    """Worst relative gap between the assembled moment series and its closed resummation."""
     model = _model(s, "generating identity")
     radii = np.asarray(rho_grid, dtype=float)
     terms, sums = _moment_series(s, radii, _PsiCache(s, psi_method, nodes), k_max)
     rows = tuple((r, a / terms[0], model.rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
-    return GeneratingIdentityReport(rows, max(abs(a - b) for _, a, b in rows))
+    return GeneratingIdentityReport(rows, max(abs(a - b) / (1.0 + abs(b)) for _, a, b in rows))
 
 
 @dataclass(frozen=True)
@@ -648,7 +645,7 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
 
     Runs the moment series over a fiber-radius grid and compares against the
     exact product law; the moment route defaults to quadrature so the check
-    does not reuse the Gamma closed forms it certifies.
+    does not reuse the closed forms it certifies.
     """
     s = balanced_setup(k, r, m, part, c)
     A = s.profile.A              # 0 for the linear profile of the total space

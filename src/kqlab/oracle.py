@@ -102,10 +102,12 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
         norms.append(k * float(np.dot(wv, integrand)))
     if any(not (x > 0 and math.isfinite(x)) for x in norms):
         raise QuadratureNonConvergent("cp1 monomial norms are not all positive")
+    # (1+s)^(-mk) sum_j s^j/N_j, summed as sum_j p^j q^(mk-j)/N_j with p = s/(1+s)
+    # and q = 1/(1+s): every factor is at most 1, so no power of s is formed
     values = []
     for s in z_grid:
-        kernel = sum(s ** j / norms[j] for j in range(jmax + 1))
-        values.append((1.0 + s) ** (-jmax) * kernel)
+        p, q = s / (1.0 + s), 1.0 / (1.0 + s)
+        values.append(sum(p ** j * q ** (jmax - j) / norms[j] for j in range(jmax + 1)))
     target = m + 1.0 / k
     err = max(abs(val - target) for val in values)
     spread = max(values) - min(values)

@@ -1,8 +1,9 @@
 """Gamma-family special functions, Gauss rules, and exact product/dimension formulas.
 
-Everything is computed in log space (``math.lgamma``) so that
-ratio-of-Gamma closed forms stay finite well past the overflow point of
-``Gamma`` itself.  Every Gauss rule of kqlab is built here, with numpy alone:
+``gamma_ratio`` and ``beta`` are computed in log space (``math.lgamma``), so
+that they stay finite well past the overflow point of ``Gamma`` itself; the
+closed fiber moments of ``bergman`` are finite products and quotients and use
+none of them.  Every Gauss rule of kqlab is built here, with numpy alone:
 ``roots_jacobi`` and ``roots_genlaguerre`` are memoised per (nodes, a, b)
 and ``legendre`` per node count, all shared read-only, and
 ``bergman`` reads its block rules through ``gauss_rule`` and the constructors

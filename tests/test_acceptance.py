@@ -223,7 +223,7 @@ def test_criterion_6_generating_identities(capsys):
     coeffs = generating_coefficients(s_proj, alpha + 1)
     dev_binom = max(abs(c - math.comb(alpha, j)) / math.comb(alpha, j)
                     for j, c in enumerate(coeffs))
-    ok = dev_ball <= 1e-8 and dev_full <= 1e-8 and dev_binom <= 1e-10
+    ok = dev_ball <= 1e-13 and dev_full <= 1e-13 and dev_binom <= 1e-10
     _verdict(capsys, "criterion 6 (generating identities)", ok,
              f"ball {dev_ball:.2e}, full {dev_full:.2e}, binomial {dev_binom:.2e}")
 

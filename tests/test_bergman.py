@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -162,6 +163,19 @@ def test_psi_branch_windows():
         psi_moment(s3, 3, "closed")  # k beyond the finite spectrum
 
 
+def test_ball_closed_forms_refuse_a_negative_twist():
+    # 1 + twist u F'(u) turns negative towards the fiber boundary, so the
+    # moments do not exist (and the closed ratio would divide by zero at k = 0)
+    s = ball_setup(0.5, -1.0, 1, 1, 3.0, eps=lambda a: a)
+    for k in (0, 1):
+        with pytest.raises(BranchInvalid, match="positive twist"):
+            psi_moment(s, k, "closed")
+    with pytest.raises(BranchInvalid, match="positive twist"):
+        bergman_series(s, [0.0, 0.5])
+    with pytest.raises(OutOfDomain):
+        psi_moment(s, 0, "quadrature")
+
+
 def _closed_psi_cases():
     """(setup, k) of the accuracy set: d = 1 balls to k = 500, projective forms to alpha = 60."""
     for A in (0.25, 1 / 3, 0.5, 1.0, 1.75):
@@ -200,16 +214,33 @@ def _closed_psi_reference(s, k):
 
 
 def test_closed_psi_accuracy_against_mpmath():
-    # exp of a sum of log-Gammas: the relative error is a few ulps of the
-    # size of the log terms, which grows with k and alpha/A
+    # psi(alpha, 0), about n + 1 roundings, over k closed ratios of a few
+    # roundings each, which mostly cancel: the worst error on this set is half
+    # of (k + n + 1) ulps
     errors = []
     for s, k in _closed_psi_cases():
-        ref, size = _closed_psi_reference(s, k)
+        ref, _ = _closed_psi_reference(s, k)
         err = float(abs(mp.mpf(psi_moment(s, k, "closed")) - ref) / ref)
-        assert err <= 4 * 2.0 ** -52 * (1.0 + size), (s, k, err)
+        assert err <= (k + s.n + 1) * 2.0 ** -52, (s, k, err)
         errors.append(err)
     assert len(errors) == 1939
-    assert statistics.median(errors) <= 3e-14 and max(errors) <= 1e-12
+    assert statistics.median(errors) <= 1e-15 and max(errors) <= 5e-14
+
+
+def test_closed_moment_beyond_a_stretch_below_the_normal_range():
+    # psi(800, k) of the linear profile is below the normal range around k = 800
+    # and normal again at k = 2000: only the moment asked for is judged
+    s = full_setup(linear(1.0), 1.0, 1, 1, 800.0)
+    alpha = Fraction(800)
+    exact = math.factorial(2000) * (alpha + 2001) / alpha ** 2002
+    err = float(abs(Fraction(psi_moment(s, 2000, "closed")) - exact) / exact)
+    assert err <= 2003 * 2.0 ** -52
+    with pytest.raises(QuadratureNonConvergent, match="psi.alpha, 800. = 0.0"):
+        psi_moment(s, 800, "closed")
+    # a closed ratio that underflows to 0 (c = 5e-324, k = 9) is a refusal, not a division by 0
+    s = full_setup(log_affine(-1.0, 5e-324), -1.0, 2, 1, 10.0)
+    with pytest.raises(QuadratureNonConvergent, match="psi.alpha, 10. = inf"):
+        psi_moment(s, 10, "closed")
 
 
 def test_ball_closed_form_refuses_a_gamma_pole_at_the_window_edge():
@@ -377,7 +408,7 @@ def test_generating_identity_ball():
     eps = lambda a: a + d0 * 1.0 - n * A
     s = ball_setup(A, 1.0, 1, d0, 2.0, eps=eps)
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 10))
-    assert rep.max_deviation <= 1e-8
+    assert rep.max_deviation <= 1e-13
     # closed right side really is the binomial resummation
     rho, lhs, rhs = rep.rows[5]
     assert rhs == pytest.approx((1 - rho) ** (-2.0 / A), rel=1e-13)
@@ -406,7 +437,7 @@ def test_generating_identity_quadrature_route():
     s = full_setup(linear(1.0), 1.0, 1, 1, 2.0, eps=eps)
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7),
                                     psi_method="quadrature")
-    assert rep.max_deviation <= 1e-10
+    assert rep.max_deviation <= 1e-13
 
 
 @pytest.mark.parametrize("method", ["closed", "quadrature"])
@@ -432,7 +463,7 @@ def test_generating_identity_builds_each_moment_once(monkeypatch):
                         lambda *args: rules.append(args) or roots_genlaguerre(*args))
     s = full_setup(linear(1.0), 1.0, 1, 1, 2.0, eps=lambda a: a + 1.0)
     rep = generating_identity_check(s, np.linspace(0.0, 0.9, 7), psi_method="quadrature")
-    assert rep.max_deviation <= 1e-10
+    assert rep.max_deviation <= 1e-13
     # the series at rho 0.9 needs fewer than 64 degrees: one block
     assert [args[1] for args in rules] == [0]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,13 @@ def test_oracle_cp1_subcommand(capsys):
     assert code == 0
     assert doc["summary"]["target"] == pytest.approx(3.5)
     assert doc["summary"]["max_deviation"] <= 1e-6
+
+
+def test_oracle_cp1_at_huge_modulus(capsys):
+    code, doc = run_json(capsys, "oracle-cp1", "--k", "2", "--m", "3", "--grid", "0:1e200:2")
+    assert code == 0 and doc["summary"]["verdict"] == "pass"
+    assert [row["point"] for row in doc["rows"]] == [0.0, 1e200]
+    assert all(abs(row["value"] - 3.5) <= 1e-14 for row in doc["rows"])
 
 
 def test_oracle_hartogs_subcommand(capsys):
@@ -323,25 +331,46 @@ def test_identity_judges_a_relative_deviation(capsys, grid):
                                                      rel=1e-14)
 
 
+_HUGE_LEVEL = ("psi", "--family", "linear", "--domain", "fullspace", "--d", "1", "--d0", "1",
+               "--lambda", "1", "--alpha", "1e30")
+
+
 @pytest.mark.parametrize("method", ["both", "closed"])
 def test_underflowing_closed_moment_exits_nonconvergent(capsys, method):
-    # psi(alpha, k) = k!/alpha^(k+1) falls below the smallest double at k = 9
-    code, doc = run_json(capsys, "psi", "--family", "linear", "--domain", "fullspace",
-                         "--d", "1", "--d0", "1", "--lambda", "1", "--alpha", "1e30",
-                         "--table-k", "12", "--method", method)
+    # psi(alpha, k) = k! (alpha + k + 1)/alpha^(k+2) is normal to k = 9 (3.6e-295)
+    # and falls below the normal range at k = 10 (3.6e-324)
+    alpha = Fraction(1e30)
+    s = bergman.QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+                                  profile=linear(1.0), alpha=1e30,
+                                  base=curvature.BaseGeometry.fubini_study_cp1(1, 1.0))
+    code, doc = run_json(capsys, *_HUGE_LEVEL, "--table-k", "9", "--method", method)
+    assert code == 0 and [row["point"] for row in doc["rows"]] == list(range(10))
+    for k, row in enumerate(doc["rows"]):
+        exact = float(math.factorial(k) * (alpha + k + 1) / alpha ** (k + 2))
+        assert bergman.psi_moment(s, k) == pytest.approx(exact, rel=1e-15, abs=0.0), k
+        # the report prints 15 significant digits
+        assert row["value"] == pytest.approx(exact, rel=5e-15, abs=0.0), k
+    code, doc = run_json(capsys, *_HUGE_LEVEL, "--table-k", "12", "--method", method)
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
-    assert "psi(alpha, 9)" in doc["error"]["message"]
+    assert "psi(alpha, 10)" in doc["error"]["message"]
 
 
 def test_overflowing_closed_moment_exits_nonconvergent(capsys):
-    # alpha/A = 1e306: Gamma(alpha/A) leaves the float range
-    code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "1e-300", "--d", "1",
-                         "--d0", "1", "--lambda", "1", "--alpha", "1e6", "--method",
-                         "closed", "--table-k", "1")
+    # alpha/A = 1e306, where Gamma(alpha/A) leaves the float range: psi(alpha, 0)
+    # = (alpha + 1 - 2A)/((alpha - A)(alpha - 2A)) is 1.000001e-6, and psi(alpha, 1),
+    # about 1e-312, is below the normal range
+    argv = ("psi", "--family", "logball", "--A", "1e-300", "--d", "1", "--d0", "1",
+            "--lambda", "1", "--alpha", "1e6", "--method", "closed")
+    alpha, A = Fraction(1e6), Fraction(1e-300)
+    code, doc = run_json(capsys, *argv, "--table-k", "0")
+    assert code == 0
+    exact = (alpha + 1 - 2 * A) / ((alpha - A) * (alpha - 2 * A))
+    assert doc["rows"][0]["value"] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    code, doc = run_json(capsys, *argv, "--table-k", "1")
     assert code == 3
     assert doc["error"]["type"] == "QuadratureNonConvergent"
-    assert "psi(alpha, 0)" in doc["error"]["message"]
+    assert "psi(alpha, 1)" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("nodes", ["4", "8"])

@@ -35,6 +35,13 @@ def test_cp1_spot_values():
     assert rep.max_abs_error <= 1e-10
 
 
+def test_cp1_at_huge_modulus_forms_no_power_of_it():
+    # (1+s)^(-mk) s^j leaves the float range as separate factors at s = 1e200
+    rep = cp1_bergman_oracle(2, 3, [1e200, 1e308])
+    assert rep.max_abs_error <= 1e-14
+    assert all(abs(v - 3.5) <= 1e-14 for v in rep.values)
+
+
 def test_cp1_norms_match_beta_closed_form():
     k, m = 3, 2
     rep = cp1_bergman_oracle(k, m, [0.5])

@@ -3,7 +3,7 @@
 A numerical verification laboratory: jet arithmetic for exact profile
 derivatives, the curvature engine for expansion coefficients of fibered
 metrics, the constant-coefficient classification checker, fiber-moment
-quadrature against Gamma closed forms, the Bergman kernel series with its
+quadrature against closed product forms, the Bergman kernel series with its
 exact product-law targets, and brute-force Gram-matrix oracles.
 """
 
@@ -24,7 +24,7 @@ from .oracle import (Cp1OracleReport, GramOracleConfig, HartogsOracleReport,
 from .profiles import (AdmissibilityReport, FiberCoordinates, RadialProfile,
                        admissibility, custom, fiber_coordinates, linear,
                        log_affine, log_ball, profile_jet, t_from_x)
-from .special import beta, dim_h0_cpd, gamma_ratio, log_gamma, product_shifted
+from .special import product_shifted
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "balanced_certify",
     "balanced_setup",
     "bergman_series",
-    "beta",
     "branch_coefficients",
     "classify_check",
     "closed_target",
@@ -55,11 +54,9 @@ __all__ = [
     "curvature_report",
     "custom",
     "density_H",
-    "dim_h0_cpd",
     "fiber_coordinates",
     "fiber_moment",
     "fiber_moment_direct",
-    "gamma_ratio",
     "generating_coefficients",
     "generating_identity_check",
     "gram_offdiagonal_probe",
@@ -67,7 +64,6 @@ __all__ = [
     "linear",
     "log_affine",
     "log_ball",
-    "log_gamma",
     "moment_table",
     "polyquad_closed",
     "product_shifted",

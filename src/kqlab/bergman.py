@@ -162,7 +162,7 @@ def _ball_ratio(s: QuantizationSetup, k: int) -> float:
     if s.d == 1:
         xk = alpha + lam * k + d0 * lam - n * A
         xk1 = alpha + lam * (k + 1) + d0 * lam - n * A
-        return (alpha / A + k) * xk / ((k + 1) * xk1)
+        return (alpha / A + k) / (k + 1) * (xk / xk1)
     return (alpha / lam + k - s.d) / (k + 1)
 
 
@@ -294,11 +294,6 @@ def _psi_closed(s: QuantizationSetup, k: int) -> float:
         f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float")
 
 
-def _psi_ratio_closed(s: QuantizationSetup, k: int) -> float:
-    """psi(alpha, k) / psi(alpha, k+1), in branch closed form (stable)."""
-    return _model(s, "closed psi ratio").ratio(s, k)
-
-
 def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
                           nodes: int) -> list[float]:
     """psi(alpha, k) for k0 <= k <= k1 from one Gauss rule matched to the density.
@@ -380,10 +375,6 @@ class MomentTable:
     method: str
     K: int
 
-    def __post_init__(self):
-        if any(not (e > 0) for e in self.entries):
-            raise QuadratureNonConvergent("moment table has non-positive entries")
-
 
 def moment_table(s: QuantizationSetup, K: int, method: str = "closed",
                  nodes: int = 64) -> MomentTable:
@@ -437,7 +428,7 @@ class _PsiCache:
     def ratio(self, k: int) -> float:
         if self._closed:
             self._used.add(k)
-            return _psi_ratio_closed(self._s, k - 1)
+            return _model(self._s, "closed psi ratio").ratio(self._s, k - 1)
         return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:

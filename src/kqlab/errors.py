@@ -21,10 +21,6 @@ class LogDomain(KQLabError, ValueError):
     """Jet logarithm of a jet whose constant term is not positive."""
 
 
-class NonPositiveArgument(KQLabError, ValueError):
-    """Gamma-family function called outside its positive domain."""
-
-
 class NegativeInput(KQLabError, ValueError):
     """An argument that must be non-negative was negative."""
 

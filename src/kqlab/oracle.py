@@ -28,7 +28,7 @@ import numpy as np
 from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, TruncationInsufficient)
-from .profiles import profile_jet, profile_rho_arrays
+from .profiles import profile_jet
 from .special import laguerre, legendre
 
 # exp of an exponent below this is subnormal or 0; numpy's exp takes 20-100x
@@ -156,7 +156,8 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
         wxi = wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
 
-    F, Fp, Fpp = profile_rho_arrays(setup.profile, xi)
+    j = profile_jet(setup.profile, xi, 2, "rho")
+    F, Fp, Fpp = j.derivative(0), j.derivative(1), j.derivative(2)
     radial = Fp + xi * Fpp
     one_shift = 1.0 + xi * Fp
     if np.any(Fp <= 0) or np.any(radial <= 0) or np.any(one_shift <= 0):

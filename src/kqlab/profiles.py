@@ -173,12 +173,6 @@ def _rule_jet(p: RadialProfile, point: np.ndarray, order: int) -> TaylorJet:
     return TaylorJet(np.stack([p.rule(u, order).coeffs for u in point.tolist()], axis=-1))
 
 
-def profile_rho_arrays(p: RadialProfile, xi: np.ndarray):
-    """F, F', F'' of the profile in rho-form on an array of points."""
-    j = profile_jet(p, xi, 2, "rho")
-    return tuple(j.derivative(n) for n in range(3))
-
-
 def t_from_x(p: RadialProfile, x: float) -> float:
     """Invert the moment map x = F_t'(t) (closed form for the built-ins)."""
     if x <= 0:

@@ -1,11 +1,9 @@
-"""Gamma-family special functions, Gauss rules, and exact product/dimension formulas.
+"""Gauss rules and the exact shifted product of the Bergman targets.
 
-``gamma_ratio`` and ``beta`` are computed in log space (``math.lgamma``), so
-that they stay finite well past the overflow point of ``Gamma`` itself; the
-closed fiber moments of ``bergman`` are finite products and quotients and use
-none of them.  Every Gauss rule of kqlab is built here, with numpy alone:
-``roots_jacobi`` and ``roots_genlaguerre`` are memoised per (nodes, a, b)
-and ``legendre`` per node count, all shared read-only, and
+``product_shifted`` is the finite product prod_j (level - j*shift) of the
+closed Bergman values.  Every Gauss rule of kqlab is built here, with numpy
+alone: ``roots_jacobi`` and ``roots_genlaguerre`` are memoised per
+(nodes, a, b) and ``legendre`` per node count, all shared read-only, and
 ``bergman`` reads its block rules through ``gauss_rule`` and the constructors
 it imports from here.  No kqlab module imports scipy except for the adaptive
 moments of custom profiles (``bergman._psi_adaptive``).
@@ -18,38 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import (NegativeInput, NonPositiveArgument, PreconditionFailed,
-                     QuadratureNonConvergent)
-
-
-def log_gamma(x: float) -> float:
-    if x <= 0.0:
-        raise NonPositiveArgument(f"log_gamma needs x > 0, got {x}")
-    try:
-        return math.lgamma(x)
-    except OverflowError as exc:     # past x ~ 2.5e305
-        raise QuadratureNonConvergent(f"log_gamma({x!r}) leaves the float range") from exc
-
-
-def _exp(x: float, name: str, a: float, b: float) -> float:
-    """exp(x), or QuadratureNonConvergent naming ``name(a, b)`` if it leaves the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise QuadratureNonConvergent(f"{name}({a!r}, {b!r}) leaves the float range") from exc
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a) / Gamma(b) for positive a, b, via exp(logGamma difference)."""
-    if a <= 0.0 or b <= 0.0:
-        raise NonPositiveArgument(f"gamma_ratio needs a, b > 0, got ({a}, {b})")
-    return _exp(log_gamma(a) - log_gamma(b), "gamma_ratio", a, b)
-
-
-def beta(a: float, b: float) -> float:
-    if a <= 0.0 or b <= 0.0:
-        raise NonPositiveArgument(f"beta needs a, b > 0, got ({a}, {b})")
-    return _exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b), "beta", a, b)
+from .errors import NegativeInput, PreconditionFailed, QuadratureNonConvergent
 
 
 def product_shifted(level: float, shift: float, n: int) -> float:
@@ -65,16 +32,6 @@ def product_shifted(level: float, shift: float, n: int) -> float:
     for j in range(1, n + 1):
         out *= level - j * shift
     return out
-
-
-def dim_h0_cpd(d: int, m: int) -> int:
-    """Dimension (1/d!) * prod_{j=1..d} (m + j) of degree-<=m polynomials in d variables."""
-    if d < 1 or m < 0:
-        raise NegativeInput(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    num = 1
-    for j in range(1, d + 1):
-        num *= m + j
-    return num // math.factorial(d)
 
 
 # Gauss rules (Golub & Welsch, Math. Comp. 23 (1969)).  The nodes are the

@@ -373,6 +373,18 @@ def test_overflowing_closed_moment_exits_nonconvergent(capsys):
     assert "psi(alpha, 1)" in doc["error"]["message"]
 
 
+def test_closed_ball_ratio_finite_past_an_overflowing_product(capsys):
+    # the ratio psi(0)/psi(1) = (alpha/A) x_0/x_1 is about 2.5e299, but
+    # (alpha/A) x_0 = 5e309 is not a float
+    argv = ("psi", "--family", "logball", "--A", "1e-300", "--d", "1", "--d0", "1",
+            "--lambda", "1e10", "--alpha", "0.5", "--method", "closed", "--table-k", "1")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    alpha, A, lam = Fraction(0.5), Fraction(1e-300), Fraction(1e10)
+    exact = (alpha + 2 * lam - 2 * A) * A / (alpha * (alpha - A) * (alpha - 2 * A))
+    assert doc["rows"][1]["value"] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("nodes", ["4", "8"])
 def test_balanced_block_moments_exact_at_few_nodes(capsys, nodes):
     # a block spans at most as many degrees as the rule has nodes

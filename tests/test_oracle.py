@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
-from kqlab.special import gamma_ratio
-
 
 GRID = [0.0, 0.25, 0.7, 1.0, 1.8, 3.0]
 
@@ -46,8 +45,10 @@ def test_cp1_norms_match_beta_closed_form():
     k, m = 3, 2
     rep = cp1_bergman_oracle(k, m, [0.5])
     for j, norm in enumerate(rep.norms):
-        closed = k * math.gamma(j + 1) * gamma_ratio(m * k + 1 - j, m * k + 2)
-        assert norm == pytest.approx(closed, rel=1e-12)
+        # k B(j+1, mk+1-j) = k j! (mk-j)! / (mk+1)!, an exact integer ratio
+        closed = Fraction(k * math.factorial(j) * math.factorial(m * k - j),
+                          math.factorial(m * k + 1))
+        assert norm == pytest.approx(float(closed), rel=1e-14)
 
 
 def test_cp1_sweep_uniform_accuracy():

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import reduce
+from functools import cached_property, reduce
 from operator import truediv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -425,10 +425,15 @@ class _PsiCache:
         self._used.add(k)
         return self._vals[k]
 
+    @cached_property
+    def _closed_model(self) -> _MomentModel:
+        """The closed ratios' model, its branch window checked once, on the first ratio."""
+        return _model(self._s, "closed psi ratio")
+
     def ratio(self, k: int) -> float:
         if self._closed:
             self._used.add(k)
-            return _model(self._s, "closed psi ratio").ratio(self._s, k - 1)
+            return self._closed_model.ratio(self._s, k - 1)
         return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:

@@ -11,14 +11,22 @@ The base chart is the complex line with potential k*log(1+|z|^2): sections
 of the degree-mk bundle over the sphere correspond to the finite-norm
 monomials on the chart, so the oracle is finite-dimensional per fiber
 degree.  Norms are computed for the integrable exponents p <= k*(m + q)
-only; the others are infinite by definition.  Fiber powers are taken
-relative to a power of two above the largest fiber node, so the total-space
-oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.
-The Gauss rules are special.legendre and special.laguerre, shared read-only.
+only; the others are infinite by definition.  In the Legendre node
+sigma = |z|^2/(1+|z|^2) of the base axis, each integrable z-factor
+|z|^(2p) e^(-(m+q)*potential) is the Bernstein factor
+sigma^p (1-sigma)^(k(m+q)-p), at most 1: the factors are running products
+of floats in [0, 1], and each block of fiber degrees is summed as one matrix
+product against fiber sums of the full two-dimensional weight.  Fiber powers
+are taken relative to a power of two above the largest fiber node, so the
+total-space oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without
+overflow.  A norm that comes out 0 or subnormal is 0, and the oracle refuses
+it.  The Gauss rules are special.legendre and special.laguerre, shared
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -31,9 +39,9 @@ from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
 from .profiles import profile_jet
 from .special import laguerre, legendre
 
-# exp of an exponent below this is subnormal or 0; numpy's exp takes 20-100x
-# longer there than on normal results, so those kernel terms are set to 0
-_EXP_FLOOR = math.log(np.finfo(float).tiny)
+# a block of fiber degrees grows the Bernstein factors of its first column by
+# at most (1 - sigma)^-j, j below k times the block width: at most this, 2^500
+_BLOCK_GROWTH = 500 * math.log(2.0)
 
 _PROBE_RADII, _PROBE_ANGLES = 32, 24    # Gram probe: Gauss nodes per radius, points per angle
 
@@ -182,40 +190,102 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     return s, phi, xi, F, logk
 
 
+def _fiber_sums(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
+    """Mc[s, q] = sum over the fiber nodes of the full two-dimensional weight,
+    without its factor e^(-m*phi), times (xi/2^e)^q; each column scaled by an
+    exact power of two.  Returns Mc and the exponent that undoes both powers.
+
+    Fiber powers are relative to 2^e above the largest node: exact, and they
+    do not overflow on the Laguerre nodes of the total space (e = 0 on the
+    ball).  No separability of the weight is used: that is what the oracle
+    certifies.
+    """
+    s, phi, xi, F, logk = _radial_weight(cfg, setup)
+    e = max(0, math.frexp(float(xi.max()))[1])
+    qarr = np.arange(cfg.q_cap + 1)
+    mc = np.exp(logk + cfg.power * phi[:, None]) @ np.ldexp(xi, -e)[:, None] ** qarr
+    scale = np.frexp(mc.max(axis=0))[1]
+    return np.ldexp(mc, -scale), e * qarr + scale
+
+
+def _rounded(num: int, den: int) -> tuple[float, float]:
+    """num/den as the nearest float f, and its exact relative rounding num/(den*f) - 1."""
+    f = num / den
+    c, d = f.as_integer_ratio()
+    return f, (num * d - c * den) / (c * den)
+
+
+@functools.lru_cache(maxsize=8)
+def _bernstein_nodes(nodes: int):
+    """The z-axis Legendre nodes sigma, ascending, set up for the Bernstein
+    factors sigma^p (1-sigma)^(K-p).
+
+    Per node: u = 1-sigma and ratio = min(sigma, u)/max(sigma, u) <= 1 as
+    floats, each with its exact relative rounding (du, dratio): the true j-th
+    powers are the float powers times 1 + j*du and 1 + j*dratio, to second
+    order in the rounding.  The first `low` nodes lie below 1/2, where
+    max(sigma, u) = u; above, u is exact and du = 0.
+    """
+    sig = legendre(nodes)[0]
+    columns = []
+    for a, b in map(float.as_integer_ratio, sig.tolist()):   # sigma = a/b
+        columns.append(_rounded(b - a, b) + _rounded(min(a, b - a), max(a, b - a)))
+    u, du, ratio, dratio = np.array(columns).T
+    shared = (np.maximum(sig, u), u, du, ratio, dratio)
+    for a in shared:
+        a.flags.writeable = False
+    return (int(np.count_nonzero(sig < 0.5)),) + shared
+
+
 def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Diagonal Gram entries N[p, q] for the monomial basis z^p w^q.
 
     Exponents failing the integrability test (decay exponent of the z-axis
     integrand not below -1) are excluded via an infinite norm, and only the
-    integrable rows p <= k*(m + q) of each fiber degree are integrated.
-    Kernel terms whose exponential would be subnormal are exactly 0, never
-    clamped: a row that underflows entirely keeps its zero norm, which the
-    oracle then refuses as non-convergent.
+    integrable rows p <= K_q = k*(m + q) of each fiber degree are integrated.
+    The z-axis node is sigma = s/(1+s), so s^p e^(-(m+q)*phi) is the Bernstein
+    factor sigma^p (1-sigma)^(K_q - p), at most 1 on exactly those rows, and
+    N[p, q] = sum_s sigma^p (1-sigma)^(K_q - p) Mc[s, q] with Mc from
+    _fiber_sums.  A node's factors are one power of max(sigma, 1-sigma) times
+    a running product of the ratio min/max, so no exp or log is formed per
+    (p, q, node), and each block of fiber degrees is one matrix product.  A
+    norm that comes out 0 or subnormal, before or after its power-of-two
+    scaling, is 0, never clamped: the oracle refuses it as non-convergent.
     """
     k, m = cfg.bundle_degree, cfg.power
-    s, phi, xi, F, logk = _radial_weight(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
-    plogs = np.arange(P + 1, dtype=float)[:, None] * np.log(s)[None, :]
-    # fiber powers relative to 2^e above the largest node: exact, and they do
-    # not overflow on the Laguerre nodes of the total space (e = 0 on the ball)
-    e = max(0, math.frexp(float(xi.max()))[1])
-    xrel, phi_rel = np.ldexp(xi, -e), phi - e * math.log(2.0)
-
-    kexp = np.exp(logk)
+    mc, exponent = _fiber_sums(cfg, setup)
+    low, big, u, du, ratio, dratio = _bernstein_nodes(cfg.s_nodes)
+    # powers[:, j] = ratio^j, a node's factors without their power of big =
+    # max(sigma, 1-sigma); rows holds a block's factors (first, 1 + j*dratio)
+    powers, rows = np.ones((big.size, P + 1)), np.empty((big.size, P + 1))
+    np.cumprod(np.broadcast_to(ratio[:, None], (big.size, P)), axis=1, out=powers[:, 1:])
+    np.multiply(dratio[:, None], np.arange(P + 1), out=rows)
+    rows += 1.0
+    powers *= rows
+    # a block of fiber degrees q0..q1 takes the factors of K = K_q0 on rows up
+    # to K_q1: column q a further (1-sigma)^(k(q - q0)), and above 1/2 the rows
+    # p > K the growth ratio^-(p - K), at most 2^500 by the choice of width
+    width = 1 + int(_BLOCK_GROWTH // (k * -math.log(u.min())))
+    growth = 1.0 / powers[low:, 1: k * (width - 1) + 1]
+    d = k * np.arange(width)
+    shrink = u[:, None] ** d * (1.0 + du[:, None] * d)
+    tiny = np.finfo(float).tiny
     N = np.full((P + 1, Q + 1), np.inf)
-    body = np.empty_like(plogs)
-    live = np.empty(plogs.shape, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # values checked
-        for q in range(Q + 1):
-            mcol = kexp @ (xrel ** q)
-            logcol = np.where(mcol > 0, np.log(np.where(mcol > 0, mcol, 1.0)), -np.inf)
-            cut = min(k * (m + q), P)  # z-integrability cap
-            rows, ok = body[: cut + 1], live[: cut + 1]
-            np.add(plogs[: cut + 1], (logcol - q * phi_rel)[None, :], out=rows)
-            np.greater_equal(rows, _EXP_FLOOR, out=ok)
-            np.exp(rows, out=rows, where=ok)
-            np.copyto(rows, 0.0, where=~ok)
-            N[: cut + 1, q] = rows.sum(axis=1)
+    for q0 in range(0, Q + 1, width):
+        q1 = min(q0 + width, Q + 1) - 1
+        K, cut = k * (m + q0), k * (m + q1)
+        lead = (big ** K * (1.0 + K * du))[:, None]
+        np.multiply(powers[:low, : cut + 1], lead[:low], out=rows[:low, : cut + 1])
+        np.multiply(powers[low:, K::-1], lead[low:], out=rows[low:, : K + 1])
+        np.multiply(growth[:, : cut - K], lead[low:], out=rows[low:, K + 1: cut + 1])
+        block = rows[:, : cut + 1]
+        np.copyto(block, 0.0, where=block < tiny)   # as a subnormal norm is; they slow the product
+        N[: cut + 1, q0: q1 + 1] = block.T @ (mc[:, q0: q1 + 1] * shrink[:, : q1 - q0 + 1])
+    N[N < tiny] = 0.0
+    np.ldexp(N, exponent, out=N)
+    N[N < tiny] = 0.0
+    N[np.arange(P + 1)[:, None] > k * (m + np.arange(Q + 1))] = np.inf
     return N
 
 

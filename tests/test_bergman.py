@@ -718,3 +718,30 @@ def test_closed_ratio_is_quotient_of_closed_moments(s):
         quotient = bergman._psi_closed(s, k) / bergman._psi_closed(s, k + 1)
         ratio = bergman._model(s, "closed psi ratio").ratio(s, k)
         assert ratio == pytest.approx(quotient, rel=1e-13)
+
+
+def test_closed_ratios_check_the_branch_window_once_per_cache(monkeypatch):
+    s = ball_setup(0.5, 1.0, 1, 2, 4.0)
+    key = (s.domain, s.profile.family)
+    model = bergman._MODELS[key]
+    calls = []
+
+    def counted(setup):
+        calls.append(setup)
+        model.window(setup)
+
+    monkeypatch.setitem(bergman._MODELS, key, model._replace(window=counted))
+    cache = _PsiCache(s, "closed", 64)
+    ratios = [cache.ratio(k) for k in range(1, 41)]
+    assert len(calls) == 1
+    assert ratios == [model.ratio(s, k - 1) for k in range(1, 41)]
+    # a second series gets its own cache and its own check
+    _PsiCache(s, "closed", 64).ratio(1)
+    assert len(calls) == 2
+
+
+def test_closed_ratio_outside_the_window_is_refused_on_the_first_ratio():
+    cache = _PsiCache(ball_setup(0.5, 1.0, 1, 2, 1.0), "closed", 64)   # alpha <= n*A = 1.5
+    for _ in range(2):
+        with pytest.raises(BranchInvalid, match="alpha > n"):
+            cache.ratio(1)

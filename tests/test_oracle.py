@@ -3,6 +3,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -178,15 +179,39 @@ def _integrable(cfg):
     return p <= cfg.bundle_degree * (cfg.power + q)
 
 
+def _mpmath_norms(cfg, setup, qs):
+    """The same quadrature sum in 40 digits, for the fiber degrees qs: the float
+    log-weights, fiber nodes and sigma taken as exact, with s = sigma/(1-sigma)."""
+    k = cfg.bundle_degree
+    _, _, xi, _, logk = oracle._radial_weight(cfg, setup)
+    sig = special.legendre(cfg.s_nodes)[0]
+    out = {}
+    with mpmath.workdps(40):
+        weight = [[mpmath.exp(x) for x in row] for row in logk.tolist()]
+        u = [1 - mpmath.mpf(x) for x in sig.tolist()]
+        s = [(1 - v) / v for v in u]
+        xi = [mpmath.mpf(x) for x in xi.tolist()]
+        for q in qs:
+            fiber = [mpmath.fsum(w * x ** q for w, x in zip(row, xi)) for row in weight]
+            terms = [f * v ** (k * q) for f, v in zip(fiber, u)]
+            col = []
+            for _ in range(k * (cfg.power + q) + 1):
+                col.append(float(mpmath.fsum(terms)))
+                terms = [t * x for t, x in zip(terms, s)]
+            out[q] = col
+    return out
+
+
 @pytest.mark.parametrize("k, m, Q", [(k, m, Q) for k in (2, 3) for m in (1, 2)
                                      for Q in (60, 120)])
-def test_ball_norms_bit_identical_to_unpruned_loop(k, m, Q):
-    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=Q)
+def test_ball_norms_match_a_40_digit_quadrature_sum(k, m, Q):
+    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=Q, s_nodes=64)
     setup = balanced_setup(k, 1, m, "ball")
     N = oracle._norm_matrix(cfg, setup)
-    assert np.array_equal(N, _reference_norms(cfg, setup))
     assert np.all(N[~_integrable(cfg)] == np.inf)
     assert np.isfinite(N[_integrable(cfg)]).all()
+    for q, col in _mpmath_norms(cfg, setup, (0, Q // 2, Q)).items():
+        assert np.max(np.abs(N[: len(col), q] - col) / col) <= 2e-14
 
 
 @pytest.mark.parametrize("m, Q", [(1, 60), (2, 100), (3, 80), (4, 100)])
@@ -240,6 +265,17 @@ def test_basis_size_counts_the_integrable_monomials():
     rep = hartogs_gram_oracle(cfg, balanced_setup(2, 1, 2, "ball"))
     P = cfg.effective_p_cap
     assert rep.basis_size == sum(min(2 * (2 + q), P) + 1 for q in range(61)) == 3965
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_ball_oracle_reaches_the_product_law_at_q160(k, m):
+    # the benchmark's ladder stops at m = 2; m = 3, 4 need Q = 160 for 1e-9
+    rep = hartogs_gram_oracle(GramOracleConfig(bundle_degree=k, power=m, q_cap=160),
+                              balanced_setup(k, 1, m, "ball"))
+    A = (k - 1) / (2 * k)
+    law = math.prod(m - j * A for j in (1, 2))
+    assert rep.target == pytest.approx(law, rel=1e-14)
+    assert max(abs(v - law) for v in rep.values) <= 1e-9
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -8,7 +8,7 @@ if any gap exceeds the tolerance.
 import argparse
 import sys
 
-from kqlab import BaseGeometry, QuantizationSetup, psi_moment
+from kqlab import BaseGeometry, MomentTable, QuantizationSetup, psi_moment
 from kqlab import linear, log_affine, log_ball
 from kqlab.cli import render_json
 
@@ -38,8 +38,9 @@ def main() -> int:
     worst = 0.0
     for label, s in default_setups():
         kmax = args.k_max if s.twist > 0 else min(args.k_max, int(s.alpha))
+        table = MomentTable(s)
         for k in range(kmax + 1):
-            closed = psi_moment(s, k, "closed")
+            closed = table(k)
             quad = psi_moment(s, k, "quadrature", nodes=args.nodes)
             gap = abs(quad - closed) / closed
             worst = max(worst, gap)

@@ -11,7 +11,7 @@ from .bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
                       balanced_certify, balanced_setup, bergman_series,
                       closed_target, density_H, fiber_moment,
                       fiber_moment_direct, generating_coefficients,
-                      generating_identity_check, moment_table, psi_moment,
+                      generating_identity_check, psi_moment,
                       sphere_monomial_integral)
 from .curvature import (BaseGeometry, ClassificationVerdict, ClosedCoefficients,
                         CurvatureReport, branch_coefficients, classify_check,
@@ -64,7 +64,6 @@ __all__ = [
     "linear",
     "log_affine",
     "log_ball",
-    "moment_table",
     "polyquad_closed",
     "product_shifted",
     "profile_jet",

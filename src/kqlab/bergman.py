@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, reduce
+from functools import reduce
 from operator import truediv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .special import (gauss_rule, legendre, product_shifted, roots_genlaguerre,
                       roots_jacobi)
 
 _MEMBERSHIP_TOL = 1e-9
+_DIRECT_NODES = 200     # Legendre nodes per axis of a direct fiber moment
 
 # A series or table fills its moments min(64, nodes) fiber degrees per Gauss
 # rule: the leftover u^j, of degree below the span, stays within an N-node
@@ -276,24 +277,6 @@ def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel
     return model
 
 
-def _psi_closed(s: QuantizationSetup, k: int) -> float:
-    """psi(alpha, 0) over the closed ratios psi(j)/psi(j+1), j < k, as a mantissa and a
-    power of two: refused only where psi(alpha, k) itself is not a normal float."""
-    model = _model(s, "closed psi")
-    if s.twist < 0 and k > s.alpha + _MEMBERSHIP_TOL:     # the projective spectrum
-        raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
-    m, e = math.frexp(model.psi0(s))
-    for j in range(k):
-        r, re = math.frexp(model.ratio(s, j))
-        m, de = math.frexp(m / r if r else math.inf)
-        e += de - re
-    psi = math.ldexp(m, e) if e <= 1024 else math.inf
-    if 2.0 ** -1022 <= psi < math.inf:     # a normal float
-        return psi
-    raise QuadratureNonConvergent(
-        f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float")
-
-
 def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
                           nodes: int) -> list[float]:
     """psi(alpha, k) for k0 <= k <= k1 from one Gauss rule matched to the density.
@@ -310,7 +293,7 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
     moment.  The values are unchecked, so that a moment never asked for
-    refuses nothing; _checked refuses each when it is handed out.
+    refuses nothing; each is refused when it is handed out.
     """
     ks = range(k0, k1 + 1)
     j = np.arange(len(ks))[:, None]
@@ -326,12 +309,10 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
             for k, scale, integral in zip(ks, scales, integrals)]
 
 
-def _checked(psi: float, k: int, nodes: int) -> float:
-    """A quadrature moment as handed out: finite and positive, or refused."""
-    if math.isfinite(psi) and psi > 0:
-        return psi
-    raise QuadratureNonConvergent(f"fiber moment psi(alpha, {k}) = {psi} from a "
-                                  f"{nodes}-node Gauss rule is not finite and positive")
+def _refusal(psi: float, k: int, nodes: int) -> str:
+    """Why a quadrature moment is refused."""
+    return (f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss rule "
+            "is not finite and positive")
 
 
 def _power(x: float, e: int) -> float:
@@ -357,83 +338,93 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
 
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
                nodes: int = 64) -> float:
-    """Fiber moment psi(alpha, k), by closed form or by quadrature."""
+    """Fiber moment psi(alpha, k) by closed form, or by quadrature with a rule of its own."""
     if k < 0:
         raise PreconditionFailed("fiber degree k must be >= 0")
-    if method == "closed":
-        return _psi_closed(s, k)
-    if method == "quadrature":
-        if (s.domain, s.profile.family) in _MODELS:
-            return _checked(_psi_quadrature_block(s, k, k, nodes)[0], k, nodes)
-        return _psi_adaptive(s, k)
-    raise PreconditionFailed("method must be 'closed' or 'quadrature'")
+    if method == "quadrature" and (s.domain, s.profile.family) in _MODELS:
+        psi = _psi_quadrature_block(s, k, k, nodes)[0]
+        if not 0.0 < psi < math.inf:
+            raise QuadratureNonConvergent(_refusal(psi, k, nodes))
+        return psi
+    return MomentTable(s, method, nodes)(k)
 
 
-@dataclass(frozen=True)
 class MomentTable:
-    entries: tuple[float, ...]
-    method: str
-    K: int
+    """The moments psi(alpha, k) = ``table(k)`` of one setup by one method, memoized,
+    with ``ratio(k)`` = psi(k-1)/psi(k) and counts of the work done.
 
-
-def moment_table(s: QuantizationSetup, K: int, method: str = "closed",
-                 nodes: int = 64) -> MomentTable:
-    cache = _PsiCache(s, method, nodes)
-    return MomentTable(tuple(cache(k) for k in range(K + 1)), method=method, K=K)
-
-
-class _PsiCache:
-    """Memoized psi(alpha, k) for one setup/method, with counts of the work done.
-
-    Quadrature moments of the three profile families are filled an aligned
-    block of min(_GAUSS_BLOCK, nodes) fiber degrees at a time, one Gauss rule
-    per block, each checked when first handed out; closed forms and custom
-    profiles go one moment at a time.  ``ratio(k)`` is psi(k-1)/psi(k): on the
-    closed route the closed ratio, finite where psi(k) itself is not.
+    The closed route walks psi(alpha, 0) over the closed ratios as a mantissa and
+    a power of two, one ratio per new degree, and refuses a moment that is not a
+    normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
+    Quadrature fills the three families an aligned block of min(_GAUSS_BLOCK, nodes)
+    degrees per Gauss rule, custom profiles adaptively one moment at a time, and
+    refuses a moment that is not finite and positive.
     """
 
-    def __init__(self, s: QuantizationSetup, method: str, nodes: int):
-        self._s, self._method, self._nodes = s, method, nodes
+    def __init__(self, s: QuantizationSetup, method: str = "closed", nodes: int = 64):
+        if method not in ("closed", "quadrature"):
+            raise PreconditionFailed("method must be 'closed' or 'quadrature'")
+        self.setup, self._nodes = s, nodes
         self._closed = method == "closed"
-        self._vals: dict[int, float] = {}
-        self._model = _MODELS.get((s.domain, s.profile.family)) if method == "quadrature" else None
-        if self._model is not None and nodes < 1:
+        self._gauss = None if self._closed else _MODELS.get((s.domain, s.profile.family))
+        if self._gauss is not None and nodes < 1:
             raise PreconditionFailed(f"a Gauss rule needs at least one node, got {nodes}")
+        # the least moment handed out: a normal float closed, any positive float by quadrature
+        self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
+        self._vals: dict[int, float] = {}
+        self._walk = (0.5, 1)       # the last closed moment walked, as mantissa and exponent
         self._blocks: set[tuple[int, int]] = set()
         self._used: set[int] = set()
+        self._window: Optional[_MomentModel] = None
 
-    def _block(self, k: int) -> tuple[int, int]:
-        """The aligned block holding k, clipped to the moments that exist."""
-        s, span = self._s, min(_GAUSS_BLOCK, self._nodes)
-        k0 = k - k % span
-        k1 = k0 + span - 1
-        if s.twist < 0:
-            k1 = s.fiber_degrees(k1)[-1]
-        return k0, max(k, min(k1, self._model.last_degree(s)))
+    def _closed_model(self) -> _MomentModel:
+        """The closed family's model, its branch window checked once, when first needed."""
+        if self._window is None:
+            self._window = _model(self.setup, "closed psi")
+        return self._window
+
+    def _fill(self, k: int) -> None:
+        s = self.setup
+        if self._closed:
+            model = self._closed_model()
+            if s.twist < 0 and k > s.alpha + _MEMBERSHIP_TOL:     # the projective spectrum
+                raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
+            if not self._vals:
+                self._vals[0] = model.psi0(s)
+                self._walk = math.frexp(self._vals[0])
+            m, e = self._walk
+            for j in range(len(self._vals) - 1, k):
+                r, re = math.frexp(model.ratio(s, j))
+                m, de = math.frexp(m / r if r else math.inf)
+                e += de - re
+                self._walk = m, e
+                self._vals[j + 1] = math.ldexp(m, e) if e <= 1024 else math.inf
+        elif self._gauss is not None:     # k's aligned block, clipped to the moments that exist
+            span = min(_GAUSS_BLOCK, self._nodes)
+            k0 = k - k % span
+            k1 = k0 + span - 1 if s.twist > 0 else s.fiber_degrees(k0 + span - 1)[-1]
+            k1 = max(k, min(k1, self._gauss.last_degree(s)))
+            self._vals.update(zip(range(k0, k1 + 1),
+                                  _psi_quadrature_block(s, k0, k1, self._nodes)))
+            self._blocks.add((k0, k1))
+        else:
+            self._vals[k] = _psi_adaptive(s, k)
 
     def __call__(self, k: int) -> float:
         if k not in self._vals:
-            if self._model is not None:
-                k0, k1 = self._block(k)
-                self._vals.update(zip(range(k0, k1 + 1),
-                                      _psi_quadrature_block(self._s, k0, k1, self._nodes)))
-                self._blocks.add((k0, k1))
-            else:
-                self._vals[k] = psi_moment(self._s, k, self._method, self._nodes)
-        if k not in self._used and self._model is not None:
-            _checked(self._vals[k], k, self._nodes)
+            self._fill(k)
+        psi = self._vals[k]
+        if not self._least <= psi < math.inf:
+            raise QuadratureNonConvergent(
+                f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float"
+                if self._closed else _refusal(psi, k, self._nodes))
         self._used.add(k)
-        return self._vals[k]
-
-    @cached_property
-    def _closed_model(self) -> _MomentModel:
-        """The closed ratios' model, its branch window checked once, on the first ratio."""
-        return _model(self._s, "closed psi ratio")
+        return psi
 
     def ratio(self, k: int) -> float:
         if self._closed:
             self._used.add(k)
-            return self._closed_model.ratio(self._s, k - 1)
+            return self._closed_model().ratio(self.setup, k - 1)
         return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:
@@ -468,8 +459,7 @@ def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
     return pref * psi_moment(s, tot, method, nodes)
 
 
-def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
-                        nodes: int = 200) -> float:
+def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int]) -> float:
     """I_m by direct quadrature of |w^m|^2 H over the fiber ball.
 
     The angular integrations are exact by rotational symmetry; the radial
@@ -480,7 +470,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
         raise BranchInvalid("direct fiber moments are implemented on the ball fiber")
     if len(m) != s.d0 or s.d0 not in (1, 2):
         raise BranchInvalid("direct fiber moments cover d0 in {1, 2}")
-    xi, wxi = legendre(nodes)
+    xi, wxi = legendre(_DIRECT_NODES)
     # v1 = xi*eta, v2 = xi*(1 - eta), Jacobian xi: a xi sum times an eta sum (none if d0 = 1)
     radial = float(np.dot(wxi, xi ** (sum(m) + s.d0 - 1) * density_H(s, xi)))
     return radial * math.prod(float(np.dot(wxi, xi ** mj * (1.0 - xi) ** m[-1]))
@@ -491,7 +481,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int],
 # kernel series, closed targets, certification
 
 
-def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: Callable[[int], float],
+def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
                    k_max: int = 10000, count: Optional[int] = None):
     """The terms d_k = eps(alpha + lam k) psi(0)/psi(k) top^k at top = max |rho|, and
     sum_k d_k (rho/top)^k at each radius: each degree multiplies the moment part by
@@ -508,7 +498,6 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: Callable[[int],
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
-    ratio = psi.ratio if isinstance(psi, _PsiCache) else (lambda k: psi(k - 1) / psi(k))
     top = float(np.abs(radii).max())
     bounded = count is None and lam > 0
     degrees = (range(1, count) if count is not None else
@@ -516,7 +505,7 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: Callable[[int],
     moment, terms = 1.0, [eps(alpha)]
     total = terms[0]
     for k in degrees:
-        moment *= top * ratio(k)
+        moment *= top * psi.ratio(k)
         terms.append(eps(alpha + lam * k) * moment)
         total += terms[-1]
         if not math.isfinite(total):
@@ -542,18 +531,21 @@ def _horner(coeffs: list[float], x: float) -> float:
 
 def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
                    nodes: int = 64, k_max: int = 10000,
-                   psi: Optional[Callable[[int], float]] = None):
+                   psi: Optional[MomentTable] = None):
     """Bergman function of the fibered metric at fiber radius rho, or at each of several radii.
 
     e^(-alpha F(rho)) / psi(alpha, 0) * sum_k d_k (rho/top)^k, with the series
     terms d_k of _moment_series at the largest radius top: one sum serves the
-    whole grid.  A float rho gives a float, a sequence a list.
+    whole grid.  A float rho gives a float, a sequence a list.  ``psi``, a
+    MomentTable of this same setup, supplies the moments and keeps their counts.
     """
     radii = np.asarray(rho, dtype=float)
     require((radii >= 0) & ((radii < 1) | (s.domain != "ball")), OutOfDomain,
             lambda i: f"rho={radii.flat[i]} outside the fiber range")
     if psi is None:
-        psi = _PsiCache(s, psi_method, nodes)
+        psi = MomentTable(s, psi_method, nodes)
+    elif psi.setup != s:
+        raise PreconditionFailed("the moment table psi was built for another setup")
     _, sums = _moment_series(s, radii, psi, k_max)
     F = profile_jet(s.profile, radii, 0, "rho").value
     values = elementwise(math.exp, -s.alpha * F) * sums / psi(0)
@@ -576,7 +568,7 @@ class GeneratingIdentityReport:
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
     """Series coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
-    terms, _ = _moment_series(s, np.ones(1), _PsiCache(s, psi_method, nodes), count=k_count)
+    terms, _ = _moment_series(s, np.ones(1), MomentTable(s, psi_method, nodes), count=k_count)
     return [d / terms[0] for d in terms]
 
 
@@ -586,7 +578,7 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
     """Worst relative gap between the assembled moment series and its closed resummation."""
     model = _model(s, "generating identity")
     radii = np.asarray(rho_grid, dtype=float)
-    terms, sums = _moment_series(s, radii, _PsiCache(s, psi_method, nodes), k_max)
+    terms, sums = _moment_series(s, radii, MomentTable(s, psi_method, nodes), k_max)
     rows = tuple((r, a / terms[0], model.rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
     return GeneratingIdentityReport(rows, max(abs(a - b) / (1.0 + abs(b)) for _, a, b in rows))
 
@@ -618,6 +610,8 @@ def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> Quantiz
         raise PreconditionFailed("k, r, m must be positive integers")
     base = BaseGeometry.fubini_study_cp1(k, twist=1.0)
     if part == "ball":
+        if c != 1.0:
+            raise PreconditionFailed(f"the ball part reads no profile scale c, got c={c}")
         if k * r <= 1:
             raise PreconditionFailed("kr>1 required for the ball-subbundle part")
         A = (k * r - 1) / (k * (r + 1))
@@ -650,8 +644,8 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
     identity_gap = abs((r - (1 + r) * A) - 1.0 / k)
     if rho_grid is None:
         rho_grid = np.linspace(0.0, 0.9, 10)
-    cache = _PsiCache(s, psi_method, nodes)
-    values = tuple(bergman_series(s, rho_grid, psi=cache))
+    table = MomentTable(s, psi_method, nodes)
+    values = tuple(bergman_series(s, rho_grid, psi=table))
     _, spread = _spread(values)
     err = max(abs(v - target) for v in values) / (1.0 + abs(target))
     return BalancedCertificate(part=part, k=k, r=r, m=m, c=c, A=A, mu=mu,
@@ -661,4 +655,4 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
                                base_identity_gap=identity_gap,
                                balanced=spread <= tol and err <= tol
                                and identity_gap <= 1e-12,
-                               **cache.counts())
+                               **table.counts())

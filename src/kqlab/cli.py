@@ -360,8 +360,9 @@ def cmd_psi(args) -> tuple[dict, list, dict]:
         raise EmptyGrid(f"psi table up to k = {args.table_k} has no rows")
     rows = []
     worst = 0.0
+    table = bergman.MomentTable(s) if args.method != "quadrature" else None
     for k in range(args.table_k + 1):
-        closed = bergman.psi_moment(s, k, "closed") if args.method != "quadrature" else None
+        closed = table(k) if table else None
         quad = (bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
                 if args.method != "closed" else None)
         if args.method == "both":
@@ -381,8 +382,8 @@ def cmd_psi(args) -> tuple[dict, list, dict]:
 def cmd_bergman(args) -> tuple[dict, list, dict]:
     s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
-    cache = bergman._PsiCache(s, args.psi_method, args.quad_nodes)
-    values = bergman.bergman_series(s, grid, psi=cache, k_max=args.max_k)
+    table = bergman.MomentTable(s, args.psi_method, args.quad_nodes)
+    values = bergman.bergman_series(s, grid, psi=table, k_max=args.max_k)
     rows = [{"point": g, "value": v} for g, v in zip(grid, values)]
     try:
         target = bergman.closed_target(s)
@@ -396,7 +397,7 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
         verdict = "inconclusive"
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
                "psi_method": args.psi_method, "branch": None,
-               **cache.counts()}
+               **table.counts()}
     return echo, rows, summary
 
 
@@ -448,8 +449,7 @@ def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
     samples = parse_samples(args.samples)
     cfg = oracle.GramOracleConfig(bundle_degree=args.k, power=args.m,
                                   q_cap=args.Q, s_nodes=args.quad_nodes,
-                                  sample_points=tuple(samples),
-                                  tail_tol=args.tail_tol)
+                                  sample_points=tuple(samples))
     # the Gram oracle covers rank r = 1 only
     model = bergman.balanced_setup(args.k, 1, args.m, part=args.part, c=args.c)
     rep = oracle.hartogs_gram_oracle(cfg, model)
@@ -534,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Q", type=int, default=40, help="fiber-degree cap")
     sp.add_argument("--samples", default="0,0;0.5,0.3;1,0.5;2,0.7",
                     help="semicolon-separated s,rho sample points")
-    sp.add_argument("--tail-tol", type=float, default=1e-3)
     _add_common(sp, tol=1e-3, quad_nodes=200)
     sp.set_defaults(fn=cmd_oracle_hartogs)
 

@@ -43,6 +43,8 @@ from .special import laguerre, legendre
 # at most (1 - sigma)^-j, j below k times the block width: at most this, 2^500
 _BLOCK_GROWTH = 500 * math.log(2.0)
 
+_BLAS_CHUNK = 256       # the longest node axis OpenBLAS sums in one order at any thread count
+_TAIL_TOL = 1e-3        # the largest relative fiber-degree tail the Hartogs oracle accepts
 _PROBE_RADII, _PROBE_ANGLES = 32, 24    # Gram probe: Gauss nodes per radius, points per angle
 
 
@@ -62,7 +64,6 @@ class GramOracleConfig:
     s_nodes: int = 200
     sample_points: tuple[tuple[float, float], ...] = (
         (0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 0.7))
-    tail_tol: float = 1e-3
 
     def __post_init__(self):
         if self.bundle_degree < 1 or self.power < 1:
@@ -203,9 +204,16 @@ def _fiber_sums(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     s, phi, xi, F, logk = _radial_weight(cfg, setup)
     e = max(0, math.frexp(float(xi.max()))[1])
     qarr = np.arange(cfg.q_cap + 1)
-    mc = np.exp(logk + cfg.power * phi[:, None]) @ np.ldexp(xi, -e)[:, None] ** qarr
+    mc = _node_sum(np.exp(logk + cfg.power * phi[:, None]), np.ldexp(xi, -e)[:, None] ** qarr)
     scale = np.frexp(mc.max(axis=0))[1]
     return np.ldexp(mc, -scale), e * qarr + scale
+
+
+def _node_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, its shared (node) axis summed in chunks of _BLAS_CHUNK, added in order:
+    OpenBLAS sums a longer axis in an order that depends on its thread count."""
+    return functools.reduce(np.add, (a[:, i: i + _BLAS_CHUNK] @ b[i: i + _BLAS_CHUNK]
+                                     for i in range(0, b.shape[0], _BLAS_CHUNK)))
 
 
 def _rounded(num: int, den: int) -> tuple[float, float]:
@@ -281,7 +289,7 @@ def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
         np.multiply(growth[:, : cut - K], lead[low:], out=rows[low:, K + 1: cut + 1])
         block = rows[:, : cut + 1]
         np.copyto(block, 0.0, where=block < tiny)   # as a subnormal norm is; they slow the product
-        N[: cut + 1, q0: q1 + 1] = block.T @ (mc[:, q0: q1 + 1] * shrink[:, : q1 - q0 + 1])
+        N[: cut + 1, q0: q1 + 1] = _node_sum(block.T, mc[:, q0: q1 + 1] * shrink[:, : q1 - q0 + 1])
     N[N < tiny] = 0.0
     np.ldexp(N, exponent, out=N)
     N[N < tiny] = 0.0
@@ -342,9 +350,9 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
             ratio = shells[-1] / shells[-2]
             tail = shells[-1] * ratio / (1.0 - ratio) if ratio < 1 else math.inf
             worst_tail = max(worst_tail, tail / max(eps_val, 1e-300))
-    if worst_tail > cfg.tail_tol:
+    if worst_tail > _TAIL_TOL:
         raise TruncationInsufficient(
-            f"fiber-degree tail estimate {worst_tail:.3e} above {cfg.tail_tol:.1e}; "
+            f"fiber-degree tail estimate {worst_tail:.3e} above {_TAIL_TOL:.1e}; "
             "raise q_cap")
     err = max(abs(v - target) for v in values) if target is not None else None
     basis = int(np.isfinite(N).sum())

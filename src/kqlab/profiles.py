@@ -32,6 +32,7 @@ from .jets import DEFAULT_ORDER, TaylorJet, require
 from .special import legendre
 
 JetRule = Callable[[float, int], TaylorJet]
+_LENGTH_CAP, _LENGTH_TAIL_TOL = 1e3, 1e-6      # a fiber length past the cap is complete
 
 
 def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
@@ -255,15 +256,14 @@ def _segment_integral(p: RadialProfile, a: float, b: float) -> float:
     return (b - a) * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws.tolist(), fpp))
 
 
-def _fiber_length_verdict(p: RadialProfile, domain: str, threshold: float,
-                          tail_tol: float) -> tuple[str, float]:
+def _fiber_length_verdict(p: RadialProfile, domain: str) -> tuple[str, float]:
     """Completeness of the fiber metric: does the length integral of
     sqrt(F'') diverge toward the domain boundary?
 
     Segment increments toward the boundary are extrapolated geometrically:
     non-decaying increments mean a divergent integral (complete); a
-    geometric tail below ``tail_tol`` means convergence (incomplete).
-    The running total is also compared against ``threshold`` directly.
+    geometric tail below _LENGTH_TAIL_TOL means convergence (incomplete).
+    The running total is also compared against _LENGTH_CAP directly.
     """
     t0 = -2.0 * math.log(2.0)
     total = 0.0
@@ -279,27 +279,26 @@ def _fiber_length_verdict(p: RadialProfile, domain: str, threshold: float,
             break  # cannot evaluate closer to the boundary; judge what we have
         segs.append(seg)
         total += seg
-        if total > threshold:
+        if total > _LENGTH_CAP:
             return "complete", total
     if len(segs) < 4:
         return "inconclusive", total
     tail = [s for s in segs[-6:] if s > 0]
     if len(tail) < 2:
-        return ("incomplete", total) if total < threshold else ("complete", total)
+        return ("incomplete", total) if total < _LENGTH_CAP else ("complete", total)
     ratios = [b / a for a, b in zip(tail, tail[1:])]
     r = sorted(ratios)[len(ratios) // 2]
     if r >= 0.95:
         # increments do not decay: extrapolated integral exceeds any threshold
         return "complete", math.inf
     tail_estimate = tail[-1] * r / (1.0 - r)
-    if tail_estimate < tail_tol:
+    if tail_estimate < _LENGTH_TAIL_TOL:
         return "incomplete", total
     return "inconclusive", total
 
 
 def admissibility(p: RadialProfile, twist: float, domain: str,
-                  grid: Sequence[float], threshold: float = 1e3,
-                  tail_tol: float = 1e-6) -> AdmissibilityReport:
+                  grid: Sequence[float]) -> AdmissibilityReport:
     """Pointwise positivity flags plus a completeness verdict for the fiber metric."""
     if domain not in ("ball", "fullspace"):
         raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
@@ -316,6 +315,6 @@ def admissibility(p: RadialProfile, twist: float, domain: str,
         )
         ok = ok and point.convex and point.positive_shift and x > 0
         pts.append(point)
-    verdict, estimate = _fiber_length_verdict(p, domain, threshold, tail_tol)
+    verdict, estimate = _fiber_length_verdict(p, domain)
     return AdmissibilityReport(points=tuple(pts), admissible=ok,
                                completeness=verdict, integral_estimate=estimate)

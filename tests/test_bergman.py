@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from kqlab import bergman, jets, special
 from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
-                           _psi_quadrature_block, _PsiCache,
+                           MomentTable, _psi_quadrature_block,
                            balanced_certify, balanced_setup,
                            bergman_series, closed_target, density_H,
                            fiber_moment, fiber_moment_direct,
                            generating_coefficients, generating_identity_check,
-                           moment_table, psi_moment, sphere_monomial_integral)
+                           psi_moment, sphere_monomial_integral)
 from kqlab.curvature import BaseGeometry
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent)
@@ -259,9 +259,9 @@ def test_ball_closed_form_refuses_a_gamma_pole_at_the_window_edge():
 
 def test_moment_table_positive():
     s = ball_setup(0.5, 1.0, 1, 2, 4.0)
-    table = moment_table(s, 8, "closed")
-    assert table.K == 8 and len(table.entries) == 9
-    assert all(e > 0 for e in table.entries)
+    table = MomentTable(s, "closed")
+    assert all(table(k) > 0 for k in range(9))
+    assert table.setup is s and table.counts()["fiber_degrees"] == 9
 
 
 def test_sphere_monomial_values():
@@ -508,7 +508,7 @@ def _block_setups():
 @pytest.mark.parametrize("s, degrees, rules", list(_block_setups()),
                          ids=["logball", "linear", "logaffine"])
 def test_block_moments_match_single_moments(s, degrees, rules):
-    cache = _PsiCache(s, "quadrature", 64)
+    cache = MomentTable(s, "quadrature", 64)
     for k in range(degrees):
         single = psi_moment(s, k, "quadrature")
         assert cache(k) == pytest.approx(single, rel=1e-12, abs=0.0)
@@ -520,7 +520,7 @@ def test_block_moments_match_single_moments(s, degrees, rules):
 def test_block_moments_exact_at_any_node_count(nodes):
     # an N-node rule is exact to degree 2N-1: blocks span min(64, N) degrees
     s = balanced_setup(2, 2, 3, "ball")
-    cache = _PsiCache(s, "quadrature", nodes)
+    cache = MomentTable(s, "quadrature", nodes)
     for k in range(130):
         single = psi_moment(s, k, "quadrature", nodes)
         assert cache(k) == pytest.approx(single, rel=1e-12, abs=0.0), k
@@ -537,7 +537,7 @@ def test_block_moments_against_mpmath():
                                 ((1, 1, 2), "total", range(0, 151, 3)),
                                 ((1, 1, 4), "total", range(1, 151, 7))]:
         s = balanced_setup(k, r, m, part)
-        cache = _PsiCache(s, "quadrature", 64)
+        cache = MomentTable(s, "quadrature", 64)
         for kk in ks:
             ref, _ = _closed_psi_reference(s, kk)
             errors.append(float(abs(mp.mpf(cache(kk)) - ref) / ref))
@@ -549,18 +549,18 @@ def test_block_scale_past_the_float_range_refuses_only_its_moment():
     # scale alpha*c = 1e-3: scale^-(k+1) leaves the float range from k = 102,
     # inside the block 64..127; psi itself is finite up to k = 69
     s = full_setup(linear(1e-3), 1.0, 1, 1, 1.0)
-    table = moment_table(s, 64, "quadrature")
-    for k, entry in enumerate(table.entries):
-        assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
+    table = MomentTable(s, "quadrature")
+    for k in range(65):
+        assert table(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
     with pytest.raises(QuadratureNonConvergent):
-        moment_table(s, 70, "quadrature")
+        [table(k) for k in range(71)]
 
 
 def test_negative_twist_block_stops_at_last_admissible_degree():
     s = full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 9.0)
     with pytest.raises(BranchInvalid):
         _psi_quadrature_block(s, 0, 15, 64)   # degree 15 has no moment
-    cache = _PsiCache(s, "quadrature", 64)
+    cache = MomentTable(s, "quadrature", 64)
     for k in range(10):
         assert cache(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
     assert cache.counts() == {"gauss_rules": 1, "nodes_per_rule": 64,
@@ -570,7 +570,7 @@ def test_negative_twist_block_stops_at_last_admissible_degree():
 def test_log_affine_block_stops_at_last_convergent_moment():
     # positive twist: moments exist for k <= alpha/|A| = 20 only
     s = full_setup(log_affine(-1.0, 1.0), 1.0, 1, 1, 20.0)
-    cache = _PsiCache(s, "quadrature", 64)
+    cache = MomentTable(s, "quadrature", 64)
     assert cache(16) == pytest.approx(psi_moment(s, 16, "quadrature"), rel=1e-12)
     assert cache.counts()["gauss_rules"] == 1
     with pytest.raises(BranchInvalid):
@@ -591,7 +591,7 @@ def test_custom_profile_keeps_adaptive_moments(monkeypatch):
         raise AssertionError("custom profiles must not take the Gauss-rule path")
 
     monkeypatch.setattr(bergman, "_psi_quadrature_block", no_gauss_rule)
-    cache = _PsiCache(s_custom, "quadrature", 64)
+    cache = MomentTable(s_custom, "quadrature", 64)
     for k in range(3):
         assert cache(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-9)
     assert cache.counts() == {"gauss_rules": 0, "nodes_per_rule": 0,
@@ -602,9 +602,11 @@ def test_custom_profile_keeps_adaptive_moments(monkeypatch):
                                balanced_setup(1, 1, 3, "total")], ids=["ball", "total"])
 def test_series_same_with_block_and_single_moments(s):
     for rho in (0.3, 0.6):
-        blocks = bergman_series(s, rho, psi_method="quadrature")
-        single = bergman_series(s, rho, psi=lambda k: psi_moment(s, k, "quadrature"))
-        assert blocks == pytest.approx(single, rel=1e-12, abs=0.0)
+        table = MomentTable(s, "quadrature")
+        bergman_series(s, rho, psi=table)
+        for k in range(table.counts()["fiber_degrees"]):
+            single = psi_moment(s, k, "quadrature")
+            assert table(k) == pytest.approx(single, rel=1e-12, abs=0.0), k
 
 
 def test_balanced_certificate_counts():
@@ -668,7 +670,7 @@ def test_overflowing_rule_raises_instead_of_nan(monkeypatch):
     with pytest.raises(QuadratureNonConvergent, match="not finite"):
         psi_moment(s, 300, "quadrature")
     with pytest.raises(QuadratureNonConvergent, match="not finite"):
-        _PsiCache(s, "quadrature", 64)(300)
+        MomentTable(s, "quadrature", 64)(300)
 
 
 def test_2000_node_rule_at_degree_300_is_finite_and_exact():
@@ -677,7 +679,7 @@ def test_2000_node_rule_at_degree_300_is_finite_and_exact():
     s = balanced_setup(2, 2, 3, "ball")
     ref, _ = _closed_psi_reference(s, 300)
     for psi in (psi_moment(s, 300, "quadrature", nodes=2000),
-                _PsiCache(s, "quadrature", 2000)(300)):
+                MomentTable(s, "quadrature", 2000)(300)):
         assert float(abs(mp.mpf(psi) - ref) / ref) <= 1e-13
 
 
@@ -694,9 +696,10 @@ def test_quadrature_moment_table_uses_blocks(monkeypatch):
     monkeypatch.setattr(bergman, "roots_jacobi",
                         lambda *args: rules.append(args) or roots_jacobi(*args))
     s = ball_setup(0.5, 1.0, 1, 2, 4.0)
-    table = moment_table(s, 20, "quadrature")
+    table = MomentTable(s, "quadrature")
+    entries = [table(k) for k in range(21)]
     assert [args[2] for args in rules] == [1]   # u^(k0+d0-1), k0 = 0
-    for k, entry in enumerate(table.entries):
+    for k, entry in enumerate(entries):
         assert entry == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
 
 
@@ -714,10 +717,9 @@ def _closed_models():
 @pytest.mark.parametrize("s", list(_closed_models()),
                          ids=["ball-d1", "ball-d2", "linear", "projective"])
 def test_closed_ratio_is_quotient_of_closed_moments(s):
+    table = MomentTable(s)
     for k in range(21):
-        quotient = bergman._psi_closed(s, k) / bergman._psi_closed(s, k + 1)
-        ratio = bergman._model(s, "closed psi ratio").ratio(s, k)
-        assert ratio == pytest.approx(quotient, rel=1e-13)
+        assert table.ratio(k + 1) == pytest.approx(table(k) / table(k + 1), rel=1e-13)
 
 
 def test_closed_ratios_check_the_branch_window_once_per_cache(monkeypatch):
@@ -731,17 +733,40 @@ def test_closed_ratios_check_the_branch_window_once_per_cache(monkeypatch):
         model.window(setup)
 
     monkeypatch.setitem(bergman._MODELS, key, model._replace(window=counted))
-    cache = _PsiCache(s, "closed", 64)
+    cache = MomentTable(s)
     ratios = [cache.ratio(k) for k in range(1, 41)]
     assert len(calls) == 1
     assert ratios == [model.ratio(s, k - 1) for k in range(1, 41)]
     # a second series gets its own cache and its own check
-    _PsiCache(s, "closed", 64).ratio(1)
+    MomentTable(s).ratio(1)
     assert len(calls) == 2
 
 
 def test_closed_ratio_outside_the_window_is_refused_on_the_first_ratio():
-    cache = _PsiCache(ball_setup(0.5, 1.0, 1, 2, 1.0), "closed", 64)   # alpha <= n*A = 1.5
+    cache = MomentTable(ball_setup(0.5, 1.0, 1, 2, 1.0))   # alpha <= n*A = 1.5
     for _ in range(2):
         with pytest.raises(BranchInvalid, match="alpha > n"):
             cache.ratio(1)
+
+
+def test_closed_table_walks_one_ratio_per_new_degree(monkeypatch):
+    s = ball_setup(0.5, 1.0, 1, 2, 4.0)
+    key = (s.domain, s.profile.family)
+    model = bergman._MODELS[key]
+    calls = []
+    monkeypatch.setitem(bergman._MODELS, key, model._replace(
+        ratio=lambda setup, j: calls.append(j) or model.ratio(setup, j)))
+    table = MomentTable(s)
+    asked = (12, 40, 7, 40, 41)
+    values = [table(k) for k in asked]
+    assert calls == list(range(41))
+    # each moment is bit for bit that of a table asked for it alone
+    assert values == [MomentTable(s)(k) for k in asked]
+
+
+def test_series_refuses_a_table_of_another_setup():
+    s = balanced_setup(2, 1, 2, "ball")
+    for other in (balanced_setup(2, 1, 3, "ball"), balanced_setup(2, 1, 2, "ball")):
+        with pytest.raises(PreconditionFailed, match="another setup"):
+            bergman_series(s, 0.5, psi=MomentTable(other))
+    assert bergman_series(s, 0.5, psi=MomentTable(s)) == bergman_series(s, 0.5)

@@ -797,3 +797,25 @@ def test_eps_beside_a_base_with_its_own_law_is_refused(tmp_path, capsys, preset)
     assert code == 2
     assert out["error"]["type"] == "PreconditionFailed"
     assert "'eps'" in out["error"]["message"]
+
+
+def test_closed_psi_table_takes_one_closed_ratio_per_degree(monkeypatch, capsys):
+    key = ("ball", "logball")
+    model = bergman._MODELS[key]
+    calls = []
+    monkeypatch.setitem(bergman._MODELS, key, model._replace(
+        ratio=lambda s, j: calls.append(j) or model.ratio(s, j)))
+    code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "0.5", "--d", "1",
+                         "--d0", "2", "--lambda", "1", "--alpha", "4", "--method", "closed",
+                         "--table-k", "300")
+    assert code == 0 and len(doc["rows"]) == 301
+    assert len(calls) == 300      # a moment per degree would take 45,150
+
+
+@pytest.mark.parametrize("argv", [
+    ("balanced", "--k", "1", "--r", "2", "--m", "2", "--c", "5"),
+    ("oracle-hartogs", "--k", "2", "--m", "2", "--Q", "60", "--c", "7"),
+], ids=["balanced", "oracle-hartogs"])
+def test_ball_part_refuses_c(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"]["type"] == "PreconditionFailed"

@@ -6,8 +6,8 @@ working; the CLI reports it by name with exit code 2.
 
 import pytest
 
-from kqlab.bergman import (QuantizationSetup, bergman_series, fiber_moment,
-                           generating_coefficients, psi_moment,
+from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
+                           fiber_moment, generating_coefficients, psi_moment,
                            sphere_monomial_integral)
 from kqlab.curvature import BaseGeometry, curvature_report
 from kqlab.errors import PreconditionFailed
@@ -38,6 +38,7 @@ _SITES = {
     "fiber-moment-negative-index": (lambda: fiber_moment(_setup(d0=2), [-1, 2]),
                                     "non-negative"),
     "series-eps": (lambda: bergman_series(_setup(), 0.5), "no Bergman function eps"),
+    "balanced-ball-c": (lambda: balanced_setup(1, 2, 2, "ball", c=5.0), "reads no profile scale"),
     "coefficients-eps": (lambda: generating_coefficients(_setup(), 4),
                          "no Bergman function eps"),
     "base-twist": (lambda: BaseGeometry(1, 0.0, 0.0, 0.0, 0.0, 0.0),

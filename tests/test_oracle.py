@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -295,3 +299,15 @@ def test_gauss_rules_are_built_once_and_read_only(rule, nodes):
     for a in (xs, ws):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_hartogs_report_is_the_same_under_one_and_two_blas_threads():
+    # 400 nodes: the node axes of the products are longer than one BLAS chunk
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "kqlab.cli", "oracle-hartogs", "--k", "2", "--m", "2",
+            "--Q", "60", "--quad-nodes", "400"]
+    reports = [subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                                             OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, check=True).stdout
+               for threads in ("1", "2")]
+    assert reports[0] == reports[1]

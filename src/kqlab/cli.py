@@ -156,16 +156,13 @@ def profile_to_dict(p: profiles.RadialProfile) -> dict:
     return {"family": p.family, **p.params()}
 
 
-def _eps_from_dict(d: dict) -> Callable[[float], float]:
+def _eps_from_dict(d: dict) -> curvature.BergmanLaw:
     kind = _field(d, "kind", _one_of("affine", "product", "power"))
-    if kind == "affine":
-        off = _field(d, "offset")
-        return lambda a: a + off
+    if kind == "affine":    # alpha + offset, as a product of one factor
+        return curvature.BergmanLaw(-_field(d, "offset"))
     if kind == "product":
-        shift, count = _field(d, "shift"), _field(d, "count", int)
-        return lambda a: bergman.product_shifted(a, shift, count)
-    exponent = _field(d, "exponent", int)
-    return lambda a: a ** exponent
+        return curvature.BergmanLaw(_field(d, "shift"), _field(d, "count", int))
+    return curvature.BergmanLaw(count=_field(d, "exponent", int), power=True)
 
 
 def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist: float,

@@ -31,6 +31,19 @@ REPORT_ORDER = 6  # jet order of curvature_report, the least its fields allow
 
 
 @dataclass(frozen=True)
+class BergmanLaw:
+    """alpha -> prod_{j=1..count} (alpha - j*shift), or alpha^count if power; equal by value."""
+
+    shift: float = 0.0
+    count: int = 1
+    power: bool = False
+
+    def __call__(self, a: float) -> float:   # a series calls it per degree: one factor inline
+        return (a ** self.count if self.power else a - self.shift if self.count == 1
+                else product_shifted(a, self.shift, self.count))
+
+
+@dataclass(frozen=True)
 class BaseGeometry:
     """Curvature data of the base metric, constant for homogeneous presets.
 
@@ -89,7 +102,7 @@ class BaseGeometry:
             raise PreconditionFailed("bundle degree k must be >= 1")
         s = 2.0 / k
         return BaseGeometry(1, twist, s, s * s, 0.0, s * s,
-                            eps=lambda alpha: alpha + 1.0 / k)
+                            eps=BergmanLaw(-1.0 / k))
 
     @staticmethod
     def fubini_study_cpd(d: int, twist: float = -1.0) -> "BaseGeometry":
@@ -102,7 +115,7 @@ class BaseGeometry:
             raise PreconditionFailed("d must be >= 1")
         s = float(d * (d + 1))
         return BaseGeometry(d, twist, s, s * (d + 1.0), 0.0, 2.0 * s,
-                            eps=lambda alpha: product_shifted(alpha, -1.0, d))
+                            eps=BergmanLaw(-1.0, d))
 
     @staticmethod
     def flat(d: int, twist: float = 1.0) -> "BaseGeometry":

@@ -11,17 +11,17 @@ The base chart is the complex line with potential k*log(1+|z|^2): sections
 of the degree-mk bundle over the sphere correspond to the finite-norm
 monomials on the chart, so the oracle is finite-dimensional per fiber
 degree.  Norms are computed for the integrable exponents p <= k*(m + q)
-only; the others are infinite by definition.  In the Legendre node
+only; the others are infinite by definition.  The two-dimensional weight is
+the Hessian determinant on the full node grid times exact per-row and
+per-column factors: no exp or log per cell.  In the Legendre node
 sigma = |z|^2/(1+|z|^2) of the base axis, each integrable z-factor
-|z|^(2p) e^(-(m+q)*potential) is the Bernstein factor
-sigma^p (1-sigma)^(k(m+q)-p), at most 1: the factors are running products
-of floats in [0, 1], and each block of fiber degrees is summed as one matrix
-product against fiber sums of the full two-dimensional weight.  Fiber powers
-are taken relative to a power of two above the largest fiber node, so the
-total-space oracle (Laguerre nodes) reaches q_cap = 120 at 200 nodes without
-overflow.  A norm that comes out 0 or subnormal is 0, and the oracle refuses
-it.  The Gauss rules are special.legendre and special.laguerre, shared
-read-only.
+|z|^(2p) e^(-(m+q)*potential) is the Bernstein factor sigma^p
+(1-sigma)^(k(m+q)-p) <= 1, a running product of floats in [0, 1], and each
+block of fiber degrees is one matrix product against fiber sums of the
+weight.  Fiber powers are relative to a power of two above the largest fiber
+node, so the total-space oracle (Laguerre nodes) reaches q_cap = 120 at 200
+nodes without overflow.  A norm that comes out 0 or subnormal is 0 and is
+refused.  The Gauss rules special.legendre and laguerre are shared read-only.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ class HartogsOracleReport:
 
 
 def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
-    """Log-weights of the tensor quadrature in (|z|^2, rho) coordinates.
+    """Weights of the tensor quadrature in (|z|^2, rho) coordinates.
 
     Returns (s = |z|^2, base potential phi, fiber nodes xi, fiber values F,
-    log of the full measure including the Hessian determinant and all
-    quadrature weights).
+    the full measure but its factor e^(-m*phi)): the Hessian determinant on
+    the node grid times one exact factor per row and one per column.
     """
     k, m = cfg.bundle_degree, cfg.power
     sig, wsig = legendre(cfg.s_nodes)
@@ -161,8 +161,7 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
         # the exponential envelope e^(-m c rho) of the linear profile
         rate = m * setup.profile.c
         xf, wf = laguerre(cfg.s_nodes)
-        xi = xf / rate
-        wxi = wf / rate
+        xi, wxi = xf / rate, wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
 
     j = profile_jet(setup.profile, xi, 2, "rho")
@@ -172,39 +171,38 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     if np.any(Fp <= 0) or np.any(radial <= 0) or np.any(one_shift <= 0):
         raise OutOfDomain("profile not admissible on the fiber quadrature range")
 
-    # complex Hessian determinant of phi(s) + F(e^phi v) in (z, w), v = e^-phi xi
-    Z = (np.outer(phi_p, one_shift)
-         + s[:, None] * (np.outer(phi_pp, one_shift)
-                         + np.outer(phi_p ** 2, xi * radial)))
-    W = np.outer(np.exp(phi), radial)
-    X = np.outer(s * np.exp(phi) * phi_p ** 2, xi * radial ** 2)
-    det = Z * W - X
+    # complex Hessian determinant of phi(s) + F(e^phi v) in (z, w), v = e^-phi xi:
+    # Z*W - X formed in place in two node-by-node buffers, Z in det, W and X in t
+    det, t = np.empty((s.size, xi.size)), np.empty((s.size, xi.size))
+    np.multiply(phi_pp[:, None], one_shift, out=det)
+    det += np.multiply((phi_p ** 2)[:, None], xi * radial, out=t)
+    det *= s[:, None]
+    det += np.multiply(phi_p[:, None], one_shift, out=t)
+    det *= np.multiply(np.exp(phi)[:, None], radial, out=t)
+    det -= np.multiply((s * np.exp(phi) * phi_p ** 2)[:, None], xi * radial ** 2, out=t)
     if np.any(det <= 0):
         raise QuadratureNonConvergent("Hessian determinant not positive on the grid")
 
-    with np.errstate(divide="ignore"):  # underflowing far-tail weights -> -inf
-        logk = (np.log(det)
-                - m * (phi[:, None] + F[None, :])
-                - phi[:, None]
-                + np.log(jac * wsig)[:, None]
-                + (np.log(wxi) + log_comp)[None, :])
-    return s, phi, xi, F, logk
+    with np.errstate(divide="ignore"):  # an underflowing far-tail weight -> exp(-inf) = 0
+        det *= np.exp(np.log(jac * wsig) - phi)[:, None]
+        det *= np.exp(np.log(wxi) + log_comp - m * F)
+    return s, phi, xi, F, det
 
 
 def _fiber_sums(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
-    """Mc[s, q] = sum over the fiber nodes of the full two-dimensional weight,
-    without its factor e^(-m*phi), times (xi/2^e)^q; each column scaled by an
-    exact power of two.  Returns Mc and the exponent that undoes both powers.
+    """Mc[s, q] = sum over the fiber nodes of _radial_weight's two-dimensional
+    weight times (xi/2^e)^q; each column scaled by an exact power of two.
+    Returns Mc and the exponent that undoes both powers.
 
     Fiber powers are relative to 2^e above the largest node: exact, and they
     do not overflow on the Laguerre nodes of the total space (e = 0 on the
     ball).  No separability of the weight is used: that is what the oracle
     certifies.
     """
-    s, phi, xi, F, logk = _radial_weight(cfg, setup)
+    s, phi, xi, F, weight = _radial_weight(cfg, setup)
     e = max(0, math.frexp(float(xi.max()))[1])
     qarr = np.arange(cfg.q_cap + 1)
-    mc = _node_sum(np.exp(logk + cfg.power * phi[:, None]), np.ldexp(xi, -e)[:, None] ** qarr)
+    mc = _node_sum(weight, np.ldexp(xi, -e)[:, None] ** qarr)
     scale = np.frexp(mc.max(axis=0))[1]
     return np.ldexp(mc, -scale), e * qarr + scale
 
@@ -315,30 +313,32 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     k = cfg.bundle_degree
     if abs(setup.base.scalar - 2.0 / k) > 1e-12:   # the degree-k sphere of the chart weight
         raise PreconditionFailed("setup base and oracle bundle degree disagree")
+    for s0, rho0 in cfg.sample_points:
+        if s0 < 0 or rho0 < 0 or (setup.domain == "ball" and rho0 >= 1):
+            raise OutOfDomain(f"sample point ({s0}, {rho0}) outside the model")
     N = _norm_matrix(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
-    parr = np.arange(P + 1, dtype=float)
-    qarr = np.arange(Q + 1, dtype=float)
+    parr, qarr = np.arange(P + 1.0), np.arange(Q + 1.0)
 
     try:
         target = bergman.closed_target(setup)   # looked up at call time
     except BranchInvalid:
         target = None
 
-    values = []
-    worst_tail = 0.0
-    for s0, rho0 in cfg.sample_points:
-        if s0 < 0 or rho0 < 0 or (setup.domain == "ball" and rho0 >= 1):
-            raise OutOfDomain(f"sample point ({s0}, {rho0}) outside the model")
+    values, worst_tail = [], 0.0
+    finite = np.isfinite(N)
+    logterm, terms = np.empty_like(N), np.zeros_like(N)   # terms: 0 off the finite norms
+    F0s = profile_jet(setup.profile, [rho0 for _, rho0 in cfg.sample_points], 2, "rho").value
+    for (s0, rho0), F0 in zip(cfg.sample_points, F0s.tolist()):
         phi0 = k * math.log1p(s0)
-        F0 = profile_jet(setup.profile, rho0, 2, "rho").value
         with np.errstate(divide="ignore"):
             lp = parr * math.log(s0) if s0 > 0 else np.where(parr == 0, 0.0, -np.inf)
             lq = (qarr * (math.log(rho0) - phi0) if rho0 > 0
                   else np.where(qarr == 0, 0.0, -np.inf))
-        logterm = lp[:, None] + lq[None, :] - m * (phi0 + F0)
+        np.add(lp[:, None], lq[None, :], out=logterm)
+        logterm -= m * (phi0 + F0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(np.isfinite(N), np.exp(logterm) / N, 0.0)
+            np.divide(np.exp(logterm, out=logterm), N, out=terms, where=finite)
         shells = terms.sum(axis=0)
         eps_val = float(shells.sum())
         values.append(eps_val)
@@ -355,7 +355,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
             f"fiber-degree tail estimate {worst_tail:.3e} above {_TAIL_TOL:.1e}; "
             "raise q_cap")
     err = max(abs(v - target) for v in values) if target is not None else None
-    basis = int(np.isfinite(N).sum())
+    basis = int(finite.sum())
     return HartogsOracleReport(samples=tuple(cfg.sample_points),
                                values=tuple(values), target=target,
                                max_abs_error=err, tail_fraction=worst_tail,
@@ -379,8 +379,8 @@ def gram_offdiagonal_probe(cfg: GramOracleConfig, setup: bergman.QuantizationSet
     the diagonality that the fast path assumes from rotational symmetry.
     """
     small = replace(cfg, s_nodes=_PROBE_RADII)
-    s, phi, xi, F, logk = _radial_weight(small, setup)
-    weight = np.exp(logk)                      # radial measure incl. quad weights
+    s, phi, xi, F, weight = _radial_weight(small, setup)
+    weight *= np.exp(-cfg.power * phi)[:, None]     # radial measure incl. quad weights
     theta = 2.0 * math.pi * np.arange(_PROBE_ANGLES) / _PROBE_ANGLES
     out = []
     for (p1, q1), (p2, q2) in pairs:

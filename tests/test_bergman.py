@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 from fractions import Fraction
@@ -16,7 +17,7 @@ from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
                            fiber_moment, fiber_moment_direct,
                            generating_coefficients, generating_identity_check,
                            psi_moment, sphere_monomial_integral)
-from kqlab.curvature import BaseGeometry
+from kqlab.curvature import BaseGeometry, BergmanLaw
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent)
 from kqlab.jets import TaylorJet
@@ -609,6 +610,13 @@ def test_series_same_with_block_and_single_moments(s):
             assert table(k) == pytest.approx(single, rel=1e-12, abs=0.0), k
 
 
+def test_a_table_serves_an_equal_setup_built_apart():
+    # equal setups from one preset: their bases' Bergman laws compare by value
+    s = balanced_setup(2, 1, 2, "ball")
+    assert bergman_series(s, 0.5, psi=MomentTable(balanced_setup(2, 1, 2, "ball"))) == (
+        bergman_series(s, 0.5))
+
+
 def test_balanced_certificate_counts():
     cert = balanced_certify(2, 2, 3)
     assert (cert.gauss_rules, cert.nodes_per_rule, cert.fiber_degrees) == (8, 64, 491)
@@ -765,8 +773,10 @@ def test_closed_table_walks_one_ratio_per_new_degree(monkeypatch):
 
 
 def test_series_refuses_a_table_of_another_setup():
+    # another level, and the same model under another base Bergman law
     s = balanced_setup(2, 1, 2, "ball")
-    for other in (balanced_setup(2, 1, 3, "ball"), balanced_setup(2, 1, 2, "ball")):
+    other_law = dataclasses.replace(s, base=s.base.with_eps(BergmanLaw(-1.0)))
+    for other in (balanced_setup(2, 1, 3, "ball"), other_law):
         with pytest.raises(PreconditionFailed, match="another setup"):
             bergman_series(s, 0.5, psi=MomentTable(other))
     assert bergman_series(s, 0.5, psi=MomentTable(s)) == bergman_series(s, 0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from kqlab import bergman, curvature, special
 from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
-                       render_json)
+                       render_json, setup_from_dict)
 from kqlab.curvature import branch_coefficients
 from kqlab.profiles import linear, log_affine, log_ball
 
@@ -141,6 +141,30 @@ def test_csv_output(capsys):
     assert lines[0] == "point,value"
     assert lines[1].split(",") == ["0", "4"]
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("base", [
+    {"a1": 0.5, "a2": 0.0, "eps": {"kind": "affine", "offset": 0.5}},
+    {"a1": 0.5, "a2": 0.0, "eps": {"kind": "product", "shift": -2, "count": 2}},
+    {"a1": 0.5, "a2": 0.0, "eps": {"kind": "power", "exponent": 3}},
+    {"preset": "cp1", "k": 2}, {"preset": "branch"},
+], ids=["affine", "product", "power", "cp1", "branch"])
+def test_a_setup_document_read_twice_gives_equal_setups(base):
+    doc = {"d": 1, "d0": 2, "twist": 1.0, "domain": "ball", "alpha": 4.0,
+           "profile": {"family": "logball", "A": 0.5}, "base": base}
+    assert setup_from_dict(doc) == setup_from_dict(doc)
+    assert setup_from_dict(doc) != setup_from_dict(dict(doc, alpha=5.0))
+
+
+def test_eps_kinds_are_the_stated_laws():
+    def law(eps):
+        return setup_from_dict({"d": 1, "d0": 1, "domain": "ball", "alpha": 2.0,
+                                "profile": {"family": "logball", "A": 0.5},
+                                "base": {"a1": 0.5, "a2": 0.0, "eps": eps}}).base.eps
+    for a in (0.3, 2.0, 7.25):
+        assert law({"kind": "affine", "offset": 0.7})(a) == a + 0.7
+        assert law({"kind": "product", "shift": -2, "count": 2})(a) == (a + 2) * (a + 4)
+        assert law({"kind": "power", "exponent": 3})(a) == a ** 3
 
 
 def test_out_file_and_setup_document(tmp_path, capsys):

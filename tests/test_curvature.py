@@ -37,6 +37,14 @@ def test_fubini_study_cp1_preset():
         assert b.eps(5.0) == pytest.approx(5.0 + 1.0 / k, rel=1e-15)
 
 
+def test_presets_and_their_bergman_laws_compare_by_value():
+    # a fresh lambda per base made two bases of one preset unequal
+    assert BaseGeometry.fubini_study_cp1(2) == BaseGeometry.fubini_study_cp1(2)
+    assert BaseGeometry.fubini_study_cpd(2) == BaseGeometry.fubini_study_cpd(2)
+    assert BaseGeometry.fubini_study_cp1(2) != BaseGeometry.fubini_study_cp1(3)
+    assert BaseGeometry.fubini_study_cp1(2).eps(4.0) == 4.0 + 1.0 / 2
+
+
 def test_fubini_study_cpd_preset():
     for d in (1, 2, 3):
         b = BaseGeometry.fubini_study_cpd(d)

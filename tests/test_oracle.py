@@ -18,6 +18,7 @@ from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
+from kqlab.profiles import profile_jet
 
 GRID = [0.0, 0.25, 0.7, 1.0, 1.8, 3.0]
 
@@ -159,19 +160,19 @@ def test_hartogs_target_errors_other_than_branch_propagate(monkeypatch):
 
 
 def _reference_norms(cfg, setup):
-    """Gram norms with every row integrated, plain exp and absolute fiber powers."""
+    """Gram norms with every row integrated, plain exp and absolute fiber powers,
+    the weight of _radial_weight taken as exact."""
     k, m = cfg.bundle_degree, cfg.power
-    s, phi, xi, F, logk = oracle._radial_weight(cfg, setup)
+    s, phi, xi, F, weight = oracle._radial_weight(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
     ls = np.log(s)
     parr = np.arange(P + 1, dtype=float)
-    kexp = np.exp(logk)
     N = np.full((P + 1, Q + 1), np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for q in range(Q + 1):
-            mcol = kexp @ (xi ** q)
+            mcol = weight @ (xi ** q)
             logcol = np.where(mcol > 0, np.log(np.where(mcol > 0, mcol, 1.0)), -np.inf)
-            body = np.exp(parr[:, None] * ls[None, :] + (logcol - q * phi)[None, :])
+            body = np.exp(parr[:, None] * ls[None, :] + (logcol - (q + m) * phi)[None, :])
             cut = min(k * (m + q), P)
             N[: cut + 1, q] = body.sum(axis=1)[: cut + 1]
     return N
@@ -185,19 +186,20 @@ def _integrable(cfg):
 
 def _mpmath_norms(cfg, setup, qs):
     """The same quadrature sum in 40 digits, for the fiber degrees qs: the float
-    log-weights, fiber nodes and sigma taken as exact, with s = sigma/(1-sigma)."""
+    weights, fiber nodes and sigma taken as exact, with s = sigma/(1-sigma), and
+    the weight's missing factor e^(-m*phi) = (1-sigma)^(k*m)."""
     k = cfg.bundle_degree
-    _, _, xi, _, logk = oracle._radial_weight(cfg, setup)
+    _, _, xi, _, weight = oracle._radial_weight(cfg, setup)
     sig = special.legendre(cfg.s_nodes)[0]
     out = {}
     with mpmath.workdps(40):
-        weight = [[mpmath.exp(x) for x in row] for row in logk.tolist()]
+        weight = [[mpmath.mpf(x) for x in row] for row in weight.tolist()]
         u = [1 - mpmath.mpf(x) for x in sig.tolist()]
         s = [(1 - v) / v for v in u]
         xi = [mpmath.mpf(x) for x in xi.tolist()]
         for q in qs:
             fiber = [mpmath.fsum(w * x ** q for w, x in zip(row, xi)) for row in weight]
-            terms = [f * v ** (k * q) for f, v in zip(fiber, u)]
+            terms = [f * v ** (k * (q + cfg.power)) for f, v in zip(fiber, u)]
             col = []
             for _ in range(k * (cfg.power + q) + 1):
                 col.append(float(mpmath.fsum(terms)))
@@ -229,14 +231,86 @@ def test_total_space_norms_match_unpruned_loop(m, Q):
     assert np.max(np.abs(N[live] - ref[live]) / ref[live]) <= 1e-13
 
 
+def _mpmath_weight(cfg, setup, cells):
+    """The weight of _radial_weight in 40 digits on the cells (i, j): the float
+    Gauss nodes and rule weights taken as exact, then the Hessian determinant,
+    e^(-m*F - phi), the Jacobian of s = sigma/(1-sigma) and the rule weights."""
+    k, m = cfg.bundle_degree, cfg.power
+    sig, wsig = special.legendre(cfg.s_nodes)
+    ball = setup.domain == "ball"
+    nodes, weights = (special.legendre if ball else special.laguerre)(cfg.s_nodes)
+    out = []
+    with mpmath.workdps(40):
+        for i, j in cells:
+            u = 1 - mpmath.mpf(float(sig[i]))
+            s = (1 - u) / u
+            phi, phi_p, phi_pp = k * mpmath.log(1 + s), k / (1 + s), -k / (1 + s) ** 2
+            if ball:   # log-ball, F = -log(1 - xi)/A
+                xi, fiber = mpmath.mpf(float(nodes[j])), mpmath.mpf(float(weights[j]))
+                A = setup.profile.A
+                F, Fp, Fpp = -mpmath.log(1 - xi) / A, 1 / (A * (1 - xi)), 1 / (A * (1 - xi) ** 2)
+            else:      # linear, F = c*xi, on the Laguerre rule of the variable m*c*xi
+                x, c = mpmath.mpf(float(nodes[j])), setup.profile.c
+                xi, fiber = x / (m * c), mpmath.mpf(float(weights[j])) * mpmath.exp(x) / (m * c)
+                F, Fp, Fpp = c * xi, mpmath.mpf(c), mpmath.mpf(0)
+            radial, one_shift = Fp + xi * Fpp, 1 + xi * Fp
+            Z = phi_p * one_shift + s * (phi_pp * one_shift + phi_p ** 2 * xi * radial)
+            W, X = mpmath.exp(phi) * radial, s * mpmath.exp(phi) * phi_p ** 2 * xi * radial ** 2
+            out.append((Z * W - X) * mpmath.exp(-m * F - phi) * float(wsig[i]) / u ** 2 * fiber)
+    return out
+
+
+@pytest.mark.parametrize("part, k, m, bound", [("ball", 3, 4, 2.5e-15), ("ball", 2, 2, 2.5e-15),
+                                               ("total", 1, 4, 8e-15)])
+def test_weight_matches_a_40_digit_referee(part, k, m, bound):
+    # every 13th node of each axis and the last; the weight carries no e^(-m*phi)
+    cfg = GramOracleConfig(bundle_degree=k, power=m)
+    setup = balanced_setup(k, 1, m, part)
+    weight = oracle._radial_weight(cfg, setup)[4]
+    axis = [*range(0, cfg.s_nodes, 13), cfg.s_nodes - 1]
+    cells = [(i, j) for i in axis for j in axis]
+    errors = []
+    for (i, j), exact in zip(cells, _mpmath_weight(cfg, setup, cells)):
+        if exact == 0:     # a Laguerre rule weight that is 0 as a float
+            assert weight[i, j] == 0.0
+        else:
+            errors.append(float(abs(weight[i, j] - exact) / exact))
+    assert np.median(errors) <= bound
+
+
+@pytest.mark.parametrize("part, k, m, Q", [("ball", 3, 2, 120), ("total", 1, 4, 100)])
+def test_sample_values_are_the_plain_kernel_sum(monkeypatch, part, k, m, Q):
+    # the kernel assembled in reused buffers sums the same floats, bit for bit,
+    # as exp(logterm)/N over the finite norms with the oracle's own N
+    norm_matrix, norms = oracle._norm_matrix, []
+    monkeypatch.setattr(oracle, "_norm_matrix",
+                        lambda cfg, setup: norms.append(norm_matrix(cfg, setup)) or norms[-1])
+    samples = ((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 0.7), (0.0, 0.4), (1.7, 0.0),
+               (3.0, 0.65))
+    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=Q, sample_points=samples)
+    setup = balanced_setup(k, 1, m, part)
+    rep = hartogs_gram_oracle(cfg, setup)
+    (N,) = norms
+    parr, qarr = np.arange(cfg.effective_p_cap + 1.0), np.arange(Q + 1.0)
+    for (s0, rho0), value in zip(samples, rep.values):
+        phi0 = k * math.log1p(s0)
+        F0 = profile_jet(setup.profile, rho0, 2, "rho").value
+        lp = parr * math.log(s0) if s0 > 0 else np.where(parr == 0, 0.0, -np.inf)
+        lq = qarr * (math.log(rho0) - phi0) if rho0 > 0 else np.where(qarr == 0, 0.0, -np.inf)
+        logterm = lp[:, None] + lq[None, :] - m * (phi0 + F0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(np.isfinite(N), np.exp(logterm) / N, 0.0)
+        assert value == float(terms.sum(axis=0).sum())
+
+
 def test_underflowing_norms_stay_zero_and_are_refused(monkeypatch):
     # a kernel weight below the smallest double: every norm underflows to 0,
     # which must reach the oracle's finiteness check rather than a floor value
     radial_weight = oracle._radial_weight
 
     def underflowing(cfg, setup):
-        s, phi, xi, F, logk = radial_weight(cfg, setup)
-        return s, phi, xi, F, logk - 1500.0
+        s, phi, xi, F, weight = radial_weight(cfg, setup)
+        return s, phi, xi, F, weight * 0.0
 
     monkeypatch.setattr(oracle, "_radial_weight", underflowing)
     cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)
@@ -253,8 +327,8 @@ def test_underflowing_norms_are_refused_before_any_warning(monkeypatch):
     radial_weight = oracle._radial_weight
 
     def underflowing(cfg, setup):
-        s, phi, xi, F, logk = radial_weight(cfg, setup)
-        return s, phi, xi, F, logk - 1500.0
+        s, phi, xi, F, weight = radial_weight(cfg, setup)
+        return s, phi, xi, F, weight * 0.0
 
     monkeypatch.setattr(oracle, "_radial_weight", underflowing)
     cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=20)

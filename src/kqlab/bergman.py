@@ -17,8 +17,11 @@ the weighted series
 This module computes psi both by quadrature and by the closed forms of the
 three profile families, evaluates the series with tail control, and
 certifies the exact product laws of the balanced bundle metrics over the
-Riemann sphere.  A closed psi(alpha, k) is the finite product psi(alpha, 0)
-over the closed ratios psi(j)/psi(j+1), j < k, with no Gamma function.
+Riemann sphere.  The closed forms hold on the branches of curvature.BRANCHES,
+where the moments converge: there psi(alpha, 0) and the Bergman target
+prod_j (alpha - j*A) follow from the branch's effective A, and a closed
+psi(alpha, k) is psi(alpha, 0) over the closed ratios psi(j)/psi(j+1), j < k,
+with no Gamma function.
 
 Quadrature moments of the three families come from Gauss rules matched to
 the density (Golub & Welsch, Math. Comp. 23 (1969)), with the density itself
@@ -43,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import BaseGeometry, _close, _spread
+from .curvature import BaseGeometry, _branch, _close, _spread
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import elementwise, require
@@ -87,6 +90,8 @@ class QuantizationSetup:
             raise PreconditionFailed("dimensions d, d0 must be >= 1")
         if self.twist == 0:
             raise PreconditionFailed("twist must be nonzero")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.twist)):
+            raise PreconditionFailed(f"alpha={self.alpha} and twist={self.twist} must be finite")
         if self.domain not in ("ball", "fullspace"):
             raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
         if self.base.d != self.d:
@@ -140,22 +145,32 @@ def _log_density_H(s: QuantizationSetup, u):
 # moment models of the closed families
 
 
-def _ball_window(s: QuantizationSetup) -> None:
-    A = s.profile.A
-    if s.d > 1 and not _close(A, s.twist):
-        raise BranchInvalid("ball closed form for d > 1 needs A equal to the twist")
-    if s.twist <= 0:        # else 1 + twist*u*F'(u) < 0 towards the boundary |w| = 1
-        raise BranchInvalid("ball closed form needs a positive twist")
-    step = A if s.d == 1 else s.twist    # psi(alpha, 0) divides by alpha - j*step, j <= n
-    if s.alpha <= s.n * A or s.alpha <= s.n * step or s.alpha / step <= s.n:
-        raise BranchInvalid(f"ball closed form needs alpha > n*A = {s.n * A}")
+def _closed_window(s: QuantizationSetup) -> float:
+    """The effective A of the curvature.BRANCHES row holding s, where the closed
+    moments converge at the level alpha, or BranchInvalid."""
+    row = _branch(s.profile, s.d, s.twist, s.domain)
+    if row is None:
+        raise BranchInvalid(f"no constant-coefficient branch for {s.profile.family} on "
+                            f"{s.domain} at d={s.d}, twist={s.twist}")
+    A = row[1]
+    # alpha/A - n rounds to 0 one ulp above n*A: a pole of the Gamma form of psi
+    if s.alpha <= s.n * A or (A > 0 and s.alpha / A <= s.n):
+        raise BranchInvalid(f"closed moments need alpha > n*A = {s.n * A}")
+    # a negative A is a log-affine branch (2.13, 2.14), closed at the projective corner
+    if A < 0 and not (_close(A, -1.0) and _close(s.twist, -1.0) and _is_natural(s.alpha)):
+        raise BranchInvalid("log-affine closed moments need the projective corner "
+                            "A = twist = -1 at a natural level alpha")
+    return A
 
 
-def _ball_psi0(s: QuantizationSetup) -> float:
-    alpha, lam, d0, n, A = s.alpha, s.twist, s.d0, s.n, s.profile.A
-    if s.d == 1:
-        return reduce(truediv, (alpha - j * A for j in range(1, n + 1)), alpha + d0 * lam - n * A)
-    return reduce(truediv, (alpha - j * lam for j in range(s.d + 1, n + 1)), 1.0)
+def _psi0(s: QuantizationSetup, A: float) -> float:
+    """psi(alpha, 0) at the effective A, one division per factor: (alpha + d0*twist -
+    n*A)/prod_{j=1..n} (alpha - j*A) for d = 1 and a positive twist (the ball, and the
+    linear profile at A = 0), else 1/prod_{j=d+1..n} (alpha - j*A)."""
+    if s.d == 1 and s.twist > 0:
+        return reduce(truediv, (s.alpha - j * A for j in range(1, s.n + 1)),
+                      s.alpha + s.d0 * s.twist - s.n * A)
+    return reduce(truediv, (s.alpha - j * A for j in range(s.d + 1, s.n + 1)), 1.0)
 
 
 def _ball_ratio(s: QuantizationSetup, k: int) -> float:
@@ -178,17 +193,6 @@ def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarra
             [2.0 ** (-(aexp + b0 + 1))] * len(j))
 
 
-def _linear_window(s: QuantizationSetup) -> None:
-    if s.d != 1:
-        raise BranchInvalid("full-space linear closed form needs d = 1")
-    if s.alpha <= 0 or s.twist <= 0:
-        raise BranchInvalid("full-space linear closed form needs alpha, twist > 0")
-
-
-def _linear_psi0(s: QuantizationSetup) -> float:
-    return reduce(truediv, [s.alpha] * (s.d0 + 1), s.alpha + s.twist * s.d0)
-
-
 def _linear_ratio(s: QuantizationSetup, k: int) -> float:
     alpha, lam, d0 = s.alpha, s.twist, s.d0
     xk = alpha + lam * (k + d0)
@@ -206,13 +210,6 @@ def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndar
             [_power(scale, -(k + s.d0)) for k in range(k0, k1 + 1)])
 
 
-def _projective_window(s: QuantizationSetup) -> None:
-    if not (_close(s.profile.A, -1.0) and _close(s.twist, -1.0)):
-        raise BranchInvalid("full-space closed form needs A = twist = -1")
-    if not _is_natural(s.alpha):
-        raise BranchInvalid("projective branch needs a natural level alpha")
-
-
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
     A, c, b0 = s.profile.A, s.profile.c, k0 + s.d0 - 1
     if A >= 0:
@@ -228,53 +225,28 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
             [_power(c, -(k + s.d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in range(k0, k1 + 1)])
 
 
-# One record per family states its moments once: the branch window (raises
-# BranchInvalid) shared by the closed forms and the target; psi(alpha, 0), one
-# division per factor, and psi(k)/psi(k+1), closed and with no Gamma function;
-# the Bergman target; the resummed generating series (rhs); the Gauss rule of
-# one block of moments, as (weights, nodes u, log of the weight at u, leftover
-# factors, scales), which reads no closed form; and the last convergent degree.
-# The windows are not those of curvature.BRANCHES (2.10-2.14), where a1 and
-# a2 are constant at any level: the closed forms need convergent moments
-# at the level alpha, so alpha > n*A on the ball (A equal to the twist for
-# d > 1), alpha, twist > 0 for the linear profile (d = 1), and for log-affine
-# only the projective form A = twist = -1 at a natural level, a corner of 2.13
-# and 2.14.
-_MomentModel = namedtuple("_MomentModel", "window psi0 ratio target rhs gauss last_degree")
+# One record per family states what differs by family: psi(k)/psi(k+1), closed
+# and with no Gamma function; the resummed generating series (rhs); the Gauss
+# rule of one block of moments, as (weights, nodes u, log of the weight at u,
+# leftover factors, scales), which reads no closed form; and the last convergent
+# degree.  Where the closed forms hold is curvature.BRANCHES (2.10-2.14), read by
+# _closed_window; psi(alpha, 0) and the Bergman target follow from the A it returns.
+_MomentModel = namedtuple("_MomentModel", "ratio rhs gauss last_degree")
 
 
 _MODELS = {
     ("ball", "logball"): _MomentModel(
-        window=_ball_window, psi0=_ball_psi0, ratio=_ball_ratio,
-        target=lambda s: product_shifted(s.alpha, s.profile.A, s.n),
-        rhs=lambda s, rho: (1.0 - rho) ** (-s.alpha / (s.profile.A if s.d == 1 else s.twist)),
-        gauss=_ball_gauss, last_degree=lambda s: math.inf),
+        ratio=_ball_ratio, gauss=_ball_gauss, last_degree=lambda s: math.inf,
+        rhs=lambda s, rho: (1.0 - rho) ** (-s.alpha / (s.profile.A if s.d == 1 else s.twist))),
     ("fullspace", "linear"): _MomentModel(
-        window=_linear_window, psi0=_linear_psi0, ratio=_linear_ratio,
-        target=lambda s: s.alpha ** s.n,
-        rhs=lambda s, rho: math.exp(s.profile.c * s.alpha * rho),
-        gauss=_linear_gauss, last_degree=lambda s: math.inf),
+        ratio=_linear_ratio, gauss=_linear_gauss, last_degree=lambda s: math.inf,
+        rhs=lambda s, rho: math.exp(s.profile.c * s.alpha * rho)),
     ("fullspace", "logaffine"): _MomentModel(
-        window=_projective_window,
-        psi0=lambda s: reduce(truediv, (s.alpha + j for j in range(s.d + 1, s.n + 1)), 1.0),
-        ratio=lambda s, k: s.profile.c * (s.alpha - k + s.d) / (k + 1),
-        target=lambda s: product_shifted(s.alpha, -1.0, s.n),
+        ratio=lambda s, k: s.profile.c * (s.alpha - k + s.d) / (k + 1), gauss=_log_affine_gauss,
         rhs=lambda s, rho: (1.0 + s.profile.c * rho) ** s.alpha,
-        gauss=_log_affine_gauss,
         # the last k with Jacobi exponent a(k) > -1
         last_degree=lambda s: math.ceil(-s.alpha / s.profile.A)),
 }
-
-
-def _model(s: QuantizationSetup, what: str, window: bool = True) -> _MomentModel:
-    """The family's moment model, checked against its branch window unless told not to."""
-    model = _MODELS.get((s.domain, s.profile.family))
-    if model is None:
-        raise BranchInvalid(
-            f"no {what} for family={s.profile.family!r} on domain={s.domain!r}")
-    if window:
-        model.window(s)
-    return model
 
 
 def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
@@ -297,7 +269,7 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     """
     ks = range(k0, k1 + 1)
     j = np.arange(len(ks))[:, None]
-    ws, u, log_weight, leftover, scales = _model(s, "Gauss rule", window=False).gauss(
+    ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
         s, k0, k1, nodes, j)
     g = elementwise(math.exp, _log_density_H(s, u) - np.asarray(log_weight))
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
@@ -375,26 +347,26 @@ class MomentTable:
         self._walk = (0.5, 1)       # the last closed moment walked, as mantissa and exponent
         self._blocks: set[tuple[int, int]] = set()
         self._used: set[int] = set()
-        self._window: Optional[_MomentModel] = None
+        self._ratio = None          # the closed ratio, set with psi(alpha, 0)
 
-    def _closed_model(self) -> _MomentModel:
-        """The closed family's model, its branch window checked once, when first needed."""
-        if self._window is None:
-            self._window = _model(self.setup, "closed psi")
-        return self._window
+    def _closed_ratio(self):
+        """The closed ratio; the branch window and psi(alpha, 0) once, when first needed."""
+        if self._ratio is None:
+            s = self.setup
+            self._vals[0] = _psi0(s, _closed_window(s))
+            self._walk = math.frexp(self._vals[0])
+            self._ratio = _MODELS[s.domain, s.profile.family].ratio
+        return self._ratio
 
     def _fill(self, k: int) -> None:
         s = self.setup
         if self._closed:
-            model = self._closed_model()
+            ratio = self._closed_ratio()
             if s.twist < 0 and k > s.alpha + _MEMBERSHIP_TOL:     # the projective spectrum
                 raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
-            if not self._vals:
-                self._vals[0] = model.psi0(s)
-                self._walk = math.frexp(self._vals[0])
             m, e = self._walk
             for j in range(len(self._vals) - 1, k):
-                r, re = math.frexp(model.ratio(s, j))
+                r, re = math.frexp(ratio(s, j))
                 m, de = math.frexp(m / r if r else math.inf)
                 e += de - re
                 self._walk = m, e
@@ -424,7 +396,7 @@ class MomentTable:
     def ratio(self, k: int) -> float:
         if self._closed:
             self._used.add(k)
-            return self._closed_model().ratio(self.setup, k - 1)
+            return self._closed_ratio()(self.setup, k - 1)
         return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:
@@ -555,8 +527,9 @@ def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
 
 
 def closed_target(s: QuantizationSetup) -> float:
-    """Exact constant value of the Bergman function on the designated branches."""
-    return _model(s, "closed target").target(s)
+    """Exact constant value of the Bergman function on the designated branches: the
+    paper's law prod_{j=1..n} (alpha - j*A) at the effective A of _closed_window."""
+    return product_shifted(s.alpha, _closed_window(s), s.n)
 
 
 @dataclass(frozen=True)
@@ -576,10 +549,11 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
                               psi_method: str = "closed", nodes: int = 64,
                               k_max: int = 10000) -> GeneratingIdentityReport:
     """Worst relative gap between the assembled moment series and its closed resummation."""
-    model = _model(s, "generating identity")
+    _closed_window(s)
+    rhs = _MODELS[s.domain, s.profile.family].rhs
     radii = np.asarray(rho_grid, dtype=float)
     terms, sums = _moment_series(s, radii, MomentTable(s, psi_method, nodes), k_max)
-    rows = tuple((r, a / terms[0], model.rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
+    rows = tuple((r, a / terms[0], rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
     return GeneratingIdentityReport(rows, max(abs(a - b) / (1.0 + abs(b)) for _, a, b in rows))
 
 
@@ -620,8 +594,8 @@ def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> Quantiz
     if part == "total":
         if k != 1 or r != 1:
             raise PreconditionFailed("the total-space part needs k = r = 1")
-        if c <= 0:
-            raise PreconditionFailed("c must be positive")
+        if not 0 < c < math.inf:
+            raise PreconditionFailed(f"c must be positive and finite, got {c}")
         return QuantizationSetup(d=1, d0=r, twist=1.0, domain="fullspace",
                                  profile=linear(c), base=base, alpha=float(m))
     raise PreconditionFailed(f"unknown part {part!r}; use 'ball' or 'total'")

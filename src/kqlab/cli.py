@@ -139,6 +139,14 @@ def _object(value) -> dict:
     return value
 
 
+def _known(d: dict, where: str, *keys: str) -> None:
+    """Refuse a field of ``d`` that is not one of ``keys``: it would be echoed, not read."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise PreconditionFailed(f"{where} reads no field {', '.join(map(repr, unknown))}; "
+                                 f"it reads {', '.join(keys)}")
+
+
 def _one_of(*options: str) -> Callable:
     def conv(value):
         if value not in options:
@@ -148,6 +156,7 @@ def _one_of(*options: str) -> Callable:
 
 
 def profile_from_dict(d: dict) -> profiles.RadialProfile:
+    _known(d, "the profile", "family", "A", "c")
     return profiles.from_params(_field(d, "family", _one_of(*profiles.FAMILIES)),
                                 _field(d, "A", float, None), _field(d, "c", float, 1.0))
 
@@ -156,8 +165,14 @@ def profile_to_dict(p: profiles.RadialProfile) -> dict:
     return {"family": p.family, **p.params()}
 
 
+_EPS_FIELDS = {"affine": ("offset",), "product": ("shift", "count"), "power": ("exponent",)}
+# the fields of a base beside "preset" and "eps", by preset (None: explicit a1, a2)
+_BASE_FIELDS = {None: ("a1", "a2"), "branch": ("a1", "a2"), "cp1": ("k",), "cpd": (), "flat": ()}
+
+
 def _eps_from_dict(d: dict) -> curvature.BergmanLaw:
     kind = _field(d, "kind", _one_of("affine", "product", "power"))
+    _known(d, f"eps {kind}", "kind", *_EPS_FIELDS[kind])
     if kind == "affine":    # alpha + offset, as a product of one factor
         return curvature.BergmanLaw(-_field(d, "offset"))
     if kind == "product":
@@ -175,6 +190,7 @@ def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist
     prod_j (alpha - j*twist).
     """
     preset = _field(d, "preset", _one_of("branch", "cp1", "cpd", "flat"), None)
+    _known(d, f"base {preset}" if preset else "the base", "preset", "eps", *_BASE_FIELDS[preset])
     if preset == "cp1":
         base = curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", int, 1), twist)
     elif preset == "cpd":
@@ -208,6 +224,9 @@ def _read_model(d: dict, law: bool = False) -> tuple[profiles.RadialProfile,
     """The profile and base of a setup document, and the document as read."""
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
+    _known(d, "the setup", "d", "d0", "twist", "lambda", "domain", "profile", "base", "alpha")
+    if "twist" in d and "lambda" in d:
+        raise PreconditionFailed("setup fields 'twist' and 'lambda' are one field; give one")
     dim = _field(d, "d", int)
     twist = _field(d, "twist") if "twist" in d else _field(d, "lambda", float, 1.0)
     d0 = _field(d, "d0", int)

@@ -63,8 +63,9 @@ class BaseGeometry:
     def __post_init__(self):
         if self.d < 1:
             raise PreconditionFailed(f"base dimension d must be >= 1, got {self.d}")
-        if self.twist == 0:
-            raise PreconditionFailed("twist must be nonzero")
+        if self.twist == 0 or not np.isfinite(
+                (self.twist, self.scalar, self.ric2, self.lapk, self.riem2)).all():
+            raise PreconditionFailed("twist must be nonzero, and the twist and invariants finite")
 
     @property
     def a1(self) -> float:

@@ -70,6 +70,8 @@ class GramOracleConfig:
             raise PreconditionFailed("bundle degree and power must be >= 1")
         if self.q_cap < 2:
             raise PreconditionFailed("q_cap must be >= 2 for tail estimation")
+        if not self.sample_points:
+            raise PreconditionFailed("the oracle needs at least one sample point")
 
     @property
     def effective_p_cap(self) -> int:
@@ -156,6 +158,9 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     if setup.domain == "ball":
         xi, wxi = legendre(cfg.s_nodes)
         log_comp = np.zeros_like(xi)
+    elif setup.profile.family != "linear":
+        raise PreconditionFailed("the full-space fiber rule integrates the linear profile "
+                                 f"only, not {setup.profile.family}")
     else:
         # integrate the fiber variable, in units of the profile scale c, against
         # the exponential envelope e^(-m c rho) of the linear profile

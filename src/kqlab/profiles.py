@@ -47,15 +47,15 @@ def _log_affine_t(p: "RadialProfile", x: float) -> float:
     return math.log(v / (p.c * (1.0 - v)))
 
 
-# Each closed family, stated once.  params: the parameters it reads; valid
-# and rule: their check, in code and in words; scaled: (A, c, factor) -> the
-# (A, c) of factor*F; F: the rho-form profile of a jet v, for 0 <= rho <
-# rho_max (the t-form is F of v = e^t); t_from_x: the inverse of x = F_t'(t).
+# Each closed family, stated once.  params: the parameters it reads; valid and
+# rule: the check of both, in code and in words (it pins one not read); scaled:
+# (A, c, factor) -> the (A, c) of factor*F; F: the rho-form profile of a jet v,
+# for 0 <= rho < rho_max (the t-form is F of v = e^t); t_from_x: x = F_t'(t) inverted.
 _Family = namedtuple("_Family", "params valid rule scaled F rho_max t_from_x")
 
 FAMILIES = {
     "logball": _Family(
-        ("A",), lambda A, c: A > 0, "A > 0", lambda A, c, f: (A / f, c),
+        ("A",), lambda A, c: A > 0 and c == 1, "A > 0 and c = 1", lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, -v), rho_max=1.0,
         t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
     "linear": _Family(
@@ -112,11 +112,11 @@ class RadialProfile:
 
 
 def from_params(family: str, A: Optional[float] = None, c: float = 1.0) -> RadialProfile:
-    """The closed-family profile with parameters A and c (one it does not read is ignored)."""
-    names = FAMILIES[family].params if family in FAMILIES else ()
-    if A is None and "A" in names:
+    """The closed-family profile with parameters A (absent: 0) and c.  One the family
+    does not read keeps its fixed value (c = 1, A = 0), or the family's check refuses it."""
+    if A is None and family in FAMILIES and "A" in FAMILIES[family].params:
         raise PreconditionFailed(f"the {family} family needs its parameter A")
-    return RadialProfile(family, **{name: float({"A": A, "c": c}[name]) for name in names})
+    return RadialProfile(family, A=0.0 if A is None else float(A), c=float(c))
 
 
 def log_ball(A: float) -> RadialProfile:

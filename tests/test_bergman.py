@@ -166,12 +166,13 @@ def test_psi_branch_windows():
 
 def test_ball_closed_forms_refuse_a_negative_twist():
     # 1 + twist u F'(u) turns negative towards the fiber boundary, so the
-    # moments do not exist (and the closed ratio would divide by zero at k = 0)
+    # moments do not exist (and the closed ratio would divide by zero at k = 0):
+    # no branch of curvature.BRANCHES holds a negative-twist ball
     s = ball_setup(0.5, -1.0, 1, 1, 3.0, eps=lambda a: a)
     for k in (0, 1):
-        with pytest.raises(BranchInvalid, match="positive twist"):
+        with pytest.raises(BranchInvalid, match="no constant-coefficient branch"):
             psi_moment(s, k, "closed")
-    with pytest.raises(BranchInvalid, match="positive twist"):
+    with pytest.raises(BranchInvalid, match="no constant-coefficient branch"):
         bergman_series(s, [0.0, 0.5])
     with pytest.raises(OutOfDomain):
         psi_moment(s, 0, "quadrature")
@@ -355,13 +356,21 @@ def test_closed_targets():
 
 
 def test_closed_target_windows():
-    s = balanced_setup(2, 1, 1, "ball")
-    closed_target(s)  # m = 1 > (1+r)A = 3/4 is fine
-    bad = QuantizationSetup(d=1, d0=3, twist=1.0, domain="ball",
-                            profile=log_ball(1.0), base=BaseGeometry.flat(1),
-                            alpha=2.0)  # alpha <= n*A = 4
-    with pytest.raises(BranchInvalid):
-        closed_target(bad)
+    closed_target(balanced_setup(2, 1, 1, "ball"))  # m = 1 > (1+r)A = 3/4 is fine
+    # each refusal of _closed_window, from the moments, the target and the identity
+    for bad, match in (
+            (ball_setup(0.5, -1.0, 1, 1, 3.0), "no constant-coefficient branch"),
+            (ball_setup(0.5, 1.0, 2, 1, 9.0), "no constant-coefficient branch"),  # A != twist
+            (full_setup(linear(1.0), 1.0, 2, 1, 3.0), "no constant-coefficient branch"),
+            (full_setup(log_affine(-0.5, 1.0), 1.0, 1, 1, 3.0), "projective corner"),  # 2.13
+            (full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 2.5), "projective corner"),
+            (QuantizationSetup(d=1, d0=3, twist=1.0, domain="ball", profile=log_ball(1.0),
+                               base=BaseGeometry.flat(1), alpha=2.0), "alpha > n"),  # n*A = 4
+            (full_setup(linear(1.0), 1.0, 1, 1, -1.0), "alpha > n")):
+        for closed in (lambda: MomentTable(bad)(0), lambda: closed_target(bad),
+                       lambda: generating_identity_check(bad, [0.0, 0.5])):
+            with pytest.raises(BranchInvalid, match=match):
+                closed()
 
 
 # -- balanced certification --------------------------------------------------
@@ -732,15 +741,14 @@ def test_closed_ratio_is_quotient_of_closed_moments(s):
 
 def test_closed_ratios_check_the_branch_window_once_per_cache(monkeypatch):
     s = ball_setup(0.5, 1.0, 1, 2, 4.0)
-    key = (s.domain, s.profile.family)
-    model = bergman._MODELS[key]
-    calls = []
+    model = bergman._MODELS[(s.domain, s.profile.family)]
+    window, calls = bergman._closed_window, []
 
     def counted(setup):
         calls.append(setup)
-        model.window(setup)
+        return window(setup)
 
-    monkeypatch.setitem(bergman._MODELS, key, model._replace(window=counted))
+    monkeypatch.setattr(bergman, "_closed_window", counted)
     cache = MomentTable(s)
     ratios = [cache.ratio(k) for k in range(1, 41)]
     assert len(calls) == 1

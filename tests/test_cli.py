@@ -588,6 +588,56 @@ def test_non_finite_grid_is_invalid_input(capsys, argv):
     assert "finite" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("psi", *_LOGBALL, "--alpha", "nan"),
+    ("bergman", "--family", "linear", "--d", "1", "--d0", "1", "--domain", "fullspace",
+     "--alpha", "inf"),
+    ("psi", *_LOGBALL, "--lambda", "nan"),
+    ("classify", *_LOGBALL, "--lambda", "inf"),
+    ("balanced", "--k", "1", "--r", "1", "--m", "2", "--part", "total", "--c", "nan"),
+    ("oracle-hartogs", "--k", "1", "--m", "2", "--part", "total", "--c", "inf"),
+    ("coeffs", *_LOGBALL, "--base", "coeffs", "--a1-base", "nan"),
+    ("bergman", *_LOGBALL, "--base", "coeffs", "--a2-base", "inf"),
+], ids=["psi-alpha-nan", "bergman-alpha-inf", "psi-twist-nan", "classify-twist-inf",
+        "balanced-c-nan", "oracle-c-inf", "coeffs-base-nan", "bergman-base-inf"])
+def test_non_finite_level_is_invalid_input(capsys, argv):
+    # not a non-convergence (exit 3), nor NaN rows with a fail verdict (exit 1):
+    # the model itself is bad input
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "PreconditionFailed"
+    assert "finite" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, flag, fixed", [
+    (("psi", *_LOGBALL, "--alpha", "4", "--table-k", "2"), "--c", "1.0"),
+    (("psi", "--family", "linear", "--domain", "fullspace", "--d", "1", "--d0", "1",
+      "--alpha", "2", "--table-k", "2"), "--A", "0"),
+], ids=["logball-c", "linear-A"])
+def test_a_model_value_the_family_does_not_read_is_refused(capsys, argv, flag, fixed):
+    code, doc = run_json(capsys, *argv, flag, "5")
+    assert code == 2 and doc["error"]["type"] == "PreconditionFailed"
+    assert f"{flag[2:]} = " in doc["error"]["message"]
+    # at the value the family fixes it is the same model
+    assert run_json(capsys, *argv, flag, fixed) == run_json(capsys, *argv)
+
+
+@pytest.mark.parametrize("doc, named", [
+    (dict(_SETUP, twsit=-1.0), "'twsit'"),
+    (dict(_SETUP, **{"lambda": 2.0}), "'lambda'"),
+    (dict(_SETUP, profile={"family": "logball", "A": 0.5, "C": 2.0}), "'C'"),
+    (dict(_SETUP, base={"preset": "branch", "k": 7}), "'k'"),
+    (dict(_SETUP, base={"preset": "cp1", "k": 2, "a1": 0.5}), "'a1'"),
+    (dict(_SETUP, base={"a1": 0.5, "a2": 0.0,
+                        "eps": {"kind": "affine", "offset": 0.5, "shift": 1.0}}), "'shift'"),
+], ids=["top-level", "twist-and-lambda", "profile", "base-branch", "base-cp1", "eps"])
+def test_a_setup_field_the_reader_does_not_read_is_refused(tmp_path, capsys, doc, named):
+    for command in ("psi", "bergman"):
+        code, out = run_json(capsys, command, "--setup", _write(tmp_path, doc))
+        assert code == 2 and out["error"]["type"] == "PreconditionFailed"
+        assert named in out["error"]["message"]
+
+
 @pytest.mark.parametrize("cap", ["--table-k"])
 def test_empty_psi_table_is_invalid_input(capsys, cap):
     code, doc = run_json(capsys, "psi", *_LOGBALL, cap, "-1")

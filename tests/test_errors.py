@@ -4,6 +4,8 @@ PreconditionFailed is a ValueError, so callers that catch ValueError keep
 working; the CLI reports it by name with exit code 2.
 """
 
+import math
+
 import pytest
 
 from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
@@ -12,7 +14,8 @@ from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
 from kqlab.curvature import BaseGeometry, curvature_report
 from kqlab.errors import PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (RadialProfile, admissibility, custom, log_ball,
+from kqlab.oracle import GramOracleConfig
+from kqlab.profiles import (RadialProfile, admissibility, custom, from_params, log_ball,
                             profile_jet)
 
 
@@ -26,6 +29,9 @@ def _setup(**changes):
 _SITES = {
     "setup-dimensions": (lambda: _setup(d0=0), "dimensions d, d0"),
     "setup-twist": (lambda: _setup(twist=0.0), "twist must be nonzero"),
+    "setup-alpha-nan": (lambda: _setup(alpha=math.nan), "finite"),
+    "setup-alpha-inf": (lambda: _setup(alpha=math.inf), "finite"),
+    "setup-twist-inf": (lambda: _setup(twist=math.inf), "finite"),
     "setup-domain": (lambda: _setup(domain="disc"), "domain must be"),
     "setup-base-d": (lambda: _setup(base=BaseGeometry.flat(2)), "base dimension 2"),
     "setup-base-twist": (lambda: _setup(base=BaseGeometry.flat(1, twist=2.0)),
@@ -39,10 +45,12 @@ _SITES = {
                                     "non-negative"),
     "series-eps": (lambda: bergman_series(_setup(), 0.5), "no Bergman function eps"),
     "balanced-ball-c": (lambda: balanced_setup(1, 2, 2, "ball", c=5.0), "reads no profile scale"),
+    "balanced-total-c": (lambda: balanced_setup(1, 1, 2, "total", c=math.inf), "finite"),
     "coefficients-eps": (lambda: generating_coefficients(_setup(), 4),
                          "no Bergman function eps"),
     "base-twist": (lambda: BaseGeometry(1, 0.0, 0.0, 0.0, 0.0, 0.0),
                    "twist must be nonzero"),
+    "base-invariants": (lambda: BaseGeometry.from_coefficients(1, 1.0, math.nan, 0.0), "finite"),
     "base-rescale": (lambda: BaseGeometry.flat(1, twist=-1.0).unit_twist_rescaled(),
                      "twist > 0"),
     "preset-cp1": (lambda: BaseGeometry.fubini_study_cp1(0), "bundle degree"),
@@ -52,6 +60,10 @@ _SITES = {
     "profile-rule": (lambda: RadialProfile("custom"), "needs a jet rule"),
     "profile-family": (lambda: RadialProfile("parabolic"), "unknown profile family"),
     "profile-params": (lambda: RadialProfile("logball", A=-1.0), "logball needs A > 0"),
+    # a parameter the family does not read keeps its fixed value
+    "from-params-logball-c": (lambda: from_params("logball", 0.5, 5.0), "c = 1"),
+    "from-params-linear-A": (lambda: from_params("linear", 0.7, 1.0), "A = 0"),
+    "oracle-samples": (lambda: GramOracleConfig(2, 2, sample_points=()), "sample point"),
     "scaled": (lambda: log_ball(1.0).scaled(0.0), "scaling factor"),
     "custom-form": (lambda: custom(lambda t, order: TaylorJet.variable(t, order), "x"),
                     "rule_form"),

@@ -32,9 +32,10 @@ def _closed_moment(*args):
 
 @pytest.fixture
 def no_closed_moments(monkeypatch):
+    monkeypatch.setattr(bergman, "_psi0", _closed_moment)
     for key, model in bergman._MODELS.items():
         monkeypatch.setitem(bergman._MODELS, key, model._replace(
-            psi0=_closed_moment, ratio=_closed_moment, rhs=_closed_moment))
+            ratio=_closed_moment, rhs=_closed_moment))
 
 
 def test_checkers_run_with_every_closed_moment_raising(no_closed_moments):

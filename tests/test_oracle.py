@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from kqlab import oracle, special
-from kqlab.bergman import balanced_setup, closed_target, psi_moment
+from kqlab.bergman import QuantizationSetup, balanced_setup, closed_target, psi_moment
+from kqlab.curvature import BaseGeometry
 from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
                           TruncationInsufficient)
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
-from kqlab.profiles import profile_jet
+from kqlab.profiles import log_affine, profile_jet
 
 GRID = [0.0, 0.25, 0.7, 1.0, 1.8, 3.0]
 
@@ -111,6 +112,20 @@ def test_hartogs_rejects_mismatched_bundle_degree(degree, setup_k):
     cfg = GramOracleConfig(bundle_degree=degree, power=2, q_cap=60)
     with pytest.raises(PreconditionFailed, match="bundle degree"):
         hartogs_gram_oracle(cfg, balanced_setup(setup_k, 1, 2, "ball"))
+
+
+def test_hartogs_refuses_a_full_space_profile_it_does_not_integrate():
+    # the fiber rule's Laguerre envelope e^(-m c rho) is the linear profile's; a
+    # log-affine density decays polynomially, and its values came out 4.69-5.45
+    # with a tail of 4.9e-99 and no target
+    s = QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+                          profile=log_affine(-0.5, 1.0),
+                          base=BaseGeometry.fubini_study_cp1(2), alpha=2.0)
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=40)
+    for check in (lambda: hartogs_gram_oracle(cfg, s),
+                  lambda: gram_offdiagonal_probe(cfg, s, [((0, 0), (1, 1))])):
+        with pytest.raises(PreconditionFailed, match="linear profile"):
+            check()
 
 
 def test_gram_offdiagonal_entries_vanish():

@@ -166,7 +166,8 @@ def test_family_parameter_checks(family, A, c):
 
 
 def test_from_params_needs_the_parameters_a_family_reads():
-    assert from_params("linear", None, 2.0) == linear(2.0)
+    assert from_params("linear", None, 2.0) == from_params("linear", 0.0, 2.0) == linear(2.0)
+    assert from_params("logball", 0.5, 1.0) == log_ball(0.5)
     assert from_params("logaffine", -0.5, 2.0) == log_affine(-0.5, 2.0)
     with pytest.raises(PreconditionFailed):
         from_params("logball")

@@ -21,29 +21,25 @@ from .jets import TaylorJet
 from .oracle import (Cp1OracleReport, GramOracleConfig, HartogsOracleReport,
                      cp1_bergman_oracle, gram_offdiagonal_probe,
                      hartogs_gram_oracle)
-from .profiles import (AdmissibilityReport, FiberCoordinates, RadialProfile,
-                       admissibility, custom, fiber_coordinates, linear,
-                       log_affine, log_ball, profile_jet, t_from_x)
+from .profiles import (RadialProfile, custom, linear, log_affine, log_ball,
+                       profile_jet, t_from_x)
 from .special import product_shifted
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "BalancedCertificate",
     "BaseGeometry",
     "ClassificationVerdict",
     "ClosedCoefficients",
     "Cp1OracleReport",
     "CurvatureReport",
-    "FiberCoordinates",
     "GramOracleConfig",
     "HartogsOracleReport",
     "MomentTable",
     "QuantizationSetup",
     "RadialProfile",
     "TaylorJet",
-    "admissibility",
     "balanced_certify",
     "balanced_setup",
     "bergman_series",
@@ -54,7 +50,6 @@ __all__ = [
     "curvature_report",
     "custom",
     "density_H",
-    "fiber_coordinates",
     "fiber_moment",
     "fiber_moment_direct",
     "generating_coefficients",

@@ -16,14 +16,15 @@ by the same code path as the closed families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
-from .jets import require
-from .profiles import RadialProfile, _ddx, profile_jet
+from .jets import TaylorJet, require
+from .profiles import RadialProfile, profile_jet
 from .special import product_shifted
 
 X_MIN = 1e-6  # fiber evaluation floor; the zero section is out of scope
@@ -169,6 +170,12 @@ class CurvatureReport:
 def _pow(a: np.ndarray, n: int) -> np.ndarray:
     """a ** n per point as a float (numpy's power may round differently)."""
     return np.array([v ** n for v in a.tolist()])
+
+
+def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
+    """x-derivative d/dx = (1/phi) d/dt on jets in t."""
+    du = u.deriv()
+    return du / phi.truncated(du.order)
 
 
 def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
@@ -338,7 +345,8 @@ def _spread(values: Sequence[float]) -> tuple[float, float]:
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    """a and b agree to 1e-12 relative to b; never for a non-finite argument."""
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 # The constant-coefficient branches (2.10)-(2.14): (name, domain, family,

@@ -21,18 +21,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import jets
-from .errors import (DegenerateJet, EmptyGrid, KQLabError, OutOfDomain,
-                     PreconditionFailed)
+from .errors import OutOfDomain, PreconditionFailed
 from .jets import DEFAULT_ORDER, TaylorJet, require
-from .special import legendre
 
 JetRule = Callable[[float, int], TaylorJet]
-_LENGTH_CAP, _LENGTH_TAIL_TOL = 1e3, 1e-6      # a fiber length past the cap is complete
 
 
 def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
@@ -93,6 +90,9 @@ class RadialProfile:
                 raise PreconditionFailed("custom profile needs a jet rule")
         elif self.family not in FAMILIES:
             raise PreconditionFailed(f"unknown profile family {self.family!r}")
+        elif not (math.isfinite(self.A) and math.isfinite(self.c)):
+            name, value = ("c", self.c) if math.isfinite(self.A) else ("A", self.A)
+            raise PreconditionFailed(f"{self.family} needs a finite {name}, got {value}")
         elif not FAMILIES[self.family].valid(self.A, self.c):
             raise PreconditionFailed(f"{self.family} needs {FAMILIES[self.family].rule}")
 
@@ -193,128 +193,3 @@ def t_from_x(p: RadialProfile, x: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class FiberCoordinates:
-    """Fiber moment coordinate x = F'(t) and x-derivatives of the momentum profile.
-
-    ``mom`` lists the momentum profile value and its first four x-derivatives;
-    the chain rule d/dx = (1/mom) d/dt is the defining relation.
-    """
-
-    x: float
-    mom: tuple[float, float, float, float, float]
-
-
-def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
-    """x-derivative d/dx = (1/phi) d/dt on jets in t."""
-    du = u.deriv()
-    return du / phi.truncated(du.order)
-
-
-def fiber_coordinates(p: RadialProfile, t: float, order: int = DEFAULT_ORDER) -> FiberCoordinates:
-    f = profile_jet(p, t, order, "t")
-    xj = f.deriv()
-    phij = xj.deriv()
-    if xj.value <= 0:
-        raise OutOfDomain(f"F'(t) = {xj.value} is not positive at t={t}")
-    if phij.value <= 0:
-        raise DegenerateJet(f"F''(t) = {phij.value} is not positive at t={t}")
-    mom = [phij.value]
-    cur = phij
-    for _ in range(4):
-        cur = _ddx(cur, phij.truncated(cur.order))
-        mom.append(cur.value)
-    return FiberCoordinates(x=xj.value, mom=tuple(mom))
-
-
-@dataclass(frozen=True)
-class AdmissibilityPoint:
-    t: float
-    x: float
-    mom: float
-    convex: bool          # F'' > 0
-    positive_shift: bool  # 1 + twist * x > 0
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    points: tuple[AdmissibilityPoint, ...]
-    admissible: bool
-    completeness: str            # "complete" | "incomplete" | "inconclusive"
-    integral_estimate: float     # partial integral of sqrt(F'') toward the boundary
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.admissible
-
-
-def _segment_integral(p: RadialProfile, a: float, b: float) -> float:
-    """Integral of sqrt(F'') over [a, b] by the 16-node Gauss-Legendre rule."""
-    us, ws = legendre(16)
-    fpp = profile_jet(p, a + (b - a) * us, 2, "t").derivative(2).tolist()
-    return (b - a) * sum(w * (math.sqrt(f) if f > 0 else 0.0) for w, f in zip(ws.tolist(), fpp))
-
-
-def _fiber_length_verdict(p: RadialProfile, domain: str) -> tuple[str, float]:
-    """Completeness of the fiber metric: does the length integral of
-    sqrt(F'') diverge toward the domain boundary?
-
-    Segment increments toward the boundary are extrapolated geometrically:
-    non-decaying increments mean a divergent integral (complete); a
-    geometric tail below _LENGTH_TAIL_TOL means convergence (incomplete).
-    The running total is also compared against _LENGTH_CAP directly.
-    """
-    t0 = -2.0 * math.log(2.0)
-    total = 0.0
-    segs: list[float] = []
-    if domain == "ball":
-        edges = [t0] + [-(2.0 ** -j) for j in range(1, 53)]
-    else:
-        edges = [t0] + [t0 + 4.0 * j for j in range(1, 81)]
-    for a, b in zip(edges, edges[1:]):
-        try:
-            seg = _segment_integral(p, a, b)
-        except (KQLabError, OverflowError, ValueError):
-            break  # cannot evaluate closer to the boundary; judge what we have
-        segs.append(seg)
-        total += seg
-        if total > _LENGTH_CAP:
-            return "complete", total
-    if len(segs) < 4:
-        return "inconclusive", total
-    tail = [s for s in segs[-6:] if s > 0]
-    if len(tail) < 2:
-        return ("incomplete", total) if total < _LENGTH_CAP else ("complete", total)
-    ratios = [b / a for a, b in zip(tail, tail[1:])]
-    r = sorted(ratios)[len(ratios) // 2]
-    if r >= 0.95:
-        # increments do not decay: extrapolated integral exceeds any threshold
-        return "complete", math.inf
-    tail_estimate = tail[-1] * r / (1.0 - r)
-    if tail_estimate < _LENGTH_TAIL_TOL:
-        return "incomplete", total
-    return "inconclusive", total
-
-
-def admissibility(p: RadialProfile, twist: float, domain: str,
-                  grid: Sequence[float]) -> AdmissibilityReport:
-    """Pointwise positivity flags plus a completeness verdict for the fiber metric."""
-    if domain not in ("ball", "fullspace"):
-        raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
-    if len(grid) == 0:
-        raise EmptyGrid("admissibility needs a non-empty grid")
-    pts = []
-    ok = True
-    f = profile_jet(p, np.asarray(grid, dtype=float), 2, "t")
-    for t, x, mom in zip(grid, f.derivative(1).tolist(), f.derivative(2).tolist()):
-        point = AdmissibilityPoint(
-            t=t, x=x, mom=mom,
-            convex=mom > 0,
-            positive_shift=1.0 + twist * x > 0,
-        )
-        ok = ok and point.convex and point.positive_shift and x > 0
-        pts.append(point)
-    verdict, estimate = _fiber_length_verdict(p, domain)
-    return AdmissibilityReport(points=tuple(pts), admissible=ok,
-                               completeness=verdict, integral_estimate=estimate)

@@ -609,6 +609,18 @@ def test_non_finite_level_is_invalid_input(capsys, argv):
     assert "finite" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("coeffs", "--family", "logaffine", "--A", "nan", "--c", "1"), "A"),
+    (("classify", "--family", "logball", "--A", "inf", "--d", "2", "--d0", "1",
+      "--lambda", "1"), "A"),
+    (("coeffs", "--family", "linear", "--c", "inf", "--domain", "fullspace"), "c"),
+], ids=["logaffine-A-nan", "logball-A-inf", "linear-c-inf"])
+def test_non_finite_profile_parameter_is_named(capsys, argv, named):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"]["type"] == "PreconditionFailed"
+    assert f"needs a finite {named}," in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("argv, flag, fixed", [
     (("psi", *_LOGBALL, "--alpha", "4", "--table-k", "2"), "--c", "1.0"),
     (("psi", "--family", "linear", "--domain", "fullspace", "--d", "1", "--d0", "1",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
-from kqlab.curvature import (BaseGeometry, ClassificationVerdict,
+from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
@@ -208,6 +208,13 @@ def test_combination_identity_higher_d_branch():
 
 
 # -- classification ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(1.0, math.inf), (math.inf, math.inf),
+                                  (math.nan, math.nan)])
+def test_branch_windows_never_hold_at_a_non_finite_value(a, b):
+    # a relative bound at b = inf would hold for every finite a
+    assert _close(a, b) is False and _close(b, a) is False
 
 
 def test_classify_positive_branch_210():

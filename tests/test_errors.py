@@ -15,8 +15,7 @@ from kqlab.curvature import BaseGeometry, curvature_report
 from kqlab.errors import PreconditionFailed
 from kqlab.jets import TaylorJet
 from kqlab.oracle import GramOracleConfig
-from kqlab.profiles import (RadialProfile, admissibility, custom, from_params, log_ball,
-                            profile_jet)
+from kqlab.profiles import RadialProfile, custom, from_params, log_ball, profile_jet
 
 
 def _setup(**changes):
@@ -68,8 +67,6 @@ _SITES = {
     "custom-form": (lambda: custom(lambda t, order: TaylorJet.variable(t, order), "x"),
                     "rule_form"),
     "profile-jet-form": (lambda: profile_jet(log_ball(1.0), -1.0, 2, "x"), "form must be"),
-    "admissibility-domain": (lambda: admissibility(log_ball(1.0), 1.0, "disc", [-1.0]),
-                             "domain must be"),
 }
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
+from kqlab.curvature import _ddx
 from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (RadialProfile, admissibility, custom, fiber_coordinates,
-                            from_params, linear, log_affine, log_ball, profile_jet,
-                            t_from_x)
+from kqlab.profiles import (RadialProfile, custom, from_params, linear, log_affine,
+                            log_ball, profile_jet, t_from_x)
 
 
 def test_logball_jet_at_half():
@@ -69,82 +69,40 @@ def test_custom_rule_matches_builtin_both_forms():
         assert a.coeffs == pytest.approx(b.coeffs, rel=1e-14)
 
 
-def test_fiber_coordinates_quadratic_momentum():
-    # the log-ball family has momentum profile x + A x^2
-    A = 0.4
-    p = log_ball(A)
-    for t in (-4.0, -2.0, -0.8, -0.2):
-        fc = fiber_coordinates(p, t)
-        x = fc.x
-        assert fc.mom[0] == pytest.approx(x + A * x * x, rel=1e-10)
-        assert fc.mom[1] == pytest.approx(1 + 2 * A * x, rel=1e-10)
-        assert fc.mom[2] == pytest.approx(2 * A, rel=1e-8, abs=1e-8)
-        assert fc.mom[3] == pytest.approx(0.0, abs=1e-7)
-        assert fc.mom[4] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_fiber_coordinates_spot_value():
-    fc = fiber_coordinates(log_ball(1.0), math.log(0.5))
-    assert fc.x == pytest.approx(1.0, rel=1e-14)
-    assert fc.mom[0] == pytest.approx(2.0, rel=1e-13)
-
-
-def test_fiber_coordinates_linear_family():
-    fc = fiber_coordinates(linear(0.7), -1.2)
-    assert fc.mom[0] == pytest.approx(fc.x, rel=1e-12)
-    assert fc.mom[1] == pytest.approx(1.0, rel=1e-10)
-    assert fc.mom[2] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_logaffine_momentum_profile():
-    A = -0.8
-    p = log_affine(A, 1.0)
-    for t in (-1.0, 0.5, 2.0):
-        fc = fiber_coordinates(p, t)
-        assert fc.mom[0] == pytest.approx(fc.x + A * fc.x ** 2, rel=1e-10)
+@pytest.mark.parametrize("p, ts", [
+    (log_ball(0.4), (-4.0, -2.0, -0.8, -0.2)),
+    (linear(0.7), (-1.2,)),
+    (log_affine(-0.8, 1.0), (-1.0, 0.5, 2.0)),
+], ids=["logball", "linear", "logaffine"])
+def test_momentum_profile_is_quadratic(p, ts):
+    # every closed family has momentum profile x + A x^2 (A = 0 for linear);
+    # its x-derivatives are taken by the chain d/dx = (1/F'') d/dt
+    A = p.A
+    for t in ts:
+        xj = profile_jet(p, t, 6, "t").deriv()
+        phij = xj.deriv()
+        mom = [phij]
+        for _ in range(4):
+            mom.append(_ddx(mom[-1], phij))
+        x = xj.value
+        assert mom[0].value == pytest.approx(x + A * x * x, rel=1e-12)
+        assert mom[1].value == pytest.approx(1 + 2 * A * x, rel=1e-10)
+        assert mom[2].value == pytest.approx(2 * A, rel=1e-8, abs=1e-9)
+        assert mom[3].value == pytest.approx(0.0, abs=1e-7)
+        assert mom[4].value == pytest.approx(0.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("p,x", [(log_ball(0.5), 1.7), (linear(2.0), 0.4),
                                  (log_affine(-0.5, 1.0), 1.2)])
 def test_t_from_x_roundtrip(p, x):
     t = t_from_x(p, x)
-    assert fiber_coordinates(p, t).x == pytest.approx(x, rel=1e-12)
+    assert profile_jet(p, t, 2, "t").derivative(1) == pytest.approx(x, rel=1e-12)
 
 
 def test_custom_t_from_x_bisection():
     p = custom(lambda point, order: profile_jet(linear(1.0), point, order, "t"))
     t = t_from_x(p, 0.5)
     assert t == pytest.approx(math.log(0.5), abs=1e-10)
-
-
-def test_admissibility_verdicts():
-    grid = [-3.0, -2.0, -1.0, -0.5]
-    rep = admissibility(log_ball(1.0), 1.0, "ball", grid)
-    assert rep.admissible and rep.completeness == "complete"
-
-    rep = admissibility(linear(1.0), 1.0, "fullspace", [-1.0, 0.0, 1.0])
-    assert rep.admissible and rep.completeness == "complete"
-
-    rep = admissibility(log_affine(-1.0, 1.0), -1.0, "fullspace", [-1.0, 0.0, 2.0])
-    assert rep.admissible and rep.completeness == "incomplete"
-
-
-@pytest.mark.parametrize("profile, twist, domain, finite", [
-    (linear(1.0), 1.0, "fullspace", True),
-    (log_affine(-1.0, 1.0), -1.0, "fullspace", True),
-    (log_ball(1.0), 1.0, "ball", False),
-], ids=["linear", "logaffine", "logball"])
-def test_admissibility_integral_estimate_is_a_float(profile, twist, domain, finite):
-    estimate = admissibility(profile, twist, domain, [-1.0, -0.5]).integral_estimate
-    assert type(estimate) is float
-    assert math.isfinite(estimate) == finite
-
-
-def test_admissibility_flags_positivity_failure():
-    # negative twist with large x drives 1 + twist*x below zero
-    rep = admissibility(linear(1.0), -1.0, "fullspace", [1.0])
-    assert not rep.admissible
-    assert not rep.points[0].positive_shift
 
 
 def test_scaled_profile_families():
@@ -159,6 +117,9 @@ def test_scaled_profile_families():
     ("logaffine", -1.0, -1.0), ("nosuch", 1.0, 1.0),
     # the branch tables read A, which the linear family fixes at 0
     ("linear", 0.3, 1.0),
+    # non-finite parameters pass the comparisons alone (nan != 0, inf > 0)
+    ("logaffine", math.nan, 1.0), ("logball", math.inf, 1.0), ("linear", 0.0, math.inf),
+    ("logaffine", -1.0, math.inf),
 ])
 def test_family_parameter_checks(family, A, c):
     with pytest.raises(ValueError):

@@ -18,11 +18,11 @@ def default_setups():
     flat2 = BaseGeometry.from_coefficients(2, 1.0, 0.0, 0.0)
     flat2n = BaseGeometry.from_coefficients(2, -1.0, 0.0, 0.0)
     return [
-        ("ball d=1", QuantizationSetup(1, 2, 1.0, "ball", log_ball(0.5), flat1, 4.0)),
-        ("ball d=2", QuantizationSetup(2, 2, 1.0, "ball", log_ball(1.0), flat2, 9.0)),
-        ("full linear", QuantizationSetup(1, 1, 1.0, "fullspace", linear(1.0), flat1, 2.0)),
-        ("full projective", QuantizationSetup(2, 1, -1.0, "fullspace",
-                                              log_affine(-1.0, 1.0), flat2n, 9.0)),
+        ("ball d=1", QuantizationSetup(2, "ball", log_ball(0.5), flat1, 4.0)),
+        ("ball d=2", QuantizationSetup(2, "ball", log_ball(1.0), flat2, 9.0)),
+        ("full linear", QuantizationSetup(1, "fullspace", linear(1.0), flat1, 2.0)),
+        ("full projective", QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0),
+                                              flat2n, 9.0)),
     ]
 
 

@@ -11,8 +11,7 @@ from .bergman import (BalancedCertificate, MomentTable, QuantizationSetup,
                       balanced_certify, balanced_setup, bergman_series,
                       closed_target, density_H, fiber_moment,
                       fiber_moment_direct, generating_coefficients,
-                      generating_identity_check, psi_moment,
-                      sphere_monomial_integral)
+                      generating_identity_check, psi_moment)
 from .curvature import (BaseGeometry, ClassificationVerdict, ClosedCoefficients,
                         CurvatureReport, branch_coefficients, classify_check,
                         curvature_report, polyquad_closed,
@@ -64,6 +63,5 @@ __all__ = [
     "profile_jet",
     "psi_moment",
     "required_base_coefficients",
-    "sphere_monomial_integral",
     "t_from_x",
 ]

@@ -41,7 +41,7 @@ import math
 from collections import namedtuple
 from functools import reduce
 from operator import truediv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,29 +75,25 @@ def _is_natural(level: float) -> bool:
 
 @dataclass(frozen=True)
 class QuantizationSetup:
-    """Everything needed to quantize one fibered model at one level."""
+    """Everything needed to quantize one fibered model at one level; d and twist are the base's."""
 
-    d: int
     d0: int
-    twist: float
     domain: str                  # "ball" | "fullspace"
     profile: RadialProfile
     base: BaseGeometry
     alpha: float
+    d: int = field(init=False)       # copies of the base's, plain attributes read per degree
+    twist: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.d0 < 1:
-            raise PreconditionFailed("dimensions d, d0 must be >= 1")
-        if self.twist == 0:
-            raise PreconditionFailed("twist must be nonzero")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.twist)):
-            raise PreconditionFailed(f"alpha={self.alpha} and twist={self.twist} must be finite")
+        if self.d0 < 1:
+            raise PreconditionFailed("fiber dimension d0 must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise PreconditionFailed(f"alpha={self.alpha} must be finite")
         if self.domain not in ("ball", "fullspace"):
             raise PreconditionFailed("domain must be 'ball' or 'fullspace'")
-        if self.base.d != self.d:
-            raise PreconditionFailed(f"base dimension {self.base.d} != setup d {self.d}")
-        if not _close(self.base.twist, self.twist):
-            raise PreconditionFailed("base twist and setup twist disagree")
+        object.__setattr__(self, "d", self.base.d)
+        object.__setattr__(self, "twist", self.base.twist)
 
     @property
     def n(self) -> int:
@@ -407,16 +403,7 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# sphere and fiber moments
-
-
-def sphere_monomial_integral(m: Sequence[int]) -> float:
-    """Integral of |w^m|^2 over the unit sphere S^(2*d0-1) (invariant measure)."""
-    if not m or any(mi < 0 for mi in m):
-        raise PreconditionFailed("multi-index must be non-empty with non-negative entries")
-    # 2 pi^d0 prod_i m_i! / (|m| + d0 - 1)!, the factorials an exact integer ratio rounded once
-    return 2.0 * math.pi ** len(m) * (math.prod(map(math.factorial, m))
-                                      / math.factorial(sum(m) + len(m) - 1))
+# fiber moments
 
 
 def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
@@ -460,10 +447,10 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     top psi(k-1)/psi(k), so no top^k, nor on the closed route any psi(k), is formed.
 
     ``count`` fixes the number of terms.  Otherwise a negative twist sums every
-    admissible degree, and a positive twist stops at the first k with r = d_k/d_(k-1)
-    below 1 and d_k r/(1 - r) <= _SERIES_REL_TOL of the sum: a tail bound, as the
-    term ratios do not grow (moments of positive densities are log-convex; the
-    affine, product and power laws have falling ratios).
+    admissible degree, refused if they run past k_max, and a positive twist stops at
+    the first k with r = d_k/d_(k-1) below 1 and d_k r/(1 - r) <= _SERIES_REL_TOL of
+    the sum: a tail bound, as the term ratios do not grow (moments of positive
+    densities are log-convex; the affine, product and power laws have falling ratios).
     """
     if k_max < 0:
         raise PreconditionFailed(f"series cap k_max must be >= 0, got {k_max}")
@@ -473,7 +460,9 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     top = float(np.abs(radii).max())
     bounded = count is None and lam > 0
     degrees = (range(1, count) if count is not None else
-               range(1, k_max + 1) if bounded else s.fiber_degrees(k_max)[1:])
+               range(1, k_max + 1) if bounded else s.fiber_degrees(k_max + 1)[1:])
+    if count is None and k_max + 1 in degrees:
+        raise SeriesNonConvergent(f"admissible fiber degrees run past k_max = {k_max}")
     moment, terms = 1.0, [eps(alpha)]
     total = terms[0]
     for k in degrees:
@@ -589,15 +578,15 @@ def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> Quantiz
         if k * r <= 1:
             raise PreconditionFailed("kr>1 required for the ball-subbundle part")
         A = (k * r - 1) / (k * (r + 1))
-        return QuantizationSetup(d=1, d0=r, twist=1.0, domain="ball",
-                                 profile=log_ball(A), base=base, alpha=float(m))
+        return QuantizationSetup(d0=r, domain="ball", profile=log_ball(A), base=base,
+                                 alpha=float(m))
     if part == "total":
         if k != 1 or r != 1:
             raise PreconditionFailed("the total-space part needs k = r = 1")
         if not 0 < c < math.inf:
             raise PreconditionFailed(f"c must be positive and finite, got {c}")
-        return QuantizationSetup(d=1, d0=r, twist=1.0, domain="fullspace",
-                                 profile=linear(c), base=base, alpha=float(m))
+        return QuantizationSetup(d0=r, domain="fullspace", profile=linear(c), base=base,
+                                 alpha=float(m))
     raise PreconditionFailed(f"unknown part {part!r}; use 'ball' or 'total'")
 
 

@@ -224,15 +224,16 @@ def _read_model(d: dict, law: bool = False) -> tuple[profiles.RadialProfile,
     """The profile and base of a setup document, and the document as read."""
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
-    _known(d, "the setup", "d", "d0", "twist", "lambda", "domain", "profile", "base", "alpha")
-    if "twist" in d and "lambda" in d:
-        raise PreconditionFailed("setup fields 'twist' and 'lambda' are one field; give one")
+    _known(d, "the setup", "d", "d0", "twist", "domain", "profile", "base", "alpha")
     dim = _field(d, "d", int)
-    twist = _field(d, "twist") if "twist" in d else _field(d, "lambda", float, 1.0)
+    twist = _field(d, "twist", float, 1.0)
     d0 = _field(d, "d0", int)
     domain = _field(d, "domain", _one_of("ball", "fullspace"))
     p = profile_from_dict(_field(d, "profile", _object))
     base, bdoc = _base_from_dict(_field(d, "base", _object), p, dim, d0, twist, law)
+    if base.d != dim:     # a preset of fixed dimension: "cp1"
+        raise PreconditionFailed(f"setup field 'd' is {dim}, but the base {bdoc['preset']!r} "
+                                 f"has dimension {base.d}")
     return p, base, {"d": dim, "d0": d0, "twist": twist, "domain": domain,
                      "profile": profile_to_dict(p), "base": bdoc}
 
@@ -241,7 +242,7 @@ def _read_setup(d: dict, law: bool = False) -> tuple[bergman.QuantizationSetup, 
     """The setup of a document, and the document as read, with what was filled in."""
     p, base, echo = _read_model(d, law)
     echo["alpha"] = _field(d, "alpha")
-    return bergman.QuantizationSetup(**dict(echo, profile=p, base=base)), echo
+    return bergman.QuantizationSetup(echo["d0"], echo["domain"], p, base, echo["alpha"]), echo
 
 
 def setup_from_dict(d: dict) -> bergman.QuantizationSetup:

@@ -307,10 +307,7 @@ def polyquad_closed(base: BaseGeometry, d0: int, A: float, x: float) -> ClosedCo
               + (2.0 * a1b + d * (2 * A * d + 2 * A * d0 - d * lam - 2 * d0 * lam + lam)) / sv
               - d * (d - 1) * (A - lam) / sv ** 2)
 
-    # The coupling term carries a minus sign; it vanishes identically under
-    # the constancy conditions, which is why either sign reproduces the
-    # on-branch constants.  The sign here is the one that agrees with the
-    # full engine (checked symbolically against the invariant assembly).
+    # the coupling term's sign is checked off the branches in tests/test_expansion.py
     lead = 0.5 * d * (d + 1) * lam + a1b
     a1 = -0.5 * n * (n + 1) * lam + lead / sv
     a2 = ((n - 1) * n * (n + 1) * (3 * n + 2) * lam ** 2 / 24.0

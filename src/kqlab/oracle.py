@@ -188,9 +188,9 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     if np.any(det <= 0):
         raise QuadratureNonConvergent("Hessian determinant not positive on the grid")
 
-    with np.errstate(divide="ignore"):  # an underflowing far-tail weight -> exp(-inf) = 0
-        det *= np.exp(np.log(jac * wsig) - phi)[:, None]
-        det *= np.exp(np.log(wxi) + log_comp - m * F)
+    # one product per row and per column; a rule weight that underflows to 0 stays 0
+    det *= (jac * wsig * np.exp(-phi))[:, None]
+    det *= wxi * np.exp(log_comp - m * F)
     return s, phi, xi, F, det
 
 

@@ -130,12 +130,12 @@ def test_criterion_3_rescaling_covariance(capsys):
 def _moment_sweep():
     def ball(A, lam, d, d0, alpha):
         base = BaseGeometry.from_coefficients(d, lam, a1=0.0, a2=0.0)
-        return QuantizationSetup(d=d, d0=d0, twist=lam, domain="ball",
+        return QuantizationSetup(d0=d0, domain="ball",
                                  profile=log_ball(A), base=base, alpha=alpha)
 
     def full(profile, lam, d, d0, alpha):
         base = BaseGeometry.from_coefficients(d, lam, a1=0.0, a2=0.0)
-        return QuantizationSetup(d=d, d0=d0, twist=lam, domain="fullspace",
+        return QuantizationSetup(d0=d0, domain="fullspace",
                                  profile=profile, base=base, alpha=alpha)
 
     for d0 in (1, 2, 3):
@@ -160,15 +160,15 @@ def test_criterion_4_moments_quadrature_vs_closed(capsys):
             checked += 1
     spots = []
     base1 = BaseGeometry.from_coefficients(1, 1.0, a1=0.0, a2=0.0)
-    s = QuantizationSetup(d=1, d0=2, twist=1.0, domain="ball",
+    s = QuantizationSetup(d0=2, domain="ball",
                           profile=log_ball(0.5), base=base1, alpha=4.0)
     spots.append((psi_moment(s, 0, "closed"), 6.0 / 35.0))
     spots.append((psi_moment(s, 0, "quadrature"), 6.0 / 35.0))
-    s = QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+    s = QuantizationSetup(d0=1, domain="fullspace",
                           profile=linear(1.0), base=base1, alpha=2.0)
     spots.append((psi_moment(s, 0, "closed"), 0.75))
     base2 = BaseGeometry.from_coefficients(2, -1.0, a1=0.0, a2=0.0)
-    s = QuantizationSetup(d=2, d0=1, twist=-1.0, domain="fullspace",
+    s = QuantizationSetup(d0=1, domain="fullspace",
                           profile=log_affine(-1.0, 1.0), base=base2, alpha=2.0)
     spots.append((psi_moment(s, 1, "closed"), 0.05))
     spot_gap = max(abs(a - b) / b for a, b in spots)
@@ -205,19 +205,19 @@ def test_criterion_6_generating_identities(capsys):
     n = 1 + d0
     base = BaseGeometry.from_coefficients(
         1, 1.0, 0.0, 0.0, eps=lambda a: a + d0 - n * A)
-    s_ball = QuantizationSetup(d=1, d0=d0, twist=1.0, domain="ball",
+    s_ball = QuantizationSetup(d0=d0, domain="ball",
                                profile=log_ball(A), base=base, alpha=2.0)
     dev_ball = generating_identity_check(s_ball, grid).max_deviation
 
     base2 = BaseGeometry.from_coefficients(1, 1.0, 0.0, 0.0,
                                            eps=lambda a: a + 1.0)
-    s_full = QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+    s_full = QuantizationSetup(d0=1, domain="fullspace",
                                profile=linear(1.0), base=base2, alpha=2.0)
     dev_full = generating_identity_check(s_full, grid).max_deviation
 
     alpha = 6
     base3 = BaseGeometry.fubini_study_cpd(2)
-    s_proj = QuantizationSetup(d=2, d0=1, twist=-1.0, domain="fullspace",
+    s_proj = QuantizationSetup(d0=1, domain="fullspace",
                                profile=log_affine(-1.0, 1.0), base=base3,
                                alpha=float(alpha))
     coeffs = generating_coefficients(s_proj, alpha + 1)

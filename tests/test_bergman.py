@@ -16,10 +16,10 @@ from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
                            bergman_series, closed_target, density_H,
                            fiber_moment, fiber_moment_direct,
                            generating_coefficients, generating_identity_check,
-                           psi_moment, sphere_monomial_integral)
+                           psi_moment)
 from kqlab.curvature import BaseGeometry, BergmanLaw
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
-                          QuadratureNonConvergent)
+                          QuadratureNonConvergent, SeriesNonConvergent)
 from kqlab.jets import TaylorJet
 from kqlab.profiles import custom, linear, log_affine, log_ball
 from kqlab.special import product_shifted
@@ -29,14 +29,14 @@ from rule_faults import nan_weight
 
 def ball_setup(A, lam, d, d0, alpha, eps=None):
     base = BaseGeometry.from_coefficients(d, lam, a1=0.0, a2=0.0, eps=eps)
-    return QuantizationSetup(d=d, d0=d0, twist=lam, domain="ball",
+    return QuantizationSetup(d0=d0, domain="ball",
                              profile=log_ball(A), base=base, alpha=alpha)
 
 
 def full_setup(profile, lam, d, d0, alpha, eps=None, base=None):
     if base is None:
         base = BaseGeometry.from_coefficients(d, lam, a1=0.0, a2=0.0, eps=eps)
-    return QuantizationSetup(d=d, d0=d0, twist=lam, domain="fullspace",
+    return QuantizationSetup(d0=d0, domain="fullspace",
                              profile=profile, base=base, alpha=alpha)
 
 
@@ -89,7 +89,7 @@ def _density_setups():
     base = ball_setup(0.5, 1.0, 1, 2, 4.0).base
     for form, rule in (("rho", rho_rule), ("t", t_rule)):
         yield f"custom-{form}", QuantizationSetup(
-            d=1, d0=2, twist=1.0, domain="ball", profile=custom(rule, form),
+            d0=2, domain="ball", profile=custom(rule, form),
             base=base, alpha=4.0), 0.99
 
 
@@ -266,11 +266,6 @@ def test_moment_table_positive():
     assert table.setup is s and table.counts()["fiber_degrees"] == 9
 
 
-def test_sphere_monomial_values():
-    assert sphere_monomial_integral((0,)) == pytest.approx(2 * math.pi, rel=1e-15)
-    assert sphere_monomial_integral((1, 0)) == pytest.approx(math.pi ** 2, rel=1e-15)
-
-
 def test_fiber_moment_reduction_ratio():
     s = ball_setup(0.5, 1.0, 1, 2, 6.0)
     # Gamma prefactors make the ratio independent of the moment integrals
@@ -347,7 +342,7 @@ def test_closed_targets():
     assert closed_target(s) == pytest.approx(20.0 / 9.0, rel=1e-14)
 
     base = BaseGeometry.from_coefficients(2, 1.0, a1=-3.0, a2=2.0)
-    s2 = QuantizationSetup(d=2, d0=1, twist=1.0, domain="ball",
+    s2 = QuantizationSetup(d0=1, domain="ball",
                            profile=log_ball(1.0), base=base, alpha=5.0)
     assert closed_target(s2) == pytest.approx(24.0, rel=1e-14)
 
@@ -364,7 +359,7 @@ def test_closed_target_windows():
             (full_setup(linear(1.0), 1.0, 2, 1, 3.0), "no constant-coefficient branch"),
             (full_setup(log_affine(-0.5, 1.0), 1.0, 1, 1, 3.0), "projective corner"),  # 2.13
             (full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 2.5), "projective corner"),
-            (QuantizationSetup(d=1, d0=3, twist=1.0, domain="ball", profile=log_ball(1.0),
+            (QuantizationSetup(d0=3, domain="ball", profile=log_ball(1.0),
                                base=BaseGeometry.flat(1), alpha=2.0), "alpha > n"),  # n*A = 4
             (full_setup(linear(1.0), 1.0, 1, 1, -1.0), "alpha > n")):
         for closed in (lambda: MomentTable(bad)(0), lambda: closed_target(bad),
@@ -495,6 +490,34 @@ def test_fiber_degrees_finite_for_negative_twist():
     assert list(s.fiber_degrees(100)) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_a_cap_short_of_the_projective_spectrum_is_refused(method):
+    # alpha = 9 admits the ten degrees 0..9; a cap at 3 summed four of them
+    # (858.4 at rho 0.5, not 1320) and said nothing
+    s = QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0),
+                          BaseGeometry.fubini_study_cpd(2), 9.0)
+    for k_max in (0, 3, 8):
+        with pytest.raises(SeriesNonConvergent, match=f"past k_max = {k_max}"):
+            bergman_series(s, [0.5], psi_method=method, k_max=k_max)
+        with pytest.raises(SeriesNonConvergent, match=f"past k_max = {k_max}"):
+            generating_identity_check(s, [0.5], psi_method=method, k_max=k_max)
+    assert bergman_series(s, [0.5], psi_method=method, k_max=9) == pytest.approx(
+        [1320.0], rel=1e-13)
+    # a fixed count of terms is not a cap
+    assert generating_coefficients(s, 4, psi_method=method) == pytest.approx(
+        [math.comb(9, j) for j in range(4)], rel=1e-12)
+
+
+def test_a_setup_reads_d_and_twist_from_its_base():
+    base = BaseGeometry.fubini_study_cpd(2)
+    s = QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0), base, 9.0)
+    assert (s.d, s.twist, s.n) == (2, -1.0, 3)
+    # plain attributes, not properties: the series reads them once per degree
+    assert vars(s)["d"] is base.d and vars(s)["twist"] is base.twist
+    with pytest.raises(TypeError):
+        QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0), base, 9.0, d=2)
+
+
 @given(alpha=st.integers(min_value=1, max_value=9))
 @settings(max_examples=9, deadline=None)
 def test_projective_series_equals_product(alpha):
@@ -594,7 +617,7 @@ def test_custom_profile_keeps_adaptive_moments(monkeypatch):
         return (-1.0 / A) * jets.log(1.0 - jets.exp(TaylorJet.variable(t, order)))
 
     s = ball_setup(A, 1.0, 1, 2, 4.0)
-    s_custom = QuantizationSetup(d=1, d0=2, twist=1.0, domain="ball",
+    s_custom = QuantizationSetup(d0=2, domain="ball",
                                  profile=custom(rule, "t"), base=s.base, alpha=4.0)
 
     def no_gauss_rule(*args):

@@ -367,7 +367,7 @@ def test_underflowing_closed_moment_exits_nonconvergent(capsys, method):
     # psi(alpha, k) = k! (alpha + k + 1)/alpha^(k+2) is normal to k = 9 (3.6e-295)
     # and falls below the normal range at k = 10 (3.6e-324)
     alpha = Fraction(1e30)
-    s = bergman.QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+    s = bergman.QuantizationSetup(d0=1, domain="fullspace",
                                   profile=linear(1.0), alpha=1e30,
                                   base=curvature.BaseGeometry.fubini_study_cp1(1, 1.0))
     code, doc = run_json(capsys, *_HUGE_LEVEL, "--table-k", "9", "--method", method)
@@ -462,6 +462,21 @@ def test_negative_max_k_is_invalid_input(capsys, command):
     assert code == 2
     assert doc["error"]["type"] == "PreconditionFailed"
     assert "max" in doc["error"]["message"]
+
+
+_PROJECTIVE = ("--family", "logaffine", "--A", "-1", "--c", "1", "--d", "2", "--d0", "1",
+               "--lambda", "-1", "--domain", "fullspace", "--base", "cpd", "--alpha", "9",
+               "--grid", "0:0.9:3")
+
+
+@pytest.mark.parametrize("command", ["bergman", "identity"])
+def test_max_k_short_of_the_projective_spectrum_exits_nonconvergent(capsys, command):
+    # the degrees 0..9 were cut to 0..3 and the truncated sum judged "fail" (exit 1)
+    code, doc = run_json(capsys, command, *_PROJECTIVE, "--max-k", "3")
+    assert code == 3
+    assert doc["error"] == {"type": "SeriesNonConvergent",
+                            "message": "admissible fiber degrees run past k_max = 3"}
+    assert run_json(capsys, command, *_PROJECTIVE, "--max-k", "9")[0] == 0
 
 
 @pytest.mark.parametrize("grid, degrees", [("0:20:3", 135), ("0:27:3", 166)])
@@ -648,6 +663,17 @@ def test_a_setup_field_the_reader_does_not_read_is_refused(tmp_path, capsys, doc
         code, out = run_json(capsys, command, "--setup", _write(tmp_path, doc))
         assert code == 2 and out["error"]["type"] == "PreconditionFailed"
         assert named in out["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["coeffs", "classify", "psi"])
+def test_a_cp1_base_refuses_another_dimension(capsys, command):
+    # the sphere is one-dimensional: "d": 2 was echoed over the d = 1 model
+    argv = (command, "--family", "logball", "--A", "0.5", "--d0", "1", "--lambda", "2",
+            "--base", "cp1")
+    code, doc = run_json(capsys, *argv, "--d", "2")
+    assert code == 2 and doc["error"]["type"] == "PreconditionFailed"
+    assert "'d' is 2" in doc["error"]["message"]
+    assert run_json(capsys, *argv, "--d", "1")[0] == 0
 
 
 @pytest.mark.parametrize("cap", ["--table-k"])

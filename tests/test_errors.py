@@ -9,8 +9,7 @@ import math
 import pytest
 
 from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
-                           fiber_moment, generating_coefficients, psi_moment,
-                           sphere_monomial_integral)
+                           fiber_moment, generating_coefficients, psi_moment)
 from kqlab.curvature import BaseGeometry, curvature_report
 from kqlab.errors import PreconditionFailed
 from kqlab.jets import TaylorJet
@@ -19,26 +18,19 @@ from kqlab.profiles import RadialProfile, custom, from_params, log_ball, profile
 
 
 def _setup(**changes):
-    fields = dict(d=1, d0=1, twist=1.0, domain="ball", profile=log_ball(1.0),
+    fields = dict(d0=1, domain="ball", profile=log_ball(1.0),
                   base=BaseGeometry.flat(1), alpha=0.0)
     fields.update(changes)
     return QuantizationSetup(**fields)
 
 
 _SITES = {
-    "setup-dimensions": (lambda: _setup(d0=0), "dimensions d, d0"),
-    "setup-twist": (lambda: _setup(twist=0.0), "twist must be nonzero"),
+    "setup-dimensions": (lambda: _setup(d0=0), "fiber dimension d0"),
     "setup-alpha-nan": (lambda: _setup(alpha=math.nan), "finite"),
     "setup-alpha-inf": (lambda: _setup(alpha=math.inf), "finite"),
-    "setup-twist-inf": (lambda: _setup(twist=math.inf), "finite"),
     "setup-domain": (lambda: _setup(domain="disc"), "domain must be"),
-    "setup-base-d": (lambda: _setup(base=BaseGeometry.flat(2)), "base dimension 2"),
-    "setup-base-twist": (lambda: _setup(base=BaseGeometry.flat(1, twist=2.0)),
-                         "twist disagree"),
     "psi-degree": (lambda: psi_moment(_setup(), -1), "fiber degree k"),
     "psi-method": (lambda: psi_moment(_setup(), 0, "simpson"), "method must be"),
-    "sphere-index": (lambda: sphere_monomial_integral([1, -1]), "non-negative"),
-    "sphere-empty-index": (lambda: sphere_monomial_integral([]), "non-empty"),
     "fiber-moment-index": (lambda: fiber_moment(_setup(), [1, 2]), "multi-index length"),
     "fiber-moment-negative-index": (lambda: fiber_moment(_setup(d0=2), [-1, 2]),
                                     "non-negative"),

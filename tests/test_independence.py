@@ -4,7 +4,9 @@ With every closed fiber moment made to raise, the quadrature certificates,
 the quadrature series, the direct fiber moments and the Gram oracles must
 still run to completion and agree with their closed targets.  The targets
 themselves (``closed_target``) and the base's own Bergman law stay live:
-they are the claims under test, not moments.
+they are the claims under test, not moments.  The tripwire is the fixture
+``no_closed_moments`` of conftest.py; the expansion fit of test_expansion.py
+runs under it too.
 """
 
 import random
@@ -22,24 +24,8 @@ from kqlab.oracle import (GramOracleConfig, cp1_bergman_oracle,
 from kqlab.profiles import log_affine
 
 
-class ClosedMomentRead(Exception):
-    """A checker asked for a closed fiber moment."""
-
-
-def _closed_moment(*args):
-    raise ClosedMomentRead(f"closed moment read with arguments {args}")
-
-
-@pytest.fixture
-def no_closed_moments(monkeypatch):
-    monkeypatch.setattr(bergman, "_psi0", _closed_moment)
-    for key, model in bergman._MODELS.items():
-        monkeypatch.setitem(bergman._MODELS, key, model._replace(
-            ratio=_closed_moment, rhs=_closed_moment))
-
-
 def test_checkers_run_with_every_closed_moment_raising(no_closed_moments):
-    with pytest.raises(ClosedMomentRead):     # the tripwire is live
+    with pytest.raises(no_closed_moments):    # the tripwire is live
         bergman.psi_moment(balanced_setup(2, 1, 3, "ball"), 1, "closed")
 
     # quadrature certificates of the ball and total-space product laws
@@ -48,7 +34,7 @@ def test_checkers_run_with_every_closed_moment_raising(no_closed_moments):
         assert cert.balanced and cert.max_error <= 1e-13, (part, cert.max_error)
 
     # the projective series by quadrature against (alpha + 1)(alpha + 2)
-    s = QuantizationSetup(d=1, d0=1, twist=-1.0, domain="fullspace",
+    s = QuantizationSetup(d0=1, domain="fullspace",
                           profile=log_affine(-1.0, 1.0),
                           base=BaseGeometry.fubini_study_cpd(1), alpha=5.0)
     values = bergman_series(s, np.linspace(0.0, 100.0, 6), psi_method="quadrature")

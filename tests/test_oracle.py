@@ -118,7 +118,7 @@ def test_hartogs_refuses_a_full_space_profile_it_does_not_integrate():
     # the fiber rule's Laguerre envelope e^(-m c rho) is the linear profile's; a
     # log-affine density decays polynomially, and its values came out 4.69-5.45
     # with a tail of 4.9e-99 and no target
-    s = QuantizationSetup(d=1, d0=1, twist=1.0, domain="fullspace",
+    s = QuantizationSetup(d0=1, domain="fullspace",
                           profile=log_affine(-0.5, 1.0),
                           base=BaseGeometry.fubini_study_cp1(2), alpha=2.0)
     cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=40)
@@ -275,8 +275,9 @@ def _mpmath_weight(cfg, setup, cells):
     return out
 
 
-@pytest.mark.parametrize("part, k, m, bound", [("ball", 3, 4, 2.5e-15), ("ball", 2, 2, 2.5e-15),
-                                               ("total", 1, 4, 8e-15)])
+@pytest.mark.parametrize("part, k, m, bound", [("ball", 3, 4, 2e-15), ("ball", 2, 2, 2e-15),
+                                               ("total", 1, 4, 1e-15)],
+                         ids=["ball-3-4", "ball-2-2", "total-1-4"])
 def test_weight_matches_a_40_digit_referee(part, k, m, bound):
     # every 13th node of each axis and the last; the weight carries no e^(-m*phi)
     cfg = GramOracleConfig(bundle_degree=k, power=m)

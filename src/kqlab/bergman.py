@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import BaseGeometry, _branch, _close, _spread
+from .curvature import BaseGeometry, _branch, _close, _spread, on_required_base
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import elementwise, require
@@ -181,8 +181,6 @@ def _ball_ratio(s: QuantizationSetup, k: int) -> float:
 def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
     b0 = k0 + s.d0 - 1
     aexp = s.alpha / s.profile.A - s.n - 1
-    if aexp <= -1:
-        raise BranchInvalid(f"ball moment diverges: alpha <= n*A = {s.n * s.profile.A}")
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     u = 0.5 * (xs + 1.0)
     return (ws, u, [aexp * math.log1p(-ui) for ui in u], u ** j,
@@ -197,8 +195,6 @@ def _linear_ratio(s: QuantizationSetup, k: int) -> float:
 
 
 def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
-    if s.alpha <= 0:
-        raise BranchInvalid("full-space moment needs alpha > 0")
     xs, ws = gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
     scale = s.alpha * s.profile.c
     u = xs / scale
@@ -208,11 +204,7 @@ def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndar
 
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
     A, c, b0 = s.profile.A, s.profile.c, k0 + s.d0 - 1
-    if A >= 0:
-        raise BranchInvalid("full-space log-affine profile needs A < 0")
     aexp = -s.alpha / A - k1
-    if aexp <= -1:
-        raise BranchInvalid(f"moment diverges: fiber degree k={k1} above alpha*|1/A|")
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     v = 0.5 * (xs + 1.0)
     u = v / (c * (1.0 - v))
@@ -224,24 +216,26 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
 # One record per family states what differs by family: psi(k)/psi(k+1), closed
 # and with no Gamma function; the resummed generating series (rhs); the Gauss
 # rule of one block of moments, as (weights, nodes u, log of the weight at u,
-# leftover factors, scales), which reads no closed form; and the last convergent
-# degree.  Where the closed forms hold is curvature.BRANCHES (2.10-2.14), read by
-# _closed_window; psi(alpha, 0) and the Bergman target follow from the A it returns.
+# leftover factors, scales), which reads no closed form; and the last degree its
+# moments cover, -1 if none.  The closed forms hold on curvature.BRANCHES (2.10-2.14),
+# read by _closed_window; psi(alpha, 0) and the Bergman target follow from its A.
 _MomentModel = namedtuple("_MomentModel", "ratio rhs gauss last_degree")
 
 
 _MODELS = {
     ("ball", "logball"): _MomentModel(
-        ratio=_ball_ratio, gauss=_ball_gauss, last_degree=lambda s: math.inf,
+        ratio=_ball_ratio, gauss=_ball_gauss,
+        last_degree=lambda s: math.inf if s.alpha / s.profile.A - s.n > 0 else -1,
         rhs=lambda s, rho: (1.0 - rho) ** (-s.alpha / (s.profile.A if s.d == 1 else s.twist))),
     ("fullspace", "linear"): _MomentModel(
-        ratio=_linear_ratio, gauss=_linear_gauss, last_degree=lambda s: math.inf,
+        ratio=_linear_ratio, gauss=_linear_gauss,
+        last_degree=lambda s: math.inf if s.alpha > 0 else -1,
         rhs=lambda s, rho: math.exp(s.profile.c * s.alpha * rho)),
     ("fullspace", "logaffine"): _MomentModel(
         ratio=lambda s, k: s.profile.c * (s.alpha - k + s.d) / (k + 1), gauss=_log_affine_gauss,
         rhs=lambda s, rho: (1.0 + s.profile.c * rho) ** s.alpha,
-        # the last k with Jacobi exponent a(k) > -1
-        last_degree=lambda s: math.ceil(-s.alpha / s.profile.A)),
+        last_degree=lambda s: (math.ceil(-s.alpha / s.profile.A - _MEMBERSHIP_TOL)
+                               if s.profile.A < 0 else -1)),
 }
 
 
@@ -277,12 +271,6 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
             for k, scale, integral in zip(ks, scales, integrals)]
 
 
-def _refusal(psi: float, k: int, nodes: int) -> str:
-    """Why a quadrature moment is refused."""
-    return (f"fiber moment psi(alpha, {k}) = {psi} from a {nodes}-node Gauss rule "
-            "is not finite and positive")
-
-
 def _power(x: float, e: int) -> float:
     """x ** e, or inf past the float range: the scale of a moment refused when asked for."""
     try:
@@ -307,14 +295,11 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
                nodes: int = 64) -> float:
     """Fiber moment psi(alpha, k) by closed form, or by quadrature with a rule of its own."""
-    if k < 0:
-        raise PreconditionFailed("fiber degree k must be >= 0")
-    if method == "quadrature" and (s.domain, s.profile.family) in _MODELS:
-        psi = _psi_quadrature_block(s, k, k, nodes)[0]
-        if not 0.0 < psi < math.inf:
-            raise QuadratureNonConvergent(_refusal(psi, k, nodes))
-        return psi
-    return MomentTable(s, method, nodes)(k)
+    table = MomentTable(s, method, nodes)
+    if table._gauss:
+        table._gate(k)
+        table._vals[k] = _psi_quadrature_block(s, k, k, nodes)[0]
+    return table(k)
 
 
 class MomentTable:
@@ -326,7 +311,7 @@ class MomentTable:
     normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
     Quadrature fills the three families an aligned block of min(_GAUSS_BLOCK, nodes)
     degrees per Gauss rule, custom profiles adaptively one moment at a time, and
-    refuses a moment that is not finite and positive.
+    refuses a moment that is not finite and positive; ``_gate`` refuses bad degrees.
     """
 
     def __init__(self, s: QuantizationSetup, method: str = "closed", nodes: int = 64):
@@ -334,9 +319,9 @@ class MomentTable:
             raise PreconditionFailed("method must be 'closed' or 'quadrature'")
         self.setup, self._nodes = s, nodes
         self._closed = method == "closed"
-        self._gauss = None if self._closed else _MODELS.get((s.domain, s.profile.family))
-        if self._gauss is not None and nodes < 1:
-            raise PreconditionFailed(f"a Gauss rule needs at least one node, got {nodes}")
+        model = _MODELS.get((s.domain, s.profile.family))
+        self._gauss = model is not None and not self._closed
+        self._last = model.last_degree(s) if model else math.inf    # custom: adaptive, any k
         # the least moment handed out: a normal float closed, any positive float by quadrature
         self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
         self._vals: dict[int, float] = {}
@@ -354,12 +339,20 @@ class MomentTable:
             self._ratio = _MODELS[s.domain, s.profile.family].ratio
         return self._ratio
 
+    def _gate(self, k, least: int = 0) -> None:
+        """The one refusal of a fiber degree: PreconditionFailed unless k is an integer >=
+        least, then the closed route's branch window, then BranchInvalid past last_degree."""
+        if not (isinstance(k, int) and k >= least):
+            raise PreconditionFailed(f"fiber degree k={k!r} must be an integer >= {least}")
+        if self._closed:
+            self._closed_ratio()
+        if k > self._last:
+            raise BranchInvalid(f"fiber degree k={k} past the model's last degree {self._last}")
+
     def _fill(self, k: int) -> None:
         s = self.setup
         if self._closed:
             ratio = self._closed_ratio()
-            if s.twist < 0 and k > s.alpha + _MEMBERSHIP_TOL:     # the projective spectrum
-                raise BranchInvalid(f"fiber degree k={k} outside 0..alpha")
             m, e = self._walk
             for j in range(len(self._vals) - 1, k):
                 r, re = math.frexp(ratio(s, j))
@@ -367,11 +360,11 @@ class MomentTable:
                 e += de - re
                 self._walk = m, e
                 self._vals[j + 1] = math.ldexp(m, e) if e <= 1024 else math.inf
-        elif self._gauss is not None:     # k's aligned block, clipped to the moments that exist
-            span = min(_GAUSS_BLOCK, self._nodes)
+        elif self._gauss:     # k's aligned block, clipped to the moments that exist
+            span = max(1, min(_GAUSS_BLOCK, self._nodes))   # gauss_rule refuses nodes < 1
             k0 = k - k % span
             k1 = k0 + span - 1 if s.twist > 0 else s.fiber_degrees(k0 + span - 1)[-1]
-            k1 = max(k, min(k1, self._gauss.last_degree(s)))
+            k1 = max(k, min(k1, self._last))
             self._vals.update(zip(range(k0, k1 + 1),
                                   _psi_quadrature_block(s, k0, k1, self._nodes)))
             self._blocks.add((k0, k1))
@@ -380,19 +373,22 @@ class MomentTable:
 
     def __call__(self, k: int) -> float:
         if k not in self._vals:
+            self._gate(k)
             self._fill(k)
         psi = self._vals[k]
         if not self._least <= psi < math.inf:
             raise QuadratureNonConvergent(
                 f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float"
-                if self._closed else _refusal(psi, k, self._nodes))
+                if self._closed else f"fiber moment psi(alpha, {k}) = {psi} from a "
+                f"{self._nodes}-node Gauss rule is not finite and positive")
         self._used.add(k)
         return psi
 
     def ratio(self, k: int) -> float:
+        self._gate(k, 1)
         if self._closed:
             self._used.add(k)
-            return self._closed_ratio()(self.setup, k - 1)
+            return self._ratio(self.setup, k - 1)
         return self(k - 1) / self(k)
 
     def counts(self) -> dict[str, int]:
@@ -516,9 +512,13 @@ def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
 
 
 def closed_target(s: QuantizationSetup) -> float:
-    """Exact constant value of the Bergman function on the designated branches: the
-    paper's law prod_{j=1..n} (alpha - j*A) at the effective A of _closed_window."""
-    return product_shifted(s.alpha, _closed_window(s), s.n)
+    """Exact constant value of the Bergman function on the designated branches, over their
+    required base only: the paper's law prod_{j=1..n} (alpha - j*A) at _closed_window's A."""
+    A = _closed_window(s)
+    if not on_required_base(s.base, s.profile, s.d0):
+        raise BranchInvalid(f"the base's (a1, a2) = ({s.base.a1}, {s.base.a2}) is not "
+                            "curvature.required_base, so the Bergman function is not constant")
+    return product_shifted(s.alpha, A, s.n)
 
 
 @dataclass(frozen=True)

@@ -402,10 +402,10 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
     table = bergman.MomentTable(s, args.psi_method, args.quad_nodes)
     values = bergman.bergman_series(s, grid, psi=table, k_max=args.max_k)
     rows = [{"point": g, "value": v} for g, v in zip(grid, values)]
-    try:
+    branch = target = None
+    with contextlib.suppress(BranchInvalid):   # no target off the branch or its base
         target = bergman.closed_target(s)
-    except BranchInvalid:
-        target = None
+        branch = curvature._branch(s.profile, s.d, s.twist, s.domain)[0]
     if target is not None:
         dev = max(abs(v - target) for v in values) / (1.0 + abs(target))
         verdict = "pass" if dev <= args.tol else "fail"
@@ -413,7 +413,7 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
         _, dev = curvature._spread(values)
         verdict = "inconclusive"
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
-               "psi_method": args.psi_method, "branch": None,
+               "psi_method": args.psi_method, "branch": branch,
                **table.counts()}
     return echo, rows, summary
 

@@ -375,6 +375,12 @@ def required_base(p: RadialProfile, d: int, d0: int, lam: float) -> tuple[float,
     return branch_coefficients(d, lam)
 
 
+def on_required_base(base: BaseGeometry, p: RadialProfile, d0: int) -> bool:
+    """Whether the base carries required_base's (a1, a2), each to 1e-9 of 1 + |value|."""
+    return all(abs(have - want) <= 1e-9 * (1 + abs(want)) for have, want in
+               zip((base.a1, base.a2), required_base(p, base.d, d0, base.twist)))
+
+
 def required_base_coefficients(p: RadialProfile, d: int, d0: int, lam: float,
                                domain: str) -> tuple[float, float]:
     """(a1, a2) the base must carry for the fibered coefficients to be constant."""
@@ -409,10 +415,8 @@ def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
     row = _branch(p, base.d, base.twist, domain)
     if constant and row is not None:
         name, a_eff = row
-        a1_req, a2_req = required_base(p, base.d, d0, base.twist)
         a1_exp, a2_exp = branch_coefficients(base.d + d0, a_eff)
-        close = (abs(base.a1 - a1_req) <= 1e-9 * (1 + abs(a1_req))
-                 and abs(base.a2 - a2_req) <= 1e-9 * (1 + abs(a2_req))
+        close = (on_required_base(base, p, d0)
                  and abs(a1_mean - a1_exp) <= 1e-7 * (1 + abs(a1_exp))
                  and abs(a2_mean - a2_exp) <= 1e-7 * (1 + abs(a2_exp)))
         if close:

@@ -53,7 +53,7 @@ class GramOracleConfig:
     """Basis caps and quadrature resolution for the Gram-matrix oracle.
 
     ``q_cap`` bounds the fiber degree, and the z-exponent cap is the largest
-    integrable exponent k*(m + q_cap) plus a safety margin.  ``s_nodes`` is
+    integrable exponent k*(m + q_cap).  ``s_nodes`` is
     the Gauss rule size on each radial axis.  Sample points are (|z|^2, rho)
     pairs with rho the scaled fiber radius.
     """
@@ -75,7 +75,7 @@ class GramOracleConfig:
 
     @property
     def effective_p_cap(self) -> int:
-        return self.bundle_degree * (self.power + self.q_cap) + 8
+        return self.bundle_degree * (self.power + self.q_cap)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kqlab import bergman, jets, special
 from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
-                           MomentTable, _psi_quadrature_block,
+                           MomentTable,
                            balanced_certify, balanced_setup,
                            bergman_series, closed_target, density_H,
                            fiber_moment, fiber_moment_direct,
@@ -371,6 +371,18 @@ def test_closed_target_windows():
 # -- balanced certification --------------------------------------------------
 
 
+def test_closed_target_needs_the_required_base():
+    # the degree-1 sphere has a1 = 1, and log_ball(0.5) at d0 = 1 asks for
+    # d0*twist - n*A = 0: the series runs 32.08 down to 28.74, not the law's 27.5
+    s = QuantizationSetup(1, "ball", log_ball(0.5), BaseGeometry.fubini_study_cp1(1), 6.0)
+    with pytest.raises(BranchInvalid, match="required_base"):
+        closed_target(s)
+    values = bergman_series(s, [0.0, 0.6])   # the moments read no base
+    assert values == pytest.approx([32.0833333333333, 28.7415390476191], rel=1e-12)
+    on_base = dataclasses.replace(s, base=BaseGeometry.from_coefficients(1, 1.0, 0.0, 0.0))
+    assert closed_target(on_base) == pytest.approx(27.5, rel=1e-14)
+
+
 def test_balanced_examples():
     cert = balanced_certify(1, 2, 2)
     assert isinstance(cert, BalancedCertificate)
@@ -591,13 +603,83 @@ def test_block_scale_past_the_float_range_refuses_only_its_moment():
 
 def test_negative_twist_block_stops_at_last_admissible_degree():
     s = full_setup(log_affine(-1.0, 1.0), -1.0, 2, 1, 9.0)
-    with pytest.raises(BranchInvalid):
-        _psi_quadrature_block(s, 0, 15, 64)   # degree 15 has no moment
+    with pytest.raises(BranchInvalid, match="k=15"):
+        MomentTable(s, "quadrature")(15)   # degree 15 has no moment
     cache = MomentTable(s, "quadrature", 64)
     for k in range(10):
         assert cache(k) == pytest.approx(psi_moment(s, k, "closed"), rel=1e-10)
     assert cache.counts() == {"gauss_rules": 1, "nodes_per_rule": 64,
                               "fiber_degrees": 10}
+
+
+def _projective_plane(alpha=6.0):
+    return QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0),
+                             BaseGeometry.fubini_study_cpd(2), alpha)
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_coefficients_past_the_projective_spectrum_are_refused(method):
+    # alpha = 6 has the fiber degrees 0..6; the closed ratio c(alpha - k + d)/(k + 1)
+    # reaches 0 at k = alpha + d, so closed coefficients 7.. came out 0.0, -0.0, ...
+    s = _projective_plane()
+    with pytest.raises(BranchInvalid, match="^fiber degree k=7 past the model's last degree 6$"):
+        generating_coefficients(s, 12, psi_method=method)
+    assert generating_coefficients(s, 7, psi_method=method) == pytest.approx(
+        [math.comb(6, k) for k in range(7)], rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_a_degree_that_is_not_a_natural_number_is_a_precondition(method):
+    # closed: KeyError, TypeError, ZeroDivisionError and a value of -0.444 with no
+    # error; quadrature: a non-finite Gauss rule or TypeError
+    table = MomentTable(_projective_plane(), method)
+    for ask in (lambda: table(-1), lambda: table(2.5), lambda: table.ratio(0),
+                lambda: table.ratio(-3), lambda: table.ratio(1.5),
+                lambda: psi_moment(table.setup, 2.5, method)):
+        with pytest.raises(PreconditionFailed, match="fiber degree k="):
+            ask()
+
+
+def test_a_degree_past_the_last_is_refused_alike_on_both_routes():
+    s = _projective_plane()
+    for k in (7, 8, 12):
+        refusals = set()
+        for method in ("closed", "quadrature"):
+            table = MomentTable(s, method)
+            for ask in (table, table.ratio, lambda k: psi_moment(s, k, method)):
+                with pytest.raises(BranchInvalid) as refused:
+                    ask(k)
+                refusals.add(str(refused.value))
+        assert refusals == {f"fiber degree k={k} past the model's last degree 6"}
+
+
+def test_the_last_degree_at_the_projective_corner_is_alpha_on_both_routes():
+    # alpha within 1e-9 above 6 ends at degree 6 on both routes; the quadrature
+    # route handed out psi(alpha, 7) = 0.0138888888888635 where the closed refused
+    s = _projective_plane(6.0 + 1e-12)
+    for method in ("closed", "quadrature"):
+        assert psi_moment(s, 6, method) == pytest.approx(1.0 / 252.0, rel=1e-10)
+        with pytest.raises(BranchInvalid, match="k=7"):
+            psi_moment(s, 7, method)
+
+
+@pytest.mark.parametrize("s", [
+    full_setup(linear(1.0), 1.0, 1, 1, -1.0),
+    full_setup(linear(1.0), 1.0, 1, 1, 0.0),
+    full_setup(log_affine(1.0, 1.0), 1.0, 1, 1, 3.0),
+], ids=["linear-alpha-negative", "linear-alpha-zero", "logaffine-A-positive"])
+def test_quadrature_without_a_convergent_moment_refuses_every_degree(s):
+    table = MomentTable(s, "quadrature")
+    for k in (0, 3):
+        for ask in (table, lambda k: psi_moment(s, k, "quadrature")):
+            with pytest.raises(BranchInvalid, match=f"k={k} past the model's last degree -1"):
+                ask(k)
+    assert table.counts()["gauss_rules"] == 0
+
+
+def test_a_table_with_no_nodes_is_refused_at_its_first_rule():
+    with pytest.raises(PreconditionFailed, match="at least one node"):
+        MomentTable(balanced_setup(2, 1, 3, "ball"), "quadrature", 0)(0)
 
 
 def test_log_affine_block_stops_at_last_convergent_moment():

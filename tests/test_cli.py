@@ -838,9 +838,31 @@ def test_base_without_a_law_gets_the_required_law(tmp_path, capsys, command):
     flags = run_json(capsys, command, *model, "--base", "coeffs", "--a1-base", "0")
     doc = dict(_SETUP, alpha=2.0, base={"a1": 0, "a2": 0})
     code, out = run_json(capsys, command, "--setup", _write(tmp_path, doc))
-    assert code == flags[0] == 1
+    # a1 = 0 is off the required base (0.5, 0): bergman has no target there and is
+    # inconclusive, the identity still fails
+    assert code == flags[0] == (0 if command == "bergman" else 1)
     assert (out["rows"], out["summary"], out["setup"]) == (
         flags[1]["rows"], flags[1]["summary"], flags[1]["setup"])
+
+
+def test_bergman_off_the_required_base_is_inconclusive(capsys):
+    # the degree-1 sphere has a1 = 1 where the model asks for 0: the values vary,
+    # so there is no target (it was 27.5, with verdict fail and exit 1)
+    code, out = run_json(capsys, "bergman", "--family", "logball", "--A", "0.5", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--domain", "ball", "--base", "cp1",
+                         "--base-k", "1", "--alpha", "6", "--grid", "0:0.6:4")
+    summary = out["summary"]
+    assert code == 0
+    assert (summary["verdict"], summary["target"], summary["branch"]) == (
+        "inconclusive", None, None)
+    assert summary["max_deviation"] > 0.1
+
+
+def test_bergman_names_the_branch_of_its_target(capsys):
+    code, out = run_json(capsys, "bergman", "--family", "linear", "--d", "1", "--d0", "1",
+                         "--lambda", "1", "--domain", "fullspace", "--alpha", "3")
+    assert code == 0
+    assert (out["summary"]["branch"], out["summary"]["target"]) == ("2.12", 9)
 
 
 _PROJECTIVE = ("--family", "logaffine", "--A", "-1", "--d", "2", "--d0", "1",

@@ -361,6 +361,16 @@ def test_basis_size_counts_the_integrable_monomials():
     assert rep.basis_size == sum(min(2 * (2 + q), P) + 1 for q in range(61)) == 3965
 
 
+@pytest.mark.parametrize("part", ["ball", "total"])
+def test_norm_rows_end_at_the_last_integrable_exponent(part):
+    # P = k(m + Q): the top row is integrable at q = Q, so no row is all inf
+    k = 2 if part == "ball" else 1
+    cfg = GramOracleConfig(bundle_degree=k, power=2, q_cap=20)
+    N = oracle._norm_matrix(cfg, balanced_setup(k, 1, 2, part))
+    assert N.shape == (k * (2 + 20) + 1, 21)
+    assert np.isfinite(N[-1, -1]) and N[-1, -1] > 0
+
+
 @pytest.mark.parametrize("k, m", [(2, 3), (2, 4), (3, 3), (3, 4)])
 def test_ball_oracle_reaches_the_product_law_at_q160(k, m):
     # the benchmark's ladder stops at m = 2; m = 3, 4 need Q = 160 for 1e-9

@@ -178,6 +178,11 @@ def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
     return du / phi.truncated(du.order)
 
 
+def _slope(u: TaylorJet, phi: TaylorJet):
+    """``_ddx(u, phi).value`` bit for bit: the quotient's first coefficient alone."""
+    return u.derivative(1) / phi.value
+
+
 def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
                      order: int = REPORT_ORDER) -> CurvatureReport:
     """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
@@ -205,34 +210,36 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
     require(shift.value > 0, OutOfDomain,
             lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
 
-    w = shift ** d * xj ** (d0 - 1)     # common denominator weight
+    # each jet is formed only to the order its fields read, so no field moves
+    w = shift ** d * xj ** (d0 - 1) if d0 > 1 else shift ** d   # common denominator weight
     g = w * phij
     gx = _ddx(g, phij)
-    sigma_j = gx / w.truncated(gx.order)
+    sigma_j = gx.truncated(1) / w.truncated(1)
     gxx = _ddx(gx, phij)
     chi_j = -gxx / w.truncated(gxx.order)
     if d0 > 1:
         chi_j = chi_j + (d0 * (d0 - 1)) / xj.truncated(chi_j.order)
 
     sigma = sigma_j.value
-    sigma_p = _ddx(sigma_j, phij).value
+    sigma_p = _slope(sigma_j, phij)
     chi = chi_j.value
     chi_pj = _ddx(chi_j, phij)
     chi_p = chi_pj.value
 
     # (mom * chi')' and the weighted divergence ((w mom chi')')/w
     phichi = phij.truncated(chi_pj.order) * chi_pj
-    phichi_x = _ddx(phichi, phij).value
+    phichi_x = _slope(phichi, phij)
     wnum = w.truncated(chi_pj.order) * phichi
-    div_wphichi = _ddx(wnum, phij).value / w.value
+    div_wphichi = _slope(wnum, phij) / w.value
 
     # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
-    h = shift ** (d - 2) * xj ** (d0 - 1) * phij
-    lap_couple = lam * _ddx(h, phij).value / w.value
+    s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
+    h = s1 ** (d - 2) * x1 ** (d0 - 1) * p1
+    lap_couple = lam * _slope(h, phij) / w.value
 
     sv = shift.value
-    phi_over_shift_p = _ddx(phij / shift, phij).value
-    phi_xx = _ddx(_ddx(phij, phij), phij).value
+    phi_over_shift_p = _slope(p1 / s1, phij)
+    phi_xx = _slope(_ddx(phij.truncated(2), phij), phij)
 
     # each power formed once, by the float power of _pow
     sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
@@ -262,7 +269,7 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
              + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4) / 24.0)
 
     if d0 > 1:
-        phi_over_x_p2 = _pow(_ddx(phij / xj.truncated(phij.order), phij).value, 2)
+        phi_over_x_p2 = _pow(_slope(p1 / x1, phij), 2)
         x2 = _pow(x, 2)
         ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
         riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)

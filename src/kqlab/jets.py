@@ -188,6 +188,8 @@ class TaylorJet:
         if isinstance(p, int):
             if p == 0:
                 return self._coerce(1.0)
+            if p == 1:
+                return self
             if p < 0:
                 return 1.0 / (self ** (-p))
             half = self ** (p // 2)

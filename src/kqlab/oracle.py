@@ -333,7 +333,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     values, worst_tail = [], 0.0
     finite = np.isfinite(N)
     logterm, terms = np.empty_like(N), np.zeros_like(N)   # terms: 0 off the finite norms
-    F0s = profile_jet(setup.profile, [rho0 for _, rho0 in cfg.sample_points], 2, "rho").value
+    F0s = profile_jet(setup.profile, [rho0 for _, rho0 in cfg.sample_points], 0, "rho").value
     for (s0, rho0), F0 in zip(cfg.sample_points, F0s.tolist()):
         phi0 = k * math.log1p(s0)
         with np.errstate(divide="ignore"):

@@ -464,19 +464,19 @@ def test_negative_max_k_is_invalid_input(capsys, command):
     assert "max" in doc["error"]["message"]
 
 
-_PROJECTIVE = ("--family", "logaffine", "--A", "-1", "--c", "1", "--d", "2", "--d0", "1",
-               "--lambda", "-1", "--domain", "fullspace", "--base", "cpd", "--alpha", "9",
-               "--grid", "0:0.9:3")
+_PROJECTIVE_CPD = ("--family", "logaffine", "--A", "-1", "--c", "1", "--d", "2", "--d0", "1",
+                   "--lambda", "-1", "--domain", "fullspace", "--base", "cpd", "--alpha", "9",
+                   "--grid", "0:0.9:3")
 
 
 @pytest.mark.parametrize("command", ["bergman", "identity"])
 def test_max_k_short_of_the_projective_spectrum_exits_nonconvergent(capsys, command):
     # the degrees 0..9 were cut to 0..3 and the truncated sum judged "fail" (exit 1)
-    code, doc = run_json(capsys, command, *_PROJECTIVE, "--max-k", "3")
+    code, doc = run_json(capsys, command, *_PROJECTIVE_CPD, "--max-k", "3")
     assert code == 3
     assert doc["error"] == {"type": "SeriesNonConvergent",
                             "message": "admissible fiber degrees run past k_max = 3"}
-    assert run_json(capsys, command, *_PROJECTIVE, "--max-k", "9")[0] == 0
+    assert run_json(capsys, command, *_PROJECTIVE_CPD, "--max-k", "9")[0] == 0
 
 
 @pytest.mark.parametrize("grid, degrees", [("0:20:3", 135), ("0:27:3", 166)])

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
-from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close,
+from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _ddx, _slope,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
 from kqlab.errors import EmptyGrid, KQLabError, OrderExceeded, OutOfDomain
 from kqlab.jets import TaylorJet
 from kqlab.profiles import custom, linear, log_affine, log_ball, t_from_x
+from test_jets import _same_bits, coeff, coeff_pairs, non_finite, signed_zero
 
 
 def _tgrid(p, lam, count=12, x_hi=2.5):
@@ -338,6 +339,42 @@ def test_default_order_report_is_bit_identical_to_order_8(name, d, d0, lam):
 def test_order_5_is_too_low_for_a_report():
     with pytest.raises(OrderExceeded):
         curvature_report(BaseGeometry.flat(1), log_ball(1.0), 1, -1.0, order=5)
+
+
+@given(coeff_pairs(st.one_of(coeff, signed_zero, non_finite)))
+@settings(max_examples=60, deadline=None)
+def test_slope_is_the_value_of_the_x_derivative_bit_for_bit(pair):
+    u, phi = TaylorJet(pair[0]), TaylorJet(pair[1])
+    if u.order == 0:
+        for slope in (_slope, lambda u, phi: _ddx(u, phi).value):
+            with pytest.raises(OrderExceeded):
+                slope(u, phi)
+        return
+    with np.errstate(all="ignore"):
+        assert _same_bits(np.asarray(_slope(u, phi)), np.asarray(_ddx(u, phi).value))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d0", [1, 2, 3])
+def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
+    # each jet is carried only to the order its fields read (up to 16 and 17 before)
+    counts = {"mul": 0, "div": 0}
+    mul, div = TaylorJet.__mul__, TaylorJet.__truediv__
+
+    def counted_mul(self, other):
+        counts["mul"] += isinstance(other, TaylorJet)
+        return mul(self, other)
+
+    def counted_div(self, other):
+        counts["div"] += 1
+        return div(self, other)
+
+    monkeypatch.setattr(TaylorJet, "__mul__", counted_mul)
+    monkeypatch.setattr(TaylorJet, "__truediv__", counted_div)
+    p = log_ball(0.5)
+    curvature_report(BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), p, d0,
+                     np.array(_tgrid(p, 1.0)))
+    assert counts["mul"] <= 9 and counts["div"] <= 10, counts
 
 
 @pytest.mark.parametrize("twist, p, bad", [

@@ -248,6 +248,34 @@ def test_non_finite_coefficients_keep_the_recurrences_pattern(pair):
         _assert_same_bits_as_the_recurrences(*pair)
 
 
+@given(coeff_pairs(st.one_of(coeff, signed_zero, non_finite)))
+@settings(max_examples=60, deadline=None)
+def test_a_truncated_product_or_quotient_is_that_of_the_truncated_jets(pair):
+    # a coefficient depends only on those of its own and lower orders
+    a, b = TaylorJet(pair[0]), TaylorJet(pair[1])
+    with np.errstate(all="ignore"):
+        for m in range(a.order + 1):
+            for op in (operator.mul, operator.truediv):
+                assert _same_bits(op(a, b).truncated(m).coeffs,
+                                  op(a.truncated(m), b.truncated(m)).coeffs), (op, m)
+
+
+def test_pow_1_is_the_jet_and_pow_2_is_one_product(monkeypatch):
+    a = 1.0 + TaylorJet.variable(np.array([0.5, -0.0, 2.0]))
+    assert a ** 1 is a
+    products, mul = [], TaylorJet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TaylorJet):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TaylorJet, "__mul__", counted)
+    square = a ** 2
+    assert len(products) == 1
+    assert _same_bits(square.coeffs, mul(a, a).coeffs)
+
+
 def test_one_point_and_many_points_broadcast_as_the_recurrences_do():
     one = np.array([[2.0], [0.0], [-0.5], [0.0], [1.0]])
     many = np.array([[1.5, -2.0, 3.0], [0.0, 1.0, -0.0], [0.5, 0.0, 2.0],

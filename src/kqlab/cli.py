@@ -40,13 +40,37 @@ _ERRORS = (KQLabError, ValueError)    # every typed error, and bad values
 # deterministic serialization
 
 
+_encode = json.encoder.encode_basestring_ascii     # json.dumps(str) without its set-up
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    out = format(float(x), ".15g")
-    return out
+    if math.isfinite(x):
+        return format(x, ".15g")
+    return '"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"'
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"cannot serialize the key {k!r}: JSON keys are strings")
+    return _encode(k)
+
+
+def _rows(obj) -> Optional[str]:
+    """A list of dicts on one key set, every value a finite float, in one %
+    format ('%.15g' % x is format(x, ".15g")); None for any other list."""
+    if set(map(type, obj)) != {dict}:
+        return None
+    keys = sorted(obj[0])
+    if set(map(len, obj)) != {len(keys)}:
+        return None
+    try:
+        values = tuple([row[k] for row in obj for k in keys])
+    except KeyError:        # a row on another key set of the same size
+        return None
+    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+        return None
+    row = "{" + ",".join(_key(k).replace("%", "%%") + ":%.15g" for k in keys) + "}"
+    return "[" + ",".join([row] * len(obj)) % values + "]"
 
 
 def render_json(obj) -> str:
@@ -60,13 +84,11 @@ def render_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _encode(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        inner = ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in items)
-        return "{" + inner + "}"
+        return "{" + ",".join([f"{_key(k)}:{render_json(obj[k])}" for k in sorted(obj)]) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in obj) + "]"
+        return _rows(obj) or "[" + ",".join([render_json(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -16,7 +16,10 @@ by the same code path as the closed families.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -168,8 +171,9 @@ class CurvatureReport:
 
 
 def _pow(a: np.ndarray, n: int) -> np.ndarray:
-    """a ** n per point as a float (numpy's power may round differently)."""
-    return np.array([v ** n for v in a.tolist()])
+    """a ** n per point by math.pow, the libm pow that float ** int calls too
+    (numpy's power may round differently)."""
+    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(float(n))), float, a.size)
 
 
 def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
@@ -234,14 +238,15 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
 
     # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
     s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
-    h = s1 ** (d - 2) * x1 ** (d0 - 1) * p1
+    factors = ([s1 ** (d - 2)] if d != 2 else []) + ([x1 ** (d0 - 1)] if d0 > 1 else [])
+    h = functools.reduce(operator.mul, factors + [p1])    # no product by the jet 1
     lap_couple = lam * _slope(h, phij) / w.value
 
     sv = shift.value
     phi_over_shift_p = _slope(p1 / s1, phij)
     phi_xx = _slope(_ddx(phij.truncated(2), phij), phij)
 
-    # each power formed once, by the float power of _pow
+    # each power formed once, by math.pow in _pow
     sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
     sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
     phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phi_xx, 2)

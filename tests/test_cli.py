@@ -3,10 +3,11 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kqlab import bergman, curvature, special
-from kqlab.cli import (main, parse_grid, profile_from_dict, profile_to_dict,
+from kqlab.cli import (_rows, main, parse_grid, profile_from_dict, profile_to_dict,
                        render_json, setup_from_dict)
 from kqlab.curvature import branch_coefficients
 from kqlab.profiles import linear, log_affine, log_ball
@@ -36,6 +37,92 @@ def test_grid_parsing():
 def test_render_json_is_sorted_and_trimmed():
     doc = render_json({"b": 1.0 / 3.0, "a": [1, 2.5, None, True]})
     assert doc == '{"a":[1,2.5,null,true],"b":0.333333333333333}'
+
+
+def _referee_render_json(obj) -> str:
+    """The renderer as it was before rows took one format call: one recursive
+    call per row, key and value."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(float(x), ".15g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        inner = ",".join(f"{json.dumps(k)}:{_referee_render_json(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_referee_render_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_rows_render_as_the_referee_over_the_exponent_range(finite):
+    # uniform random bit patterns: every exponent, nan and inf too
+    bits = np.random.default_rng(7).integers(0, 2 ** 64, 40_000, dtype=np.uint64)
+    values = bits.view(np.float64).tolist()
+    if finite:
+        values = [v for v in values if math.isfinite(v)]
+    rows = [{"point": p, "value": v} for p, v in zip(values[::2], values[1::2])]
+    assert (_rows(rows) is not None) == finite
+    doc = {"rows": rows, "summary": {"points": len(rows)}}
+    assert render_json(doc) == _referee_render_json(doc)
+
+
+_EDGES = [-0.0, 0.0, 1e15, 1e16, 999999999999999.9, 5e-324, -2.2250738585072014e-308,
+          1e-310, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("edge", _EDGES, ids=repr)
+def test_an_edge_value_inside_rows_renders_as_the_referee(edge):
+    rows = [{"point": -1.0 + j / 7, "value": j / 3} for j in range(5)]
+    rows[2] = {"point": edge, "value": 2.5}
+    rows[3] = {"point": 0.5, "value": edge}
+    assert render_json(rows) == _referee_render_json(rows)
+    assert (_rows(rows) is not None) == math.isfinite(edge)
+
+
+@pytest.mark.parametrize("cast", [np.float64, np.float32, np.int64, int, bool])
+def test_numpy_and_int_values_inside_rows_render_as_the_referee(cast):
+    rows = [{"point": p, "value": cast(v)} for p, v in [(0.25, 3), (-1e-5, 0), (1e16, 7)]]
+    rows.append({"point": cast(1.0), "value": 1.0 / 3.0})
+    assert render_json(rows) == _referee_render_json(rows)
+
+
+@pytest.mark.parametrize("obj", [
+    [{"100%": 1.5, "%s": 2.0, "%%": 0.1}] * 3,
+    [{"pöint": 1.5, "välue\u2028": -2.0}, {"pöint": 0.5, "välue\u2028": 3.0}],
+    {"%d é": "100% ü \u2028 \"quoted\" \\ \t", "ñ": ["%s", "\x00"]},
+    [{"point": [0.5, 1.25], "value": 2.0}, {"point": [1.0, 2.0], "value": 3.0}],
+    [{"point": 1, "value": 2.0}, {"point": 2, "value": 3.0}],
+    [{"point": 1.0, "value": 2.0}, {"point": 1.0}],
+    [{"point": 1.0, "value": 2.0}, {"point": 1.0, "other": 2.0}],
+    [{"point": 1.0, "value": 2.0}, {"point": 1.0, "value": 2.0, "x": 0.0}],
+    [{"point": 1.0, "value": None}, {"point": 2.0, "value": "nan"}],
+    ({"point": 1.0, "value": 2.0}, {"point": 3.0, "value": 4.0}),
+    [{"value": 1.0}], [{}, {}], [], {}, [[]], [{"rows": []}], [1.0, 2.0],
+], ids=["percent-keys", "non-ascii-keys", "strings", "list-points", "int-points",
+        "ragged", "other-key", "extra-key", "none-and-str", "tuple", "one-key",
+        "empty-dicts", "empty-list", "empty-dict", "nested-empty", "list-value", "floats"])
+def test_other_documents_render_as_the_referee(obj):
+    assert render_json(obj) == _referee_render_json(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 2.0}, {None: 1.0}, {(1, 2): 1.0}, [{1: 2.0}] * 3,
+                                 {"rows": [{1: 2.0, 2: 3.0}]}])
+def test_a_key_that_is_not_a_string_is_refused(obj):
+    with pytest.raises(TypeError, match="JSON keys are strings"):
+        render_json(obj)
 
 
 def test_balanced_pass(capsys):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
-from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _ddx, _slope,
+from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _ddx, _pow, _slope,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
@@ -354,10 +354,27 @@ def test_slope_is_the_value_of_the_x_derivative_bit_for_bit(pair):
         assert _same_bits(np.asarray(_slope(u, phi)), np.asarray(_ddx(u, phi).value))
 
 
+@given(st.lists(st.floats(), min_size=1, max_size=8), st.sampled_from([2, 3, 4]))
+@example([-1.5], 3)
+@example([5e-324, -2.2e-308, -0.0, -1.1], 4)
+@example([2.0, 1e100], 4)
+@settings(max_examples=200, deadline=None)
+def test_pow_is_the_float_power_bit_for_bit(values, n):
+    a = np.array(values)
+    try:
+        expected = np.array([v ** n for v in values])
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _pow(a, n)
+        return
+    assert _same_bits(_pow(a, n), expected)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("d0", [1, 2, 3])
 def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
-    # each jet is carried only to the order its fields read (up to 16 and 17 before)
+    # each jet is carried only to the order its fields read (up to 16 and 17
+    # before), and no product is taken by the constant jet 1
     counts = {"mul": 0, "div": 0}
     mul, div = TaylorJet.__mul__, TaylorJet.__truediv__
 
@@ -374,7 +391,8 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     p = log_ball(0.5)
     curvature_report(BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), p, d0,
                      np.array(_tgrid(p, 1.0)))
-    assert counts["mul"] <= 9 and counts["div"] <= 10, counts
+    products = {1: 4, 2: 6, 3: 8}[d0]     # d = 1 and d = 2 alike
+    assert counts["mul"] == products and counts["div"] <= 10, counts
 
 
 @pytest.mark.parametrize("twist, p, bad", [

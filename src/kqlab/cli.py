@@ -507,6 +507,7 @@ def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache     # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kq",

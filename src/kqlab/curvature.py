@@ -10,8 +10,9 @@ expansion, are rational expressions in
     x = F'(t),  mom(x) = F''(t),  sigma = (g)'/g,  chi = d0(d0-1)/x - (g)''/g,
 
 with g = (1 + lam*x)^d * x^(d0-1) * mom and ' denoting d/dx = (1/mom) d/dt.
-All x-derivatives are taken by jet chain rule, so custom profiles are covered
-by the same code path as the closed families.
+The fields are computed once, on jets in x, from the x-jet of mom: the closed
+families give it exactly as x + A x^2, and a custom profile by the chain rule
+from its t-jet.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
 from .jets import TaylorJet, require
-from .profiles import RadialProfile, profile_jet
+from .profiles import FAMILIES, RadialProfile, profile_jet
 from .special import product_shifted
 
 X_MIN = 1e-6  # fiber evaluation floor; the zero section is out of scope
-REPORT_ORDER = 6  # jet order of curvature_report, the least its fields allow
+REPORT_ORDER = 4  # order of curvature_report's x-jets, the least its fields allow
+CUSTOM_T_ORDER = 6  # order of a custom profile's t-jet, the least REPORT_ORDER allows
 
 
 @dataclass(frozen=True)
@@ -182,34 +184,42 @@ def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
     return du / phi.truncated(du.order)
 
 
-def _slope(u: TaylorJet, phi: TaylorJet):
-    """``_ddx(u, phi).value`` bit for bit: the quotient's first coefficient alone."""
-    return u.derivative(1) / phi.value
+def _momentum_jet(p: RadialProfile, ts: np.ndarray) -> tuple[np.ndarray, TaylorJet]:
+    """x = F'(t), and the x-jet of phi(x) = F''(t): x + A x^2 for a closed
+    family, and for a custom profile the chain rule on its t-jet."""
+    custom = p.family not in FAMILIES
+    xj = profile_jet(p, ts, CUSTOM_T_ORDER if custom else 1, "t").deriv()     # F'
+    x = xj.value
+    require(x >= X_MIN, OutOfDomain,
+            lambda i: f"x = {x[i]} below the evaluation floor {X_MIN} at t={ts[i]}")
+    u = phit = xj.deriv() if custom else None                                # F''
+    mom = phit.value if custom else x + p.A * x * x
+    require(mom > 0, DegenerateJet,
+            lambda i: f"momentum profile {mom[i]} not positive at t={ts[i]}")
+    coeffs = np.zeros((REPORT_ORDER + 1, ts.size))
+    coeffs[0] = mom
+    if custom:                                  # d/dx = (1/F'') d/dt, k times
+        for k in range(1, REPORT_ORDER + 1):
+            u = _ddx(u, phit)
+            coeffs[k] = u.value / math.factorial(k)
+    else:
+        coeffs[1], coeffs[2] = 1.0 + 2.0 * p.A * x, p.A
+    return x, TaylorJet(coeffs)
 
 
-def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
-                     order: int = REPORT_ORDER) -> CurvatureReport:
+def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> CurvatureReport:
     """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
     a float or a 1-d array (one pass of array-valued jets for the whole grid).
-
-    The fields read six derivatives of F, so order 6 is the least that works
-    and a higher order gives the same fields, bit for bit.
+    The fields run on jets in x, where d/dx is ``deriv``.
     """
     if d0 < 1:
         raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
     ts = np.atleast_1d(np.asarray(t, dtype=float))
 
-    f = profile_jet(p, ts, order, "t")
-    xj = f.deriv()                      # F'
-    x = xj.value
-    require(x >= X_MIN, OutOfDomain,
-            lambda i: f"x = {x[i]} below the evaluation floor {X_MIN} at t={ts[i]}")
-    phij = xj.deriv()                   # F''
+    x, phij = _momentum_jet(p, ts)
     mom = phij.value
-    require(mom > 0, DegenerateJet,
-            lambda i: f"momentum profile {mom[i]} not positive at t={ts[i]}")
-    xj = xj.truncated(phij.order)
+    xj = TaylorJet.variable(x, REPORT_ORDER)
     shift = 1.0 + lam * xj
     require(shift.value > 0, OutOfDomain,
             lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
@@ -217,34 +227,32 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
     # each jet is formed only to the order its fields read, so no field moves
     w = shift ** d * xj ** (d0 - 1) if d0 > 1 else shift ** d   # common denominator weight
     g = w * phij
-    gx = _ddx(g, phij)
+    gx = g.deriv()
     sigma_j = gx.truncated(1) / w.truncated(1)
-    gxx = _ddx(gx, phij)
+    gxx = gx.deriv()
     chi_j = -gxx / w.truncated(gxx.order)
     if d0 > 1:
         chi_j = chi_j + (d0 * (d0 - 1)) / xj.truncated(chi_j.order)
 
-    sigma = sigma_j.value
-    sigma_p = _slope(sigma_j, phij)
-    chi = chi_j.value
-    chi_pj = _ddx(chi_j, phij)
-    chi_p = chi_pj.value
+    sigma, sigma_p = sigma_j.value, sigma_j.derivative(1)
+    chi_pj = chi_j.deriv()
+    chi, chi_p = chi_j.value, chi_pj.value
 
     # (mom * chi')' and the weighted divergence ((w mom chi')')/w
     phichi = phij.truncated(chi_pj.order) * chi_pj
-    phichi_x = _slope(phichi, phij)
+    phichi_x = phichi.derivative(1)
     wnum = w.truncated(chi_pj.order) * phichi
-    div_wphichi = _slope(wnum, phij) / w.value
+    div_wphichi = wnum.derivative(1) / w.value
 
     # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
     s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
     factors = ([s1 ** (d - 2)] if d != 2 else []) + ([x1 ** (d0 - 1)] if d0 > 1 else [])
     h = functools.reduce(operator.mul, factors + [p1])    # no product by the jet 1
-    lap_couple = lam * _slope(h, phij) / w.value
+    lap_couple = lam * h.derivative(1) / w.value
 
     sv = shift.value
-    phi_over_shift_p = _slope(p1 / s1, phij)
-    phi_xx = _slope(_ddx(phij.truncated(2), phij), phij)
+    phi_over_shift_p = (p1 / s1).derivative(1)
+    phi_xx = phij.derivative(2)
 
     # each power formed once, by math.pow in _pow
     sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
@@ -274,7 +282,7 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t,
              + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4) / 24.0)
 
     if d0 > 1:
-        phi_over_x_p2 = _pow(_slope(p1 / x1, phij), 2)
+        phi_over_x_p2 = _pow((p1 / x1).derivative(1), 2)
         x2 = _pow(x, 2)
         ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
         riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)

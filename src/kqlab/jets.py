@@ -8,10 +8,10 @@ composition recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., 2008, ch. 13), each step over the whole point axis, so a grid is one
 pass, rounded at every point as that point alone would be.  That gives exact
 (round-off level) derivatives up to the truncation order: the substrate for
-all curvature formulas.  The second expansion coefficient of a fibered metric
-consumes six derivatives of the radial profile, so curvature reports run
-their jets at order 6; ``DEFAULT_ORDER`` 8 leaves other callers two orders
-of margin.  A coefficient depends only on the coefficients of its own and
+all curvature formulas.  The second expansion coefficient reads four
+x-derivatives of the momentum profile, so curvature reports run their jets at
+order 4 in x (a custom profile's at 6 in t); ``DEFAULT_ORDER`` 8 leaves other
+callers margin.  A coefficient depends only on the coefficients of its own and
 lower orders, so a lower truncation order never changes the ones it keeps.
 
 All values are immutable; every operation returns a fresh jet.

@@ -175,21 +175,10 @@ def _rule_jet(p: RadialProfile, point: np.ndarray, order: int) -> TaylorJet:
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:
-    """Invert the moment map x = F_t'(t) (closed form for the built-ins)."""
+    """Invert the moment map x = F_t'(t) of a closed family, in closed form."""
+    if p.family not in FAMILIES:
+        raise PreconditionFailed("t_from_x inverts the closed families' moment maps, "
+                                 "not a custom profile's")
     if x <= 0:
         raise OutOfDomain(f"fiber coordinate x must be positive, got {x}")
-    if p.family in FAMILIES:
-        return FAMILIES[p.family].t_from_x(p, x)
-    # custom: bisection on the increasing map t -> F'(t)
-    lo, hi = -40.0, 40.0
-    f = lambda t: profile_jet(p, t, 1, "t").derivative(1) - x
-    flo, fhi = f(lo), f(hi)
-    if flo > 0 or fhi < 0:
-        raise OutOfDomain(f"x={x} not attained by the custom profile")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return FAMILIES[p.family].t_from_x(p, x)

@@ -64,7 +64,7 @@ def test_criterion_1_engine_vs_closed_forms(capsys):
                     if abs(A_eff - lam) < 1e-14:
                         gap2 = abs(r.a2 - cf.a2) / (1 + abs(cf.a2))
                         worst = max(worst, gap2)
-    ok = worst <= 1e-9
+    ok = worst <= 1e-13
     _verdict(capsys, "criterion 1 (engine vs closed coefficients)", ok,
              f"{checked} points, worst relative gap {worst:.2e}")
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kqlab import bergman, curvature, special
-from kqlab.cli import (_rows, main, parse_grid, profile_from_dict, profile_to_dict,
-                       render_json, setup_from_dict)
+from kqlab.cli import (_rows, build_parser, main, parse_grid, profile_from_dict,
+                       profile_to_dict, render_json, setup_from_dict)
 from kqlab.curvature import branch_coefficients
 from kqlab.profiles import linear, log_affine, log_ball
 
@@ -365,7 +365,7 @@ def test_curvature_diagnostics_in_summaries(capsys, command):
     _, doc = run_json(capsys, command, "--family", "logball", "--A", "0.5", "--d", "1",
                       "--d0", "2", "--lambda", "1", "--grid", "-3:-0.5:9")
     summary = doc["summary"]
-    assert summary["jet_order"] == curvature.REPORT_ORDER == 6
+    assert summary["jet_order"] == curvature.REPORT_ORDER == 4
     assert summary["points"] == len(doc["rows"]) == 9
 
 
@@ -897,6 +897,19 @@ def test_model_flags_given_with_a_setup_document_are_refused(tmp_path, capsys,
     assert doc["error"]["type"] == "PreconditionFailed"
     named = {f.partition("=")[0] for f in flags if f.startswith("--") and f != "--table-k"}
     assert set(doc["error"]["message"].rpartition(": ")[2].split(", ")) == named
+
+
+def test_one_parser_serves_every_call_and_keeps_no_model_flags(tmp_path, capsys):
+    # the parser is built once per process; flags given to one call are not
+    # left over to refuse the next call's --setup
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text(json.dumps(_SETUP))
+    code, _ = run_json(capsys, "psi", "--table-k", "1", "--family", "logball", "--A", "0.5",
+                       "--d0", "2", "--alpha", "4")
+    assert code == 0
+    code, doc = run_json(capsys, "psi", "--setup", str(doc_path), "--table-k", "1")
+    assert code == 0, doc
+    assert build_parser() is build_parser()
 
 
 # -- one model path: the flags write the document that --setup reads -----------

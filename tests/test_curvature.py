@@ -1,18 +1,22 @@
+import functools
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kqlab import jets
-from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _ddx, _pow, _slope,
+from kqlab import curvature, jets
+from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _pow,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
 from kqlab.errors import EmptyGrid, KQLabError, OrderExceeded, OutOfDomain
 from kqlab.jets import TaylorJet
 from kqlab.profiles import custom, linear, log_affine, log_ball, t_from_x
+from fd_oracle import mp_momentum, mp_profile, mp_report
 from test_jets import _same_bits, coeff, coeff_pairs, non_finite, signed_zero
 
 
@@ -103,6 +107,58 @@ def test_report_rejects_bad_points():
     with pytest.raises(OutOfDomain):
         # x = 4 makes 1 + twist*x negative
         curvature_report(neg, log_ball(1.0), 1, t_from_x(log_ball(1.0), 4.0))
+
+
+# -- 40-digit referee ----------------------------------------------------------
+
+
+def _softplus_t_rule(t, order):
+    """log(1 + e^t) + e^t/4: convex, with a momentum profile of no closed family."""
+    e = jets.exp(TaylorJet.variable(t, order))
+    return jets.log(1.0 + e) + 0.25 * e
+
+
+# name -> (profile, F_t as an mpmath callable, bound)
+_REFEREE_PROFILES = {
+    "logball": (log_ball(0.5), mp_profile("logball", A=0.5), 1e-13),
+    "linear": (linear(1.3), mp_profile("linear", c=1.3), 1e-13),
+    "logaffine": (log_affine(-0.6, 1.0), mp_profile("logaffine", A=-0.6, c=1.0), 1e-13),
+    "custom": (custom(_softplus_t_rule), lambda t: mp.log(1 + mp.exp(t)) + mp.exp(t) / 4,
+               1e-12),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _referee_momentum(name, t):
+    return mp_momentum(_REFEREE_PROFILES[name][1], t)
+
+
+@pytest.mark.parametrize("name", sorted(_REFEREE_PROFILES))
+def test_report_matches_a_40_digit_referee_off_the_branches(name):
+    # The referee reads x-derivatives of the momentum profile off F_t by
+    # mp.diff.  Near the zero section the fields cancel terms of order 1/x^2
+    # (d0(d0-1)/x in chi, and its derivatives), so a gap is measured against
+    # (1 + |value|) / min(1, x)^2.
+    p, _, bound = _REFEREE_PROFILES[name]
+    worst = 0.0
+    for (d, d0), lam in itertools.product(itertools.product((1, 2), (1, 2, 3)),
+                                          (0.5, 1.0, 2.0, -1.0)):
+        base = BaseGeometry.from_coefficients(d, lam, a1=0.45, a2=-0.2)
+        if name == "custom":
+            ts = (-3.0, -1.5, -0.5)         # x from 0.06 to 0.53
+        else:
+            cap = 2.5 if lam > 0 else 0.9 / abs(lam)
+            if p.family == "logaffine":
+                cap = min(cap, 0.9 / abs(p.A))
+            ts = [t_from_x(p, cap * f) for f in (0.05, 0.5, 0.95)]
+        for t in ts:
+            report = curvature_report(base, p, d0, t)
+            ref = mp_report(*_referee_momentum(name, t), base, d0)
+            for field in ("a1", "a2", "scalar", "ric2", "lapk", "riem2"):
+                value = float(ref[field])
+                gap = abs(getattr(report, field) - value) / (1 + abs(value))
+                worst = max(worst, gap * min(1.0, report.x) ** 2)
+    assert worst <= bound, worst
 
 
 # -- closed forms -----------------------------------------------------------
@@ -319,9 +375,9 @@ def test_array_grid_report_equals_pointwise_reports(name, d, d0, lam, fractions)
 @pytest.mark.parametrize("name", sorted(_GRID_PROFILES))
 @pytest.mark.parametrize("d, d0", [(1, 1), (1, 2), (2, 1), (2, 2)])
 @pytest.mark.parametrize("lam", [0.7, -0.4])
-def test_default_order_report_is_bit_identical_to_order_8(name, d, d0, lam):
-    # the fields read six derivatives of F, and a jet coefficient depends
-    # only on coefficients of its own and lower orders
+def test_default_order_report_is_bit_identical_to_order_8(monkeypatch, name, d, d0, lam):
+    # a custom profile's x-jet of phi reads six derivatives of F, and a jet
+    # coefficient depends only on coefficients of its own and lower orders
     p, closed = _GRID_PROFILES[name]
     cap = 2.5 if lam > 0 else 0.9 / abs(lam)
     if closed.family == "logaffine":
@@ -330,28 +386,30 @@ def test_default_order_report_is_bit_identical_to_order_8(name, d, d0, lam):
     base = BaseGeometry.from_coefficients(d, lam, a1=0.3, a2=-0.2)
     for t in (np.array(grid), grid[2]):
         default = curvature_report(base, p, d0, t)
-        eight = curvature_report(base, p, d0, t, order=8)
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "CUSTOM_T_ORDER", 8)
+            eight = curvature_report(base, p, d0, t)
         for field in _REPORT_FIELDS:
             assert (np.asarray(getattr(default, field)).tobytes()
                     == np.asarray(getattr(eight, field)).tobytes()), field
 
 
-def test_order_5_is_too_low_for_a_report():
+def test_order_5_is_too_low_for_a_report(monkeypatch):
+    monkeypatch.setattr(curvature, "CUSTOM_T_ORDER", 5)
     with pytest.raises(OrderExceeded):
-        curvature_report(BaseGeometry.flat(1), log_ball(1.0), 1, -1.0, order=5)
+        curvature_report(BaseGeometry.flat(1), custom(_logball_t_rule(1.0)), 1, -1.0)
 
 
 @given(coeff_pairs(st.one_of(coeff, signed_zero, non_finite)))
 @settings(max_examples=60, deadline=None)
 def test_slope_is_the_value_of_the_x_derivative_bit_for_bit(pair):
-    u, phi = TaylorJet(pair[0]), TaylorJet(pair[1])
+    u = TaylorJet(pair[0])
     if u.order == 0:
-        for slope in (_slope, lambda u, phi: _ddx(u, phi).value):
+        for slope in (lambda u: u.derivative(1), lambda u: u.deriv().value):
             with pytest.raises(OrderExceeded):
-                slope(u, phi)
+                slope(u)
         return
-    with np.errstate(all="ignore"):
-        assert _same_bits(np.asarray(_slope(u, phi)), np.asarray(_ddx(u, phi).value))
+    assert _same_bits(np.asarray(u.derivative(1)), np.asarray(u.deriv().value))
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=8), st.sampled_from([2, 3, 4]))
@@ -373,8 +431,8 @@ def test_pow_is_the_float_power_bit_for_bit(values, n):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("d0", [1, 2, 3])
 def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
-    # each jet is carried only to the order its fields read (up to 16 and 17
-    # before), and no product is taken by the constant jet 1
+    # each jet is carried only to the order its fields read, no product is
+    # taken by the constant jet 1, and a closed family's phi is formed with none
     counts = {"mul": 0, "div": 0}
     mul, div = TaylorJet.__mul__, TaylorJet.__truediv__
 
@@ -392,7 +450,9 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     curvature_report(BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), p, d0,
                      np.array(_tgrid(p, 1.0)))
     products = {1: 4, 2: 6, 3: 8}[d0]     # d = 1 and d = 2 alike
-    assert counts["mul"] == products and counts["div"] <= 10, counts
+    # sigma, chi and phi/(1+lam x); 1/x and phi/x for d0 > 1; (1+lam x)^-1 for d = 1
+    quotients = 3 + 2 * (d0 > 1) + (d == 1)
+    assert counts == {"mul": products, "div": quotients}, counts
 
 
 @pytest.mark.parametrize("twist, p, bad", [

@@ -99,10 +99,10 @@ def test_t_from_x_roundtrip(p, x):
     assert profile_jet(p, t, 2, "t").derivative(1) == pytest.approx(x, rel=1e-12)
 
 
-def test_custom_t_from_x_bisection():
+def test_custom_t_from_x_is_refused():
     p = custom(lambda point, order: profile_jet(linear(1.0), point, order, "t"))
-    t = t_from_x(p, 0.5)
-    assert t == pytest.approx(math.log(0.5), abs=1e-10)
+    with pytest.raises(PreconditionFailed, match="not a custom profile"):
+        t_from_x(p, 0.5)
 
 
 def test_scaled_profile_families():

@@ -365,9 +365,10 @@ def _curvature_model(args):
 
 def cmd_coeffs(args) -> tuple[dict, list, dict]:
     p, base, grid, setup = _curvature_model(args)
-    report = curvature.curvature_report(base, p, args.d0, np.asarray(grid))
     quantity = args.quantity
-    rows = [{"point": t, "value": v} for t, v in zip(grid, getattr(report, quantity).tolist())]
+    stages = 2 if quantity in ("ric2", "lapk", "riem2") else 1   # 2: the invariant stage too
+    fields = curvature._evaluate(base, p, args.d0, grid, stages)
+    rows = [{"point": t, "value": v} for t, v in zip(grid, fields[quantity].tolist())]
     mean, dev = curvature._spread([row["value"] for row in rows])
     summary = {"verdict": "pass", "max_deviation": dev, "target": None,
                "quantity": quantity, "mean": mean, "branch": None,
@@ -377,8 +378,8 @@ def cmd_coeffs(args) -> tuple[dict, list, dict]:
 
 def cmd_classify(args) -> tuple[dict, list, dict]:
     p, base, grid, setup = _curvature_model(args)
-    report, verdict = curvature._classify(base, p, args.d0, args.domain, grid, args.tol)
-    rows = [{"point": t, "value": v} for t, v in zip(grid, report.a1.tolist())]
+    fields, verdict = curvature._classify(base, p, args.d0, args.domain, grid, args.tol)
+    rows = [{"point": t, "value": v} for t, v in zip(grid, fields["a1"].tolist())]
     summary = {
         "verdict": "pass" if verdict.constant else "fail",
         "max_deviation": verdict.max_deviation,

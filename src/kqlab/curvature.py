@@ -12,7 +12,9 @@ expansion, are rational expressions in
 with g = (1 + lam*x)^d * x^(d0-1) * mom and ' denoting d/dx = (1/mom) d/dt.
 The fields are computed once, on jets in x, from the x-jet of mom: the closed
 families give it exactly as x + A x^2, and a custom profile by the chain rule
-from its t-jet.
+from its t-jet.  A coefficient stage gives x, mom, sigma, chi, sigma', chi',
+scalar, a1 and a2, all that classification reads; an invariant stage then gives
+|Ric|^2, the Laplacian of scalar and |R|^2 from its intermediates.
 """
 
 from __future__ import annotations
@@ -207,15 +209,12 @@ def _momentum_jet(p: RadialProfile, ts: np.ndarray) -> tuple[np.ndarray, TaylorJ
     return x, TaylorJet(coeffs)
 
 
-def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> CurvatureReport:
-    """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
-    a float or a 1-d array (one pass of array-valued jets for the whole grid).
-    The fields run on jets in x, where d/dx is ``deriv``.
-    """
+def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
+    """The report's fields on the grid ts by name, on jets in x (d/dx is ``deriv``):
+    one dict from the coefficient stage, then one from the invariant stage."""
     if d0 < 1:
         raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
 
     x, phij = _momentum_jet(p, ts)
     mom = phij.value
@@ -238,19 +237,12 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> Curvat
     chi_pj = chi_j.deriv()
     chi, chi_p = chi_j.value, chi_pj.value
 
-    # (mom * chi')' and the weighted divergence ((w mom chi')')/w
+    # (mom * chi')'
     phichi = phij.truncated(chi_pj.order) * chi_pj
     phichi_x = phichi.derivative(1)
-    wnum = w.truncated(chi_pj.order) * phichi
-    div_wphichi = wnum.derivative(1) / w.value
-
-    # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
-    s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
-    factors = ([s1 ** (d - 2)] if d != 2 else []) + ([x1 ** (d0 - 1)] if d0 > 1 else [])
-    h = functools.reduce(operator.mul, factors + [p1])    # no product by the jet 1
-    lap_couple = lam * h.derivative(1) / w.value
 
     sv = shift.value
+    s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
     phi_over_shift_p = (p1 / s1).derivative(1)
     phi_xx = phij.derivative(2)
 
@@ -259,18 +251,8 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> Curvat
     sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
     phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phi_xx, 2)
 
-    k_base, ric2_base = base.scalar, base.ric2
-
+    k_base = base.scalar
     scalar = k_base / sv + chi
-    ric2 = ((ric2_base - 2.0 * lam * sigma * k_base + d * lam ** 2 * sigma2)
-            / sv2 + sigma_p2)
-    lapk = base.lapk / sv2 - lap_couple * k_base + div_wphichi
-    riem2 = (base.riem2 / sv2
-             - 4.0 * lam ** 2 * mom * k_base / sv3
-             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4
-             + 4.0 * d * lam ** 2 * phi_over_shift_p2
-             + phi_xx2)
-
     a1 = base.a1 / sv + 0.5 * chi
     a2 = (base.a2 / sv2
           + (0.5 * chi / sv + lam ** 2 * mom / sv3) * base.a1
@@ -280,24 +262,63 @@ def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> Curvat
              + 4.0 * d * lam ** 2 * phi_over_shift_p2
              - 4.0 * d * lam ** 2 * sigma2 / sv2
              + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4) / 24.0)
-
     if d0 > 1:
         phi_over_x_p2 = _pow((p1 / x1).derivative(1), 2)
         x2 = _pow(x, 2)
-        ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
-        riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)
-                             + 4.0 * phi_over_x_p2
-                             + 2.0 * d0 * _pow((mom - x) / x2, 2))
         a2 += (8.0 * ((d0 - 1) / x) * mom * chi_p) / 24.0
         a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * mom2 / (x2 * sv2)
                                   + phi_over_x_p2
                                   + 0.5 * d0 * _pow(mom - x, 2) / _pow(x, 4)
                                   - _pow(sigma - d0, 2) / x2)
+    yield dict(x=x, mom=mom, sigma=sigma, chi=chi, sigma_prime=sigma_p,
+               chi_prime=chi_p, scalar=scalar, a1=a1, a2=a2)
 
-    fields = (ts, x, mom, sigma, chi, sigma_p, chi_p, scalar, ric2, lapk, riem2, a1, a2)
-    if np.ndim(t) == 0:
-        fields = [float(value[0]) for value in fields]
-    return CurvatureReport(*fields, d0=d0)
+    # the weighted divergence ((w mom chi')')/w
+    wnum = w.truncated(chi_pj.order) * phichi
+    div_wphichi = wnum.derivative(1) / w.value
+
+    # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
+    factors = ([s1 ** (d - 2)] if d != 2 else []) + ([x1 ** (d0 - 1)] if d0 > 1 else [])
+    h = functools.reduce(operator.mul, factors + [p1])    # no product by the jet 1
+    lap_couple = lam * h.derivative(1) / w.value
+
+    ric2 = ((base.ric2 - 2.0 * lam * sigma * k_base + d * lam ** 2 * sigma2)
+            / sv2 + sigma_p2)
+    lapk = base.lapk / sv2 - lap_couple * k_base + div_wphichi
+    riem2 = (base.riem2 / sv2
+             - 4.0 * lam ** 2 * mom * k_base / sv3
+             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4
+             + 4.0 * d * lam ** 2 * phi_over_shift_p2
+             + phi_xx2)
+    if d0 > 1:
+        ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
+        riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)
+                             + 4.0 * phi_over_x_p2
+                             + 2.0 * d0 * _pow((mom - x) / x2, 2))
+    yield dict(ric2=ric2, lapk=lapk, riem2=riem2)
+
+
+def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, stages: int) -> dict:
+    """t and the fields of the first ``stages`` stages of _stages at t, a float
+    or a 1-d array; an overflow is refused as OutOfDomain at the first t whose
+    fields leave the float range."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    fields = {"t": ts}
+    try:
+        for stage in itertools.islice(_stages(base, p, d0, ts), stages):
+            fields.update(stage)
+    except OverflowError:
+        if ts.size > 1:     # point by point, so the first t that overflows raises
+            for point in ts:
+                _evaluate(base, p, d0, point, stages)
+        raise OutOfDomain(f"curvature fields leave the float range at t={ts[0]}") from None
+    return {name: float(value[0]) for name, value in fields.items()} if np.ndim(t) == 0 else fields
+
+
+def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> CurvatureReport:
+    """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
+    a float or a 1-d array (one pass of array-valued jets for the whole grid)."""
+    return CurvatureReport(**_evaluate(base, p, d0, t, 2), d0=d0)
 
 
 @dataclass(frozen=True)
@@ -417,15 +438,15 @@ def classify_check(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
 
 
 def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
-              grid: Sequence[float], tol: float) -> tuple[CurvatureReport, ClassificationVerdict]:
-    """classify_check, with the grid's one curvature report it was judged on."""
+              grid: Sequence[float], tol: float) -> tuple[dict, ClassificationVerdict]:
+    """classify_check, with the coefficient-stage fields of the grid it was judged on."""
     if len(grid) == 0:
         raise EmptyGrid("classification needs a non-empty grid")
     if len(grid) < 8:
         raise EmptyGrid(f"classification grid needs >= 8 points, got {len(grid)}")
-    report = curvature_report(base, p, d0, np.asarray(grid, dtype=float))
-    a1_mean, a1_dev = _spread(report.a1.tolist())
-    a2_mean, a2_dev = _spread(report.a2.tolist())
+    fields = _evaluate(base, p, d0, grid, 1)
+    a1_mean, a1_dev = _spread(fields["a1"].tolist())
+    a2_mean, a2_dev = _spread(fields["a2"].tolist())
     dev = max(a1_dev, a2_dev)
     constant = dev <= tol
 
@@ -443,9 +464,9 @@ def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
             matched = name
         if name == "2.14" and abs(base.twist + 1.0) <= 1e-12 and abs(a_eff + 1.0) <= 1e-12:
             n = base.d + d0
-            ricci_constant, _ = _spread(report.scalar.tolist())
+            ricci_constant, _ = _spread(fields["scalar"].tolist())
             ricci_check = abs(ricci_constant - n * (n + 1)) <= 1e-7 * (1 + n * (n + 1))
-    return report, ClassificationVerdict(constant=constant, a1_value=a1_mean,
+    return fields, ClassificationVerdict(constant=constant, a1_value=a1_mean,
                                          a2_value=a2_mean, matched_branch=matched,
                                          max_deviation=dev, ricci_constant=ricci_constant,
                                          ricci_check=ricci_check)

@@ -770,15 +770,54 @@ def test_empty_psi_table_is_invalid_input(capsys, cap):
     assert doc["error"]["type"] == "EmptyGrid"
 
 
+def _count_stages(monkeypatch) -> list:
+    """Record (stage, grid size) each time a stage of curvature._stages runs."""
+    ran = []
+    stages = curvature._stages
+
+    def counted(*args):
+        for name, fields in zip(("coefficients", "invariants"), stages(*args)):
+            ran.append((name, args[3].size))
+            yield fields
+
+    monkeypatch.setattr(curvature, "_stages", counted)
+    return ran
+
+
 def test_classify_makes_one_curvature_pass(capsys, monkeypatch):
-    calls = []
-    report = curvature.curvature_report
-    monkeypatch.setattr(curvature, "curvature_report",
-                        lambda *args: calls.append(args) or report(*args))
+    # one coefficient stage for the whole grid, and no invariant stage
+    ran = _count_stages(monkeypatch)
     code, doc = run_json(capsys, "classify", *_LOGBALL, "--lambda", "1",
                          "--grid=-4:-0.5:200")
     assert code == 0 and doc["summary"]["branch"] == "2.10"
-    assert len(calls) == 1 and len(doc["rows"]) == 200
+    assert ran == [("coefficients", 200)] and len(doc["rows"]) == 200
+
+
+@pytest.mark.parametrize("quantity, stages", [
+    ("a1", 1), ("a2", 1), ("scalar", 1), ("ric2", 2), ("lapk", 2), ("riem2", 2)])
+def test_coeffs_runs_the_invariant_stage_only_for_an_invariant(capsys, monkeypatch,
+                                                               quantity, stages):
+    ran = _count_stages(monkeypatch)
+    code, doc = run_json(capsys, "coeffs", *_LOGBALL, "--grid=-4:-0.5:50",
+                         "--quantity", quantity)
+    assert code == 0 and len(doc["rows"]) == 50
+    assert ran == [(stage, 50) for stage in ("coefficients", "invariants")[:stages]]
+
+
+_OVERFLOW = ("--family", "linear", "--c", "1", "--d", "1", "--d0", "2", "--lambda", "1",
+             "--domain", "fullspace", "--base", "coeffs", "--a1-base", "2", "--a2-base", "0")
+
+
+@pytest.mark.parametrize("argv, t", [
+    (("coeffs", *_OVERFLOW, "--grid=200:210:3"), "200.0"),
+    (("classify", *_OVERFLOW, "--grid=200:210:8"), "200.0"),
+    (("coeffs", *_OVERFLOW, "--grid=100:210:12", "--quantity", "riem2"), "180.0"),
+], ids=["coeffs", "classify", "coeffs-first-overflow"])
+def test_fields_past_the_float_range_are_out_of_domain(capsys, argv, t):
+    # (1 + x)^4 overflows a float from x = e^177.4 on
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"] == {
+        "type": "OutOfDomain", "message": f"curvature fields leave the float range at t={t}"}
 
 
 @pytest.mark.parametrize("path, value, field", [

@@ -447,12 +447,17 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     monkeypatch.setattr(TaylorJet, "__mul__", counted_mul)
     monkeypatch.setattr(TaylorJet, "__truediv__", counted_div)
     p = log_ball(0.5)
-    curvature_report(BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), p, d0,
-                     np.array(_tgrid(p, 1.0)))
+    base, grid = BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), np.array(_tgrid(p, 1.0))
+    curvature_report(base, p, d0, grid)
     products = {1: 4, 2: 6, 3: 8}[d0]     # d = 1 and d = 2 alike
     # sigma, chi and phi/(1+lam x); 1/x and phi/x for d0 > 1; (1+lam x)^-1 for d = 1
     quotients = 3 + 2 * (d0 > 1) + (d == 1)
     assert counts == {"mul": products, "div": quotients}, counts
+    # the coefficient stage alone: (1+lam x)^d x^(d0-1), g = w phi and phi chi',
+    # and the same quotients but the Laplacian coupling's (1+lam x)^-1
+    counts.update(mul=0, div=0)
+    curvature._evaluate(base, p, d0, grid, 1)
+    assert counts == {"mul": d + d0, "div": 3 + 2 * (d0 > 1)}, counts
 
 
 @pytest.mark.parametrize("twist, p, bad", [
@@ -472,3 +477,41 @@ def test_one_bad_grid_point_raises_the_pointwise_error(twist, p, bad):
     assert type(on_grid.value) is type(pointwise.value)
     assert str(on_grid.value) == str(pointwise.value)
     assert str(bad) in str(on_grid.value)
+
+
+_COEFFICIENT_FIELDS = ("t", "x", "mom", "sigma", "chi", "sigma_prime", "chi_prime",
+                       "scalar", "a1", "a2")
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, -1.0])
+def test_coefficient_stage_equals_the_report_bit_for_bit(lam):
+    # the five closed profiles of scripts/classification_atlas.py and a custom t-rule
+    profiles = [(log_ball(0.5), None), (log_ball(abs(lam)), None), (linear(1.0), None),
+                (log_affine(-0.5, 1.0), None), (log_affine(-abs(lam), 1.0), None),
+                (custom(_logball_t_rule(0.5), "t"), log_ball(0.5))]
+    for d, d0 in itertools.product((1, 2, 3), repeat=2):
+        base = BaseGeometry.from_coefficients(d, lam, a1=0.3, a2=-0.2)
+        for p, closed in profiles:
+            grid = _tgrid(closed or p, lam)
+            for t in (np.array(grid), grid[0], grid[5], grid[-1]):
+                report = curvature_report(base, p, d0, t)
+                fields = curvature._evaluate(base, p, d0, t, 1)
+                assert tuple(fields) == _COEFFICIENT_FIELDS
+                for field in _COEFFICIENT_FIELDS:
+                    assert (np.asarray(fields[field]).tobytes()
+                            == np.asarray(getattr(report, field)).tobytes()), field
+
+
+def test_fields_past_the_float_range_are_out_of_domain():
+    # x = e^t on the linear family, and (1 + x)^4 leaves the float range from
+    # t = 177.4 on; a grid names its first such point, as a single point does
+    p, base = linear(1.0), BaseGeometry.from_coefficients(1, 1.0, 2.0, 0.0)
+    grid = [100.0, 150.0, 170.0, 180.0, 190.0, 200.0, 210.0, 220.0]
+    assert math.isfinite(curvature_report(base, p, 2, 170.0).riem2)
+    for run in (lambda t: curvature_report(base, p, 2, t),
+                lambda t: classify_check(base, p, 2, "fullspace", t)):
+        for t, first in ((grid, "180.0"), (np.linspace(200.0, 210.0, 8), "200.0")):
+            with pytest.raises(OutOfDomain, match=f"float range at t={first}$"):
+                run(t)
+    with pytest.raises(OutOfDomain, match="float range at t=190.0$"):
+        curvature_report(base, p, 2, 190.0)

@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from operator import truediv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import BaseGeometry, _branch, _close, _spread, on_required_base
+from .curvature import (BaseGeometry, BergmanLaw, _branch, _close, _power, _spread,
+                        on_required_base)
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import elementwise, require
@@ -183,8 +184,7 @@ def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarra
     aexp = s.alpha / s.profile.A - s.n - 1
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     u = 0.5 * (xs + 1.0)
-    return (ws, u, [aexp * math.log1p(-ui) for ui in u], u ** j,
-            [2.0 ** (-(aexp + b0 + 1))] * len(j))
+    return ws, u, aexp * elementwise(math.log1p, -u), u ** j, 2.0 ** (-(aexp + b0 + 1))
 
 
 def _linear_ratio(s: QuantizationSetup, k: int) -> float:
@@ -198,8 +198,8 @@ def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndar
     xs, ws = gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
     scale = s.alpha * s.profile.c
     u = xs / scale
-    return (ws, u, [-s.alpha * s.profile.c * ui for ui in u], xs ** j,
-            [_power(scale, -(k + s.d0)) for k in range(k0, k1 + 1)])
+    return (ws, u, -s.alpha * s.profile.c * u, xs ** j,
+            elementwise(partial(_power, scale), -(k0 + s.d0 + j[:, 0])))
 
 
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
@@ -208,9 +208,9 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     v = 0.5 * (xs + 1.0)
     u = v / (c * (1.0 - v))
-    return (ws, u, [(aexp + k1 + s.d0 + 1) * math.log1p(-vi) for vi in v],
+    return (ws, u, (aexp + k1 + s.d0 + 1) * elementwise(math.log1p, -v),
             v ** j * (1.0 - v) ** (k1 - k0 - j),
-            [_power(c, -(k + s.d0)) * 2.0 ** (-(aexp + b0 + 1)) for k in range(k0, k1 + 1)])
+            elementwise(partial(_power, c), -(k0 + s.d0 + j[:, 0])) * 2.0 ** (-(aexp + b0 + 1)))
 
 
 # One record per family states what differs by family: psi(k)/psi(k+1), closed
@@ -240,7 +240,7 @@ _MODELS = {
 
 
 def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
-                          nodes: int) -> list[float]:
+                          nodes: int) -> np.ndarray:
     """psi(alpha, k) for k0 <= k <= k1 from one Gauss rule matched to the density.
 
     The rule's weight carries the endpoint behavior of H and the factor
@@ -257,26 +257,18 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     moment.  The values are unchecked, so that a moment never asked for
     refuses nothing; each is refused when it is handed out.
     """
-    ks = range(k0, k1 + 1)
-    j = np.arange(len(ks))[:, None]
+    j = np.arange(k1 - k0 + 1)[:, None]
     ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
         s, k0, k1, nodes, j)
-    g = elementwise(math.exp, _log_density_H(s, u) - np.asarray(log_weight))
+    g = elementwise(math.exp, _log_density_H(s, u) - log_weight)
+    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
+    # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
+    # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
+    rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
+    if rising[-1] >= 2.0 ** 53:
+        rising = np.array([float(math.prod(range(k + 1, k + s.d0))) for k in range(k0, k1 + 1)])
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
-        integrals = (leftover * g) @ ws
-    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)), exact in integers where an
-    # lgamma difference errs by |lgamma| ulps; not special.product_shifted,
-    # which computes the targets these moments certify
-    return [scale * float(integral) / math.prod(range(k + 1, k + s.d0))
-            for k, scale, integral in zip(ks, scales, integrals)]
-
-
-def _power(x: float, e: int) -> float:
-    """x ** e, or inf past the float range: the scale of a moment refused when asked for."""
-    try:
-        return x ** e
-    except OverflowError:
-        return math.inf
+        return scales * ((leftover * g) @ ws) / rising
 
 
 def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
@@ -298,7 +290,7 @@ def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
     table = MomentTable(s, method, nodes)
     if table._gauss:
         table._gate(k)
-        table._vals[k] = _psi_quadrature_block(s, k, k, nodes)[0]
+        table._vals[k] = float(_psi_quadrature_block(s, k, k, nodes)[0])
     return table(k)
 
 
@@ -312,6 +304,7 @@ class MomentTable:
     Quadrature fills the three families an aligned block of min(_GAUSS_BLOCK, nodes)
     degrees per Gauss rule, custom profiles adaptively one moment at a time, and
     refuses a moment that is not finite and positive; ``_gate`` refuses bad degrees.
+    For the series, ``_ratios`` hands out the ratios of one block as one array.
     """
 
     def __init__(self, s: QuantizationSetup, method: str = "closed", nodes: int = 64):
@@ -324,6 +317,7 @@ class MomentTable:
         self._last = model.last_degree(s) if model else math.inf    # custom: adaptive, any k
         # the least moment handed out: a normal float closed, any positive float by quadrature
         self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
+        self._span = max(1, min(_GAUSS_BLOCK, nodes))   # gauss_rule refuses nodes < 1
         self._vals: dict[int, float] = {}
         self._walk = (0.5, 1)       # the last closed moment walked, as mantissa and exponent
         self._blocks: set[tuple[int, int]] = set()
@@ -361,12 +355,11 @@ class MomentTable:
                 self._walk = m, e
                 self._vals[j + 1] = math.ldexp(m, e) if e <= 1024 else math.inf
         elif self._gauss:     # k's aligned block, clipped to the moments that exist
-            span = max(1, min(_GAUSS_BLOCK, self._nodes))   # gauss_rule refuses nodes < 1
-            k0 = k - k % span
-            k1 = k0 + span - 1 if s.twist > 0 else s.fiber_degrees(k0 + span - 1)[-1]
+            k0 = k - k % self._span
+            k1 = k0 + self._span - 1 if s.twist > 0 else s.fiber_degrees(k0 + self._span - 1)[-1]
             k1 = max(k, min(k1, self._last))
             self._vals.update(zip(range(k0, k1 + 1),
-                                  _psi_quadrature_block(s, k0, k1, self._nodes)))
+                                  _psi_quadrature_block(s, k0, k1, self._nodes).tolist()))
             self._blocks.add((k0, k1))
         else:
             self._vals[k] = _psi_adaptive(s, k)
@@ -390,6 +383,17 @@ class MomentTable:
             self._used.add(k)
             return self._ratio(self.setup, k - 1)
         return self(k - 1) / self(k)
+
+    def _ratios(self, k0: int, k1: int) -> np.ndarray:
+        """ratio(k) for k0 <= k <= k1 as one array, cut at the first k whose moments are not
+        at hand or refused; it fills, refuses and marks nothing, under the caller's errstate."""
+        if self._closed:
+            return self._closed_ratio()(self.setup, np.arange(k0 - 1.0, min(k1, self._last)))
+        ks = range(k0 - 1, k1 + 1)
+        psi = np.fromiter(map(self._vals.get, ks, [math.nan] * len(ks)), float, len(ks))
+        ok = (psi >= self._least) & (psi < math.inf)     # a nan, not at hand, fails
+        n = len(ks) - 1 if ok.all() else max(np.argmin(ok) - 1, 0)
+        return psi[:n] / psi[1:n + 1]
 
     def counts(self) -> dict[str, int]:
         """Gauss rules built, nodes per rule and fiber degrees used so far."""
@@ -442,6 +446,11 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     sum_k d_k (rho/top)^k at each radius: each degree multiplies the moment part by
     top psi(k-1)/psi(k), so no top^k, nor on the closed route any psi(k), is formed.
 
+    The degrees go a block of the table at a time, by array operations that round as
+    the degree loop did: products and sums accumulate in order, eps is a BergmanLaw on
+    the levels' array (any other callable per level).  ratio(k) opens a block, filling
+    or refusing; it ends where _ratios stops, at a total past floats, or at the stop.
+
     ``count`` fixes the number of terms.  Otherwise a negative twist sums every
     admissible degree, refused if they run past k_max, and a positive twist stops at
     the first k with r = d_k/d_(k-1) below 1 and d_k r/(1 - r) <= _SERIES_REL_TOL of
@@ -453,23 +462,37 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
+    law = eps if isinstance(eps, BergmanLaw) else partial(elementwise, eps)
     top = float(np.abs(radii).max())
     bounded = count is None and lam > 0
     degrees = (range(1, count) if count is not None else
                range(1, k_max + 1) if bounded else s.fiber_degrees(k_max + 1)[1:])
     if count is None and k_max + 1 in degrees:
         raise SeriesNonConvergent(f"admissible fiber degrees run past k_max = {k_max}")
-    moment, terms = 1.0, [eps(alpha)]
-    total = terms[0]
-    for k in degrees:
-        moment *= top * psi.ratio(k)
-        terms.append(eps(alpha + lam * k) * moment)
-        total += terms[-1]
-        if not math.isfinite(total):
-            raise SeriesNonConvergent(f"series term {k} at rho={top} leaves the float range")
-        r = abs(terms[-1] / terms[-2]) if bounded and terms[-2] else math.inf
-        if r < 1 and abs(terms[-1]) * r / (1 - r) <= _SERIES_REL_TOL * abs(total):
+    terms = [eps(alpha)]
+    moment, total, k = 1.0, terms[0], 1
+    while k < degrees.stop:
+        k1 = min(k - k % psi._span + psi._span, degrees.stop) - 1    # the end of k's block
+        first = psi.ratio(k)        # fills k's block, or refuses k
+        with np.errstate(all="ignore"):     # the block runs past the stopping degree
+            f = np.concatenate(([moment * (top * first)], top * psi._ratios(k + 1, k1)))
+            moments = np.multiply.accumulate(f)
+            d = law(alpha + lam * np.arange(k, k + f.size)) * moments
+            totals = np.add.accumulate(np.concatenate(([total], d)))[1:]
+            ends = ~np.isfinite(totals)
+            if bounded:
+                r = np.abs(d / np.concatenate(([terms[-1]], d[:-1])))    # past a zero: no stop
+                ends |= (r < 1) & (np.abs(d) * r / (1 - r) <= _SERIES_REL_TOL * np.abs(totals))
+            ends = np.flatnonzero(ends)
+        size = ends[0] + 1 if ends.size else f.size
+        terms += d[:size].tolist()
+        psi._used.update(range(k, k + size))    # as ratio(k + 1), ratio(k + 2), ... mark them
+        if not math.isfinite(totals[size - 1]):
+            raise SeriesNonConvergent(
+                f"series term {k + size - 1} at rho={top} leaves the float range")
+        if ends.size:
             break
+        moment, total, k = moments[-1], totals[-1], k + f.size
     else:
         if bounded:
             raise SeriesNonConvergent(
@@ -479,7 +502,7 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
 
 
 def _horner(coeffs: list[float], x: float) -> float:
-    """sum_k coeffs[k] x^k by Horner's rule, in floats (a numpy array op per degree costs more)."""
+    """sum_k coeffs[k] x^k by Horner's rule, per radius (a numpy op per degree costs more)."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
-from .jets import TaylorJet, require
+from .jets import TaylorJet, elementwise, require
 from .profiles import FAMILIES, RadialProfile, profile_jet
 from .special import product_shifted
 
@@ -46,9 +46,19 @@ class BergmanLaw:
     count: int = 1
     power: bool = False
 
-    def __call__(self, a: float) -> float:   # a series calls it per degree: one factor inline
-        return (a ** self.count if self.power else a - self.shift if self.count == 1
-                else product_shifted(a, self.shift, self.count))
+    def __call__(self, a):   # a level, or an array of levels (there a power past floats is inf)
+        if self.power:
+            return a ** self.count if np.ndim(a) == 0 else elementwise(
+                lambda v: _power(v, self.count), a)
+        return a - self.shift if self.count == 1 else product_shifted(a, self.shift, self.count)
+
+
+def _power(x: float, e: int) -> float:
+    """x ** e, or inf where that leaves the float range (or divides by zero)."""
+    try:
+        return x ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -300,14 +310,15 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
 
 def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, stages: int) -> dict:
     """t and the fields of the first ``stages`` stages of _stages at t, a float
-    or a 1-d array; an overflow is refused as OutOfDomain at the first t whose
-    fields leave the float range."""
+    or a 1-d array; an overflow, of math.pow or of an array operation, is refused
+    as OutOfDomain at the first t whose fields leave the float range."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     fields = {"t": ts}
     try:
-        for stage in itertools.islice(_stages(base, p, d0, ts), stages):
-            fields.update(stage)
-    except OverflowError:
+        with np.errstate(over="raise"):
+            for stage in itertools.islice(_stages(base, p, d0, ts), stages):
+                fields.update(stage)
+    except (OverflowError, FloatingPointError):
         if ts.size > 1:     # point by point, so the first t that overflows raises
             for point in ts:
                 _evaluate(base, p, d0, point, stages)

@@ -35,7 +35,7 @@ def elementwise(fn, a):
     scalar); numpy's own ufuncs may round differently in the last bit."""
     if np.ndim(a) == 0:
         return fn(a)
-    return np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def require(ok, error, message) -> None:

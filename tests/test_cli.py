@@ -820,6 +820,16 @@ def test_fields_past_the_float_range_are_out_of_domain(capsys, argv, t):
         "type": "OutOfDomain", "message": f"curvature fields leave the float range at t={t}"}
 
 
+def test_a_jet_product_past_the_float_range_is_out_of_domain(capsys):
+    # the weight times phi grows as x^6 at d = d0 = 3; numpy warned at the first
+    # point and the command exited 0
+    code, doc = run_json(capsys, "coeffs", "--family", "linear", "--c", "1", "--d", "3",
+                         "--d0", "3", "--lambda", "1", "--domain", "fullspace",
+                         "--base", "flat", "--grid=120:140:3")
+    assert code == 2 and doc["error"] == {
+        "type": "OutOfDomain", "message": "curvature fields leave the float range at t=120.0"}
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("base",), 3, "base"),
     (("profile",), [1], "profile"),

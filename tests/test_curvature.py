@@ -515,3 +515,14 @@ def test_fields_past_the_float_range_are_out_of_domain():
                 run(t)
     with pytest.raises(OutOfDomain, match="float range at t=190.0$"):
         curvature_report(base, p, 2, 190.0)
+
+
+def test_a_jet_product_past_the_float_range_is_out_of_domain():
+    # at d = d0 = 3 the weight times phi grows as x^6 and leaves the float range
+    # inside a jet product from t = 119 on, where numpy warned and went on with inf
+    p, base = linear(1.0), BaseGeometry.flat(3, 1.0)
+    assert math.isfinite(curvature_report(base, p, 3, 118.0).a1)
+    for run in (lambda t: curvature_report(base, p, 3, t),
+                lambda t: classify_check(base, p, 3, "fullspace", t)):
+        with pytest.raises(OutOfDomain, match="float range at t=119.0$"):
+            run(np.linspace(100.0, 140.0, 41))

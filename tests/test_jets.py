@@ -300,3 +300,23 @@ def test_a_nan_pivot_divides_and_a_zero_pivot_is_named():
     assert np.isnan((1.0 / points).coeffs[:, 1]).all()
     with pytest.raises(DivisionByZeroJet, match="at point 1"):
         _ = 1.0 / TaylorJet(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("a", [np.float64(0.7), np.array(0.7), np.linspace(0.1, 3.0, 7),
+                               np.linspace(0.1, 3.0, 12).reshape(3, 4)],
+                         ids=["scalar", "0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("fn", [math.exp, math.log, math.log1p])
+def test_elementwise_is_the_math_function_at_each_element(fn, a):
+    want = np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+    got = jets.elementwise(fn, a)
+    assert np.shape(got) == np.shape(a) and np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a", [np.array(-1.0), np.array([1.0, -1.0]), np.array([[2.0], [-1.0]])],
+                         ids=["0-d", "1-d", "2-d"])
+def test_elementwise_raises_the_math_functions_domain_error(a):
+    with pytest.raises(ValueError) as loop:
+        [math.log(v) for v in np.ravel(a).tolist()]
+    with pytest.raises(ValueError) as ours:
+        jets.elementwise(math.log, a)
+    assert str(ours.value) == str(loop.value)

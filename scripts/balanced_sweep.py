@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from kqlab import balanced_certify
-from kqlab.cli import render_json
+from kqlab.cli import render_report, report_file
 from kqlab.errors import KQLabError
 
 
@@ -49,12 +49,8 @@ def main() -> int:
         rows.append({"k": 1, "r": 1, "m": m, "part": "total",
                      "target": cert.target, "max_spread": cert.max_spread,
                      "max_error": cert.max_error, "balanced": cert.balanced})
-    doc = render_json({"schema_version": 1, "rows": rows}) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    with report_file(args.out) as fh:
+        fh.write(render_report({"rows": rows}))
     bad = [r for r in rows if not r.get("balanced", False)]
     print(f"{len(rows)} tuples, {len(bad)} not certified", file=sys.stderr)
     return 1 if bad else 0

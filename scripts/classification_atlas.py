@@ -12,7 +12,7 @@ import sys
 
 from kqlab import BaseGeometry, classify_check, required_base_coefficients
 from kqlab import linear, log_affine, log_ball, t_from_x
-from kqlab.cli import render_json
+from kqlab.cli import render_report, report_file
 from kqlab.errors import KQLabError, OutOfDomain
 
 
@@ -65,12 +65,8 @@ def main() -> int:
                     "detuned_deviation": vbad.max_deviation,
                 })
                 cells.append(cell)
-    doc = render_json({"schema_version": 1, "cells": cells}) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    with report_file(args.out) as fh:
+        fh.write(render_report({"cells": cells}))
     matched = sum(1 for c in cells if c.get("branch"))
     leaks = sum(1 for c in cells if c.get("detuned_constant"))
     print(f"{len(cells)} cells, {matched} on-branch, {leaks} detuned leaks",

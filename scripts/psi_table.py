@@ -10,7 +10,7 @@ import sys
 
 from kqlab import BaseGeometry, MomentTable, QuantizationSetup, psi_moment
 from kqlab import linear, log_affine, log_ball
-from kqlab.cli import render_json
+from kqlab.cli import render_report, report_file
 
 
 def default_setups():
@@ -46,13 +46,8 @@ def main() -> int:
             worst = max(worst, gap)
             rows.append({"setup": label, "k": k, "closed": closed,
                          "quadrature": quad, "relative_gap": gap})
-    doc = render_json({"schema_version": 1, "rows": rows,
-                       "worst_relative_gap": worst}) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    with report_file(args.out) as fh:
+        fh.write(render_report({"rows": rows, "worst_relative_gap": worst}))
     print(f"worst relative gap {worst:.3e}", file=sys.stderr)
     return 0 if worst <= args.tol else 1
 

@@ -23,16 +23,17 @@ prod_j (alpha - j*A) follow from the branch's effective A, and a closed
 psi(alpha, k) is psi(alpha, 0) over the closed ratios psi(j)/psi(j+1), j < k,
 with no Gamma function.
 
-Quadrature moments of the three families come from Gauss rules matched to
-the density (Golub & Welsch, Math. Comp. 23 (1969)), with the density itself
-evaluated through the profile jets, never through the closed forms.  A
-single moment gets its own rule; a series or a moment table shares one rule,
-and one sweep of the density over its nodes, among each aligned block of
-min(64, nodes) consecutive fiber degrees: an N-node rule (``--quad-nodes``) is
-exact to degree 2N-1, so a span of at most N keeps each block moment as exact
-as a rule of its own.  Custom profiles use adaptive quadrature one moment at a
-time.  A moment that is not finite and positive raises QuadratureNonConvergent
-when it is asked for.
+Quadrature moments of the three families, each on its domain, come from
+Gauss rules matched to the density (Golub & Welsch, Math. Comp. 23 (1969)),
+with the density itself evaluated through the profile jets, never through the
+closed forms.  A single moment gets its own rule; a series or a moment table
+shares one rule, and one sweep of the density over its nodes, among each
+aligned block of min(64, nodes) consecutive fiber degrees: an N-node rule
+(``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps each
+block moment as exact as a rule of its own.  Any other setup (a custom
+profile, or a family off its model's domain) uses adaptive quadrature one
+moment at a time.  A moment that is not finite and positive raises
+QuadratureNonConvergent when it is asked for.
 """
 
 from __future__ import annotations
@@ -121,8 +122,13 @@ class QuantizationSetup:
 
 
 def density_H(s: QuantizationSetup, u):
-    """Fiber density H(alpha, u) of the moment integrals, at a float or an array of u."""
-    return elementwise(math.exp, _log_density_H(s, u))
+    """Fiber density H(alpha, u) at a float or an array of u, refused past the float range."""
+    log_h = _log_density_H(s, u)
+    try:
+        return elementwise(math.exp, log_h)
+    except OverflowError:
+        raise QuadratureNonConvergent(f"fiber density H(alpha, u) leaves the float range at "
+                                      f"u={np.ravel(u)[np.argmax(log_h)]}") from None
 
 
 def _log_density_H(s: QuantizationSetup, u):
@@ -302,7 +308,7 @@ class MomentTable:
     a power of two, one ratio per new degree, and refuses a moment that is not a
     normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
     Quadrature fills the three families an aligned block of min(_GAUSS_BLOCK, nodes)
-    degrees per Gauss rule, custom profiles adaptively one moment at a time, and
+    degrees per Gauss rule, any other setup adaptively one moment at a time, and
     refuses a moment that is not finite and positive; ``_gate`` refuses bad degrees.
     For the series, ``_ratios`` hands out the ratios of one block as one array.
     """
@@ -314,7 +320,7 @@ class MomentTable:
         self._closed = method == "closed"
         model = _MODELS.get((s.domain, s.profile.family))
         self._gauss = model is not None and not self._closed
-        self._last = model.last_degree(s) if model else math.inf    # custom: adaptive, any k
+        self._last = model.last_degree(s) if model else math.inf    # adaptive: any k
         # the least moment handed out: a normal float closed, any positive float by quadrature
         self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
         self._span = max(1, min(_GAUSS_BLOCK, nodes))   # gauss_rule refuses nodes < 1
@@ -469,7 +475,10 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
                range(1, k_max + 1) if bounded else s.fiber_degrees(k_max + 1)[1:])
     if count is None and k_max + 1 in degrees:
         raise SeriesNonConvergent(f"admissible fiber degrees run past k_max = {k_max}")
-    terms = [eps(alpha)]
+    with np.errstate(all="ignore"):     # term 0 as the others: by the array law, inf past floats
+        terms = law(np.array([alpha])).tolist()
+    if not math.isfinite(terms[0]):
+        raise SeriesNonConvergent(f"series term 0 at rho={top} leaves the float range")
     moment, total, k = 1.0, terms[0], 1
     while k < degrees.stop:
         k1 = min(k - k % psi._span + psi._span, degrees.stop) - 1    # the end of k's block

@@ -4,8 +4,10 @@ Every subcommand writes one machine-readable report (JSON by default, CSV
 rows on request) with deterministic serialization: keys sorted, floats at 15
 significant digits, rows in input order.  Identical inputs therefore produce
 byte-identical reports; wall time goes to stderr only.  A ``cmd_*`` function
-computes its report's setup, rows and summary; ``main`` renders, writes and
-times the report and maps the summary's verdict to the exit code.
+computes its report's setup, points, values and the summary fields it computes;
+``main`` builds the rows and every summary's ``target`` and ``branch`` (None
+unless computed), writes the report by ``render_report``, as ``_write_error``
+and the scripts do, times it and maps the summary's verdict to the exit code.
 
 Exit codes: 0 pass, 1 fail verdict, 2 invalid input or branch, 3 numerical
 non-convergence.
@@ -279,6 +281,17 @@ def setup_from_dict(d: dict) -> bergman.QuantizationSetup:
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 0}
 
 
+def render_report(doc: dict) -> str:
+    """A report or error document as written: ``doc``'s fields and the schema
+    version, as deterministic JSON with one trailing newline."""
+    return render_json({"schema_version": SCHEMA_VERSION, **doc}) + "\n"
+
+
+def report_file(path: Optional[str]):
+    """The file a report is written to: ``path``, or stdout (left open) if None."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 # ---------------------------------------------------------------------------
 # shared argument plumbing
 
@@ -363,27 +376,22 @@ def _curvature_model(args):
     return p, base, parse_grid(args.grid), dict(setup, grid=args.grid)
 
 
-def cmd_coeffs(args) -> tuple[dict, list, dict]:
+def cmd_coeffs(args) -> tuple[dict, Sequence, Sequence, dict]:
     p, base, grid, setup = _curvature_model(args)
-    quantity = args.quantity
-    stages = 2 if quantity in ("ric2", "lapk", "riem2") else 1   # 2: the invariant stage too
-    fields = curvature._evaluate(base, p, args.d0, grid, stages)
-    rows = [{"point": t, "value": v} for t, v in zip(grid, fields[quantity].tolist())]
-    mean, dev = curvature._spread([row["value"] for row in rows])
-    summary = {"verdict": "pass", "max_deviation": dev, "target": None,
-               "quantity": quantity, "mean": mean, "branch": None,
-               "jet_order": curvature.REPORT_ORDER, "points": len(grid)}
-    return setup, rows, summary
+    fields = curvature._evaluate(base, p, args.d0, grid, [args.quantity])
+    values = fields[args.quantity].tolist()
+    mean, dev = curvature._spread(values)
+    summary = {"verdict": "pass", "max_deviation": dev, "quantity": args.quantity,
+               "mean": mean, "jet_order": curvature.REPORT_ORDER, "points": len(grid)}
+    return setup, grid, values, summary
 
 
-def cmd_classify(args) -> tuple[dict, list, dict]:
+def cmd_classify(args) -> tuple[dict, Sequence, Sequence, dict]:
     p, base, grid, setup = _curvature_model(args)
     fields, verdict = curvature._classify(base, p, args.d0, args.domain, grid, args.tol)
-    rows = [{"point": t, "value": v} for t, v in zip(grid, fields["a1"].tolist())]
     summary = {
         "verdict": "pass" if verdict.constant else "fail",
         "max_deviation": verdict.max_deviation,
-        "target": None,
         "branch": verdict.matched_branch,
         "a1": verdict.a1_value,
         "a2": verdict.a2_value,
@@ -391,40 +399,38 @@ def cmd_classify(args) -> tuple[dict, list, dict]:
         "jet_order": curvature.REPORT_ORDER,
         "points": len(grid),
     }
-    return setup, rows, summary
+    return setup, grid, fields["a1"].tolist(), summary
 
 
-def cmd_psi(args) -> tuple[dict, list, dict]:
+def cmd_psi(args) -> tuple[dict, Sequence, Sequence, dict]:
     s, echo = _read_setup(_document(args))
     if args.table_k < 0:
         raise EmptyGrid(f"psi table up to k = {args.table_k} has no rows")
-    rows = []
+    degrees, values = range(args.table_k + 1), []
     worst = 0.0
     table = bergman.MomentTable(s) if args.method != "quadrature" else None
-    for k in range(args.table_k + 1):
+    for k in degrees:
         closed = table(k) if table else None
         quad = (bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
                 if args.method != "closed" else None)
         if args.method == "both":
             worst = max(worst, abs(quad - closed) / abs(closed))
-        rows.append({"point": k, "value": quad if closed is None else closed})
+        values.append(quad if closed is None else closed)
     verdict = "pass" if (args.method != "both" or worst <= args.tol) else "fail"
     # one Gauss rule per quadrature moment; a family without a moment model
     # on this domain is integrated adaptively, with no Gauss rule
-    rules = (len(rows) if args.method != "closed"
+    rules = (len(degrees) if args.method != "closed"
              and (s.domain, s.profile.family) in bergman._MODELS else 0)
-    summary = {"verdict": verdict, "max_deviation": worst, "target": None,
-               "method": args.method, "branch": None,
+    summary = {"verdict": verdict, "max_deviation": worst, "method": args.method,
                "gauss_rules": rules, "nodes_per_rule": args.quad_nodes if rules else 0}
-    return echo, rows, summary
+    return echo, degrees, values, summary
 
 
-def cmd_bergman(args) -> tuple[dict, list, dict]:
+def cmd_bergman(args) -> tuple[dict, Sequence, Sequence, dict]:
     s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
     table = bergman.MomentTable(s, args.psi_method, args.quad_nodes)
     values = bergman.bergman_series(s, grid, psi=table, k_max=args.max_k)
-    rows = [{"point": g, "value": v} for g, v in zip(grid, values)]
     branch = target = None
     with contextlib.suppress(BranchInvalid):   # no target off the branch or its base
         target = bergman.closed_target(s)
@@ -438,54 +444,50 @@ def cmd_bergman(args) -> tuple[dict, list, dict]:
     summary = {"verdict": verdict, "max_deviation": dev, "target": target,
                "psi_method": args.psi_method, "branch": branch,
                **table.counts()}
-    return echo, rows, summary
+    return echo, grid, values, summary
 
 
-def cmd_identity(args) -> tuple[dict, list, dict]:
+def cmd_identity(args) -> tuple[dict, Sequence, Sequence, dict]:
     s, echo = _read_setup(_document(args), law=True)
     grid = parse_grid(args.grid)
     rep = bergman.generating_identity_check(s, grid, psi_method=args.psi_method,
                                             nodes=args.quad_nodes, k_max=args.max_k)
-    rows = [{"point": r, "value": lhs} for r, lhs, _ in rep.rows]
     verdict = "pass" if rep.max_deviation <= args.tol else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_deviation,
-               "target": None, "psi_method": args.psi_method, "branch": None}
-    return echo, rows, summary
+               "psi_method": args.psi_method}
+    return echo, grid, [lhs for _, lhs, _ in rep.rows], summary
 
 
-def cmd_balanced(args) -> tuple[dict, list, dict]:
+def cmd_balanced(args) -> tuple[dict, Sequence, Sequence, dict]:
     grid = parse_grid(args.grid)
     cert = bergman.balanced_certify(args.k, args.r, args.m, part=args.part,
                                     rho_grid=grid, c=args.c,
                                     psi_method=args.psi_method,
                                     nodes=args.quad_nodes, tol=args.tol)
-    rows = [{"point": g, "value": v} for g, v in zip(cert.grid, cert.values)]
     verdict = "pass" if cert.balanced else "fail"
     summary = {"verdict": verdict,
                "max_deviation": max(cert.max_spread, cert.max_error),
                "target": cert.target, "value": sum(cert.values) / len(cert.values),
                "A": cert.A, "mu": cert.mu,
-               "base_identity_gap": cert.base_identity_gap, "branch": None,
+               "base_identity_gap": cert.base_identity_gap,
                "gauss_rules": cert.gauss_rules, "nodes_per_rule": cert.nodes_per_rule,
                "fiber_degrees": cert.fiber_degrees}
     setup = {"part": args.part, "k": args.k, "r": args.r, "m": args.m, "c": args.c,
              "grid": args.grid, "psi_method": args.psi_method}
-    return setup, rows, summary
+    return setup, cert.grid, cert.values, summary
 
 
-def cmd_oracle_cp1(args) -> tuple[dict, list, dict]:
+def cmd_oracle_cp1(args) -> tuple[dict, Sequence, Sequence, dict]:
     grid = parse_grid(args.grid)
     rep = oracle.cp1_bergman_oracle(args.k, args.m, grid, nodes=args.quad_nodes)
-    rows = [{"point": s, "value": v} for s, v in zip(rep.grid, rep.values)]
     verdict = "pass" if rep.max_abs_error <= args.tol else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_abs_error,
-               "target": rep.target, "branch": None,
-               "nodes_per_rule": args.quad_nodes}
+               "target": rep.target, "nodes_per_rule": args.quad_nodes}
     setup = {"k": args.k, "m": args.m, "grid": args.grid}
-    return setup, rows, summary
+    return setup, rep.grid, rep.values, summary
 
 
-def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
+def cmd_oracle_hartogs(args) -> tuple[dict, Sequence, Sequence, dict]:
     samples = parse_samples(args.samples)
     cfg = oracle.GramOracleConfig(bundle_degree=args.k, power=args.m,
                                   q_cap=args.Q, s_nodes=args.quad_nodes,
@@ -493,16 +495,14 @@ def cmd_oracle_hartogs(args) -> tuple[dict, list, dict]:
     # the Gram oracle covers rank r = 1 only
     model = bergman.balanced_setup(args.k, 1, args.m, part=args.part, c=args.c)
     rep = oracle.hartogs_gram_oracle(cfg, model)
-    rows = [{"point": list(pt), "value": v} for pt, v in zip(rep.samples, rep.values)]
     verdict = "pass" if (rep.max_abs_error is not None
                          and rep.max_abs_error <= args.tol) else "fail"
     summary = {"verdict": verdict, "max_deviation": rep.max_abs_error,
                "target": rep.target, "tail_fraction": rep.tail_fraction,
-               "basis_size": rep.basis_size, "branch": None,
-               "nodes_per_rule": args.quad_nodes}   # per axis
+               "basis_size": rep.basis_size, "nodes_per_rule": args.quad_nodes}   # per axis
     setup = {"part": args.part, "k": args.k, "r": 1, "m": args.m,
              "c": args.c, "Q": rep.q_cap, "P": rep.p_cap}
-    return setup, rows, summary
+    return setup, rep.samples, rep.values, summary
 
 
 # ---------------------------------------------------------------------------
@@ -612,27 +612,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
     try:    # before any work: an unwritable --out would discard it
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        out = report_file(args.out)
     except OSError as exc:
         return _write_error(sys.stdout, 2, PreconditionFailed(
             f"cannot write the report to {args.out!r}: {exc.strerror}"))
     with out as fh:
         try:
             _check_options(args)
-            setup, rows, summary = args.fn(args)
+            setup, points, values, summary = args.fn(args)
         except _ERRORS as exc:
             return _write_error(fh, 3 if isinstance(exc, _NONCONVERGENT) else 2, exc)
+        rows = [{"point": p, "value": v} for p, v in zip(points, values)]
+        summary = {"target": None, "branch": None, **summary}
         fh.write(render_csv(rows) if args.output == "csv" else
-                 render_json({"schema_version": SCHEMA_VERSION, "setup": setup,
-                              "rows": rows, "summary": summary}) + "\n")
+                 render_report({"setup": setup, "rows": rows, "summary": summary}))
     print(f"wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return _EXIT[summary["verdict"]]
 
 
 def _write_error(fh, code: int, exc: Exception) -> int:
-    doc = {"schema_version": SCHEMA_VERSION,
-           "error": {"type": type(exc).__name__, "message": str(exc)}}
-    fh.write(render_json(doc) + "\n")
+    fh.write(render_report({"error": {"type": type(exc).__name__, "message": str(exc)}}))
     return code
 
 

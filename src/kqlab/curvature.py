@@ -50,7 +50,7 @@ class BergmanLaw:
         if self.power:
             return a ** self.count if np.ndim(a) == 0 else elementwise(
                 lambda v: _power(v, self.count), a)
-        return a - self.shift if self.count == 1 else product_shifted(a, self.shift, self.count)
+        return product_shifted(a, self.shift, self.count)
 
 
 def _power(x: float, e: int) -> float:
@@ -308,20 +308,22 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     yield dict(ric2=ric2, lapk=lapk, riem2=riem2)
 
 
-def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, stages: int) -> dict:
-    """t and the fields of the first ``stages`` stages of _stages at t, a float
-    or a 1-d array; an overflow, of math.pow or of an array operation, is refused
-    as OutOfDomain at the first t whose fields leave the float range."""
+def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, names) -> dict:
+    """t and the fields of _stages at t, a float or a 1-d array, from the stages it takes
+    to yield every field in ``names``; an overflow, of math.pow or of an array operation,
+    is refused as OutOfDomain at the first t whose fields leave the float range."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     fields = {"t": ts}
     try:
         with np.errstate(over="raise"):
-            for stage in itertools.islice(_stages(base, p, d0, ts), stages):
+            for stage in _stages(base, p, d0, ts):
                 fields.update(stage)
+                if fields.keys() >= set(names):
+                    break
     except (OverflowError, FloatingPointError):
         if ts.size > 1:     # point by point, so the first t that overflows raises
             for point in ts:
-                _evaluate(base, p, d0, point, stages)
+                _evaluate(base, p, d0, point, names)
         raise OutOfDomain(f"curvature fields leave the float range at t={ts[0]}") from None
     return {name: float(value[0]) for name, value in fields.items()} if np.ndim(t) == 0 else fields
 
@@ -329,7 +331,7 @@ def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, stages: int) -> 
 def curvature_report(base: BaseGeometry, p: RadialProfile, d0: int, t) -> CurvatureReport:
     """Evaluate all fibered-metric invariants and (a1, a2) at log-coordinate t,
     a float or a 1-d array (one pass of array-valued jets for the whole grid)."""
-    return CurvatureReport(**_evaluate(base, p, d0, t, 2), d0=d0)
+    return CurvatureReport(**_evaluate(base, p, d0, t, CurvatureReport.__annotations__), d0=d0)
 
 
 @dataclass(frozen=True)
@@ -455,7 +457,7 @@ def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
         raise EmptyGrid("classification needs a non-empty grid")
     if len(grid) < 8:
         raise EmptyGrid(f"classification grid needs >= 8 points, got {len(grid)}")
-    fields = _evaluate(base, p, d0, grid, 1)
+    fields = _evaluate(base, p, d0, grid, ("a1", "a2", "scalar"))
     a1_mean, a1_dev = _spread(fields["a1"].tolist())
     a2_mean, a2_dev = _spread(fields["a2"].tolist())
     dev = max(a1_dev, a2_dev)

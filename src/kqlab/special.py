@@ -6,7 +6,8 @@ alone: ``roots_jacobi`` and ``roots_genlaguerre`` are memoised per
 (nodes, a, b) and ``legendre`` per node count, all shared read-only, and
 ``bergman`` reads its block rules through ``gauss_rule`` and the constructors
 it imports from here.  No kqlab module imports scipy except for the adaptive
-moments of custom profiles (``bergman._psi_adaptive``).
+moments (``bergman._psi_adaptive``) of a setup without a Gauss moment model: a
+custom profile, or a family on a domain its model does not cover.
 """
 
 from __future__ import annotations

@@ -78,6 +78,16 @@ def test_density_domain_checks():
         density_H(s, -0.2)
 
 
+def test_a_density_past_the_float_range_is_refused():
+    # e^(-alpha F) = e^(1000 u) on the linear ball passes 1.8e308 from u = 0.71 on
+    s = QuantizationSetup(1, "ball", linear(1.0), BaseGeometry.flat(1), -1000.0)
+    assert density_H(s, 0.5) == pytest.approx(math.exp(500.0) * 1.5, rel=1e-12)
+    for u in (0.9, np.array([0.1, 0.5, 0.9, 0.8])):
+        with pytest.raises(QuadratureNonConvergent,
+                           match=r"^fiber density H\(alpha, u\) leaves the float range at u=0.9$"):
+            density_H(s, u)
+
+
 
 def _density_setups():
     rho_rule = lambda rho, order: (-2.0) * jets.log(1.0 - TaylorJet.variable(rho, order))

@@ -34,6 +34,13 @@ def test_grid_parsing():
         parse_grid("0:1")
 
 
+def test_a_grid_of_no_points_is_invalid_input(capsys):
+    code, doc = run_json(capsys, "coeffs", "--family", "logball", "--A", "0.5", "--grid", "0:1:0")
+    assert code == 2
+    assert doc["error"] == {"type": "PreconditionFailed",
+                            "message": "grid count must be >= 1, got '0:1:0'"}
+
+
 def test_render_json_is_sorted_and_trimmed():
     doc = render_json({"b": 1.0 / 3.0, "a": [1, 2.5, None, True]})
     assert doc == '{"a":[1,2.5,null,true],"b":0.333333333333333}'
@@ -217,6 +224,19 @@ def test_reports_are_byte_identical(capsys):
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+
+def test_csv_points_of_the_hartogs_oracle_are_s_and_rho(capsys):
+    # a sample point is an (s, rho) pair, written s;rho
+    argv = ("oracle-hartogs", "--k", "2", "--m", "2", "--Q", "60")
+    code, out = run_cli(capsys, *argv, "--output", "csv")
+    _, doc = run_json(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "point,value" and len(lines) == 5
+    assert [line.split(",")[0] for line in lines[1:]] == ["0;0", "0.5;0.3", "1;0.5", "2;0.7"]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [
+        row["value"] for row in doc["rows"]]
 
 
 def test_csv_output(capsys):
@@ -425,6 +445,34 @@ def test_overflowing_series_term_exits_nonconvergent(capsys):
     assert code == 3
     assert doc["error"] == {"type": "SeriesNonConvergent", "message":
                             "series term 608 at rho=240.0 leaves the float range"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": 1, "d0": 2, "twist": 1.0, "domain": "ball", "alpha": 1e160,
+     "profile": {"family": "logball", "A": 0.5},
+     "base": {"a1": 0.5, "a2": 0.0, "eps": {"kind": "power", "exponent": 2}}},
+    {"d": 2, "d0": 1, "twist": -1.0, "domain": "fullspace", "alpha": 0.0,
+     "profile": {"family": "logaffine", "A": -1.0, "c": 1.0},
+     "base": {"a1": 3.0, "a2": 2.0, "eps": {"kind": "power", "exponent": -1}}},
+], ids=["alpha-squared-overflows", "zero-to-the-minus-one"])
+def test_a_base_law_past_the_float_range_at_alpha_exits_nonconvergent(tmp_path, capsys, doc):
+    # term 0 is the base law at alpha itself, 1e320 and 1/0 here: it is refused
+    # as every other term is, where it raised OverflowError and ZeroDivisionError
+    code, out = run_json(capsys, "bergman", "--setup", _write(tmp_path, doc), "--grid", "0:0.5:3")
+    assert code == 3
+    assert out["error"] == {"type": "SeriesNonConvergent",
+                            "message": "series term 0 at rho=0.5 leaves the float range"}
+
+
+def test_an_adaptive_moment_past_the_float_range_exits_nonconvergent(capsys):
+    # the linear family has no Gauss moment model on the ball, so psi is integrated
+    # adaptively, and its density e^(1000 u) leaves the float range inside the ball
+    code, doc = run_json(capsys, "psi", "--family", "linear", "--d", "1", "--d0", "1",
+                         "--lambda", "1", "--alpha", "-1000", "--method", "quadrature",
+                         "--table-k", "0")
+    assert code == 3
+    assert doc["error"]["type"] == "QuadratureNonConvergent"
+    assert doc["error"]["message"].startswith("fiber density H(alpha, u) leaves the float range")
 
 
 @pytest.mark.parametrize("grid", ["0:40:5", "0:60:3", "0:200:9"])

@@ -456,7 +456,7 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     # the coefficient stage alone: (1+lam x)^d x^(d0-1), g = w phi and phi chi',
     # and the same quotients but the Laplacian coupling's (1+lam x)^-1
     counts.update(mul=0, div=0)
-    curvature._evaluate(base, p, d0, grid, 1)
+    curvature._evaluate(base, p, d0, grid, ("a1", "a2"))
     assert counts == {"mul": d + d0, "div": 3 + 2 * (d0 > 1)}, counts
 
 
@@ -495,7 +495,7 @@ def test_coefficient_stage_equals_the_report_bit_for_bit(lam):
             grid = _tgrid(closed or p, lam)
             for t in (np.array(grid), grid[0], grid[5], grid[-1]):
                 report = curvature_report(base, p, d0, t)
-                fields = curvature._evaluate(base, p, d0, t, 1)
+                fields = curvature._evaluate(base, p, d0, t, _COEFFICIENT_FIELDS)
                 assert tuple(fields) == _COEFFICIENT_FIELDS
                 for field in _COEFFICIENT_FIELDS:
                     assert (np.asarray(fields[field]).tobytes()

@@ -1,7 +1,8 @@
 """Every structural precondition the library checks raises PreconditionFailed.
 
 PreconditionFailed is a ValueError, so callers that catch ValueError keep
-working; the CLI reports it by name with exit code 2.
+working; the CLI reports it by name with exit code 2.  The other typed
+refusals of inputs outside a model or a branch are checked by type and message.
 """
 
 import math
@@ -9,12 +10,15 @@ import math
 import pytest
 
 from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
-                           fiber_moment, generating_coefficients, psi_moment)
-from kqlab.curvature import BaseGeometry, curvature_report
-from kqlab.errors import PreconditionFailed
+                           fiber_moment, fiber_moment_direct, generating_coefficients,
+                           psi_moment)
+from kqlab.curvature import (BaseGeometry, curvature_report, polyquad_closed,
+                             required_base_coefficients)
+from kqlab.errors import BranchInvalid, OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.oracle import GramOracleConfig
-from kqlab.profiles import RadialProfile, custom, from_params, log_ball, profile_jet
+from kqlab.oracle import GramOracleConfig, cp1_bergman_oracle, hartogs_gram_oracle
+from kqlab.profiles import (RadialProfile, custom, from_params, linear, log_affine, log_ball,
+                            profile_jet, t_from_x)
 
 
 def _setup(**changes):
@@ -55,6 +59,23 @@ _SITES = {
     "from-params-logball-c": (lambda: from_params("logball", 0.5, 5.0), "c = 1"),
     "from-params-linear-A": (lambda: from_params("linear", 0.7, 1.0), "A = 0"),
     "oracle-samples": (lambda: GramOracleConfig(2, 2, sample_points=()), "sample point"),
+    "oracle-degree": (lambda: GramOracleConfig(0, 2), "bundle degree and power"),
+    "oracle-power": (lambda: GramOracleConfig(2, 0), "bundle degree and power"),
+    "oracle-q-cap": (lambda: GramOracleConfig(2, 2, q_cap=1), "q_cap must be >= 2"),
+    "cp1-oracle-k": (lambda: cp1_bergman_oracle(0, 2, [0.5]), "k, m must be >= 1"),
+    "cp1-oracle-m": (lambda: cp1_bergman_oracle(2, 0, [0.5]), "k, m must be >= 1"),
+    "hartogs-d0": (lambda: hartogs_gram_oracle(GramOracleConfig(2, 2),
+                                               balanced_setup(2, 2, 2, "ball")), "d = d0 = 1"),
+    "hartogs-d": (lambda: hartogs_gram_oracle(GramOracleConfig(1, 2), QuantizationSetup(
+        1, "fullspace", linear(1.0), BaseGeometry.flat(2), 2.0)), "d = d0 = 1"),
+    "hartogs-twist": (lambda: hartogs_gram_oracle(GramOracleConfig(2, 2), QuantizationSetup(
+        1, "ball", log_ball(0.25), BaseGeometry.fubini_study_cp1(2, twist=2.0), 2.0)),
+                      "unit twist"),
+    "balanced-k": (lambda: balanced_setup(0, 1, 1, "ball"), "positive integers"),
+    "balanced-r": (lambda: balanced_setup(1, 0, 1, "ball"), "positive integers"),
+    "balanced-m": (lambda: balanced_setup(2, 1, 0, "ball"), "positive integers"),
+    "balanced-part": (lambda: balanced_setup(1, 1, 1, "fiber"), "unknown part 'fiber'"),
+    "base-dimension": (lambda: BaseGeometry(0, 1.0, 0.0, 0.0, 0.0, 0.0), "dimension d must"),
     "scaled": (lambda: log_ball(1.0).scaled(0.0), "scaling factor"),
     "custom-form": (lambda: custom(lambda t, order: TaylorJet.variable(t, order), "x"),
                     "rule_form"),
@@ -66,4 +87,30 @@ _SITES = {
 def test_library_preconditions_raise_preconditionfailed(site):
     call, message = _SITES[site]
     with pytest.raises(PreconditionFailed, match=message):
+        call()
+
+
+_REFUSALS = {
+    "cp1-oracle-empty-grid": (lambda: cp1_bergman_oracle(2, 2, []), OutOfDomain, "non-empty"),
+    "hartogs-sample-outside": (lambda: hartogs_gram_oracle(
+        GramOracleConfig(2, 2, sample_points=((0.0, 1.0),)), balanced_setup(2, 1, 2, "ball")),
+                               OutOfDomain, r"sample point \(0.0, 1.0\) outside the model"),
+    "direct-moment-fullspace": (lambda: fiber_moment_direct(_setup(
+        domain="fullspace", profile=linear(1.0), alpha=2.0), [1]), BranchInvalid, "ball fiber"),
+    "direct-moment-d0": (lambda: fiber_moment_direct(_setup(d0=3, alpha=5.0), [1, 0, 0]),
+                         BranchInvalid, r"d0 in \{1, 2\}"),
+    "t-from-x-zero": (lambda: t_from_x(log_ball(1.0), 0.0), OutOfDomain, "must be positive"),
+    "t-from-x-affine-range": (lambda: t_from_x(log_affine(-0.5, 1.0), 3.0), OutOfDomain,
+                              "outside the log_affine range"),
+    "polyquad-shift": (lambda: polyquad_closed(BaseGeometry.flat(1, twist=-1.0), 1, -1.0, 2.0),
+                       OutOfDomain, r"1 \+ twist\*x = -1.0 not positive"),
+    "required-base-off-branch": (lambda: required_base_coefficients(
+        log_ball(0.5), 1, 1, 1.0, "fullspace"), OutOfDomain, "no constant-coefficient branch"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_REFUSALS))
+def test_library_refusals_raise_their_type(site):
+    call, error, message = _REFUSALS[site]
+    with pytest.raises(error, match=message):
         call()

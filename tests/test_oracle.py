@@ -19,7 +19,7 @@ from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
-from kqlab.profiles import log_affine, profile_jet
+from kqlab.profiles import log_affine, log_ball, profile_jet
 
 GRID = [0.0, 0.25, 0.7, 1.0, 1.8, 3.0]
 
@@ -157,6 +157,16 @@ def test_gram_probe_refuses_gaps_its_angular_grid_aliases(pair):
     cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=8)
     with pytest.raises(PreconditionFailed, match="24"):
         gram_offdiagonal_probe(cfg, balanced_setup(2, 1, 2, "ball"), [((0, 0), (1, 1)), pair])
+
+
+def test_hartogs_off_the_required_base_has_no_target():
+    # log-ball A = 1/2 over the degree-2 sphere: the base's a1 = 1/2 is not the
+    # required d0*twist - n*A = 0, so there is no closed value to meet
+    s = QuantizationSetup(1, "ball", log_ball(0.5), BaseGeometry.fubini_study_cp1(2), 2.0)
+    cfg = GramOracleConfig(2, 2, q_cap=40, sample_points=((0.0, 0.0), (0.5, 0.3)))
+    rep = hartogs_gram_oracle(cfg, s)
+    assert rep.target is None and rep.max_abs_error is None
+    assert all(math.isfinite(v) and v > 0 for v in rep.values)
 
 
 def test_hartogs_target_errors_other_than_branch_propagate(monkeypatch):

@@ -559,11 +559,20 @@ class GeneratingIdentityReport:
     max_deviation: float       # worst |assembled - closed| / (1 + |closed|)
 
 
+def _eps_alpha(s: QuantizationSetup, terms: list[float]) -> float:
+    """Term 0 of the moment series, eps(alpha), which the generating identity divides by."""
+    if terms[0] == 0:
+        raise PreconditionFailed(f"eps(alpha) = 0 at alpha = {s.alpha}: the generating "
+                                 "identity divides by it")
+    return terms[0]
+
+
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
     """Series coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
     terms, _ = _moment_series(s, np.ones(1), MomentTable(s, psi_method, nodes), count=k_count)
-    return [d / terms[0] for d in terms]
+    eps0 = _eps_alpha(s, terms)
+    return [d / eps0 for d in terms]
 
 
 def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
@@ -574,7 +583,8 @@ def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],
     rhs = _MODELS[s.domain, s.profile.family].rhs
     radii = np.asarray(rho_grid, dtype=float)
     terms, sums = _moment_series(s, radii, MomentTable(s, psi_method, nodes), k_max)
-    rows = tuple((r, a / terms[0], rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
+    eps0 = _eps_alpha(s, terms)
+    rows = tuple((r, a / eps0, rhs(s, r)) for r, a in zip(radii.tolist(), sums.tolist()))
     return GeneratingIdentityReport(rows, max(abs(a - b) / (1.0 + abs(b)) for _, a, b in rows))
 
 

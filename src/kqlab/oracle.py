@@ -16,12 +16,14 @@ the Hessian determinant on the full node grid times exact per-row and
 per-column factors: no exp or log per cell.  In the Legendre node
 sigma = |z|^2/(1+|z|^2) of the base axis, each integrable z-factor
 |z|^(2p) e^(-(m+q)*potential) is the Bernstein factor sigma^p
-(1-sigma)^(k(m+q)-p) <= 1, a running product of floats in [0, 1], and each
-block of fiber degrees is one matrix product against fiber sums of the
-weight.  Fiber powers are relative to a power of two above the largest fiber
-node, so the total-space oracle (Laguerre nodes) reaches q_cap = 120 at 200
-nodes without overflow.  A norm that comes out 0 or subnormal is 0 and is
-refused.  The Gauss rules special.legendre and laguerre are shared read-only.
+(1-sigma)^(k(m+q)-p) <= 1, a running product of floats in [0, 1]: each
+block of fiber degrees reads slices of one table of these products against
+fiber sums of the weight scaled per node.  Fiber powers are relative to a
+power of two above the largest fiber node, so the total-space oracle
+(Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.  A
+subnormal is 0: in an operand, which it would only slow, and in a norm, which
+is then refused.  The Gauss rules special.legendre and laguerre are shared
+read-only.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
 def _fiber_sums(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     """Mc[s, q] = sum over the fiber nodes of _radial_weight's two-dimensional
     weight times (xi/2^e)^q; each column scaled by an exact power of two.
-    Returns Mc and the exponent that undoes both powers.
+    Returns Mc and the exponent that undoes both powers.  The subnormal cells
+    of the weight and of the fiber powers are zeroed first: on the total space
+    they slow the product, and they change no sum.
 
     Fiber powers are relative to 2^e above the largest node: exact, and they
     do not overflow on the Laguerre nodes of the total space (e = 0 on the
@@ -207,16 +211,23 @@ def _fiber_sums(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     s, phi, xi, F, weight = _radial_weight(cfg, setup)
     e = max(0, math.frexp(float(xi.max()))[1])
     qarr = np.arange(cfg.q_cap + 1)
-    mc = _node_sum(weight, np.ldexp(xi, -e)[:, None] ** qarr)
+    mc = _node_sum(_flushed(weight), _flushed(np.ldexp(xi, -e)[:, None] ** qarr))
     scale = np.frexp(mc.max(axis=0))[1]
     return np.ldexp(mc, -scale), e * qarr + scale
 
 
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """a with its subnormal cells set to 0, in place."""
+    np.copyto(a, 0.0, where=a < np.finfo(float).tiny)
+    return a
+
+
 def _node_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, its shared (node) axis summed in chunks of _BLAS_CHUNK, added in order:
-    OpenBLAS sums a longer axis in an order that depends on its thread count."""
+    OpenBLAS sums a longer axis in an order that depends on its thread count.
+    An empty axis (a one-node rule has no sigma below 1/2) sums to zeros."""
     return functools.reduce(np.add, (a[:, i: i + _BLAS_CHUNK] @ b[i: i + _BLAS_CHUNK]
-                                     for i in range(0, b.shape[0], _BLAS_CHUNK)))
+                                     for i in range(0, max(b.shape[0], 1), _BLAS_CHUNK)))
 
 
 def _rounded(num: int, den: int) -> tuple[float, float]:
@@ -259,21 +270,25 @@ def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     N[p, q] = sum_s sigma^p (1-sigma)^(K_q - p) Mc[s, q] with Mc from
     _fiber_sums.  A node's factors are one power of max(sigma, 1-sigma) times
     a running product of the ratio min/max, so no exp or log is formed per
-    (p, q, node), and each block of fiber degrees is one matrix product.  A
-    norm that comes out 0 or subnormal, before or after its power-of-two
+    (p, q, node).  The running products are one table per call; a block of
+    fiber degrees scales its right-hand side Mc by the power of max per node
+    and multiplies it by slices of that table, the nodes below 1/2 and above
+    summed apart.  Subnormal cells of the table and of the right-hand side are
+    0.  A norm that comes out 0 or subnormal, before or after its power-of-two
     scaling, is 0, never clamped: the oracle refuses it as non-convergent.
     """
     k, m = cfg.bundle_degree, cfg.power
     P, Q = cfg.effective_p_cap, cfg.q_cap
     mc, exponent = _fiber_sums(cfg, setup)
     low, big, u, du, ratio, dratio = _bernstein_nodes(cfg.s_nodes)
-    # powers[:, j] = ratio^j, a node's factors without their power of big =
-    # max(sigma, 1-sigma); rows holds a block's factors (first, 1 + j*dratio)
-    powers, rows = np.ones((big.size, P + 1)), np.empty((big.size, P + 1))
+    # powers[:, j] = ratio^j (1 + j*dratio), the factor in one buffer (a nested
+    # expression raised the peak RSS): a node's factors without their power of
+    # big = max(sigma, 1-sigma), which scales the right-hand side
+    powers = np.ones((big.size, P + 1))
     np.cumprod(np.broadcast_to(ratio[:, None], (big.size, P)), axis=1, out=powers[:, 1:])
-    np.multiply(dratio[:, None], np.arange(P + 1), out=rows)
-    rows += 1.0
-    powers *= rows
+    factor = np.multiply.outer(dratio, np.arange(P + 1.0))
+    factor += 1.0
+    powers *= factor
     # a block of fiber degrees q0..q1 takes the factors of K = K_q0 on rows up
     # to K_q1: column q a further (1-sigma)^(k(q - q0)), and above 1/2 the rows
     # p > K the growth ratio^-(p - K), at most 2^500 by the choice of width
@@ -281,22 +296,21 @@ def _norm_matrix(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
     growth = 1.0 / powers[low:, 1: k * (width - 1) + 1]
     d = k * np.arange(width)
     shrink = u[:, None] ** d * (1.0 + du[:, None] * d)
-    tiny = np.finfo(float).tiny
+    _flushed(powers)
     N = np.full((P + 1, Q + 1), np.inf)
     for q0 in range(0, Q + 1, width):
         q1 = min(q0 + width, Q + 1) - 1
         K, cut = k * (m + q0), k * (m + q1)
         lead = (big ** K * (1.0 + K * du))[:, None]
-        np.multiply(powers[:low, : cut + 1], lead[:low], out=rows[:low, : cut + 1])
-        np.multiply(powers[low:, K::-1], lead[low:], out=rows[low:, : K + 1])
-        np.multiply(growth[:, : cut - K], lead[low:], out=rows[low:, K + 1: cut + 1])
-        block = rows[:, : cut + 1]
-        np.copyto(block, 0.0, where=block < tiny)   # as a subnormal norm is; they slow the product
-        N[: cut + 1, q0: q1 + 1] = _node_sum(block.T, mc[:, q0: q1 + 1] * shrink[:, : q1 - q0 + 1])
-    N[N < tiny] = 0.0
-    np.ldexp(N, exponent, out=N)
-    N[N < tiny] = 0.0
-    N[np.arange(P + 1)[:, None] > k * (m + np.arange(Q + 1))] = np.inf
+        rhs = _flushed(mc[:, q0: q1 + 1] * shrink[:, : q1 - q0 + 1] * lead)
+        # below 1/2 row p reads ratio^p; above, rows p <= K read ratio^(K - p)
+        block = N[: cut + 1, q0: q1 + 1]
+        block[:] = _node_sum(powers[:low, : cut + 1].T, rhs[:low])
+        block[K::-1] += _node_sum(powers[low:, : K + 1].T, rhs[low:])
+        block[K + 1:] += _node_sum(growth[:, : cut - K].T, rhs[low:])
+    np.ldexp(_flushed(N), exponent, out=N)
+    _flushed(N)
+    np.copyto(N, np.inf, where=np.arange(P + 1)[:, None] > k * (m + np.arange(Q + 1)))
     return N
 
 

@@ -464,6 +464,16 @@ def test_a_base_law_past_the_float_range_at_alpha_exits_nonconvergent(tmp_path, 
                             "message": "series term 0 at rho=0.5 leaves the float range"}
 
 
+def test_an_identity_over_a_base_law_vanishing_at_alpha_exits_precondition(capsys):
+    # eps = alpha + a1 = 0 at alpha 2: it exited 1 with ZeroDivisionError
+    code, doc = run_json(capsys, "identity", "--family", "logball", "--A", "0.5", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--base", "coeffs", "--a1-base", "-2",
+                         "--alpha", "2", "--grid", "0:0.5:3")
+    assert code == 2
+    assert doc["error"] == {"type": "PreconditionFailed", "message":
+                            "eps(alpha) = 0 at alpha = 2.0: the generating identity divides by it"}
+
+
 def test_an_adaptive_moment_past_the_float_range_exits_nonconvergent(capsys):
     # the linear family has no Gauss moment model on the ball, so psi is integrated
     # adaptively, and its density e^(1000 u) leaves the float range inside the ball

@@ -11,7 +11,7 @@ import pytest
 
 from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
                            fiber_moment, fiber_moment_direct, generating_coefficients,
-                           psi_moment)
+                           generating_identity_check, psi_moment)
 from kqlab.curvature import (BaseGeometry, curvature_report, polyquad_closed,
                              required_base_coefficients)
 from kqlab.errors import BranchInvalid, OutOfDomain, PreconditionFailed
@@ -26,6 +26,12 @@ def _setup(**changes):
                   base=BaseGeometry.flat(1), alpha=0.0)
     fields.update(changes)
     return QuantizationSetup(**fields)
+
+
+def _vanishing_at_alpha():
+    # eps(a) = a - 2 at alpha = 2: term 0 of the series is 0, and the identity divides by it
+    base = BaseGeometry.from_coefficients(1, 1.0, a1=0.0, a2=0.0, eps=lambda a: a - 2.0)
+    return _setup(profile=log_ball(0.5), base=base, alpha=2.0)
 
 
 _SITES = {
@@ -43,6 +49,10 @@ _SITES = {
     "balanced-total-c": (lambda: balanced_setup(1, 1, 2, "total", c=math.inf), "finite"),
     "coefficients-eps": (lambda: generating_coefficients(_setup(), 4),
                          "no Bergman function eps"),
+    "coefficients-eps-zero": (lambda: generating_coefficients(_vanishing_at_alpha(), 4),
+                              r"eps\(alpha\) = 0 at alpha = 2.0"),
+    "identity-eps-zero": (lambda: generating_identity_check(_vanishing_at_alpha(), [0.0, 0.5]),
+                          r"eps\(alpha\) = 0 at alpha = 2.0"),
     "base-twist": (lambda: BaseGeometry(1, 0.0, 0.0, 0.0, 0.0, 0.0),
                    "twist must be nonzero"),
     "base-invariants": (lambda: BaseGeometry.from_coefficients(1, 1.0, math.nan, 0.0), "finite"),

@@ -14,7 +14,7 @@ import pytest
 from kqlab import oracle, special
 from kqlab.bergman import QuantizationSetup, balanced_setup, closed_target, psi_moment
 from kqlab.curvature import BaseGeometry
-from kqlab.errors import (PreconditionFailed, QuadratureNonConvergent,
+from kqlab.errors import (KQLabError, PreconditionFailed, QuadratureNonConvergent,
                           TruncationInsufficient)
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
@@ -254,6 +254,60 @@ def test_total_space_norms_match_unpruned_loop(m, Q):
     assert np.all(N[~live] == np.inf)
     assert np.all(N[live] > 0) and np.isfinite(N[live]).all()
     assert np.max(np.abs(N[live] - ref[live]) / ref[live]) <= 1e-13
+
+
+@pytest.mark.parametrize("m, Q", [(1, 60), (2, 100), (4, 100)])
+def test_total_space_norms_match_a_40_digit_quadrature_sum(m, Q):
+    cfg = GramOracleConfig(bundle_degree=1, power=m, q_cap=Q, s_nodes=64)
+    setup = balanced_setup(1, 1, m, "total")
+    N = oracle._norm_matrix(cfg, setup)
+    assert np.all(N[~_integrable(cfg)] == np.inf)
+    assert np.isfinite(N[_integrable(cfg)]).all()
+    for q, col in _mpmath_norms(cfg, setup, (0, Q // 2, Q)).items():
+        assert np.max(np.abs(N[: len(col), q] - col) / col) <= 2e-14
+
+
+_SUBNORMAL_PRONE = [("total", 1, m, 120) for m in (1, 2, 3, 4)] + [("ball", 3, 2, 120)]
+
+
+def _subnormals(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("part, k, m, Q", _SUBNORMAL_PRONE)
+def test_no_subnormal_operand_reaches_a_node_sum(monkeypatch, part, k, m, Q):
+    # a subnormal operand slows a product several times over, and adds less
+    # than a rounding to a norm that is not itself refused as subnormal
+    node_sum, counts = oracle._node_sum, []
+    monkeypatch.setattr(oracle, "_node_sum", lambda a, b: counts.append(
+        (_subnormals(a), _subnormals(b))) or node_sum(a, b))
+    hartogs_gram_oracle(GramOracleConfig(bundle_degree=k, power=m, q_cap=Q),
+                        balanced_setup(k, 1, m, part))
+    assert counts and set(counts) == {(0, 0)}
+
+
+@pytest.mark.parametrize("part, k, m, Q", _SUBNORMAL_PRONE)
+def test_fiber_sums_are_the_plain_product_bit_for_bit(part, k, m, Q):
+    # zeroing the subnormal cells of the weight and of the fiber powers changes
+    # no fiber sum; the total-space weight has such cells at 200 nodes
+    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=Q)
+    setup = balanced_setup(k, 1, m, part)
+    mc, exponent = oracle._fiber_sums(cfg, setup)
+    _, _, xi, _, weight = oracle._radial_weight(cfg, setup)
+    assert part == "ball" or _subnormals(weight) > 0
+    e = max(0, math.frexp(float(xi.max()))[1])
+    qarr = np.arange(Q + 1)
+    plain = weight @ np.ldexp(xi, -e)[:, None] ** qarr
+    assert np.array_equal(np.ldexp(plain, e * qarr - exponent), mc)
+
+
+def test_a_one_node_rule_leaves_the_half_below_one_half_empty():
+    # the one Legendre node is sigma = 1/2: the empty half sums to zeros, and
+    # the oracle refuses so coarse a rule by a typed error, as it does two nodes
+    for nodes in (1, 2):
+        with pytest.raises(KQLabError):
+            hartogs_gram_oracle(GramOracleConfig(bundle_degree=2, power=2, q_cap=60,
+                                                 s_nodes=nodes), balanced_setup(2, 1, 2, "ball"))
 
 
 def _mpmath_weight(cfg, setup, cells):

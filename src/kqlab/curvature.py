@@ -5,24 +5,25 @@ curvature, |Ric|^2, Laplacian of scalar, |R|^2) and a radial profile F on a
 d0-dimensional fiber with twist ``lam``, the potential
 ``phi + F(lam*phi + log|w|^2)`` defines a fibered metric.  Its four curvature
 invariants, and the first two coefficients a1, a2 of the Bergman-function
-expansion, are rational expressions in
+expansion, are rational expressions in x = F'(t), the momentum profile
+mom(x) = F''(t) and its x-derivatives (' is d/dx = (1/mom) d/dt), through
 
-    x = F'(t),  mom(x) = F''(t),  sigma = (g)'/g,  chi = d0(d0-1)/x - (g)''/g,
+    sigma = (w mom)'/w,  chi = d0(d0-1)/x - (w mom)''/w,  w = (1 + lam*x)^d x^(d0-1).
 
-with g = (1 + lam*x)^d * x^(d0-1) * mom and ' denoting d/dx = (1/mom) d/dt.
-The fields are computed once, on jets in x, from the x-jet of mom: the closed
-families give it exactly as x + A x^2, and a custom profile by the chain rule
-from its t-jet.  A coefficient stage gives x, mom, sigma, chi, sigma', chi',
-scalar, a1 and a2, all that classification reads; an invariant stage then gives
-|Ric|^2, the Laplacian of scalar and |R|^2 from its intermediates.
+Written in mu, where mom = x + x^2 mu(x) (the momentum-profile form of Hwang &
+Singer, Trans. AMS 354, 2002), every 1/x divides out, so one body serves every
+d0.  The fields are computed once, on jets in x: a closed family gives mu = A
+exactly, and no field cancels toward the zero section; a custom profile gives
+the x-jet of mom by the chain rule from its t-jet, and mu as (mom - x)/x^2,
+which does cancel there, so X_MIN guards it.  A coefficient stage gives x, mom,
+sigma, chi, sigma', chi', scalar, a1 and a2, all that classification reads; an
+invariant stage then gives |Ric|^2, the Laplacian of scalar and |R|^2.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -46,10 +47,9 @@ class BergmanLaw:
     count: int = 1
     power: bool = False
 
-    def __call__(self, a):   # a level, or an array of levels (there a power past floats is inf)
+    def __call__(self, a):   # a level, or an array of levels; a power past floats is inf
         if self.power:
-            return a ** self.count if np.ndim(a) == 0 else elementwise(
-                lambda v: _power(v, self.count), a)
+            return elementwise(lambda v: _power(v, self.count), a)
         return product_shifted(a, self.shift, self.count)
 
 
@@ -196,9 +196,12 @@ def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
     return du / phi.truncated(du.order)
 
 
-def _momentum_jet(p: RadialProfile, ts: np.ndarray) -> tuple[np.ndarray, TaylorJet]:
-    """x = F'(t), and the x-jet of phi(x) = F''(t): x + A x^2 for a closed
-    family, and for a custom profile the chain rule on its t-jet."""
+def _momentum_jet(p: RadialProfile,
+                  ts: np.ndarray) -> tuple[np.ndarray, TaylorJet, TaylorJet, TaylorJet]:
+    """x = F'(t) and the x-jets, to the orders the fields read (4, 3, 2), of the momentum
+    profile phi(x) = F''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu: exactly
+    x + A x^2, 1 + A x and A for a closed family; for a custom profile, phi by the chain
+    rule on its t-jet and psi, mu as quotients by x, where mu cancels toward x = 0."""
     custom = p.family not in FAMILIES
     xj = profile_jet(p, ts, CUSTOM_T_ORDER if custom else 1, "t").deriv()     # F'
     x = xj.value
@@ -214,97 +217,91 @@ def _momentum_jet(p: RadialProfile, ts: np.ndarray) -> tuple[np.ndarray, TaylorJ
         for k in range(1, REPORT_ORDER + 1):
             u = _ddx(u, phit)
             coeffs[k] = u.value / math.factorial(k)
-    else:
-        coeffs[1], coeffs[2] = 1.0 + 2.0 * p.A * x, p.A
-    return x, TaylorJet(coeffs)
+        phij, y = TaylorJet(coeffs), TaylorJet.variable(x, REPORT_ORDER - 1)
+        psij = phij.truncated(REPORT_ORDER - 1) / y
+        return x, phij, psij, (psij.truncated(2) - 1.0) / y.truncated(2)
+    coeffs[1], coeffs[2] = 1.0 + 2.0 * p.A * x, p.A
+    psi = np.zeros((REPORT_ORDER, ts.size))
+    psi[0], psi[1] = 1.0 + p.A * x, p.A
+    return x, TaylorJet(coeffs), TaylorJet(psi), TaylorJet(psi[1:])      # mu = A
 
 
 def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     """The report's fields on the grid ts by name, on jets in x (d/dx is ``deriv``):
-    one dict from the coefficient stage, then one from the invariant stage."""
+    one dict from the coefficient stage, then one from the invariant stage, which forms
+    no jet.  With S = 1 + lam*x, P = S^d psi and g = S^d phi = x P, a field is its d0 = 1
+    form plus (d0 - 1) times terms in mu, psi, psi' and s = P'/S^d = psi' + d lam psi/S:
+    sigma = g'/S^d + (d0 - 1) psi, chi = -g''/S^d - (d0 - 1)(d0 mu + 2 s), and
+    r = (sigma - d0)/x = d0 mu + s.  No field divides by x."""
     if d0 < 1:
         raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
 
-    x, phij = _momentum_jet(p, ts)
+    x, phij, psij, muj = _momentum_jet(p, ts)
     mom = phij.value
-    xj = TaylorJet.variable(x, REPORT_ORDER)
-    shift = 1.0 + lam * xj
+    shift = 1.0 + lam * TaylorJet.variable(x, REPORT_ORDER)
     require(shift.value > 0, OutOfDomain,
             lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
 
     # each jet is formed only to the order its fields read, so no field moves
-    w = shift ** d * xj ** (d0 - 1) if d0 > 1 else shift ** d   # common denominator weight
-    g = w * phij
-    gx = g.deriv()
-    sigma_j = gx.truncated(1) / w.truncated(1)
+    sd = shift ** d
+    gx = (sd * phij).deriv()
     gxx = gx.deriv()
-    chi_j = -gxx / w.truncated(gxx.order)
-    if d0 > 1:
-        chi_j = chi_j + (d0 * (d0 - 1)) / xj.truncated(chi_j.order)
+    sigma_j = gx.truncated(1) / sd.truncated(1)                 # sigma at d0 = 1
+    q_j = psij.truncated(gxx.order) / shift.truncated(gxx.order)      # psi/S
+    s = psij.deriv().coeffs + (d * lam) * q_j.coeffs    # P'/S^d, on coefficient arrays
+    chi_j = TaylorJet(-(gxx / sd.truncated(gxx.order)).coeffs
+                      - (d0 - 1) * (d0 * muj.coeffs + 2.0 * s))
 
-    sigma, sigma_p = sigma_j.value, sigma_j.derivative(1)
+    psi, psi_p, mu, q = psij.value, psij.derivative(1), muj.value, q_j.value
+    r = d0 * mu + s[0]
+    sigma = sigma_j.value + (d0 - 1) * psi
+    sigma_p = sigma_j.derivative(1) + (d0 - 1) * psi_p
     chi_pj = chi_j.deriv()
     chi, chi_p = chi_j.value, chi_pj.value
 
-    # (mom * chi')'
+    # the weighted divergence ((w mom chi')')/w, w = S^d x^(d0-1)
     phichi = phij.truncated(chi_pj.order) * chi_pj
-    phichi_x = phichi.derivative(1)
-
     sv = shift.value
-    s1, x1, p1 = shift.truncated(1), xj.truncated(1), phij.truncated(1)
-    phi_over_shift_p = (p1 / s1).derivative(1)
+    div_wphichi = (phichi.derivative(1) + (d * lam / sv) * phichi.value
+                   + (d0 - 1) * psi * chi_p)
+    phi_over_shift_p = q + x * q_j.derivative(1)       # (phi/S)' = (x psi/S)'
     phi_xx = phij.derivative(2)
 
-    # each power formed once, by math.pow in _pow
+    # each power formed once, by math.pow in _pow, and the (d0 - 1) terms' by products
     sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
     sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
     phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phi_xx, 2)
+    r2 = r * r
+    fiber = d * lam ** 2 * q * q + psi_p * psi_p + 0.5 * d0 * mu * mu   # riem2's (d0 - 1) term/4
 
     k_base = base.scalar
     scalar = k_base / sv + chi
     a1 = base.a1 / sv + 0.5 * chi
     a2 = (base.a2 / sv2
           + (0.5 * chi / sv + lam ** 2 * mom / sv3) * base.a1
-          + (8.0 * phichi_x
-             + 8.0 * (d * lam / sv) * mom * chi_p
+          + (8.0 * div_wphichi
              + 3.0 * chi2 - 4.0 * sigma_p2 + phi_xx2
              + 4.0 * d * lam ** 2 * phi_over_shift_p2
              - 4.0 * d * lam ** 2 * sigma2 / sv2
-             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4) / 24.0)
-    if d0 > 1:
-        phi_over_x_p2 = _pow((p1 / x1).derivative(1), 2)
-        x2 = _pow(x, 2)
-        a2 += (8.0 * ((d0 - 1) / x) * mom * chi_p) / 24.0
-        a2 += ((d0 - 1) / 6.0) * (d * lam ** 2 * mom2 / (x2 * sv2)
-                                  + phi_over_x_p2
-                                  + 0.5 * d0 * _pow(mom - x, 2) / _pow(x, 4)
-                                  - _pow(sigma - d0, 2) / x2)
+             + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4
+             + 4.0 * (d0 - 1) * (fiber - r2)) / 24.0)
     yield dict(x=x, mom=mom, sigma=sigma, chi=chi, sigma_prime=sigma_p,
                chi_prime=chi_p, scalar=scalar, a1=a1, a2=a2)
 
-    # the weighted divergence ((w mom chi')')/w
-    wnum = w.truncated(chi_pj.order) * phichi
-    div_wphichi = wnum.derivative(1) / w.value
-
-    # Laplacian coupling term ((lam (1+lam x)^(d-2) x^(d0-1) mom)')/w
-    factors = ([s1 ** (d - 2)] if d != 2 else []) + ([x1 ** (d0 - 1)] if d0 > 1 else [])
-    h = functools.reduce(operator.mul, factors + [p1])    # no product by the jet 1
-    lap_couple = lam * h.derivative(1) / w.value
+    # Laplacian coupling term ((lam S^(d-2) x^(d0-1) mom)')/w
+    lap_couple = lam * ((d - 2) * lam * mom / sv3
+                        + ((d0 - 1) * psi + phij.derivative(1)) / sv2)
 
     ric2 = ((base.ric2 - 2.0 * lam * sigma * k_base + d * lam ** 2 * sigma2)
-            / sv2 + sigma_p2)
+            / sv2 + sigma_p2 + (d0 - 1) * r2)
     lapk = base.lapk / sv2 - lap_couple * k_base + div_wphichi
     riem2 = (base.riem2 / sv2
              - 4.0 * lam ** 2 * mom * k_base / sv3
              + 2.0 * d * (d + 1) * lam ** 4 * mom2 / sv4
              + 4.0 * d * lam ** 2 * phi_over_shift_p2
-             + phi_xx2)
-    if d0 > 1:
-        ric2 += (d0 - 1) * _pow((sigma - d0) / x, 2)
-        riem2 += (d0 - 1) * (4.0 * d * lam ** 2 * _pow(mom / (x * sv), 2)
-                             + 4.0 * phi_over_x_p2
-                             + 2.0 * d0 * _pow((mom - x) / x2, 2))
+             + phi_xx2
+             + 4.0 * (d0 - 1) * fiber)
     yield dict(ric2=ric2, lapk=lapk, riem2=riem2)
 
 

@@ -166,6 +166,15 @@ def test_classify_branch_pass(capsys):
     assert doc["summary"]["a1"] == pytest.approx(-0.5 * 3 * 4 * 0.5, rel=1e-9)
 
 
+def test_classify_passes_the_branch_near_the_zero_section(capsys):
+    # the grid reaches x = 1e-5, where the 1/x form of the fields deviated by
+    # 6.7e-8 and the command exited 1 with no branch
+    code, doc = run_json(capsys, "classify", "--family", "logball", "--A", "0.5",
+                         "--d", "1", "--d0", "2", "--lambda", "1", "--grid=-12.2:-1.1:16")
+    assert code == 0 and doc["summary"]["branch"] == "2.10"
+    assert doc["summary"]["max_deviation"] <= 1e-12
+
+
 def test_psi_both_methods(capsys):
     code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "0.5",
                          "--d", "1", "--d0", "2", "--lambda", "1",
@@ -879,10 +888,10 @@ def test_fields_past_the_float_range_are_out_of_domain(capsys, argv, t):
 
 
 def test_a_jet_product_past_the_float_range_is_out_of_domain(capsys):
-    # the weight times phi grows as x^6 at d = d0 = 3; numpy warned at the first
+    # (1+lam x)^5 phi grows as x^6 at d = 5, d0 = 1; numpy warned at the first
     # point and the command exited 0
-    code, doc = run_json(capsys, "coeffs", "--family", "linear", "--c", "1", "--d", "3",
-                         "--d0", "3", "--lambda", "1", "--domain", "fullspace",
+    code, doc = run_json(capsys, "coeffs", "--family", "linear", "--c", "1", "--d", "5",
+                         "--d0", "1", "--lambda", "1", "--domain", "fullspace",
                          "--base", "flat", "--grid=120:140:3")
     assert code == 2 and doc["error"] == {
         "type": "OutOfDomain", "message": "curvature fields leave the float range at t=120.0"}

@@ -21,7 +21,7 @@ from .oracle import (Cp1OracleReport, GramOracleConfig, HartogsOracleReport,
                      cp1_bergman_oracle, gram_offdiagonal_probe,
                      hartogs_gram_oracle)
 from .profiles import (RadialProfile, custom, linear, log_affine, log_ball,
-                       profile_jet, t_from_x)
+                       profile_jet, t_from_x, x_from_t)
 from .special import product_shifted
 
 __version__ = "0.1.0"
@@ -64,4 +64,5 @@ __all__ = [
     "psi_moment",
     "required_base_coefficients",
     "t_from_x",
+    "x_from_t",
 ]

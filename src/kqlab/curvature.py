@@ -12,12 +12,14 @@ mom(x) = F''(t) and its x-derivatives (' is d/dx = (1/mom) d/dt), through
 
 Written in mu, where mom = x + x^2 mu(x) (the momentum-profile form of Hwang &
 Singer, Trans. AMS 354, 2002), every 1/x divides out, so one body serves every
-d0.  The fields are computed once, on jets in x: a closed family gives mu = A
-exactly, and no field cancels toward the zero section; a custom profile gives
-the x-jet of mom by the chain rule from its t-jet, and mu as (mom - x)/x^2,
-which does cancel there, so X_MIN guards it.  A coefficient stage gives x, mom,
-sigma, chi, sigma', chi', scalar, a1 and a2, all that classification reads; an
-invariant stage then gives |Ric|^2, the Laplacian of scalar and |R|^2.
+d0.  The fields are computed once, on jets in x: a closed family gives x from
+its moment map and mu = A exactly, with no exp or log jet, and no field cancels
+toward the zero section, so its floor CLOSED_X_MIN is 1e-12; a custom profile
+gives the x-jet of mom by the chain rule from its t-jet, and mu as
+(mom - x)/x^2, which does cancel there, so X_MIN = 1e-6 guards it.  A
+coefficient stage gives x, mom, sigma, chi, sigma', chi', scalar, a1 and a2,
+all that classification reads; an invariant stage then gives |Ric|^2, the
+Laplacian of scalar and |R|^2.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
 from .jets import TaylorJet, elementwise, require
-from .profiles import FAMILIES, RadialProfile, profile_jet
+from .profiles import FAMILIES, RadialProfile, profile_jet, x_from_t
 from .special import product_shifted
 
-X_MIN = 1e-6  # fiber evaluation floor; the zero section is out of scope
+X_MIN = 1e-6  # a custom profile's fiber evaluation floor, where its mu cancels
+CLOSED_X_MIN = 1e-12  # a closed family's, whose fields hold to 1e-13 down to it
 REPORT_ORDER = 4  # order of curvature_report's x-jets, the least its fields allow
 CUSTOM_T_ORDER = 6  # order of a custom profile's t-jet, the least REPORT_ORDER allows
 
@@ -199,14 +202,18 @@ def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
 def _momentum_jet(p: RadialProfile,
                   ts: np.ndarray) -> tuple[np.ndarray, TaylorJet, TaylorJet, TaylorJet]:
     """x = F'(t) and the x-jets, to the orders the fields read (4, 3, 2), of the momentum
-    profile phi(x) = F''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu: exactly
-    x + A x^2, 1 + A x and A for a closed family; for a custom profile, phi by the chain
-    rule on its t-jet and psi, mu as quotients by x, where mu cancels toward x = 0."""
+    profile phi(x) = F''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu.  For a
+    closed family, x is its moment map and the jets are exactly x + A x^2, 1 + A x and A,
+    so no jet is formed; for a custom profile, x and phi come by the chain rule on its
+    t-jet, and psi, mu as quotients by x, where mu cancels toward x = 0."""
     custom = p.family not in FAMILIES
-    xj = profile_jet(p, ts, CUSTOM_T_ORDER if custom else 1, "t").deriv()     # F'
-    x = xj.value
-    require(x >= X_MIN, OutOfDomain,
-            lambda i: f"x = {x[i]} below the evaluation floor {X_MIN} at t={ts[i]}")
+    if custom:
+        xj = profile_jet(p, ts, CUSTOM_T_ORDER, "t").deriv()      # F'
+        x, floor = xj.value, X_MIN
+    else:
+        x, floor = x_from_t(p, ts), CLOSED_X_MIN
+    require(x >= floor, OutOfDomain,
+            lambda i: f"x = {x[i]} below the evaluation floor {floor} at t={ts[i]}")
     u = phit = xj.deriv() if custom else None                                # F''
     mom = phit.value if custom else x + p.A * x * x
     require(mom > 0, DegenerateJet,
@@ -226,6 +233,14 @@ def _momentum_jet(p: RadialProfile,
     return x, TaylorJet(coeffs), TaylorJet(psi), TaylorJet(psi[1:])      # mu = A
 
 
+def _shift(lam: float, x: np.ndarray) -> TaylorJet:
+    """The x-jet of 1 + lam*x to REPORT_ORDER, formed exactly: the coefficients of
+    ``1.0 + lam * TaylorJet.variable(x, REPORT_ORDER)``, with no jet operation."""
+    coeffs = np.zeros((REPORT_ORDER + 1, x.size))
+    coeffs[0], coeffs[1] = 1.0 + lam * x, lam
+    return TaylorJet(coeffs)
+
+
 def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     """The report's fields on the grid ts by name, on jets in x (d/dx is ``deriv``):
     one dict from the coefficient stage, then one from the invariant stage, which forms
@@ -239,7 +254,7 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
 
     x, phij, psij, muj = _momentum_jet(p, ts)
     mom = phij.value
-    shift = 1.0 + lam * TaylorJet.variable(x, REPORT_ORDER)
+    shift = _shift(lam, x)
     require(shift.value > 0, OutOfDomain,
             lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
 

@@ -19,6 +19,7 @@ All values are immutable; every operation returns a fresh jet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,8 +114,7 @@ class TaylorJet:
         """Jet of the derivative function, one order lower."""
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        n = np.arange(1.0, self.order + 1).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return TaylorJet._raw(n * self.coeffs[1:])
+        return TaylorJet._raw(_deriv_factors(self.order, self.coeffs.ndim) * self.coeffs[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,7 +149,7 @@ class TaylorJet:
     def __mul__(self, other) -> "TaylorJet":
         if not isinstance(other, TaylorJet):
             # the Cauchy product with a constant jet: its zero terms add +0.0
-            return TaylorJet(self.coeffs * other + 0.0)
+            return TaylorJet._raw(self.coeffs * other + 0.0)
         a, b = self.coeffs, self._coerce(other).coeffs
         n = len(a) - 1
         out = np.zeros(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
@@ -196,6 +196,14 @@ class TaylorJet:
             sq = half * half
             return sq * self if p % 2 else sq
         return exp(float(p) * log(self))
+
+
+@functools.lru_cache(maxsize=None)
+def _deriv_factors(order: int, ndim: int) -> np.ndarray:
+    """The factors 1, ..., order of ``deriv``, shaped to a jet of ``ndim`` axes; read-only."""
+    n = np.arange(1.0, order + 1).reshape((-1,) + (1,) * (ndim - 1))
+    n.flags.writeable = False
+    return n
 
 
 def exp(a: TaylorJet) -> TaylorJet:

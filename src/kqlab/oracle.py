@@ -344,7 +344,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     except BranchInvalid:
         target = None
 
-    values, worst_tail = [], 0.0
+    values, worst_tail, stalled = [], 0.0, False
     finite = np.isfinite(N)
     logterm, terms = np.empty_like(N), np.zeros_like(N)   # terms: 0 off the finite norms
     F0s = profile_jet(setup.profile, [rho0 for _, rho0 in cfg.sample_points], 0, "rho").value
@@ -367,8 +367,14 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
                 f"at q_cap={Q}")
         if rho0 > 0 and shells[-2] > 0:
             ratio = shells[-1] / shells[-2]
+            stalled = stalled or ratio >= 1
             tail = shells[-1] * ratio / (1.0 - ratio) if ratio < 1 else math.inf
             worst_tail = max(worst_tail, tail / max(eps_val, 1e-300))
+    if stalled:     # a larger q_cap helps only once the shells turn to decay
+        raise TruncationInsufficient(
+            f"fiber-degree tail estimate inf: the top fiber shells do not decay (ratio "
+            f">= 1) at q_cap={Q} on {cfg.s_nodes} quadrature nodes; raise q_cap, or the "
+            "node count if the shells still do not decay")
     if worst_tail > _TAIL_TOL:
         raise TruncationInsufficient(
             f"fiber-degree tail estimate {worst_tail:.3e} above {_TAIL_TOL:.1e}; "

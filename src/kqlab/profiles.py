@@ -13,7 +13,8 @@ Three closed families cover every constant-coefficient case:
 
 All three share the quadratic momentum profile x -> x + A x^2 (A = 0 for the
 linear family), where x = F_t'(t) and the momentum profile is F_t'' viewed as
-a function of x.  ``custom`` profiles supply a jet-producing rule instead.
+a function of x.  ``x_from_t`` and ``t_from_x`` give their moment map and its
+inverse in closed form.  ``custom`` profiles supply a jet-producing rule instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .errors import OutOfDomain, PreconditionFailed
-from .jets import DEFAULT_ORDER, TaylorJet, require
+from .jets import DEFAULT_ORDER, TaylorJet, elementwise, require
 
 JetRule = Callable[[float, int], TaylorJet]
 
@@ -35,6 +36,12 @@ JetRule = Callable[[float, int], TaylorJet]
 def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
     """-(1/A) log(1 + c*v), given c*v: log-affine's F, and log-ball's with c = -1."""
     return (-1.0 / A) * jets.log(1.0 + cv)
+
+
+def _log_affine_x(A: float, cv):
+    """x = F_t'(t) of -(1/A) log(1 + c*v), given c*v at v = e^t: the order-1 recurrences
+    of the jet log and of the product by -1/A, whose zero terms add +0.0."""
+    return (cv / (1.0 + cv)) * (-1.0 / A) + 0.0
 
 
 def _log_affine_t(p: "RadialProfile", x: float) -> float:
@@ -47,22 +54,26 @@ def _log_affine_t(p: "RadialProfile", x: float) -> float:
 # Each closed family, stated once.  params: the parameters it reads; valid and
 # rule: the check of both, in code and in words (it pins one not read); scaled:
 # (A, c, factor) -> the (A, c) of factor*F; F: the rho-form profile of a jet v,
-# for 0 <= rho < rho_max (the t-form is F of v = e^t); t_from_x: x = F_t'(t) inverted.
-_Family = namedtuple("_Family", "params valid rule scaled F rho_max t_from_x")
+# for 0 <= rho < rho_max (the t-form is F of v = e^t); x_from_t: the moment map
+# x = F_t'(t) of e = e^t, the floats of F's order-1 jet recurrences; t_from_x: its inverse.
+_Family = namedtuple("_Family", "params valid rule scaled F rho_max x_from_t t_from_x")
 
 FAMILIES = {
     "logball": _Family(
         ("A",), lambda A, c: A > 0 and c == 1, "A > 0 and c = 1", lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, -v), rho_max=1.0,
+        x_from_t=lambda p, e: _log_affine_x(p.A, -e),
         t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
     "linear": _Family(
         ("c",), lambda A, c: c > 0 and A == 0, "c > 0 and A = 0", lambda A, c, f: (A, c * f),
         F=lambda p, v: p.c * v, rho_max=math.inf,
+        x_from_t=lambda p, e: e * p.c,
         t_from_x=lambda p, x: math.log(x / p.c)),
     "logaffine": _Family(
         ("A", "c"), lambda A, c: A != 0 and c > 0, "A != 0 and c > 0",
         lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=math.inf,
+        x_from_t=lambda p, e: _log_affine_x(p.A, e * p.c),
         t_from_x=_log_affine_t),
 }
 
@@ -149,9 +160,7 @@ def profile_jet(p: RadialProfile, point, order: int = DEFAULT_ORDER,
 
     family = FAMILIES.get(p.family)
     if family is not None:
-        bound = family.rho_max if form == "rho" else math.log(family.rho_max)
-        require(point < bound, OutOfDomain,
-                lambda i: f"{p.family} needs {form} < {bound:g}, got {point.flat[i]}")
+        _require_below(p, point, form)
         v = TaylorJet.variable(point, order)
         return family.F(p, jets.exp(v) if form == "t" else v)
 
@@ -167,11 +176,35 @@ def profile_jet(p: RadialProfile, point, order: int = DEFAULT_ORDER,
     return jets.compose(_rule_jet(p, inner.value, order), inner)
 
 
+def _require_below(p: RadialProfile, point: np.ndarray, form: str) -> None:
+    """Refuse the first point of a closed family at or past its bound, or nan; ``form``
+    names the variable: "t", or rho as "rho" or "e^t"."""
+    rho_max = FAMILIES[p.family].rho_max
+    bound = math.log(rho_max) if form == "t" else rho_max
+    require(point < bound, OutOfDomain,
+            lambda i: f"{p.family} needs {form} < {bound:g}, got {point.flat[i]}")
+
+
 def _rule_jet(p: RadialProfile, point: np.ndarray, order: int) -> TaylorJet:
     """A custom rule's jets: one call per point (a rule takes a float), stacked."""
     if point.ndim == 0:
         return p.rule(float(point), order)
     return TaylorJet(np.stack([p.rule(u, order).coeffs for u in point.tolist()], axis=-1))
+
+
+def x_from_t(p: RadialProfile, t):
+    """The moment map x = F_t'(t) of a closed family at t, a float or an array, with no
+    jet: the floats of ``profile_jet(p, t, 1, "t").deriv().value``.  A t past the bound
+    is refused as there; so is a log-ball t whose e^t rounds to 1, where x would divide
+    by 1 - e^t = 0 (the jet route refuses it in its log)."""
+    if p.family not in FAMILIES:
+        raise PreconditionFailed("x_from_t evaluates the closed families' moment maps, "
+                                 "not a custom profile's")
+    t = np.asarray(t, dtype=float)
+    _require_below(p, t, "t")
+    e = np.asarray(elementwise(math.exp, t))
+    _require_below(p, e, "e^t")
+    return FAMILIES[p.family].x_from_t(p, e)
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:

@@ -167,12 +167,14 @@ def test_classify_branch_pass(capsys):
 
 
 def test_classify_passes_the_branch_near_the_zero_section(capsys):
-    # the grid reaches x = 1e-5, where the 1/x form of the fields deviated by
-    # 6.7e-8 and the command exited 1 with no branch
-    code, doc = run_json(capsys, "classify", "--family", "logball", "--A", "0.5",
-                         "--d", "1", "--d0", "2", "--lambda", "1", "--grid=-12.2:-1.1:16")
-    assert code == 0 and doc["summary"]["branch"] == "2.10"
-    assert doc["summary"]["max_deviation"] <= 1e-12
+    # the first grid reaches x = 1e-5, where the 1/x form of the fields
+    # deviated by 6.7e-8 and the command exited 1 with no branch; the second
+    # x = 1.02e-12, which the floor 1e-6 of every profile refused (exit 2)
+    for grid in ("-12.2:-1.1:16", "-28.3:-1.1:16"):
+        code, doc = run_json(capsys, "classify", "--family", "logball", "--A", "0.5",
+                             "--d", "1", "--d0", "2", "--lambda", "1", f"--grid={grid}")
+        assert code == 0 and doc["summary"]["branch"] == "2.10", grid
+        assert doc["summary"]["max_deviation"] <= 1e-12, grid
 
 
 def test_psi_both_methods(capsys):
@@ -670,6 +672,25 @@ def test_total_space_gram_oracle_reaches_q120(capsys):
     assert code == 0
     assert doc["summary"]["target"] == pytest.approx(4.0, rel=1e-14)
     assert doc["summary"]["max_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("q_cap", ["60", "200"])
+def test_a_gram_tail_that_does_not_decay_names_q_cap_and_the_node_count(capsys, q_cap):
+    # on a two-node rule the top fiber shells never decay, so raising q_cap
+    # alone cannot help; the refusal used to advise only that
+    code, doc = run_json(capsys, "oracle-hartogs", "--k", "2", "--m", "2", "--Q", q_cap,
+                         "--quad-nodes", "2")
+    assert code == 3 and doc["error"]["type"] == "TruncationInsufficient"
+    message = doc["error"]["message"]
+    assert "do not decay (ratio >= 1)" in message, message
+    assert f"at q_cap={q_cap} on 2 quadrature nodes" in message, message
+
+
+def test_a_finite_gram_tail_keeps_its_estimate_and_advice(capsys):
+    code, doc = run_json(capsys, "oracle-hartogs", "--k", "2", "--m", "3", "--Q", "60")
+    assert code == 3
+    assert doc["error"]["message"] == ("fiber-degree tail estimate 3.346e-03 above "
+                                       "1.0e-03; raise q_cap")
 
 
 def test_oracle_summaries_report_nodes_per_rule(capsys):

@@ -165,10 +165,13 @@ def test_report_matches_a_40_digit_referee_off_the_branches(name):
 @pytest.mark.parametrize("name", ["linear", "logaffine", "logball"])
 def test_closed_families_match_a_60_digit_referee_near_the_zero_section(name):
     # the 1/x form of the fields cancelled terms of order 1/x^2 here: at
-    # x = 2e-6 its a2 was off by 7.7e-5 and its lapk by 5.3e-4 of 1 + |value|
+    # x = 2e-6 its a2 was off by 7.7e-5 and its lapk by 5.3e-4 of 1 + |value|.
+    # The smallest x sits just above the closed families' floor 1e-12: t_from_x
+    # and the moment map round-trip to a few ulps of t (3e-15 of x at t = -28),
+    # which takes x = 1e-12 itself below the floor on some families.
     p, F, _ = _REFEREE_PROFILES[name]
     worst = 0.0
-    for x in (2e-6, 1e-4, 1e-2, 0.05):
+    for x in (1.001e-12, 1e-8, 2e-6, 1e-4, 1e-2, 0.05):
         t = t_from_x(p, x)
         xm, phi = mp_momentum(F, t, dps=60)
         for (d, d0), lam in itertools.product(itertools.product((1, 2), (1, 2, 3)),
@@ -184,12 +187,13 @@ def test_closed_families_match_a_60_digit_referee_near_the_zero_section(name):
 
 @pytest.mark.parametrize("d0", [1, 2, 3])
 def test_the_branch_is_constant_down_to_the_zero_section(d0):
-    # 16-point grids from x_lo to x = 1 on branch 2.10, on its required base;
-    # the 1/x form deviated by up to 1.2e-5 at d0 = 2 and called it not constant
+    # 16-point grids from x_lo to x = 1 on branch 2.10, on its required base,
+    # down to the closed families' floor 1e-12; the 1/x form deviated by up to
+    # 1.2e-5 at d0 = 2 and called it not constant
     p, lam = log_ball(0.5), 1.0
     base = BaseGeometry.from_coefficients(
         1, lam, *required_base_coefficients(p, 1, d0, lam, "ball"))
-    for x_lo in (1e-4, 1e-5, 2e-6):
+    for x_lo in (1e-4, 1e-5, 2e-6, 1e-8, 1e-12):
         grid = [t_from_x(p, x) for x in np.geomspace(x_lo, 1.0, 16)]
         verdict = classify_check(base, p, d0, "ball", grid)
         assert verdict.max_deviation <= 1e-12, (x_lo, verdict.max_deviation)
@@ -467,9 +471,9 @@ def test_pow_is_the_float_power_bit_for_bit(values, n):
 @pytest.mark.parametrize("d0", [1, 2, 3])
 def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     # each jet is carried only to the order its fields read, a closed family's
-    # phi, psi and mu are formed with none, and the d0 > 1 terms and the
-    # invariant stage take no jet operation
-    counts = {"mul": 0, "div": 0}
+    # x comes from its moment map and its phi, psi, mu and 1 + lam*x are formed
+    # with no jet operation, and the d0 > 1 terms and the invariant stage take none
+    counts = {"mul": 0, "div": 0, "exp": 0, "log": 0}
     mul, div = TaylorJet.__mul__, TaylorJet.__truediv__
 
     def counted_mul(self, other):
@@ -480,17 +484,36 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
         counts["div"] += 1
         return div(self, other)
 
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(TaylorJet, "__mul__", counted_mul)
     monkeypatch.setattr(TaylorJet, "__truediv__", counted_div)
-    p = log_ball(0.5)
-    base, grid = BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2), np.array(_tgrid(p, 1.0))
-    curvature_report(base, p, d0, grid)
-    # (1+lam x)^d, g = (1+lam x)^d phi and phi chi'; sigma, chi and psi/(1+lam x),
-    # at every d0, in the report and in the coefficient stage alone
-    assert counts == {"mul": d + 1, "div": 3}, counts
-    counts.update(mul=0, div=0)
-    curvature._evaluate(base, p, d0, grid, ("a1", "a2"))
-    assert counts == {"mul": d + 1, "div": 3}, counts
+    monkeypatch.setattr(jets, "exp", counted("exp", jets.exp))
+    monkeypatch.setattr(jets, "log", counted("log", jets.log))
+    base = BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2)
+    for p in (log_ball(0.5), linear(1.3), log_affine(-0.6, 1.0)):
+        grid = np.array(_tgrid(p, 1.0))
+        # (1+lam x)^d, g = (1+lam x)^d phi and phi chi'; sigma, chi and psi/(1+lam x),
+        # at every d0, in the report and in the coefficient stage alone
+        counts.update(mul=0, div=0)
+        curvature_report(base, p, d0, grid)
+        assert counts == {"mul": d + 1, "div": 3, "exp": 0, "log": 0}, (p.family, counts)
+        counts.update(mul=0, div=0)
+        curvature._evaluate(base, p, d0, grid, ("a1", "a2"))
+        assert counts == {"mul": d + 1, "div": 3, "exp": 0, "log": 0}, (p.family, counts)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, -1.0, -0.3, 1e-300, -7e15])
+def test_the_shift_jet_is_the_variable_forms_bit_for_bit(lam):
+    x = np.array([1e-12, 3e-7, 0.04, 0.3, 1.0, 2.5, 1e15, 5e307])
+    with np.errstate(over="ignore"):
+        want = (1.0 + lam * TaylorJet.variable(x, curvature.REPORT_ORDER)).coeffs
+        got = curvature._shift(lam, x).coeffs
+    assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("twist, p, bad", [

@@ -276,6 +276,20 @@ def test_pow_1_is_the_jet_and_pow_2_is_one_product(monkeypatch):
     assert _same_bits(square.coeffs, mul(a, a).coeffs)
 
 
+@pytest.mark.parametrize("value", [0.5, np.array([0.5, -0.0, 2.0])], ids=["scalar", "points"])
+def test_scalar_products_and_derivatives_are_immutable_and_keep_their_bits(value):
+    a = jets.exp(TaylorJet.variable(value, 6))
+    for jet, want in ((2.5 * a, a.coeffs * 2.5 + 0.0), (a * -1.0, a.coeffs * -1.0 + 0.0),
+                      (a.deriv(), np.arange(1.0, 7).reshape((-1,) + (1,) * (np.ndim(value)))
+                       * a.coeffs[1:])):
+        assert _same_bits(jet.coeffs, want)
+        assert not jet.coeffs.flags.writeable
+    # deriv's factors are formed once per (order, axes) and shared read-only
+    assert jets._deriv_factors(6, a.coeffs.ndim) is jets._deriv_factors(6, a.coeffs.ndim)
+    with pytest.raises(ValueError):
+        jets._deriv_factors(6, a.coeffs.ndim)[0] = 2.0
+
+
 def test_one_point_and_many_points_broadcast_as_the_recurrences_do():
     one = np.array([[2.0], [0.0], [-0.5], [0.0], [1.0]])
     many = np.array([[1.5, -2.0, 3.0], [0.0, 1.0, -0.0], [0.5, 0.0, 2.0],

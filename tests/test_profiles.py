@@ -9,8 +9,9 @@ from kqlab import jets
 from kqlab.curvature import _ddx
 from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (RadialProfile, custom, from_params, linear, log_affine,
-                            log_ball, profile_jet, t_from_x)
+from kqlab.profiles import (FAMILIES, RadialProfile, custom, from_params, linear, log_affine,
+                            log_ball, profile_jet, t_from_x, x_from_t)
+from test_jets import _same_bits
 
 
 def test_logball_jet_at_half():
@@ -100,9 +101,62 @@ def test_t_from_x_roundtrip(p, x):
 
 
 def test_custom_t_from_x_is_refused():
+    # and the moment map it inverts
     p = custom(lambda point, order: profile_jet(linear(1.0), point, order, "t"))
     with pytest.raises(PreconditionFailed, match="not a custom profile"):
         t_from_x(p, 0.5)
+    with pytest.raises(PreconditionFailed, match="not a custom profile"):
+        x_from_t(p, -0.5)
+
+
+# t near log-ball's bound 0 (e^t within 1e-15 of 1), near +-700, where e^t
+# is subnormal and where it is 0
+_MOMENT_MAP_TS = (-1e-15, -3e-13, -1e-9, -1e-4, -0.7, -3.0, -28.3, -700.0, -709.0,
+                  -740.0, -745.1, -746.0, -1000.0, -math.inf)
+_MOMENT_MAP_PROFILES = [(log_ball(0.5), ()), (log_ball(1.7), ()),
+                        (linear(1.3), (0.0, 2.5, 300.0, 700.0)),
+                        (log_affine(-0.6, 1.0), (0.0, 2.5, 300.0, 700.0)),
+                        (log_affine(0.4, 0.9), (0.0, 2.5, 300.0, 700.0))]
+
+
+@pytest.mark.parametrize("p, positive", _MOMENT_MAP_PROFILES,
+                         ids=["logball", "logball-1.7", "linear", "logaffine", "logaffine-A>0"])
+def test_the_moment_map_is_the_jet_routes_floats_bit_for_bit(p, positive):
+    # the jet route's signed zeros too: x is +0.0 where e^t is 0, on A > 0 as well
+    ts = np.array(_MOMENT_MAP_TS + positive)
+    want = profile_jet(p, ts, 1, "t").deriv().value
+    assert _same_bits(x_from_t(p, ts), want)
+    for t, x in zip(ts.tolist(), want.tolist()):
+        assert _same_bits(np.array([x_from_t(p, t)]), np.array([x]))
+
+
+@pytest.mark.parametrize("p, bad", [
+    (log_ball(0.5), 0.0), (log_ball(0.5), 1e-300), (log_ball(0.5), math.nan),
+    (log_ball(0.5), math.inf), (linear(1.3), math.inf), (linear(1.3), math.nan),
+    (log_affine(-0.6, 1.0), math.nan),
+], ids=["logball-0", "logball-tiny", "logball-nan", "logball-inf", "linear-inf",
+        "linear-nan", "logaffine-nan"])
+def test_the_moment_map_refuses_a_t_past_the_bound_as_the_jet_route_does(p, bad):
+    grid = np.array([-3.0, -1.0, bad, -2.0])
+    with pytest.raises(OutOfDomain) as jet_route:
+        profile_jet(p, grid, 1, "t")
+    with pytest.raises(OutOfDomain) as on_grid:
+        x_from_t(p, grid)
+    with pytest.raises(OutOfDomain) as at_point:
+        x_from_t(p, bad)
+    bound = math.log(FAMILIES[p.family].rho_max)
+    assert str(on_grid.value) == str(at_point.value) == str(jet_route.value)
+    assert str(at_point.value) == f"{p.family} needs t < {bound:g}, got {bad}"
+
+
+def test_the_moment_map_refuses_a_log_ball_t_whose_exponential_rounds_to_1():
+    # the jet route refuses it in its log; x = -e^t/(A(1 - e^t)) would divide by 0
+    p, t = log_ball(0.5), -1e-17
+    with pytest.raises(OutOfDomain) as on_grid:
+        x_from_t(p, np.array([-1.0, t]))
+    with pytest.raises(OutOfDomain) as at_point:
+        x_from_t(p, t)
+    assert str(on_grid.value) == str(at_point.value) == "logball needs e^t < 1, got 1.0"
 
 
 def test_scaled_profile_families():

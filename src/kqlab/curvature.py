@@ -10,16 +10,15 @@ mom(x) = F''(t) and its x-derivatives (' is d/dx = (1/mom) d/dt), through
 
     sigma = (w mom)'/w,  chi = d0(d0-1)/x - (w mom)''/w,  w = (1 + lam*x)^d x^(d0-1).
 
-Written in mu, where mom = x + x^2 mu(x) (the momentum-profile form of Hwang &
-Singer, Trans. AMS 354, 2002), every 1/x divides out, so one body serves every
-d0.  The fields are computed once, on jets in x: a closed family gives x from
-its moment map and mu = A exactly, with no exp or log jet, and no field cancels
-toward the zero section, so its floor CLOSED_X_MIN is 1e-12; a custom profile
-gives the x-jet of mom by the chain rule from its t-jet, and mu as
-(mom - x)/x^2, which does cancel there, so X_MIN = 1e-6 guards it.  A
-coefficient stage gives x, mom, sigma, chi, sigma', chi', scalar, a1 and a2,
-all that classification reads; an invariant stage then gives |Ric|^2, the
-Laplacian of scalar and |R|^2.
+Written in psi = mom/x = 1 + x mu (the momentum-profile form of Hwang & Singer,
+Trans. AMS 354, 2002) and s = psi' + d lam psi/(1 + lam*x), each field is one
+expression for every (d, d0), with no 1/x and no power of 1 + lam*x as a jet.  A
+closed family gives x from its moment map and mu = A exactly, so no field cancels
+toward the zero section and its floor CLOSED_X_MIN is 1e-12; a custom profile gives
+the x-jet of mom by the chain rule from its t-jet, and mu = (mom - x)/x^2, which does
+cancel there, so X_MIN = 1e-6 guards it.  A coefficient stage gives x, mom, sigma,
+chi, sigma', chi', scalar, a1 and a2, all that classification reads; an invariant
+stage then gives |Ric|^2, the Laplacian of scalar and |R|^2.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
 from .jets import TaylorJet, elementwise, require
-from .profiles import FAMILIES, RadialProfile, profile_jet, x_from_t
+from .profiles import FAMILIES, RadialProfile, profile_jet, t_from_x, x_from_t
 from .special import product_shifted
 
 X_MIN = 1e-6  # a custom profile's fiber evaluation floor, where its mu cancels
@@ -195,24 +194,27 @@ def _pow(a: np.ndarray, n: int) -> np.ndarray:
 
 def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
     """x-derivative d/dx = (1/phi) d/dt on jets in t."""
-    du = u.deriv()
-    return du / phi.truncated(du.order)
+    return u.deriv() / phi.truncated(u.order - 1)
 
 
 def _momentum_jet(p: RadialProfile,
                   ts: np.ndarray) -> tuple[np.ndarray, TaylorJet, TaylorJet, TaylorJet]:
-    """x = F'(t) and the x-jets, to the orders the fields read (4, 3, 2), of the momentum
+    """x = F'(t) and the x-jets, to the orders the fields read (4, 4, 2), of the momentum
     profile phi(x) = F''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu.  For a
-    closed family, x is its moment map and the jets are exactly x + A x^2, 1 + A x and A,
-    so no jet is formed; for a custom profile, x and phi come by the chain rule on its
-    t-jet, and psi, mu as quotients by x, where mu cancels toward x = 0."""
+    closed family, x is its moment map, the jets are exactly x + A x^2, 1 + A x and A,
+    and the floor is the t that the map takes to CLOSED_X_MIN; for a custom profile, x and
+    phi come by the chain rule on its t-jet, and psi, mu as quotients by x."""
     custom = p.family not in FAMILIES
     if custom:
         xj = profile_jet(p, ts, CUSTOM_T_ORDER, "t").deriv()      # F'
-        x, floor = xj.value, X_MIN
+        x, floor, above = xj.value, X_MIN, xj.value >= X_MIN
     else:
         x, floor = x_from_t(p, ts), CLOSED_X_MIN
-    require(x >= floor, OutOfDomain,
+        try:                # every t from the one the moment map takes to the floor on
+            above = ts >= t_from_x(p, floor)
+        except OutOfDomain:     # the family's whole range lies below the floor
+            above = np.zeros(ts.shape, bool)
+    require(above, OutOfDomain,
             lambda i: f"x = {x[i]} below the evaluation floor {floor} at t={ts[i]}")
     u = phit = xj.deriv() if custom else None                                # F''
     mom = phit.value if custom else x + p.A * x * x
@@ -224,13 +226,13 @@ def _momentum_jet(p: RadialProfile,
         for k in range(1, REPORT_ORDER + 1):
             u = _ddx(u, phit)
             coeffs[k] = u.value / math.factorial(k)
-        phij, y = TaylorJet(coeffs), TaylorJet.variable(x, REPORT_ORDER - 1)
-        psij = phij.truncated(REPORT_ORDER - 1) / y
+        phij, y = TaylorJet(coeffs), TaylorJet.variable(x, REPORT_ORDER)
+        psij = phij / y
         return x, phij, psij, (psij.truncated(2) - 1.0) / y.truncated(2)
     coeffs[1], coeffs[2] = 1.0 + 2.0 * p.A * x, p.A
-    psi = np.zeros((REPORT_ORDER, ts.size))
+    psi = np.zeros((REPORT_ORDER + 1, ts.size))
     psi[0], psi[1] = 1.0 + p.A * x, p.A
-    return x, TaylorJet(coeffs), TaylorJet(psi), TaylorJet(psi[1:])      # mu = A
+    return x, TaylorJet(coeffs), TaylorJet(psi), TaylorJet(psi[1:4])    # mu = A, to order 2
 
 
 def _shift(lam: float, x: np.ndarray) -> TaylorJet:
@@ -241,13 +243,18 @@ def _shift(lam: float, x: np.ndarray) -> TaylorJet:
     return TaylorJet(coeffs)
 
 
+def _times_x(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The coefficients x u_k + u_(k-1) of x*u, for the coefficient array u of an x-jet."""
+    return x * u + np.concatenate((np.zeros((1, x.size)), u[:-1]))
+
+
 def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
-    """The report's fields on the grid ts by name, on jets in x (d/dx is ``deriv``):
-    one dict from the coefficient stage, then one from the invariant stage, which forms
-    no jet.  With S = 1 + lam*x, P = S^d psi and g = S^d phi = x P, a field is its d0 = 1
-    form plus (d0 - 1) times terms in mu, psi, psi' and s = P'/S^d = psi' + d lam psi/S:
-    sigma = g'/S^d + (d0 - 1) psi, chi = -g''/S^d - (d0 - 1)(d0 mu + 2 s), and
-    r = (sigma - d0)/x = d0 mu + s.  No field divides by x."""
+    """The report's fields on the grid ts by name, on jets in x (d/dx is ``deriv``): one
+    dict from the coefficient stage, then one from the invariant stage, which forms no jet.
+    With S = 1 + lam*x and s = (S^d psi)'/S^d = psi' + d lam psi/S: sigma = d0 psi + x s,
+    r = (sigma - d0)/x = d0 mu + s and chi = -2 d0 s - x ds - d0 (d0 - 1) mu, where
+    ds = (S^d s)'/S^d = s' + d lam s/S.  Products by x and sums are formed on coefficient
+    arrays, so the jet operations are psi/S, s/S and phi chi' at every (d, d0)."""
     if d0 < 1:
         raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
@@ -258,20 +265,16 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     require(shift.value > 0, OutOfDomain,
             lambda i: f"1 + twist*x = {shift.value[i]} not positive at t={ts[i]}")
 
-    # each jet is formed only to the order its fields read, so no field moves
-    sd = shift ** d
-    gx = (sd * phij).deriv()
-    gxx = gx.deriv()
-    sigma_j = gx.truncated(1) / sd.truncated(1)                 # sigma at d0 = 1
-    q_j = psij.truncated(gxx.order) / shift.truncated(gxx.order)      # psi/S
-    s = psij.deriv().coeffs + (d * lam) * q_j.coeffs    # P'/S^d, on coefficient arrays
-    chi_j = TaylorJet(-(gxx / sd.truncated(gxx.order)).coeffs
-                      - (d0 - 1) * (d0 * muj.coeffs + 2.0 * s))
+    # each jet is formed only to the order its fields read
+    q_j = psij.truncated(3) / shift.truncated(3)                        # psi/S
+    s_j = TaylorJet(psij.deriv().coeffs + (d * lam) * q_j.coeffs)      # s, to order 3
+    s = s_j.coeffs
+    ds = s_j.deriv().coeffs + (d * lam) * (s_j.truncated(2) / shift.truncated(2)).coeffs
+    chi_j = TaylorJet(-2.0 * d0 * s[:3] - _times_x(x, ds) - d0 * (d0 - 1) * muj.coeffs)
+    sigma, sigma_p = d0 * psij.coeffs[:2] + _times_x(x, s[:2])
 
     psi, psi_p, mu, q = psij.value, psij.derivative(1), muj.value, q_j.value
     r = d0 * mu + s[0]
-    sigma = sigma_j.value + (d0 - 1) * psi
-    sigma_p = sigma_j.derivative(1) + (d0 - 1) * psi_p
     chi_pj = chi_j.deriv()
     chi, chi_p = chi_j.value, chi_pj.value
 
@@ -281,12 +284,11 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     div_wphichi = (phichi.derivative(1) + (d * lam / sv) * phichi.value
                    + (d0 - 1) * psi * chi_p)
     phi_over_shift_p = q + x * q_j.derivative(1)       # (phi/S)' = (x psi/S)'
-    phi_xx = phij.derivative(2)
 
     # each power formed once, by math.pow in _pow, and the (d0 - 1) terms' by products
     sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
     sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
-    phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phi_xx, 2)
+    phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phij.derivative(2), 2)
     r2 = r * r
     fiber = d * lam ** 2 * q * q + psi_p * psi_p + 0.5 * d0 * mu * mu   # riem2's (d0 - 1) term/4
 
@@ -475,9 +477,7 @@ def _classify(base: BaseGeometry, p: RadialProfile, d0: int, domain: str,
     dev = max(a1_dev, a2_dev)
     constant = dev <= tol
 
-    matched = None
-    ricci_constant = None
-    ricci_check = None
+    matched = ricci_constant = ricci_check = None
     row = _branch(p, base.d, base.twist, domain)
     if constant and row is not None:
         name, a_eff = row

@@ -909,13 +909,15 @@ def test_fields_past_the_float_range_are_out_of_domain(capsys, argv, t):
 
 
 def test_a_jet_product_past_the_float_range_is_out_of_domain(capsys):
-    # (1+lam x)^5 phi grows as x^6 at d = 5, d0 = 1; numpy warned at the first
-    # point and the command exited 0
-    code, doc = run_json(capsys, "coeffs", "--family", "linear", "--c", "1", "--d", "5",
-                         "--d0", "1", "--lambda", "1", "--domain", "fullspace",
-                         "--base", "flat", "--grid=120:140:3")
+    # (1+lam x)^5 phi grew as x^6 at d = 5, d0 = 1 and was refused from t = 119
+    # on; the fields' own (1 + x)^4 leaves the float range from t = 177.4 on
+    model = ("coeffs", "--family", "linear", "--c", "1", "--d", "5", "--d0", "1",
+             "--lambda", "1", "--domain", "fullspace", "--base", "flat")
+    code, doc = run_json(capsys, *model, "--grid=100:170:8")
+    assert code == 0 and len(doc["rows"]) == 8
+    code, doc = run_json(capsys, *model, "--grid=170:190:3")
     assert code == 2 and doc["error"] == {
-        "type": "OutOfDomain", "message": "curvature fields leave the float range at t=120.0"}
+        "type": "OutOfDomain", "message": "curvature fields leave the float range at t=180.0"}
 
 
 @pytest.mark.parametrize("path, value, field", [

@@ -166,15 +166,14 @@ def test_report_matches_a_40_digit_referee_off_the_branches(name):
 def test_closed_families_match_a_60_digit_referee_near_the_zero_section(name):
     # the 1/x form of the fields cancelled terms of order 1/x^2 here: at
     # x = 2e-6 its a2 was off by 7.7e-5 and its lapk by 5.3e-4 of 1 + |value|.
-    # The smallest x sits just above the closed families' floor 1e-12: t_from_x
-    # and the moment map round-trip to a few ulps of t (3e-15 of x at t = -28),
-    # which takes x = 1e-12 itself below the floor on some families.
+    # The smallest x is the closed families' floor 1e-12 itself: its t is
+    # evaluated, though the moment map rounds x a few ulps below 1e-12 there.
     p, F, _ = _REFEREE_PROFILES[name]
     worst = 0.0
-    for x in (1.001e-12, 1e-8, 2e-6, 1e-4, 1e-2, 0.05):
+    for x in (1e-12, 1e-8, 2e-6, 1e-4, 1e-2, 0.05):
         t = t_from_x(p, x)
         xm, phi = mp_momentum(F, t, dps=60)
-        for (d, d0), lam in itertools.product(itertools.product((1, 2), (1, 2, 3)),
+        for (d, d0), lam in itertools.product(itertools.product((1, 2, 3), (1, 2, 3)),
                                               (1.0, -0.5)):
             base = BaseGeometry.from_coefficients(d, lam, a1=0.45, a2=-0.2)
             report = curvature_report(base, p, d0, t)
@@ -183,6 +182,48 @@ def test_closed_families_match_a_60_digit_referee_near_the_zero_section(name):
                 value = float(ref[field])
                 worst = max(worst, abs(getattr(report, field) - value) / (1 + abs(value)))
     assert worst <= 1e-13, worst
+
+
+def test_a_custom_profile_matches_a_60_digit_referee_by_plain_gaps():
+    # the test above, unscaled, for the custom route at t = -7 (x = 1.1e-3): its
+    # mu = (mom - x)/x^2 cancels, and a2 is off by 6.5e-10, lapk by 1.8e-9 of
+    # 1 + |value|, which the min(1, x)^2 scaling of the 40-digit test hides
+    p, F, _ = _REFEREE_PROFILES["custom"]
+    xm, phi = mp_momentum(F, -7.0, dps=60)
+    worst = 0.0
+    for (d, d0), lam in itertools.product(itertools.product((1, 2), (1, 2, 3)),
+                                          (0.5, 1.0, 2.0, -1.0)):
+        base = BaseGeometry.from_coefficients(d, lam, a1=0.45, a2=-0.2)
+        report = curvature_report(base, p, d0, -7.0)
+        ref = mp_report(xm, phi, base, d0, dps=60)
+        for field in ("a1", "a2", "scalar", "ric2", "lapk", "riem2"):
+            value = float(ref[field])
+            worst = max(worst, abs(getattr(report, field) - value) / (1 + abs(value)))
+    assert worst <= 2.5e-9, worst
+
+
+@pytest.mark.parametrize("p", [linear(1.3), log_affine(-0.6, 1.0), log_ball(1.0),
+                               log_ball(0.5)], ids=["linear", "logaffine", "logball-1", "logball-0.5"])
+def test_every_t_from_the_floors_t_on_is_evaluated(p):
+    # the moment map takes t_from_x(p, 1e-12) to a few ulps below 1e-12 on the
+    # first three, which a floor on the rounded x refused; one ulp lower in t
+    # is still refused, by the same words
+    base = BaseGeometry.from_coefficients(1, 1.0, a1=0.45, a2=-0.2)
+    t = t_from_x(p, curvature.CLOSED_X_MIN)
+    for at in (t, np.array([t, -1.0])):
+        assert np.isfinite(curvature_report(base, p, 2, at).a2).all()
+    below = float(np.nextafter(t, -math.inf))
+    with pytest.raises(OutOfDomain, match=f"below the evaluation floor 1e-12 at t={below}$"):
+        curvature_report(base, p, 2, below)
+
+
+@pytest.mark.parametrize("p", [log_affine(-1e13, 1.0), log_affine(0.5, 1.0)],
+                         ids=["range-below-the-floor", "negative-x"])
+def test_a_family_whose_range_lies_below_the_floor_is_refused(p):
+    base = BaseGeometry.from_coefficients(1, 1.0, a1=0.45, a2=-0.2)
+    for t in (-1.0, np.array([-1.0, 0.0])):
+        with pytest.raises(OutOfDomain, match="below the evaluation floor 1e-12 at t=-1.0$"):
+            curvature_report(base, p, 2, t)
 
 
 @pytest.mark.parametrize("d0", [1, 2, 3])
@@ -467,12 +508,13 @@ def test_pow_is_the_float_power_bit_for_bit(values, n):
     assert _same_bits(_pow(a, n), expected)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("d0", [1, 2, 3])
 def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     # each jet is carried only to the order its fields read, a closed family's
     # x comes from its moment map and its phi, psi, mu and 1 + lam*x are formed
-    # with no jet operation, and the d0 > 1 terms and the invariant stage take none
+    # with no jet operation, products by x and sums are formed on coefficient
+    # arrays, and the invariant stage takes no jet operation
     counts = {"mul": 0, "div": 0, "exp": 0, "log": 0}
     mul, div = TaylorJet.__mul__, TaylorJet.__truediv__
 
@@ -497,14 +539,14 @@ def test_a_report_forms_few_jet_products_and_quotients(monkeypatch, d, d0):
     base = BaseGeometry.from_coefficients(d, 1.0, a1=0.3, a2=-0.2)
     for p in (log_ball(0.5), linear(1.3), log_affine(-0.6, 1.0)):
         grid = np.array(_tgrid(p, 1.0))
-        # (1+lam x)^d, g = (1+lam x)^d phi and phi chi'; sigma, chi and psi/(1+lam x),
-        # at every d0, in the report and in the coefficient stage alone
+        # phi chi', and psi/(1+lam x) and s/(1+lam x), at every (d, d0), in the
+        # report and in the coefficient stage alone
         counts.update(mul=0, div=0)
         curvature_report(base, p, d0, grid)
-        assert counts == {"mul": d + 1, "div": 3, "exp": 0, "log": 0}, (p.family, counts)
+        assert counts == {"mul": 1, "div": 2, "exp": 0, "log": 0}, (p.family, counts)
         counts.update(mul=0, div=0)
         curvature._evaluate(base, p, d0, grid, ("a1", "a2"))
-        assert counts == {"mul": d + 1, "div": 3, "exp": 0, "log": 0}, (p.family, counts)
+        assert counts == {"mul": 1, "div": 2, "exp": 0, "log": 0}, (p.family, counts)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, -1.0, -0.3, 1e-300, -7e15])
@@ -574,13 +616,22 @@ def test_fields_past_the_float_range_are_out_of_domain():
 
 
 def test_a_jet_product_past_the_float_range_is_out_of_domain():
-    # at d = 5, d0 = 1 the product (1+lam x)^5 phi grows as x^6 and leaves the
-    # float range inside a jet product from t = 119 on, where numpy warned and
-    # went on with inf; d = d0 = 3, which the 1/x form refused there, is finite
+    # at d = 5, d0 = 1 the product (1+lam x)^5 phi grew as x^6 and left the float
+    # range from t = 119 on, though no field did; the fields hold no power of
+    # 1 + lam*x above the fourth, which leaves it from t = 177.4 on, at every d
     p, base = linear(1.0), BaseGeometry.flat(5, 1.0)
-    assert math.isfinite(curvature_report(base, p, 1, 118.0).a1)
-    assert math.isfinite(curvature_report(BaseGeometry.flat(3, 1.0), p, 3, 120.0).riem2)
+    assert np.isfinite(curvature_report(base, p, 1, np.linspace(100.0, 170.0, 8)).a2).all()
+    assert math.isfinite(curvature_report(BaseGeometry.flat(3, 1.0), p, 3, 170.0).riem2)
     for run in (lambda t: curvature_report(base, p, 1, t),
                 lambda t: classify_check(base, p, 1, "fullspace", t)):
-        with pytest.raises(OutOfDomain, match="float range at t=119.0$"):
-            run(np.linspace(100.0, 140.0, 41))
+        with pytest.raises(OutOfDomain, match="float range at t=180.0$"):
+            run(np.linspace(100.0, 190.0, 10))
+
+
+def test_the_fields_leave_the_float_range_at_one_t_for_every_base_dimension():
+    # (1+lam x)^d phi left it first, from t = 102 on at d = 6
+    p = linear(1.0)
+    assert math.isfinite(curvature_report(BaseGeometry.flat(6, 1.0), p, 1, 110.0).riem2)
+    for d in range(1, 7):
+        with pytest.raises(OutOfDomain, match="float range at t=178.0$"):
+            curvature_report(BaseGeometry.flat(d, 1.0), p, 1, np.linspace(170.0, 180.0, 11))

@@ -30,10 +30,10 @@ closed forms.  A single moment gets its own rule; a series or a moment table
 shares one rule, and one sweep of the density over its nodes, among each
 aligned block of min(64, nodes) consecutive fiber degrees: an N-node rule
 (``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps each
-block moment as exact as a rule of its own.  Any other setup (a custom
-profile, or a family off its model's domain) uses adaptive quadrature one
-moment at a time.  A moment that is not finite and positive raises
-QuadratureNonConvergent when it is asked for.
+block moment as exact as a rule of its own, and the sweep is numpy's logs and
+exp past the profile jet.  Any other setup (a custom profile, or a family off
+its model's domain) uses adaptive quadrature one moment at a time.  A moment
+that is not finite and positive raises QuadratureNonConvergent when asked for.
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ def _log_density_H(s: QuantizationSetup, u):
     shift = 1.0 + s.twist * u * Fp
     require((Fp > 0) & (radial > 0) & (shift > 0), OutOfDomain,
             lambda i: f"density factors not positive at u={np.ravel(u)[i]}")
-    return (-s.alpha * F + (s.d0 - 1) * elementwise(math.log, Fp)
-            + elementwise(math.log, radial) + s.d * elementwise(math.log, shift))
+    return -s.alpha * F + (s.d0 - 1) * np.log(Fp) + np.log(radial) + s.d * np.log(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def _ball_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarra
     aexp = s.alpha / s.profile.A - s.n - 1
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     u = 0.5 * (xs + 1.0)
-    return ws, u, aexp * elementwise(math.log1p, -u), u ** j, 2.0 ** (-(aexp + b0 + 1))
+    return ws, u, aexp * np.log1p(-u), u ** j, 2.0 ** (-(aexp + b0 + 1))
 
 
 def _linear_ratio(s: QuantizationSetup, k: int) -> float:
@@ -214,7 +213,7 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
     xs, ws = gauss_rule(roots_jacobi, nodes, aexp, b0)
     v = 0.5 * (xs + 1.0)
     u = v / (c * (1.0 - v))
-    return (ws, u, (aexp + k1 + s.d0 + 1) * elementwise(math.log1p, -v),
+    return (ws, u, (aexp + k1 + s.d0 + 1) * np.log1p(-v),
             v ** j * (1.0 - v) ** (k1 - k0 - j),
             elementwise(partial(_power, c), -(k0 + s.d0 + j[:, 0])) * 2.0 ** (-(aexp + b0 + 1)))
 
@@ -260,21 +259,26 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
-    moment.  The values are unchecked, so that a moment never asked for
-    refuses nothing; each is refused when it is handed out.
+    moment.  g comes from numpy's exp and log, not rounded as a lone point.  The
+    values are unchecked, so that a moment never asked for refuses nothing: a g
+    past the float range gives inf, refused when its moment is handed out.
     """
     j = np.arange(k1 - k0 + 1)[:, None]
     ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
         s, k0, k1, nodes, j)
-    g = elementwise(math.exp, _log_density_H(s, u) - log_weight)
-    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
-    # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
-    # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
-    rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
-    if rising[-1] >= 2.0 ** 53:
-        rising = np.array([float(math.prod(range(k + 1, k + s.d0))) for k in range(k0, k1 + 1)])
+    log_g = _log_density_H(s, u) - log_weight
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
-        return scales * ((leftover * g) @ ws) / rising
+        psi = scales * ((leftover * np.exp(log_g)) @ ws)
+    if s.d0 > 1:
+        # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
+        # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
+        # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
+        rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
+        if rising[-1] >= 2.0 ** 53:
+            rising = np.array([float(math.prod(range(k + 1, k + s.d0)))
+                               for k in range(k0, k1 + 1)])
+        psi /= rising
+    return psi
 
 
 def _psi_adaptive(s: QuantizationSetup, k: int) -> float:

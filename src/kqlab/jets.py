@@ -33,7 +33,8 @@ DEFAULT_ORDER = 8
 
 def elementwise(fn, a):
     """``fn`` of the ``math`` module at each element of ``a`` (a float for a
-    scalar); numpy's own ufuncs may round differently in the last bit."""
+    scalar), so that jets and curvature reports round an array as each point
+    alone; numpy's ufuncs may differ in the last bit, and moment blocks use them."""
     if np.ndim(a) == 0:
         return fn(a)
     return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)

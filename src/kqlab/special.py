@@ -43,8 +43,8 @@ def product_shifted(level: float, shift: float, n: int) -> float:
 # mu0 is kept as a mantissa and a power of two, and the recurrence is rescaled
 # by powers of two as it grows, so that weights past the float range come out
 # inf or 0 rather than NaN, and no rescale rounds.  Rules are memoised per
-# exact (nodes, a, b) as read-only arrays; the bound holds the 53-55 distinct
-# rules that one pass of a balanced sweep or of an oracle cross-check asks for.
+# exact (nodes, a, b) as read-only arrays; the bound holds the distinct rules of
+# one pass of a balanced sweep (61-62) or of an oracle cross-check (39).
 _RULE_MEMO = 256
 _RESCALE_ABOVE = 2.0 ** 600     # checked every 4 steps: room for 2^52 growth a step
 _EXACT_SHIFTS = 2 ** 10         # Beta arguments shifted by exact products below this

@@ -496,6 +496,18 @@ def test_an_adaptive_moment_past_the_float_range_exits_nonconvergent(capsys):
     assert doc["error"]["message"].startswith("fiber density H(alpha, u) leaves the float range")
 
 
+def test_a_block_density_past_the_float_range_exits_nonconvergent(capsys):
+    # g = H/weight of the log-ball block is about A^-2 = 1e320 at every node: the
+    # moment is inf and refused, where the block's exp raised OverflowError (exit 1)
+    code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "1e-160", "--d", "1",
+                         "--d0", "1", "--lambda", "1", "--alpha", "1e-158",
+                         "--method", "quadrature", "--table-k", "2")
+    assert code == 3
+    assert doc["error"] == {"type": "QuadratureNonConvergent", "message":
+                            "fiber moment psi(alpha, 0) = inf from a 64-node Gauss rule "
+                            "is not finite and positive"}
+
+
 @pytest.mark.parametrize("grid", ["0:40:5", "0:60:3", "0:200:9"])
 def test_closed_total_space_series_at_large_radii(capsys, grid):
     # the terms are normalised at the largest radius, so no rho ** k is formed

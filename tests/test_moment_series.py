@@ -6,11 +6,12 @@ in its terms, its sums, the table's counts and every refusal.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from kqlab import bergman, jets
+from kqlab import bergman
 from kqlab.bergman import (MomentTable, QuantizationSetup, balanced_setup, bergman_series,
                            generating_coefficients)
 from kqlab.curvature import BaseGeometry, BergmanLaw
@@ -155,9 +156,9 @@ def test_block_gamma_factors_are_the_integer_products_bit_for_bit(d0, k0):
     j = np.arange(64)[:, None]
     ws, u, log_weight, leftover, scales = bergman._MODELS["ball", "logball"].gauss(
         s, k0, k1, 64, j)
-    g = jets.elementwise(math.exp, bergman._log_density_H(s, u) - log_weight)
+    log_g = bergman._log_density_H(s, u) - log_weight
     with np.errstate(over="ignore", invalid="ignore"):
-        integrals = ((leftover * g) @ ws).tolist()
+        integrals = ((leftover * np.exp(log_g)) @ ws).tolist()
     want = [scales * integral / math.prod(range(k + 1, k + d0))
             for k, integral in zip(range(k0, k1 + 1), integrals)]
     assert bergman._psi_quadrature_block(s, k0, k1, 64).tolist() == want
@@ -185,3 +186,50 @@ def test_a_power_law_past_the_float_range_is_inf_on_an_array():
     law = _LAWS["power"]
     assert law(1e160) == math.inf
     assert law(np.array([2.0, 1e160])).tolist() == [4.0, math.inf]
+
+
+# at A = 1e-160 the smooth part g = H/weight of the density is about A^-2 at every
+# node, so the block gives psi(alpha, 0) = inf
+_DENSITY_PAST_FLOATS = QuantizationSetup(
+    1, "ball", log_ball(1e-160),
+    BaseGeometry.from_coefficients(1, 1.0, 0.5, 0.0, eps=BergmanLaw(-0.5)), 1e-158)
+
+
+def _inf_moment(k):
+    return (f"^fiber moment psi\\(alpha, {k}\\) = inf from a 64-node Gauss rule "
+            "is not finite and positive$")
+
+
+def test_a_block_density_past_the_float_range_is_refused():
+    # the block's exp raised a bare OverflowError here
+    with pytest.raises(QuadratureNonConvergent, match=_inf_moment(0)):
+        bergman_series(_DENSITY_PAST_FLOATS, [0.0, 0.5], "quadrature")
+
+
+_SCALE_PAST_FLOATS = QuantizationSetup(
+    1, "fullspace", linear(1e-3), BaseGeometry.from_coefficients(1, 1.0, 0.0, 0.0), 1.0)
+
+
+def _table_to(s, k):
+    table = MomentTable(s, "quadrature")
+    return [table(j) for j in range(k + 1)]
+
+
+# each block refusal: the call, and the message of its QuadratureNonConvergent
+_BLOCK_REFUSALS = {
+    "density-past-the-float-range": (lambda: _table_to(_DENSITY_PAST_FLOATS, 0), _inf_moment(0)),
+    "scale-past-the-float-range": (lambda: _table_to(_SCALE_PAST_FLOATS, 70), _inf_moment(70)),
+    "total-refused-at-rho-30": (
+        lambda: bergman_series(_TOTAL, [0.0, 30.0], "quadrature"), _inf_moment(170)),
+    "ball-jacobi-weights-refused": (
+        lambda: bergman_series(_BALL, [0.0, 0.96], "quadrature"),
+        "^64-node Gauss rule with weight exponents \\(2.0, 1089\\) is not finite$"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BLOCK_REFUSALS.values(), ids=_BLOCK_REFUSALS.keys())
+def test_a_block_refusal_raises_no_floating_point_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonConvergent, match=message):
+            call()

@@ -267,18 +267,14 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
         s, k0, k1, nodes, j)
     log_g = _log_density_H(s, u) - log_weight
+    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
+    # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
+    # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
+    rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
+    if rising[-1] >= 2.0 ** 53:
+        rising = np.array([float(math.prod(range(k + 1, k + s.d0))) for k in range(k0, k1 + 1)])
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
-        psi = scales * ((leftover * np.exp(log_g)) @ ws)
-    if s.d0 > 1:
-        # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
-        # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
-        # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
-        rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
-        if rising[-1] >= 2.0 ** 53:
-            rising = np.array([float(math.prod(range(k + 1, k + s.d0)))
-                               for k in range(k0, k1 + 1)])
-        psi /= rising
-    return psi
+        return scales * ((leftover * np.exp(log_g)) @ ws) / rising
 
 
 def _psi_adaptive(s: QuantizationSetup, k: int) -> float:

@@ -34,7 +34,8 @@ DEFAULT_ORDER = 8
 def elementwise(fn, a):
     """``fn`` of the ``math`` module at each element of ``a`` (a float for a
     scalar), so that jets and curvature reports round an array as each point
-    alone; numpy's ufuncs may differ in the last bit, and moment blocks use them."""
+    alone; numpy's ufuncs may differ in the last bit, and the fiber density's
+    logs (every route) and a moment block's exp use them."""
     if np.ndim(a) == 0:
         return fn(a)
     return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)

@@ -498,7 +498,7 @@ def test_an_adaptive_moment_past_the_float_range_exits_nonconvergent(capsys):
 
 def test_a_block_density_past_the_float_range_exits_nonconvergent(capsys):
     # g = H/weight of the log-ball block is about A^-2 = 1e320 at every node: the
-    # moment is inf and refused, where the block's exp raised OverflowError (exit 1)
+    # moment is inf and refused
     code, doc = run_json(capsys, "psi", "--family", "logball", "--A", "1e-160", "--d", "1",
                          "--d0", "1", "--lambda", "1", "--alpha", "1e-158",
                          "--method", "quadrature", "--table-k", "2")

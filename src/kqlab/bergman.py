@@ -30,9 +30,9 @@ closed forms.  A single moment gets its own rule; a series or a moment table
 shares one rule, and one sweep of the density over its nodes, among each
 aligned block of min(64, nodes) consecutive fiber degrees: an N-node rule
 (``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps each
-block moment as exact as a rule of its own, and the sweep is numpy's logs and
-exp past the profile jet.  Any other setup (a custom profile, or a family off
-its model's domain) uses adaptive quadrature one moment at a time.  A moment
+block moment as exact as a rule of its own; on every route the density is numpy's
+logs and exp past the profile jet.  Any other setup (a custom profile, or a family
+off its model's domain) uses adaptive quadrature one moment at a time.  A moment
 that is not finite and positive raises QuadratureNonConvergent when asked for.
 """
 
@@ -40,18 +40,17 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial, reduce
+from functools import reduce
 from operator import truediv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import (BaseGeometry, BergmanLaw, _branch, _close, _power, _spread,
-                        on_required_base)
+from .curvature import BaseGeometry, BergmanLaw, _branch, _close, _spread, on_required_base
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
-from .jets import elementwise, require
+from .jets import require
 from .profiles import RadialProfile, linear, log_ball, profile_jet
 # roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
 # block rule, so that a caller can wrap them to count the rules asked for (each
@@ -124,11 +123,11 @@ class QuantizationSetup:
 def density_H(s: QuantizationSetup, u):
     """Fiber density H(alpha, u) at a float or an array of u, refused past the float range."""
     log_h = _log_density_H(s, u)
-    try:
-        return elementwise(math.exp, log_h)
-    except OverflowError:
-        raise QuadratureNonConvergent(f"fiber density H(alpha, u) leaves the float range at "
-                                      f"u={np.ravel(u)[np.argmax(log_h)]}") from None
+    with np.errstate(over="ignore"):    # refused below
+        h = np.exp(log_h)
+    require(np.isfinite(h), QuadratureNonConvergent,
+            lambda i: f"fiber density H(alpha, u) leaves the float range at u={np.ravel(u)[i]}")
+    return h
 
 
 def _log_density_H(s: QuantizationSetup, u):
@@ -203,8 +202,7 @@ def _linear_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndar
     xs, ws = gauss_rule(roots_genlaguerre, nodes, k0 + s.d0 - 1)
     scale = s.alpha * s.profile.c
     u = xs / scale
-    return (ws, u, -s.alpha * s.profile.c * u, xs ** j,
-            elementwise(partial(_power, scale), -(k0 + s.d0 + j[:, 0])))
+    return ws, u, -s.alpha * s.profile.c * u, xs ** j, np.power(scale, -(k0 + s.d0 + j[:, 0]))
 
 
 def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.ndarray):
@@ -215,7 +213,7 @@ def _log_affine_gauss(s: QuantizationSetup, k0: int, k1: int, nodes: int, j: np.
     u = v / (c * (1.0 - v))
     return (ws, u, (aexp + k1 + s.d0 + 1) * np.log1p(-v),
             v ** j * (1.0 - v) ** (k1 - k0 - j),
-            elementwise(partial(_power, c), -(k0 + s.d0 + j[:, 0])) * 2.0 ** (-(aexp + b0 + 1)))
+            np.power(c, -(k0 + s.d0 + j[:, 0])) * 2.0 ** (-(aexp + b0 + 1)))
 
 
 # One record per family states what differs by family: psi(k)/psi(k+1), closed
@@ -259,14 +257,11 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
-    moment.  g comes from numpy's exp and log, not rounded as a lone point.  The
-    values are unchecked, so that a moment never asked for refuses nothing: a g
+    moment.  g comes from numpy's exp and log, as density_H does.  The values are
+    unchecked, so that a moment never asked for refuses nothing: a g or a scale
     past the float range gives inf, refused when its moment is handed out.
     """
     j = np.arange(k1 - k0 + 1)[:, None]
-    ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
-        s, k0, k1, nodes, j)
-    log_g = _log_density_H(s, u) - log_weight
     # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
     # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
     # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
@@ -274,6 +269,9 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     if rising[-1] >= 2.0 ** 53:
         rising = np.array([float(math.prod(range(k + 1, k + s.d0))) for k in range(k0, k1 + 1)])
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
+        ws, u, log_weight, leftover, scales = _MODELS[s.domain, s.profile.family].gauss(
+            s, k0, k1, nodes, j)
+        log_g = _log_density_H(s, u) - log_weight
         return scales * ((leftover * np.exp(log_g)) @ ws) / rising
 
 
@@ -468,7 +466,8 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
-    law = eps if isinstance(eps, BergmanLaw) else partial(elementwise, eps)
+    law = eps if isinstance(eps, BergmanLaw) else (
+        lambda levels: np.fromiter(map(eps, levels.tolist()), float, levels.size))
     top = float(np.abs(radii).max())
     bounded = count is None and lam > 0
     degrees = (range(1, count) if count is not None else
@@ -537,7 +536,8 @@ def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
         raise PreconditionFailed("the moment table psi was built for another setup")
     _, sums = _moment_series(s, radii, psi, k_max)
     F = profile_jet(s.profile, radii, 0, "rho").value
-    values = elementwise(math.exp, -s.alpha * F) * sums / psi(0)
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        values = np.exp(-s.alpha * F) * sums / psi(0)
     require(np.isfinite(values), SeriesNonConvergent,
             lambda i: f"series at rho={radii.flat[i]} sums to {np.ravel(values)[i]}")
     return values.tolist()

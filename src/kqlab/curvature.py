@@ -23,7 +23,6 @@ stage then gives |Ric|^2, the Laplacian of scalar and |R|^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -31,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
-from .jets import TaylorJet, elementwise, require
+from .jets import TaylorJet, require
 from .profiles import FAMILIES, RadialProfile, profile_jet, t_from_x, x_from_t
 from .special import product_shifted
 
@@ -51,16 +50,9 @@ class BergmanLaw:
 
     def __call__(self, a):   # a level, or an array of levels; a power past floats is inf
         if self.power:
-            return elementwise(lambda v: _power(v, self.count), a)
+            with np.errstate(over="ignore", divide="ignore"):   # in floats, as the product
+                return np.power(a, self.count, dtype=float)
         return product_shifted(a, self.shift, self.count)
-
-
-def _power(x: float, e: int) -> float:
-    """x ** e, or inf where that leaves the float range (or divides by zero)."""
-    try:
-        return x ** e
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -186,12 +178,6 @@ class CurvatureReport:
                 - self.ric2 / 6.0 + self.scalar ** 2 / 8.0)
 
 
-def _pow(a: np.ndarray, n: int) -> np.ndarray:
-    """a ** n per point by math.pow, the libm pow that float ** int calls too
-    (numpy's power may round differently)."""
-    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(float(n))), float, a.size)
-
-
 def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
     """x-derivative d/dx = (1/phi) d/dt on jets in t."""
     return u.deriv() / phi.truncated(u.order - 1)
@@ -285,10 +271,10 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
                    + (d0 - 1) * psi * chi_p)
     phi_over_shift_p = q + x * q_j.derivative(1)       # (phi/S)' = (x psi/S)'
 
-    # each power formed once, by math.pow in _pow, and the (d0 - 1) terms' by products
-    sv2, sv3, sv4 = _pow(sv, 2), _pow(sv, 3), _pow(sv, 4)
-    sigma2, sigma_p2, chi2, mom2 = (_pow(v, 2) for v in (sigma, sigma_p, chi, mom))
-    phi_over_shift_p2, phi_xx2 = _pow(phi_over_shift_p, 2), _pow(phij.derivative(2), 2)
+    # each power formed once, and the (d0 - 1) terms' by products
+    sv2, sv3, sv4 = sv ** 2, sv ** 3, sv ** 4
+    sigma2, sigma_p2, chi2, mom2 = (v ** 2 for v in (sigma, sigma_p, chi, mom))
+    phi_over_shift_p2, phi_xx2 = phi_over_shift_p ** 2, phij.derivative(2) ** 2
     r2 = r * r
     fiber = d * lam ** 2 * q * q + psi_p * psi_p + 0.5 * d0 * mu * mu   # riem2's (d0 - 1) term/4
 
@@ -324,8 +310,8 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
 
 def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, names) -> dict:
     """t and the fields of _stages at t, a float or a 1-d array, from the stages it takes
-    to yield every field in ``names``; an overflow, of math.pow or of an array operation,
-    is refused as OutOfDomain at the first t whose fields leave the float range."""
+    to yield every field in ``names``; an overflow, of an array operation or of a custom
+    jet rule, is refused as OutOfDomain at the first t whose fields leave the float range."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     fields = {"t": ts}
     try:

@@ -6,7 +6,8 @@ one array of shape ``(order + 1, *points)``; a scalar jet is the case with no
 point axis.  Arithmetic propagates coefficients by the usual Cauchy-product and
 composition recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., 2008, ch. 13), each step over the whole point axis, so a grid is one
-pass, rounded at every point as that point alone would be.  That gives exact
+pass, rounded at every point as that point alone would be (exp and log are numpy's
+ufuncs, which round an element the same at any array length).  That gives exact
 (round-off level) derivatives up to the truncation order: the substrate for
 all curvature formulas.  The second expansion coefficient reads four
 x-derivatives of the momentum profile, so curvature reports run their jets at
@@ -29,16 +30,6 @@ from .errors import (DivisionByZeroJet, LogDomain, OrderExceeded, OrderMismatch,
                      PreconditionFailed)
 
 DEFAULT_ORDER = 8
-
-
-def elementwise(fn, a):
-    """``fn`` of the ``math`` module at each element of ``a`` (a float for a
-    scalar), so that jets and curvature reports round an array as each point
-    alone; numpy's ufuncs may differ in the last bit, and the fiber density's
-    logs (every route) and a moment block's exp use them."""
-    if np.ndim(a) == 0:
-        return fn(a)
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def require(ok, error, message) -> None:
@@ -211,7 +202,7 @@ def _deriv_factors(order: int, ndim: int) -> np.ndarray:
 def exp(a: TaylorJet) -> TaylorJet:
     """Jet of exp(f) via the convolution recurrence e' = f' e."""
     c = list(a.coeffs)              # rows
-    out = [elementwise(math.exp, c[0])]
+    out = [np.exp(c[0])]
     for k in range(1, len(c)):
         acc = 0.0
         for j in range(1, k + 1):
@@ -225,7 +216,7 @@ def log(a: TaylorJet) -> TaylorJet:
     c = list(a.coeffs)              # rows
     require(c[0] > 0.0, LogDomain, lambda i: f"jet log needs positive value, got "
             f"{c[0].flat[i]}{f' at point {i}' if a.coeffs.ndim > 1 else ''}")
-    out = [elementwise(math.log, c[0])]
+    out = [np.log(c[0])]
     for k in range(1, len(c)):
         acc = k * c[k]
         for j in range(1, k):

@@ -20,6 +20,7 @@ inverse in closed form.  ``custom`` profiles supply a jet-producing rule instead
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .errors import OutOfDomain, PreconditionFailed
-from .jets import DEFAULT_ORDER, TaylorJet, elementwise, require
+from .jets import DEFAULT_ORDER, TaylorJet, require
 
 JetRule = Callable[[float, int], TaylorJet]
 
@@ -54,8 +55,9 @@ def _log_affine_t(p: "RadialProfile", x: float) -> float:
 # Each closed family, stated once.  params: the parameters it reads; valid and
 # rule: the check of both, in code and in words (it pins one not read); scaled:
 # (A, c, factor) -> the (A, c) of factor*F; F: the rho-form profile of a jet v,
-# for 0 <= rho < rho_max (the t-form is F of v = e^t); x_from_t: the moment map
-# x = F_t'(t) of e = e^t, the floats of F's order-1 jet recurrences; t_from_x: its inverse.
+# for 0 <= rho < rho_max, the largest float if unbounded (the t-form is F of v = e^t,
+# so e^t stays finite); x_from_t: the moment map x = F_t'(t) of e = e^t, the floats
+# of F's order-1 jet recurrences; t_from_x: its inverse.
 _Family = namedtuple("_Family", "params valid rule scaled F rho_max x_from_t t_from_x")
 
 FAMILIES = {
@@ -66,13 +68,13 @@ FAMILIES = {
         t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
     "linear": _Family(
         ("c",), lambda A, c: c > 0 and A == 0, "c > 0 and A = 0", lambda A, c, f: (A, c * f),
-        F=lambda p, v: p.c * v, rho_max=math.inf,
+        F=lambda p, v: p.c * v, rho_max=sys.float_info.max,
         x_from_t=lambda p, e: e * p.c,
         t_from_x=lambda p, x: math.log(x / p.c)),
     "logaffine": _Family(
         ("A", "c"), lambda A, c: A != 0 and c > 0, "A != 0 and c > 0",
         lambda A, c, f: (A / f, c),
-        F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=math.inf,
+        F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=sys.float_info.max,
         x_from_t=lambda p, e: _log_affine_x(p.A, e * p.c),
         t_from_x=_log_affine_t),
 }
@@ -196,15 +198,20 @@ def x_from_t(p: RadialProfile, t):
     """The moment map x = F_t'(t) of a closed family at t, a float or an array, with no
     jet: the floats of ``profile_jet(p, t, 1, "t").deriv().value``.  A t past the bound
     is refused as there; so is a log-ball t whose e^t rounds to 1, where x would divide
-    by 1 - e^t = 0 (the jet route refuses it in its log)."""
+    by 1 - e^t = 0 (the jet route refuses it in its log), and a t whose x leaves the
+    float range (c e^t past the largest float)."""
     if p.family not in FAMILIES:
         raise PreconditionFailed("x_from_t evaluates the closed families' moment maps, "
                                  "not a custom profile's")
     t = np.asarray(t, dtype=float)
     _require_below(p, t, "t")
-    e = np.asarray(elementwise(math.exp, t))
+    e = np.exp(t)
     _require_below(p, e, "e^t")
-    return FAMILIES[p.family].x_from_t(p, e)
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below
+        x = FAMILIES[p.family].x_from_t(p, e)
+    require(np.isfinite(x), OutOfDomain,
+            lambda i: f"the {p.family} moment map leaves the float range at t={t.flat[i]}")
+    return x
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:
@@ -212,6 +219,6 @@ def t_from_x(p: RadialProfile, x: float) -> float:
     if p.family not in FAMILIES:
         raise PreconditionFailed("t_from_x inverts the closed families' moment maps, "
                                  "not a custom profile's")
-    if x <= 0:
-        raise OutOfDomain(f"fiber coordinate x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise OutOfDomain(f"fiber coordinate x must be positive and finite, got {x}")
     return FAMILIES[p.family].t_from_x(p, x)

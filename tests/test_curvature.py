@@ -5,11 +5,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import curvature, jets
-from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close, _pow,
+from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
@@ -490,22 +490,6 @@ def test_slope_is_the_value_of_the_x_derivative_bit_for_bit(pair):
                 slope(u)
         return
     assert _same_bits(np.asarray(u.derivative(1)), np.asarray(u.deriv().value))
-
-
-@given(st.lists(st.floats(), min_size=1, max_size=8), st.sampled_from([2, 3, 4]))
-@example([-1.5], 3)
-@example([5e-324, -2.2e-308, -0.0, -1.1], 4)
-@example([2.0, 1e100], 4)
-@settings(max_examples=200, deadline=None)
-def test_pow_is_the_float_power_bit_for_bit(values, n):
-    a = np.array(values)
-    try:
-        expected = np.array([v ** n for v in values])
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            _pow(a, n)
-        return
-    assert _same_bits(_pow(a, n), expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -159,6 +159,39 @@ def test_the_moment_map_refuses_a_log_ball_t_whose_exponential_rounds_to_1():
     assert str(on_grid.value) == str(at_point.value) == "logball needs e^t < 1, got 1.0"
 
 
+@pytest.mark.parametrize("p, t", [(linear(1.0), 710.0), (log_affine(-1.0, 1.0), 800.0),
+                                  (log_affine(0.5, 1.0), 709.8)],
+                         ids=["linear", "logaffine", "logaffine-A>0"])
+def test_a_t_whose_exponential_leaves_the_float_range_is_refused(p, t):
+    # e^t past the largest float: the bound of an unbounded family is its log, 709.78
+    grid = np.array([1.0, t, 2.0 * t])
+    for route in (lambda t: x_from_t(p, t), lambda t: profile_jet(p, t, 2, "t")):
+        for at in (grid, t):
+            with pytest.raises(OutOfDomain, match=rf"^{p.family} needs t < 709.783, got {t}$"):
+                route(at)
+
+
+@pytest.mark.parametrize("p, t", [(linear(2.0), 709.5), (log_affine(-1.0, 3.0), 709.0)],
+                         ids=["linear", "logaffine"])
+def test_a_moment_map_past_the_float_range_is_refused(p, t):
+    # e^t is finite, but c e^t is not: x = c e^t, or inf/inf in the log-affine map
+    for at in (np.array([1.0, t, 709.7]), t):
+        with pytest.raises(OutOfDomain) as refused:
+            x_from_t(p, at)
+        assert str(refused.value) == f"the {p.family} moment map leaves the float range at t={t}"
+
+
+@pytest.mark.parametrize("p, x", [
+    (linear(1.0), math.nan), (linear(1.0), math.inf), (log_ball(0.5), math.inf),
+    (log_ball(0.5), math.nan), (log_affine(-0.6, 1.0), math.nan), (linear(1.0), -math.inf),
+], ids=["linear-nan", "linear-inf", "logball-inf", "logball-nan", "logaffine-nan",
+        "linear-minus-inf"])
+def test_t_from_x_refuses_an_x_that_is_not_positive_and_finite(p, x):
+    with pytest.raises(OutOfDomain) as refused:
+        t_from_x(p, x)
+    assert str(refused.value) == f"fiber coordinate x must be positive and finite, got {x}"
+
+
 def test_scaled_profile_families():
     assert log_ball(0.5).scaled(2.0).A == pytest.approx(0.25)
     assert linear(1.0).scaled(3.0).c == pytest.approx(3.0)

@@ -25,15 +25,17 @@ with no Gamma function.
 
 Quadrature moments of the three families, each on its domain, come from
 Gauss rules matched to the density (Golub & Welsch, Math. Comp. 23 (1969)),
-with the density itself evaluated through the profile jets, never through the
-closed forms.  A single moment gets its own rule; a series or a moment table
-shares one rule, and one sweep of the density over its nodes, among each
-aligned block of min(64, nodes) consecutive fiber degrees: an N-node rule
-(``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps each
-block moment as exact as a rule of its own; on every route the density is numpy's
-logs and exp past the profile jet.  Any other setup (a custom profile, or a family
-off its model's domain) uses adaptive quadrature one moment at a time.  A moment
-that is not finite and positive raises QuadratureNonConvergent when asked for.
+with the density itself evaluated from the profile, never through the closed
+moments: a closed family's F, F' and F' + u F'' in closed form
+(``profiles.density_factors``), a custom profile's from its rho-jet of order 2.
+A single moment gets its own rule; a series or a moment table shares one rule,
+and one sweep of the density over its nodes, among each aligned block of
+min(64, nodes) consecutive fiber degrees: an N-node rule (``--quad-nodes``) is
+exact to degree 2N-1, so a span of at most N keeps each block moment as exact as
+a rule of its own; on every route the density is numpy's logs and exp past those
+factors.  Any other setup (a custom profile, or a family off its model's domain)
+uses adaptive quadrature one moment at a time.  A moment that is not finite and
+positive raises QuadratureNonConvergent when asked for.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from .curvature import BaseGeometry, BergmanLaw, _branch, _close, _spread, on_re
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import require
-from .profiles import RadialProfile, linear, log_ball, profile_jet
+from .profiles import (FAMILIES, RadialProfile, density_factors, linear, log_ball,
+                       profile_jet)
 # roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
 # block rule, so that a caller can wrap them to count the rules asked for (each
 # is built once per (nodes, a, b) and memoised in special)
@@ -131,15 +134,29 @@ def density_H(s: QuantizationSetup, u):
 
 
 def _log_density_H(s: QuantizationSetup, u):
+    """log H(alpha, u): a closed family's from its density factors (F' = g e^-L and
+    F' + u F'' = g e^-2L, so no log of an array but the shift's), a custom one's from the
+    order-2 rho-jet of F."""
     require((u >= 0) & ((u < 1) | (s.domain != "ball")), OutOfDomain,
             lambda i: f"u={np.ravel(u)[i]} outside the fiber range for domain {s.domain}")
-    j = profile_jet(s.profile, u, 2, "rho")
-    F, Fp, Fpp = j.derivative(0), j.derivative(1), j.derivative(2)
-    radial = Fp + u * Fpp
-    shift = 1.0 + s.twist * u * Fp
+    closed = s.profile.family in FAMILIES
+    if closed:
+        F, x, g, L = density_factors(s.profile, u)
+        Fp = radial = g             # F' and F' + u F'' have the sign of g
+        shift = 1.0 + s.twist * x
+    else:
+        j = profile_jet(s.profile, u, 2, "rho")
+        F, Fp = j.derivative(0), j.derivative(1)
+        radial = Fp + u * j.derivative(2)
+        shift = 1.0 + s.twist * u * Fp
     require((Fp > 0) & (radial > 0) & (shift > 0), OutOfDomain,
             lambda i: f"density factors not positive at u={np.ravel(u)[i]}")
-    return -s.alpha * F + (s.d0 - 1) * np.log(Fp) + np.log(radial) + s.d * np.log(shift)
+    if closed:
+        log_g = math.log(g)
+        log_Fp, log_radial = log_g - L, log_g - 2.0 * L
+    else:
+        log_Fp, log_radial = np.log(Fp), np.log(radial)
+    return -s.alpha * F + (s.d0 - 1) * log_Fp + log_radial + s.d * np.log(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +274,10 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
-    moment.  g comes from numpy's exp and log, as density_H does.  The values are
-    unchecked, so that a moment never asked for refuses nothing: a g or a scale
-    past the float range gives inf, refused when its moment is handed out.
+    moment.  g comes from the family's closed density factors, which read no moment
+    model, and numpy's exp, as density_H does.  The values are unchecked, so that a
+    moment never asked for refuses nothing: a g or a scale past the float range gives
+    inf, refused when its moment is handed out.
     """
     j = np.arange(k1 - k0 + 1)[:, None]
     # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
@@ -535,7 +553,8 @@ def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
     elif psi.setup != s:
         raise PreconditionFailed("the moment table psi was built for another setup")
     _, sums = _moment_series(s, radii, psi, k_max)
-    F = profile_jet(s.profile, radii, 0, "rho").value
+    F = (density_factors(s.profile, radii)[0] if s.profile.family in FAMILIES
+         else profile_jet(s.profile, radii, 0, "rho").value)
     with np.errstate(over="ignore", invalid="ignore"):    # refused below
         values = np.exp(-s.alpha * F) * sums / psi(0)
     require(np.isfinite(values), SeriesNonConvergent,

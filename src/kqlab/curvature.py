@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateJet, EmptyGrid, OutOfDomain, PreconditionFailed
+from .errors import DegenerateJet, EmptyGrid, KQLabError, OutOfDomain, PreconditionFailed
 from .jets import TaylorJet, require
 from .profiles import FAMILIES, RadialProfile, profile_jet, t_from_x, x_from_t
 from .special import product_shifted
@@ -311,7 +311,8 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
 def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, names) -> dict:
     """t and the fields of _stages at t, a float or a 1-d array, from the stages it takes
     to yield every field in ``names``; an overflow, of an array operation or of a custom
-    jet rule, is refused as OutOfDomain at the first t whose fields leave the float range."""
+    jet rule, is refused as OutOfDomain at the first t whose fields leave the float range.
+    A grid that fails is refused at its first t that fails alone, whichever check fails."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     fields = {"t": ts}
     try:
@@ -320,10 +321,12 @@ def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, names) -> dict:
                 fields.update(stage)
                 if fields.keys() >= set(names):
                     break
-    except (OverflowError, FloatingPointError):
-        if ts.size > 1:     # point by point, so the first t that overflows raises
+    except (OverflowError, FloatingPointError, KQLabError) as error:
+        if ts.size > 1:     # point by point, so the first t that fails raises
             for point in ts:
                 _evaluate(base, p, d0, point, names)
+        if isinstance(error, KQLabError):
+            raise
         raise OutOfDomain(f"curvature fields leave the float range at t={ts[0]}") from None
     return {name: float(value[0]) for name, value in fields.items()} if np.ndim(t) == 0 else fields
 

@@ -14,7 +14,11 @@ Three closed families cover every constant-coefficient case:
 All three share the quadratic momentum profile x -> x + A x^2 (A = 0 for the
 linear family), where x = F_t'(t) and the momentum profile is F_t'' viewed as
 a function of x.  ``x_from_t`` and ``t_from_x`` give their moment map and its
-inverse in closed form.  ``custom`` profiles supply a jet-producing rule instead.
+inverse in closed form, and ``density_factors`` the rho-form F and the factors
+F' and F' + rho F'' of the fiber density: c rho, c and c for the linear family,
+and for the log families (log-ball with c = -1) -(1/A) log1p(c rho) with
+F' = g/(1 + c rho) and F' + rho F'' = g/(1 + c rho)^2, g = -c/A.  ``custom``
+profiles supply a jet-producing rule instead.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .jets import DEFAULT_ORDER, TaylorJet, require
 
 JetRule = Callable[[float, int], TaylorJet]
 
+# the largest t whose e^t is a float
+_T_MAX = math.log(sys.float_info.max)
+
 
 def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
     """-(1/A) log(1 + c*v), given c*v: log-affine's F, and log-ball's with c = -1."""
@@ -43,6 +50,13 @@ def _log_affine_x(A: float, cv):
     """x = F_t'(t) of -(1/A) log(1 + c*v), given c*v at v = e^t: the order-1 recurrences
     of the jet log and of the product by -1/A, whose zero terms add +0.0."""
     return (cv / (1.0 + cv)) * (-1.0 / A) + 0.0
+
+
+def _log_affine_density(A: float, c: float, u):
+    """F = -(1/A) log1p(c*u) at rho = u, its scale g = -c/A and L = log1p(c*u): log-affine's
+    density factors, and log-ball's with c = -1."""
+    L = np.log1p(c * u)
+    return (-1.0 / A) * L, -c / A, L
 
 
 def _log_affine_t(p: "RadialProfile", x: float) -> float:
@@ -57,26 +71,30 @@ def _log_affine_t(p: "RadialProfile", x: float) -> float:
 # (A, c, factor) -> the (A, c) of factor*F; F: the rho-form profile of a jet v,
 # for 0 <= rho < rho_max, the largest float if unbounded (the t-form is F of v = e^t,
 # so e^t stays finite); x_from_t: the moment map x = F_t'(t) of e = e^t, the floats
-# of F's order-1 jet recurrences; t_from_x: its inverse.
-_Family = namedtuple("_Family", "params valid rule scaled F rho_max x_from_t t_from_x")
+# of F's order-1 jet recurrences; t_from_x: its inverse; density: F of an array u in
+# closed form, with the scale g and the L of F' = g e^-L and F' + u F'' = g e^-2L.
+_Family = namedtuple("_Family", "params valid rule scaled F rho_max x_from_t t_from_x density")
 
 FAMILIES = {
     "logball": _Family(
         ("A",), lambda A, c: A > 0 and c == 1, "A > 0 and c = 1", lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, -v), rho_max=1.0,
         x_from_t=lambda p, e: _log_affine_x(p.A, -e),
-        t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x))),
+        t_from_x=lambda p, x: math.log(p.A * x / (1.0 + p.A * x)),
+        density=lambda p, u: _log_affine_density(p.A, -1.0, u)),
     "linear": _Family(
         ("c",), lambda A, c: c > 0 and A == 0, "c > 0 and A = 0", lambda A, c, f: (A, c * f),
         F=lambda p, v: p.c * v, rho_max=sys.float_info.max,
         x_from_t=lambda p, e: e * p.c,
-        t_from_x=lambda p, x: math.log(x / p.c)),
+        t_from_x=lambda p, x: math.log(x / p.c),
+        density=lambda p, u: (p.c * u, p.c, 0.0)),
     "logaffine": _Family(
         ("A", "c"), lambda A, c: A != 0 and c > 0, "A != 0 and c > 0",
         lambda A, c, f: (A / f, c),
         F=lambda p, v: _log_affine(p.A, p.c * v), rho_max=sys.float_info.max,
         x_from_t=lambda p, e: _log_affine_x(p.A, e * p.c),
-        t_from_x=_log_affine_t),
+        t_from_x=_log_affine_t,
+        density=lambda p, u: _log_affine_density(p.A, p.c, u)),
 }
 
 
@@ -170,6 +188,8 @@ def profile_jet(p: RadialProfile, point, order: int = DEFAULT_ORDER,
     if form == p.rule_form:
         return _rule_jet(p, point, order)
     if form == "t":
+        require(point < _T_MAX, OutOfDomain, lambda i: "a custom rho-rule needs "
+                f"t < {_T_MAX:g}, got {point.flat[i]}")
         inner = jets.exp(TaylorJet.variable(point, order))
         return jets.compose(_rule_jet(p, inner.value, order), inner)
     require(point > 0, OutOfDomain,
@@ -212,6 +232,22 @@ def x_from_t(p: RadialProfile, t):
     require(np.isfinite(x), OutOfDomain,
             lambda i: f"the {p.family} moment map leaves the float range at t={t.flat[i]}")
     return x
+
+
+def density_factors(p: RadialProfile, rho):
+    """A closed family's fiber density factors at rho >= 0, a float or an array, with no jet:
+    (F, x, g, L), where F is the rho-form profile, x = rho F'(rho) its moment map, and F' =
+    g e^-L and F' + rho F'' = g e^-2L.  The log families have g = -c/A and L = log1p(c rho)
+    (the log-ball's c is -1), the linear one g = c and L = 0.  A rho past the bound is refused
+    as in ``profile_jet``."""
+    if p.family not in FAMILIES:
+        raise PreconditionFailed("density_factors evaluates the closed families' densities, "
+                                 "not a custom profile's")
+    rho = np.asarray(rho, dtype=float)
+    _require_below(p, rho, "rho")
+    family = FAMILIES[p.family]
+    F, g, L = family.density(p, rho)
+    return F, family.x_from_t(p, rho), g, L
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqlab import bergman, jets, special
+from kqlab import bergman, jets, profiles, special
 from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
                            MomentTable,
                            balanced_certify, balanced_setup,
@@ -21,9 +22,10 @@ from kqlab.curvature import BaseGeometry, BergmanLaw
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent, SeriesNonConvergent)
 from kqlab.jets import TaylorJet
-from kqlab.profiles import custom, linear, log_affine, log_ball
+from kqlab.profiles import custom, linear, log_affine, log_ball, profile_jet
 from kqlab.special import product_shifted
 
+from fd_oracle import mp_profile
 from rule_faults import nan_weight
 
 
@@ -122,6 +124,87 @@ def test_density_on_an_array_names_the_first_point_outside():
     s = ball_setup(0.5, 1.0, 1, 1, 2.0)
     with pytest.raises(OutOfDomain, match="u=1.2 outside"):
         density_H(s, np.array([0.1, 1.2, -0.3]))
+
+
+def _referee_setups():
+    """The 23 ball and 4 total-space tuples of balanced_setup, and three log-affine models."""
+    for k, r in itertools.product((1, 2, 3), repeat=2):
+        yield from (balanced_setup(k, r, m, "ball") for m in range(r, 5) if k * r > 1)
+    yield from (balanced_setup(1, 1, m, "total") for m in range(1, 5))
+    for A, c, base, alpha in ((-1.0, 1.0, BaseGeometry.fubini_study_cpd(1), 3.0),
+                              (-1.0, 1.5, BaseGeometry.fubini_study_cpd(2), 9.0),
+                              (-0.5, 2.0, BaseGeometry.flat(1), 5.0)):
+        yield full_setup(log_affine(A, c), None, None, 1, alpha, base=base)
+
+
+def _mp_density(s, u, dps=40):
+    """H(alpha, u) in mpmath from the t-form profile of fd_oracle at t = log u, where
+    F' = F_t'/u and F' + u F'' = F_t''/u."""
+    p = s.profile
+    with mp.workdps(dps):
+        F, x, phi = mp.diffs(mp_profile(p.family, A=p.A, c=p.c), mp.log(u), 2)
+        return (mp.exp(-s.alpha * F) * (x / u) ** (s.d0 - 1) * (phi / u)
+                * (1 + s.twist * x) ** s.d)
+
+
+def test_density_against_a_40_digit_referee():
+    # On the certificates' grid, relative gaps (median / max) measured 2.09e-16 / 3.00e-15
+    # for the closed families' density, 3.09e-16 / 3.00e-15 for the jet route, which the
+    # same profile takes as a custom rho-rule
+    u = np.linspace(0.0, 0.9, 10)[1:]
+    gaps = {"closed": [], "jet": []}
+    for s in _referee_setups():
+        p = s.profile
+        as_rule = dataclasses.replace(s, profile=custom(
+            lambda rho, order: profile_jet(p, rho, order, "rho"), "rho"))
+        want = [_mp_density(s, uj) for uj in u.tolist()]
+        for route, setup in (("closed", s), ("jet", as_rule)):
+            gaps[route] += [float(abs(h - w) / w)
+                            for h, w in zip(density_H(setup, u).tolist(), want)]
+    assert len(gaps["closed"]) == 30 * u.size
+    for route, gap in gaps.items():
+        assert statistics.median(gap) <= 3.9e-16 and max(gap) <= 1.2e-14, route
+
+
+def _raise_jet(*args):
+    raise AssertionError("a closed family's density took a profile jet")
+
+
+@pytest.mark.parametrize("family", ["logball", "linear", "logaffine"])
+def test_closed_densities_take_no_jet_and_keep_their_refusals(monkeypatch, family):
+    for module in (bergman, profiles):
+        monkeypatch.setattr(module, "profile_jet", _raise_jet)
+    profile = {"logball": log_ball(0.5), "linear": linear(1.0),
+               "logaffine": log_affine(-1.0, 1.0)}[family]
+    if family == "logball":
+        assert balanced_certify(2, 2, 3, "ball").balanced
+        # off the ball, the adaptive route refuses rho >= 1 in the profile's words
+        s = full_setup(profile, 1.0, 1, 1, 2.0)
+        with pytest.raises(OutOfDomain, match=r"^logball needs rho < 1, got 1\.5$"):
+            density_H(s, np.array([0.5, 1.5]))
+        with pytest.raises(OutOfDomain, match=r"^logball needs rho < 1, got "):
+            psi_moment(s, 0, "quadrature")
+    elif family == "linear":
+        assert balanced_certify(1, 1, 2, "total").balanced
+    else:
+        s = full_setup(profile, -1.0, 1, 1, 4.0)
+        table = MomentTable(s, "quadrature")
+        assert table(3) == pytest.approx(MomentTable(s)(3), rel=1e-13)
+        concave = full_setup(log_affine(0.5, 1.0), 1.0, 1, 1, 2.0)
+        with pytest.raises(OutOfDomain, match=r"^density factors not positive at u=0\.2$"):
+            density_H(concave, np.array([0.2, 0.7]))
+    ball = QuantizationSetup(1, "ball", profile, BaseGeometry.flat(1), 2.0)
+    with pytest.raises(OutOfDomain, match=r"^u=1\.0 outside the fiber range for domain ball$"):
+        density_H(ball, np.array([0.5, 1.0]))
+    # 1 - 4x, x = u F'(u), is positive at u = 0.1 and negative from u = 0.8 on
+    negative = QuantizationSetup(1, "ball", profile, BaseGeometry.flat(1, -4.0), 2.0)
+    with pytest.raises(OutOfDomain, match=r"^density factors not positive at u=0\.8$"):
+        density_H(negative, np.array([0.1, 0.8, 0.9]))
+    # alpha = -2000: e^(2000 F) leaves the float range
+    past = QuantizationSetup(1, "ball", profile, BaseGeometry.flat(1), -2000.0)
+    with pytest.raises(QuadratureNonConvergent,
+                       match=r"^fiber density H\(alpha, u\) leaves the float range at u=0\.9$"):
+        density_H(past, np.array([0.001, 0.9]))
 
 
 # -- moments ----------------------------------------------------------------

@@ -912,7 +912,8 @@ _OVERFLOW = ("--family", "linear", "--c", "1", "--d", "1", "--d0", "2", "--lambd
     (("coeffs", *_OVERFLOW, "--grid=200:210:3"), "200.0"),
     (("classify", *_OVERFLOW, "--grid=200:210:8"), "200.0"),
     (("coeffs", *_OVERFLOW, "--grid=100:210:12", "--quantity", "riem2"), "180.0"),
-], ids=["coeffs", "classify", "coeffs-first-overflow"])
+    (("coeffs", *_OVERFLOW[:-6], "--base", "flat", "--grid=700:720:3"), "700.0"),
+], ids=["coeffs", "classify", "coeffs-first-overflow", "coeffs-before-the-moment-map-bound"])
 def test_fields_past_the_float_range_are_out_of_domain(capsys, argv, t):
     # (1 + x)^4 overflows a float from x = e^177.4 on
     code, doc = run_json(capsys, *argv)

@@ -586,13 +586,15 @@ def test_coefficient_stage_equals_the_report_bit_for_bit(lam):
 
 def test_fields_past_the_float_range_are_out_of_domain():
     # x = e^t on the linear family, and (1 + x)^4 leaves the float range from
-    # t = 177.4 on; a grid names its first such point, as a single point does
+    # t = 177.4 on; a grid names its first such point, as a single point does, also
+    # when a later point is past the moment map's bound 709.78
     p, base = linear(1.0), BaseGeometry.from_coefficients(1, 1.0, 2.0, 0.0)
     grid = [100.0, 150.0, 170.0, 180.0, 190.0, 200.0, 210.0, 220.0]
     assert math.isfinite(curvature_report(base, p, 2, 170.0).riem2)
     for run in (lambda t: curvature_report(base, p, 2, t),
                 lambda t: classify_check(base, p, 2, "fullspace", t)):
-        for t, first in ((grid, "180.0"), (np.linspace(200.0, 210.0, 8), "200.0")):
+        for t, first in ((grid, "180.0"), (np.linspace(200.0, 210.0, 8), "200.0"),
+                         (np.linspace(700.0, 721.0, 8), "700.0")):
             with pytest.raises(OutOfDomain, match=f"float range at t={first}$"):
                 run(t)
     with pytest.raises(OutOfDomain, match="float range at t=190.0$"):

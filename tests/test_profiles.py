@@ -171,6 +171,15 @@ def test_a_t_whose_exponential_leaves_the_float_range_is_refused(p, t):
                 route(at)
 
 
+def test_a_rho_rule_asked_for_its_t_form_past_the_float_range_is_refused():
+    # e^t, the rule's rho, leaves the float range from t = 709.78 on
+    p = custom(lambda rho, order: profile_jet(linear(1.0), rho, order, "rho"), "rho")
+    assert profile_jet(p, 709.7, 2, "t").value == pytest.approx(math.exp(709.7), rel=1e-15)
+    for at in (np.array([1.0, 710.0, 1420.0]), 710.0):
+        with pytest.raises(OutOfDomain, match=r"^a custom rho-rule needs t < 709.783, got 710.0$"):
+            profile_jet(p, at, 2, "t")
+
+
 @pytest.mark.parametrize("p, t", [(linear(2.0), 709.5), (log_affine(-1.0, 3.0), 709.0)],
                          ids=["linear", "logaffine"])
 def test_a_moment_map_past_the_float_range_is_refused(p, t):

@@ -26,8 +26,9 @@ with no Gamma function.
 Quadrature moments of the three families, each on its domain, come from
 Gauss rules matched to the density (Golub & Welsch, Math. Comp. 23 (1969)),
 with the density itself evaluated from the profile, never through the closed
-moments: a closed family's F, F' and F' + u F'' in closed form
-(``profiles.density_factors``), a custom profile's from its rho-jet of order 2.
+moments: the density and the series' e^(-alpha F) read one evaluation of the
+profile factors, ``profiles.density_factors`` (closed forms for the three
+families, an order-2 rho-jet for a custom profile), which the Gram oracle reads too.
 A single moment gets its own rule; a series or a moment table shares one rule,
 and one sweep of the density over its nodes, among each aligned block of
 min(64, nodes) consecutive fiber degrees: an N-node rule (``--quad-nodes``) is
@@ -53,8 +54,8 @@ from .curvature import BaseGeometry, BergmanLaw, _branch, _close, _spread, on_re
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import require
-from .profiles import (FAMILIES, RadialProfile, density_factors, linear, log_ball,
-                       profile_jet)
+# profile_jet is not called here, but stays bound: perfbench's tracer reads it
+from .profiles import RadialProfile, density_factors, linear, log_ball, profile_jet
 # roots_jacobi and roots_genlaguerre stay globals of this module, looked up per
 # block rule, so that a caller can wrap them to count the rules asked for (each
 # is built once per (nodes, a, b) and memoised in special)
@@ -134,28 +135,13 @@ def density_H(s: QuantizationSetup, u):
 
 
 def _log_density_H(s: QuantizationSetup, u):
-    """log H(alpha, u): a closed family's from its density factors (F' = g e^-L and
-    F' + u F'' = g e^-2L, so no log of an array but the shift's), a custom one's from the
-    order-2 rho-jet of F."""
+    """log H(alpha, u) from the profile's density factors: their logs, and the shift's."""
     require((u >= 0) & ((u < 1) | (s.domain != "ball")), OutOfDomain,
             lambda i: f"u={np.ravel(u)[i]} outside the fiber range for domain {s.domain}")
-    closed = s.profile.family in FAMILIES
-    if closed:
-        F, x, g, L = density_factors(s.profile, u)
-        Fp = radial = g             # F' and F' + u F'' have the sign of g
-        shift = 1.0 + s.twist * x
-    else:
-        j = profile_jet(s.profile, u, 2, "rho")
-        F, Fp = j.derivative(0), j.derivative(1)
-        radial = Fp + u * j.derivative(2)
-        shift = 1.0 + s.twist * u * Fp
-    require((Fp > 0) & (radial > 0) & (shift > 0), OutOfDomain,
+    F, x, log_Fp, log_radial = density_factors(s.profile, u)
+    shift = 1.0 + s.twist * x
+    require(shift > 0, OutOfDomain,
             lambda i: f"density factors not positive at u={np.ravel(u)[i]}")
-    if closed:
-        log_g = math.log(g)
-        log_Fp, log_radial = log_g - L, log_g - 2.0 * L
-    else:
-        log_Fp, log_radial = np.log(Fp), np.log(radial)
     return -s.alpha * F + (s.d0 - 1) * log_Fp + log_radial + s.d * np.log(shift)
 
 
@@ -274,8 +260,8 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     that weight by the polynomial u^(k-k0) (x^(k-k0) and v^(k-k0) (1-v)^(k1-k)
     for the other two), so the block is one (moments x nodes) matrix of those
     factors times g, applied to the weights.  The block [k, k] is the single
-    moment.  g comes from the family's closed density factors, which read no moment
-    model, and numpy's exp, as density_H does.  The values are unchecked, so that a
+    moment.  g comes from ``profiles.density_factors``, which reads no moment model, and
+    numpy's exp, as density_H does.  The values are unchecked, so that a
     moment never asked for refuses nothing: a g or a scale past the float range gives
     inf, refused when its moment is handed out.
     """
@@ -553,8 +539,7 @@ def bergman_series(s: QuantizationSetup, rho, psi_method: str = "closed",
     elif psi.setup != s:
         raise PreconditionFailed("the moment table psi was built for another setup")
     _, sums = _moment_series(s, radii, psi, k_max)
-    F = (density_factors(s.profile, radii)[0] if s.profile.family in FAMILIES
-         else profile_jet(s.profile, radii, 0, "rho").value)
+    F = density_factors(s.profile, radii)[0]
     with np.errstate(over="ignore", invalid="ignore"):    # refused below
         values = np.exp(-s.alpha * F) * sums / psi(0)
     require(np.isfinite(values), SeriesNonConvergent,

@@ -23,7 +23,8 @@ power of two above the largest fiber node, so the total-space oracle
 (Laguerre nodes) reaches q_cap = 120 at 200 nodes without overflow.  A
 subnormal is 0: in an operand, which it would only slow, and in a norm, which
 is then refused.  The Gauss rules special.legendre and laguerre are shared
-read-only.
+read-only, and so are the fiber density's profile factors (profiles.density_factors),
+which read no moment model, branch row or closed moment.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, TruncationInsufficient)
-from .profiles import profile_jet
+from .profiles import density_factors
 from .special import laguerre, legendre
 
 # a block of fiber degrees grows the Bernstein factors of its first column by
@@ -104,8 +105,9 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
         raise PreconditionFailed("k, m must be >= 1")
     if len(z_grid) == 0:
         raise OutOfDomain("z_grid must be non-empty")
-    if min(z_grid) < 0:
-        raise OutOfDomain("|z|^2 grid values must be non-negative")
+    for s in z_grid:
+        if not 0 <= s < math.inf:
+            raise OutOfDomain(f"|z|^2 grid value {s} is not a finite non-negative number")
     # |z^j|^2 = k * int_0^inf s^j (1+s)^(-mk-2) ds, mapped to (0,1) by s = v/(1-v)
     v, wv = legendre(nodes)
     jmax = m * k
@@ -171,12 +173,8 @@ def _radial_weight(cfg: GramOracleConfig, setup: bergman.QuantizationSetup):
         xi, wxi = xf / rate, wf / rate
         log_comp = xf  # compensates the e^(-x) folded into the Laguerre weight
 
-    j = profile_jet(setup.profile, xi, 2, "rho")
-    F, Fp, Fpp = j.derivative(0), j.derivative(1), j.derivative(2)
-    radial = Fp + xi * Fpp
-    one_shift = 1.0 + xi * Fp
-    if np.any(Fp <= 0) or np.any(radial <= 0) or np.any(one_shift <= 0):
-        raise OutOfDomain("profile not admissible on the fiber quadrature range")
+    F, x, _, log_radial = density_factors(setup.profile, xi)     # factors all positive
+    radial, one_shift = np.exp(log_radial), 1.0 + x
 
     # complex Hessian determinant of phi(s) + F(e^phi v) in (z, w), v = e^-phi xi:
     # Z*W - X formed in place in two node-by-node buffers, Z in det, W and X in t
@@ -332,8 +330,9 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     k = cfg.bundle_degree
     if abs(setup.base.scalar - 2.0 / k) > 1e-12:   # the degree-k sphere of the chart weight
         raise PreconditionFailed("setup base and oracle bundle degree disagree")
+    rho_max = 1.0 if setup.domain == "ball" else math.inf
     for s0, rho0 in cfg.sample_points:
-        if s0 < 0 or rho0 < 0 or (setup.domain == "ball" and rho0 >= 1):
+        if not (0 <= s0 < math.inf and 0 <= rho0 < rho_max):
             raise OutOfDomain(f"sample point ({s0}, {rho0}) outside the model")
     N = _norm_matrix(cfg, setup)
     P, Q = cfg.effective_p_cap, cfg.q_cap
@@ -347,7 +346,7 @@ def hartogs_gram_oracle(cfg: GramOracleConfig,
     values, worst_tail, stalled = [], 0.0, False
     finite = np.isfinite(N)
     logterm, terms = np.empty_like(N), np.zeros_like(N)   # terms: 0 off the finite norms
-    F0s = profile_jet(setup.profile, [rho0 for _, rho0 in cfg.sample_points], 0, "rho").value
+    F0s = density_factors(setup.profile, [rho0 for _, rho0 in cfg.sample_points])[0]
     for (s0, rho0), F0 in zip(cfg.sample_points, F0s.tolist()):
         phi0 = k * math.log1p(s0)
         with np.errstate(divide="ignore"):

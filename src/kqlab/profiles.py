@@ -14,11 +14,11 @@ Three closed families cover every constant-coefficient case:
 All three share the quadratic momentum profile x -> x + A x^2 (A = 0 for the
 linear family), where x = F_t'(t) and the momentum profile is F_t'' viewed as
 a function of x.  ``x_from_t`` and ``t_from_x`` give their moment map and its
-inverse in closed form, and ``density_factors`` the rho-form F and the factors
-F' and F' + rho F'' of the fiber density: c rho, c and c for the linear family,
-and for the log families (log-ball with c = -1) -(1/A) log1p(c rho) with
-F' = g/(1 + c rho) and F' + rho F'' = g/(1 + c rho)^2, g = -c/A.  ``custom``
-profiles supply a jet-producing rule instead.
+inverse in closed form.  ``density_factors`` is the one evaluation of the density
+factors F, x = rho F', log F' and log(F' + rho F''), read by the density, the Bergman
+series and the Gram oracle: with no jet c rho, c and c for the linear family, and for the
+log families (log-ball with c = -1) -(1/A) log1p(c rho), F' = g/(1 + c rho), F' + rho F''
+= g/(1 + c rho)^2, g = -c/A; from the order-2 rho-jet of a custom profile's jet rule.
 """
 
 from __future__ import annotations
@@ -235,19 +235,25 @@ def x_from_t(p: RadialProfile, t):
 
 
 def density_factors(p: RadialProfile, rho):
-    """A closed family's fiber density factors at rho >= 0, a float or an array, with no jet:
-    (F, x, g, L), where F is the rho-form profile, x = rho F'(rho) its moment map, and F' =
-    g e^-L and F' + rho F'' = g e^-2L.  The log families have g = -c/A and L = log1p(c rho)
-    (the log-ball's c is -1), the linear one g = c and L = 0.  A rho past the bound is refused
-    as in ``profile_jet``."""
-    if p.family not in FAMILIES:
-        raise PreconditionFailed("density_factors evaluates the closed families' densities, "
-                                 "not a custom profile's")
+    """The fiber density's profile factors at rho >= 0, a float or an array: (F, x, log F',
+    log(F' + rho F'')), F the rho-form profile and x = rho F'(rho) its moment map.  A closed
+    family's F' = g e^-L and F' + rho F'' = g e^-2L, with no jet (see FAMILIES), a custom
+    one's from its order-2 rho-jet.  A rho past the bound is refused as in ``profile_jet``,
+    a factor not positive as OutOfDomain at the first rho that has one."""
     rho = np.asarray(rho, dtype=float)
+    family = FAMILIES.get(p.family)
+    if family is None:
+        j = profile_jet(p, rho, 2, "rho")
+        Fp, radial = j.derivative(1), j.derivative(1) + rho * j.derivative(2)
+        require((Fp > 0) & (radial > 0), OutOfDomain,
+                lambda i: f"density factors not positive at u={rho.flat[i]}")
+        return j.derivative(0), rho * Fp, np.log(Fp), np.log(radial)
     _require_below(p, rho, "rho")
-    family = FAMILIES[p.family]
     F, g, L = family.density(p, rho)
-    return F, family.x_from_t(p, rho), g, L
+    if not g > 0:       # the sign of F' and F' + rho F'' at every rho
+        raise OutOfDomain(f"density factors not positive at u={rho.flat[0]}")
+    log_g = math.log(g)
+    return F, family.x_from_t(p, rho), log_g - L, log_g - 2.0 * L
 
 
 def t_from_x(p: RadialProfile, x: float) -> float:

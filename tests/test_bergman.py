@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqlab import bergman, jets, profiles, special
+from kqlab import bergman, jets, oracle, profiles, special
 from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
                            MomentTable,
                            balanced_certify, balanced_setup,
@@ -22,6 +22,7 @@ from kqlab.curvature import BaseGeometry, BergmanLaw
 from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent, SeriesNonConvergent)
 from kqlab.jets import TaylorJet
+from kqlab.oracle import GramOracleConfig, gram_offdiagonal_probe, hartogs_gram_oracle
 from kqlab.profiles import custom, linear, log_affine, log_ball, profile_jet
 from kqlab.special import product_shifted
 
@@ -170,14 +171,24 @@ def _raise_jet(*args):
     raise AssertionError("a closed family's density took a profile jet")
 
 
+def _oracles_run(k, m, part):
+    """The Gram oracle meets its target, and its probe finds the Gram matrix diagonal."""
+    cfg = GramOracleConfig(bundle_degree=k, power=m, q_cap=60)
+    setup = balanced_setup(k, 1, m, part)
+    assert hartogs_gram_oracle(cfg, setup).max_abs_error <= 1e-3
+    (entry,) = gram_offdiagonal_probe(cfg, setup, [((0, 1), (1, 0))])
+    assert entry.magnitude <= 1e-10
+
+
 @pytest.mark.parametrize("family", ["logball", "linear", "logaffine"])
 def test_closed_densities_take_no_jet_and_keep_their_refusals(monkeypatch, family):
-    for module in (bergman, profiles):
-        monkeypatch.setattr(module, "profile_jet", _raise_jet)
+    for module in (bergman, oracle, profiles):     # the oracle imports no profile_jet
+        monkeypatch.setattr(module, "profile_jet", _raise_jet, raising=False)
     profile = {"logball": log_ball(0.5), "linear": linear(1.0),
                "logaffine": log_affine(-1.0, 1.0)}[family]
     if family == "logball":
         assert balanced_certify(2, 2, 3, "ball").balanced
+        _oracles_run(2, 2, "ball")
         # off the ball, the adaptive route refuses rho >= 1 in the profile's words
         s = full_setup(profile, 1.0, 1, 1, 2.0)
         with pytest.raises(OutOfDomain, match=r"^logball needs rho < 1, got 1\.5$"):
@@ -186,6 +197,7 @@ def test_closed_densities_take_no_jet_and_keep_their_refusals(monkeypatch, famil
             psi_moment(s, 0, "quadrature")
     elif family == "linear":
         assert balanced_certify(1, 1, 2, "total").balanced
+        _oracles_run(1, 2, "total")
     else:
         s = full_setup(profile, -1.0, 1, 1, 4.0)
         table = MomentTable(s, "quadrature")

@@ -102,6 +102,13 @@ def test_library_preconditions_raise_preconditionfailed(site):
 
 _REFUSALS = {
     "cp1-oracle-empty-grid": (lambda: cp1_bergman_oracle(2, 2, []), OutOfDomain, "non-empty"),
+    # a nan or inf value gave a nan row, which max_abs_error and max_spread skipped
+    "cp1-oracle-grid-nan": (lambda: cp1_bergman_oracle(2, 3, [0.5, math.nan]), OutOfDomain,
+                            r"^\|z\|\^2 grid value nan is not a finite non-negative number$"),
+    "cp1-oracle-grid-inf": (lambda: cp1_bergman_oracle(2, 3, [0.5, math.inf]), OutOfDomain,
+                            r"^\|z\|\^2 grid value inf is not a finite"),
+    "cp1-oracle-grid-negative": (lambda: cp1_bergman_oracle(2, 3, [-0.5]), OutOfDomain,
+                                 r"^\|z\|\^2 grid value -0.5 is not a finite"),
     "hartogs-sample-outside": (lambda: hartogs_gram_oracle(
         GramOracleConfig(2, 2, sample_points=((0.0, 1.0),)), balanced_setup(2, 1, 2, "ball")),
                                OutOfDomain, r"sample point \(0.0, 1.0\) outside the model"),

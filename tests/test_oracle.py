@@ -14,8 +14,8 @@ import pytest
 from kqlab import oracle, special
 from kqlab.bergman import QuantizationSetup, balanced_setup, closed_target, psi_moment
 from kqlab.curvature import BaseGeometry
-from kqlab.errors import (KQLabError, PreconditionFailed, QuadratureNonConvergent,
-                          TruncationInsufficient)
+from kqlab.errors import (KQLabError, OutOfDomain, PreconditionFailed,
+                          QuadratureNonConvergent, TruncationInsufficient)
 from kqlab.oracle import (Cp1OracleReport, GramOracleConfig,
                           cp1_bergman_oracle, gram_offdiagonal_probe,
                           hartogs_gram_oracle)
@@ -92,6 +92,20 @@ def test_hartogs_zero_radius_consistent_with_moment_route():
     assert expected == pytest.approx(closed_target(setup), rel=1e-13)
 
 
+@pytest.mark.parametrize("part", ["ball", "total"])
+@pytest.mark.parametrize("point", [(math.nan, 0.3), (0.5, math.nan), (math.inf, 0.3),
+                                   (0.5, math.inf)])
+def test_hartogs_refuses_a_non_finite_sample_before_any_work(monkeypatch, part, point):
+    # a nan or inf coordinate reached the kernel sum, warned, and came out as
+    # non-convergence; a nan rho was refused in the profile's words
+    monkeypatch.setattr(oracle, "_norm_matrix", lambda cfg, setup: pytest.fail("norms formed"))
+    k = 2 if part == "ball" else 1
+    cfg = GramOracleConfig(bundle_degree=k, power=2, sample_points=((0.5, 0.3), point))
+    with pytest.raises(OutOfDomain,
+                       match=rf"^sample point \({point[0]}, {point[1]}\) outside the model$"):
+        hartogs_gram_oracle(cfg, balanced_setup(k, 1, 2, part))
+
+
 def test_hartogs_truncation_guard():
     cfg = GramOracleConfig(bundle_degree=2, power=3, q_cap=8,
                            sample_points=((0.5, 0.85),))
@@ -125,6 +139,19 @@ def test_hartogs_refuses_a_full_space_profile_it_does_not_integrate():
     for check in (lambda: hartogs_gram_oracle(cfg, s),
                   lambda: gram_offdiagonal_probe(cfg, s, [((0, 0), (1, 1))])):
         with pytest.raises(PreconditionFailed, match="linear profile"):
+            check()
+
+
+def test_hartogs_refuses_an_inadmissible_ball_profile_in_the_density_words():
+    # log-affine with A > 0 has F' = -c/A (1 + c rho)^-1 < 0 on the whole fiber: the
+    # oracle's weight reads the density's factors, and their refusal names the first node
+    s = QuantizationSetup(1, "ball", log_affine(0.5, 1.0), BaseGeometry.fubini_study_cp1(2), 2.0)
+    cfg = GramOracleConfig(bundle_degree=2, power=2, q_cap=40)
+    for check, nodes in ((lambda: hartogs_gram_oracle(cfg, s), cfg.s_nodes),
+                         (lambda: gram_offdiagonal_probe(cfg, s, [((0, 0), (1, 1))]),
+                          oracle._PROBE_RADII)):
+        first = special.legendre(nodes)[0][0]
+        with pytest.raises(OutOfDomain, match=rf"^density factors not positive at u={first}$"):
             check()
 
 

@@ -9,8 +9,8 @@ from kqlab import jets
 from kqlab.curvature import _ddx
 from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (FAMILIES, RadialProfile, custom, from_params, linear, log_affine,
-                            log_ball, profile_jet, t_from_x, x_from_t)
+from kqlab.profiles import (FAMILIES, RadialProfile, custom, density_factors, from_params,
+                            linear, log_affine, log_ball, profile_jet, t_from_x, x_from_t)
 from test_jets import _same_bits
 
 
@@ -254,3 +254,15 @@ def test_rho_arrays_match_the_hand_written_formulas(p, top, fractions):
     for n, want in enumerate(_hand_written_rho_arrays(p, xi)):
         got = j.derivative(n)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_a_custom_rho_rules_density_factors_name_its_first_non_positive_factor():
+    # F = rho - rho^2: F' = 1 - 2 rho is positive below 1/2, F' + rho F'' = 1 - 4 rho below 1/4
+    p = custom(lambda rho, order: (lambda v: v - v * v)(TaylorJet.variable(rho, order)), "rho")
+    rho = np.array([0.1, 0.2])
+    want = (rho - rho ** 2, rho * (1 - 2 * rho), np.log(1 - 2 * rho), np.log(1 - 4 * rho))
+    for got, value in zip(density_factors(p, rho), want):
+        assert got == pytest.approx(value, rel=1e-15)
+    for grid, first in (([0.1, 0.3, 0.6], 0.3), ([0.1, 0.6, 0.3], 0.6)):
+        with pytest.raises(OutOfDomain, match=rf"^density factors not positive at u={first}$"):
+            density_factors(p, np.array(grid))

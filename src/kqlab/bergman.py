@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curvature import BaseGeometry, BergmanLaw, _branch, _close, _spread, on_required_base
-from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
+from .errors import (BranchInvalid, EmptyGrid, OutOfDomain, PreconditionFailed,
                      QuadratureNonConvergent, SeriesNonConvergent)
 from .jets import require
 # profile_jet is not called here, but stays bound: perfbench's tracer reads it
@@ -469,6 +469,8 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
         raise PreconditionFailed(f"series cap k_max must be >= 0, got {k_max}")
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
+    if radii.size == 0:
+        raise EmptyGrid("the moment series needs at least one radius")
     eps, alpha, lam = s.base.eps, s.alpha, s.twist
     law = eps if isinstance(eps, BergmanLaw) else (
         lambda levels: np.fromiter(map(eps, levels.tolist()), float, levels.size))

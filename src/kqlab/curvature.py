@@ -12,13 +12,12 @@ mom(x) = F''(t) and its x-derivatives (' is d/dx = (1/mom) d/dt), through
 
 Written in psi = mom/x = 1 + x mu (the momentum-profile form of Hwang & Singer,
 Trans. AMS 354, 2002) and s = psi' + d lam psi/(1 + lam*x), each field is one
-expression for every (d, d0), with no 1/x and no power of 1 + lam*x as a jet.  A
-closed family gives x from its moment map and mu = A exactly, so no field cancels
-toward the zero section and its floor CLOSED_X_MIN is 1e-12; a custom profile gives
-the x-jet of mom by the chain rule from its t-jet, and mu = (mom - x)/x^2, which does
-cancel there, so X_MIN = 1e-6 guards it.  A coefficient stage gives x, mom, sigma,
-chi, sigma', chi', scalar, a1 and a2, all that classification reads; an invariant
-stage then gives |Ric|^2, the Laplacian of scalar and |R|^2.
+expression for every (d, d0), with no 1/x and no power of 1 + lam*x as a jet.  The
+x-jets of mom, psi and mu come from ``profiles.momentum_jets``, which holds both
+routes (exact for a closed family, by the chain rule for a jet rule) and both
+evaluation floors.  A coefficient stage gives x, mom, sigma, chi, sigma', chi', scalar,
+a1 and a2, all that classification reads; an invariant stage then gives |Ric|^2, the
+Laplacian of scalar and |R|^2.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateJet, EmptyGrid, KQLabError, OutOfDomain, PreconditionFailed
+from .errors import EmptyGrid, KQLabError, OutOfDomain, PreconditionFailed
 from .jets import TaylorJet, require
-from .profiles import FAMILIES, RadialProfile, profile_jet, t_from_x, x_from_t
+from .profiles import RadialProfile, momentum_jets
 from .special import product_shifted
 
-X_MIN = 1e-6  # a custom profile's fiber evaluation floor, where its mu cancels
-CLOSED_X_MIN = 1e-12  # a closed family's, whose fields hold to 1e-13 down to it
 REPORT_ORDER = 4  # order of curvature_report's x-jets, the least its fields allow
-CUSTOM_T_ORDER = 6  # order of a custom profile's t-jet, the least REPORT_ORDER allows
 
 
 @dataclass(frozen=True)
@@ -178,49 +174,6 @@ class CurvatureReport:
                 - self.ric2 / 6.0 + self.scalar ** 2 / 8.0)
 
 
-def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
-    """x-derivative d/dx = (1/phi) d/dt on jets in t."""
-    return u.deriv() / phi.truncated(u.order - 1)
-
-
-def _momentum_jet(p: RadialProfile,
-                  ts: np.ndarray) -> tuple[np.ndarray, TaylorJet, TaylorJet, TaylorJet]:
-    """x = F'(t) and the x-jets, to the orders the fields read (4, 4, 2), of the momentum
-    profile phi(x) = F''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu.  For a
-    closed family, x is its moment map, the jets are exactly x + A x^2, 1 + A x and A,
-    and the floor is the t that the map takes to CLOSED_X_MIN; for a custom profile, x and
-    phi come by the chain rule on its t-jet, and psi, mu as quotients by x."""
-    custom = p.family not in FAMILIES
-    if custom:
-        xj = profile_jet(p, ts, CUSTOM_T_ORDER, "t").deriv()      # F'
-        x, floor, above = xj.value, X_MIN, xj.value >= X_MIN
-    else:
-        x, floor = x_from_t(p, ts), CLOSED_X_MIN
-        try:                # every t from the one the moment map takes to the floor on
-            above = ts >= t_from_x(p, floor)
-        except OutOfDomain:     # the family's whole range lies below the floor
-            above = np.zeros(ts.shape, bool)
-    require(above, OutOfDomain,
-            lambda i: f"x = {x[i]} below the evaluation floor {floor} at t={ts[i]}")
-    u = phit = xj.deriv() if custom else None                                # F''
-    mom = phit.value if custom else x + p.A * x * x
-    require(mom > 0, DegenerateJet,
-            lambda i: f"momentum profile {mom[i]} not positive at t={ts[i]}")
-    coeffs = np.zeros((REPORT_ORDER + 1, ts.size))
-    coeffs[0] = mom
-    if custom:                                  # d/dx = (1/F'') d/dt, k times
-        for k in range(1, REPORT_ORDER + 1):
-            u = _ddx(u, phit)
-            coeffs[k] = u.value / math.factorial(k)
-        phij, y = TaylorJet(coeffs), TaylorJet.variable(x, REPORT_ORDER)
-        psij = phij / y
-        return x, phij, psij, (psij.truncated(2) - 1.0) / y.truncated(2)
-    coeffs[1], coeffs[2] = 1.0 + 2.0 * p.A * x, p.A
-    psi = np.zeros((REPORT_ORDER + 1, ts.size))
-    psi[0], psi[1] = 1.0 + p.A * x, p.A
-    return x, TaylorJet(coeffs), TaylorJet(psi), TaylorJet(psi[1:4])    # mu = A, to order 2
-
-
 def _shift(lam: float, x: np.ndarray) -> TaylorJet:
     """The x-jet of 1 + lam*x to REPORT_ORDER, formed exactly: the coefficients of
     ``1.0 + lam * TaylorJet.variable(x, REPORT_ORDER)``, with no jet operation."""
@@ -245,7 +198,7 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
         raise PreconditionFailed("fiber dimension d0 must be >= 1")
     d, lam = base.d, base.twist
 
-    x, phij, psij, muj = _momentum_jet(p, ts)
+    x, phij, psij, muj = momentum_jets(p, ts, REPORT_ORDER)
     mom = phij.value
     shift = _shift(lam, x)
     require(shift.value > 0, OutOfDomain,
@@ -310,7 +263,7 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
 
 def _evaluate(base: BaseGeometry, p: RadialProfile, d0: int, t, names) -> dict:
     """t and the fields of _stages at t, a float or a 1-d array, from the stages it takes
-    to yield every field in ``names``; an overflow, of an array operation or of a custom
+    to yield every field in ``names``; an overflow, of an array operation or of a profile's
     jet rule, is refused as OutOfDomain at the first t whose fields leave the float range.
     A grid that fails is refused at its first t that fails alone, whichever check fails."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))

@@ -14,11 +14,12 @@ Three closed families cover every constant-coefficient case:
 All three share the quadratic momentum profile x -> x + A x^2 (A = 0 for the
 linear family), where x = F_t'(t) and the momentum profile is F_t'' viewed as
 a function of x.  ``x_from_t`` and ``t_from_x`` give their moment map and its
-inverse in closed form.  ``density_factors`` is the one evaluation of the density
-factors F, x = rho F', log F' and log(F' + rho F''), read by the density, the Bergman
-series and the Gram oracle: with no jet c rho, c and c for the linear family, and for the
-log families (log-ball with c = -1) -(1/A) log1p(c rho), F' = g/(1 + c rho), F' + rho F''
-= g/(1 + c rho)^2, g = -c/A; from the order-2 rho-jet of a custom profile's jet rule.
+inverse in closed form.  Only this module tells a closed family from a custom profile.
+``momentum_jets`` gives the curvature engine the x-jets of the momentum profile: a closed
+family's exactly, from x = CLOSED_X_MIN on, a custom one's by the chain rule on its t-jet,
+from X_MIN on.  ``density_factors`` gives the density, the Bergman series and the Gram
+oracle F, x = rho F', log F' and log(F' + rho F''): a closed family's in closed form with
+no jet (log1p for the log families; see FAMILIES), a custom one's from its order-2 rho-jet.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .errors import OutOfDomain, PreconditionFailed
+from .errors import DegenerateJet, OutOfDomain, PreconditionFailed
 from .jets import DEFAULT_ORDER, TaylorJet, require
 
 JetRule = Callable[[float, int], TaylorJet]
 
 # the largest t whose e^t is a float
 _T_MAX = math.log(sys.float_info.max)
+X_MIN = 1e-6  # a custom profile's momentum floor in x, where its mu cancels
+CLOSED_X_MIN = 1e-12  # a closed family's, whose curvature fields hold to 1e-13 down to it
 
 
 def _log_affine(A: float, cv: TaylorJet) -> TaylorJet:
@@ -211,7 +214,8 @@ def _rule_jet(p: RadialProfile, point: np.ndarray, order: int) -> TaylorJet:
     """A custom rule's jets: one call per point (a rule takes a float), stacked."""
     if point.ndim == 0:
         return p.rule(float(point), order)
-    return TaylorJet(np.stack([p.rule(u, order).coeffs for u in point.tolist()], axis=-1))
+    coeffs = [p.rule(u, order).coeffs for u in point.tolist()]
+    return TaylorJet(np.stack(coeffs, axis=-1) if coeffs else np.zeros((order + 1, 0)))
 
 
 def x_from_t(p: RadialProfile, t):
@@ -250,9 +254,9 @@ def density_factors(p: RadialProfile, rho):
         return j.derivative(0), rho * Fp, np.log(Fp), np.log(radial)
     _require_below(p, rho, "rho")
     F, g, L = family.density(p, rho)
-    if not g > 0:       # the sign of F' and F' + rho F'' at every rho
+    if not g > 0 and rho.size:      # the sign of F' and F' + rho F'' at every rho there is
         raise OutOfDomain(f"density factors not positive at u={rho.flat[0]}")
-    log_g = math.log(g)
+    log_g = math.log(g) if g > 0 else math.nan      # read at no rho
     return F, family.x_from_t(p, rho), log_g - L, log_g - 2.0 * L
 
 
@@ -264,3 +268,44 @@ def t_from_x(p: RadialProfile, x: float) -> float:
     if not 0 < x < math.inf:
         raise OutOfDomain(f"fiber coordinate x must be positive and finite, got {x}")
     return FAMILIES[p.family].t_from_x(p, x)
+
+
+def _ddx(u: TaylorJet, phi: TaylorJet) -> TaylorJet:
+    """x-derivative d/dx = (1/phi) d/dt on jets in t."""
+    return u.deriv() / phi.truncated(u.order - 1)
+
+
+def _require_momentum(ts: np.ndarray, x, above, floor: float, mom) -> None:
+    require(above, OutOfDomain,
+            lambda i: f"x = {x[i]} below the evaluation floor {floor} at t={ts[i]}")
+    require(mom > 0, DegenerateJet,
+            lambda i: f"momentum profile {mom[i]} not positive at t={ts[i]}")
+
+
+def momentum_jets(p: RadialProfile, ts: np.ndarray,
+                  order: int) -> tuple[np.ndarray, TaylorJet, TaylorJet, TaylorJet]:
+    """x = F_t'(t) on a 1-d array ts, and the x-jets to orders (order, order, 2) of the momentum
+    profile phi(x) = F_t''(t) = x + x^2 mu(x), of psi = phi/x = 1 + x mu and of mu: a closed
+    family's exactly x + A x^2, 1 + A x and A, from the t its moment map takes to CLOSED_X_MIN
+    on; a custom one's by the chain rule on its t-jet to order + 2, from X_MIN on."""
+    if p.family in FAMILIES:
+        x = x_from_t(p, ts)
+        try:                # every t from the one the moment map takes to the floor on
+            above = ts >= t_from_x(p, CLOSED_X_MIN)
+        except OutOfDomain:     # the family's whole range lies below the floor
+            above = np.zeros(ts.shape, bool)
+        phi, psi = np.zeros((2, order + 1, ts.size))
+        phi[0], phi[1], phi[2] = x + p.A * x * x, 1.0 + 2.0 * p.A * x, p.A
+        _require_momentum(ts, x, above, CLOSED_X_MIN, phi[0])
+        psi[0], psi[1] = 1.0 + p.A * x, p.A
+        return x, TaylorJet(phi), TaylorJet(psi), TaylorJet(psi[1:4])    # mu = A, to order 2
+    xj = profile_jet(p, ts, order + 2, "t").deriv()                                 # F'
+    _require_momentum(ts, xj.value, xj.value >= X_MIN, X_MIN, xj.derivative(1))    # F''
+    u = phit = xj.deriv()
+    coeffs = [phit.value]
+    for k in range(1, order + 1):               # d/dx = (1/F'') d/dt, k times
+        u = _ddx(u, phit)
+        coeffs.append(u.value / math.factorial(k))
+    phij, y = TaylorJet(np.array(coeffs)), TaylorJet.variable(xj.value, order)
+    psij = phij / y
+    return xj.value, phij, psij, (psij.truncated(2) - 1.0) / y.truncated(2)

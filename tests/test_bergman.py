@@ -19,7 +19,7 @@ from kqlab.bergman import (BalancedCertificate, QuantizationSetup,
                            generating_coefficients, generating_identity_check,
                            psi_moment)
 from kqlab.curvature import BaseGeometry, BergmanLaw
-from kqlab.errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
+from kqlab.errors import (BranchInvalid, EmptyGrid, OutOfDomain, PreconditionFailed,
                           QuadratureNonConvergent, SeriesNonConvergent)
 from kqlab.jets import TaylorJet
 from kqlab.oracle import GramOracleConfig, gram_offdiagonal_probe, hartogs_gram_oracle
@@ -90,6 +90,15 @@ def test_a_density_past_the_float_range_is_refused():
                            match=r"^fiber density H\(alpha, u\) leaves the float range at u=0.9$"):
             density_H(s, u)
 
+
+def test_a_concave_profile_on_no_point_has_an_empty_density():
+    # log-affine with A > 0 has F' < 0 at every rho > 0: refused at the first rho
+    # there is, and with no rho nothing is refused
+    concave = log_affine(0.5, 1.0)
+    assert [f.shape for f in profiles.density_factors(concave, np.array([]))] == [(0,)] * 4
+    assert density_H(full_setup(concave, 1.0, 1, 1, 2.0), np.array([])).shape == (0,)
+    with pytest.raises(OutOfDomain, match=r"^density factors not positive at u=0\.3$"):
+        profiles.density_factors(concave, np.array([0.3, 0.1]))
 
 
 def _density_setups():
@@ -532,6 +541,14 @@ def test_generating_identity_ball():
     # closed right side really is the binomial resummation
     rho, lhs, rhs = rep.rows[5]
     assert rhs == pytest.approx((1 - rho) ** (-2.0 / A), rel=1e-13)
+
+
+def test_an_empty_radius_grid_is_an_empty_grid():
+    s = balanced_setup(2, 1, 2, "ball")
+    for run in (lambda: bergman_series(s, []), lambda: generating_identity_check(s, []),
+                lambda: balanced_certify(2, 1, 2, rho_grid=[])):
+        with pytest.raises(EmptyGrid, match="^the moment series needs at least one radius$"):
+            run()
 
 
 def test_generating_identity_case_two_at_origin():

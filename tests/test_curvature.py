@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqlab import curvature, jets
+from kqlab import curvature, jets, profiles
 from kqlab.curvature import (BaseGeometry, ClassificationVerdict, _close,
                              branch_coefficients, classify_check,
                              curvature_report, polyquad_closed,
                              required_base_coefficients)
 from kqlab.errors import EmptyGrid, KQLabError, OrderExceeded, OutOfDomain
 from kqlab.jets import TaylorJet
-from kqlab.profiles import custom, linear, log_affine, log_ball, t_from_x
+from kqlab.profiles import CLOSED_X_MIN, custom, linear, log_affine, log_ball, t_from_x
 from fd_oracle import mp_momentum, mp_profile, mp_report
 from test_jets import _same_bits, coeff, coeff_pairs, non_finite, signed_zero
 
@@ -209,7 +209,7 @@ def test_every_t_from_the_floors_t_on_is_evaluated(p):
     # first three, which a floor on the rounded x refused; one ulp lower in t
     # is still refused, by the same words
     base = BaseGeometry.from_coefficients(1, 1.0, a1=0.45, a2=-0.2)
-    t = t_from_x(p, curvature.CLOSED_X_MIN)
+    t = t_from_x(p, CLOSED_X_MIN)
     for at in (t, np.array([t, -1.0])):
         assert np.isfinite(curvature_report(base, p, 2, at).a2).all()
     below = float(np.nextafter(t, -math.inf))
@@ -452,12 +452,21 @@ def test_array_grid_report_equals_pointwise_reports(name, d, d0, lam, fractions)
                 getattr(point, field), rel=1e-13, abs=0.0), field
 
 
+def _momentum_jets_truncated(order):
+    """profiles.momentum_jets at ``order``, truncated to the orders (4, 4, 2) a report reads."""
+    def jets(p, ts, _):
+        x, phi, psi, mu = profiles.momentum_jets(p, ts, order)
+        return x, phi.truncated(4), psi.truncated(4), mu
+    return jets
+
+
 @pytest.mark.parametrize("name", sorted(_GRID_PROFILES))
 @pytest.mark.parametrize("d, d0", [(1, 1), (1, 2), (2, 1), (2, 2)])
 @pytest.mark.parametrize("lam", [0.7, -0.4])
 def test_default_order_report_is_bit_identical_to_order_8(monkeypatch, name, d, d0, lam):
-    # a custom profile's x-jet of phi reads six derivatives of F, and a jet
-    # coefficient depends only on coefficients of its own and lower orders
+    # a custom profile's x-jet of phi to order 4 reads six derivatives of F, and a jet
+    # coefficient depends only on coefficients of its own and lower orders: x-jets to
+    # order 6, from t-jets to order 8, give the same report
     p, closed = _GRID_PROFILES[name]
     cap = 2.5 if lam > 0 else 0.9 / abs(lam)
     if closed.family == "logaffine":
@@ -467,17 +476,45 @@ def test_default_order_report_is_bit_identical_to_order_8(monkeypatch, name, d, 
     for t in (np.array(grid), grid[2]):
         default = curvature_report(base, p, d0, t)
         with monkeypatch.context() as m:
-            m.setattr(curvature, "CUSTOM_T_ORDER", 8)
+            m.setattr(curvature, "momentum_jets", _momentum_jets_truncated(6))
             eight = curvature_report(base, p, d0, t)
         for field in _REPORT_FIELDS:
             assert (np.asarray(getattr(default, field)).tobytes()
                     == np.asarray(getattr(eight, field)).tobytes()), field
 
 
-def test_order_5_is_too_low_for_a_report(monkeypatch):
-    monkeypatch.setattr(curvature, "CUSTOM_T_ORDER", 5)
+@pytest.mark.parametrize("name", ["custom-t", "custom-rho"])
+def test_momentum_jets_to_order_6_truncate_to_order_4_bit_for_bit(name):
+    # the t-order follows from the x-order asked for, and a higher one changes no
+    # coefficient kept
+    p, closed = _GRID_PROFILES[name]
+    ts = np.array([t_from_x(closed, x) for x in (1e-5, 0.01, 0.3, 1.0, 2.4)])
+    x4, *four = profiles.momentum_jets(p, ts, 4)
+    x6, *six = _momentum_jets_truncated(6)(p, ts, 4)
+    assert _same_bits(x4, x6)
+    for want, got in zip(four, six):
+        assert want.order == got.order and _same_bits(want.coeffs, got.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_PROFILES))
+def test_no_point_gives_empty_results(name):
+    # a custom rule has no jets to stack there, and returns what a closed family does
+    # (the linear family's log factors are constants, which broadcast)
+    p, _ = _GRID_PROFILES[name]
+    none = np.array([])
+    for form in ("t", "rho"):
+        assert profiles.profile_jet(p, none, 4, form).coeffs.shape == (5, 0)
+    assert np.broadcast(*profiles.density_factors(p, none)).shape == (0,)
+    report = curvature_report(BaseGeometry.from_coefficients(2, 0.7, 0.3, -0.2), p, 2, none)
+    assert [np.shape(getattr(report, field)) for field in _REPORT_FIELDS] == [(0,)] * 13
+
+
+def test_order_5_is_too_low_for_a_report():
+    # a rule whose t-jets stop at order 5, whatever order it is asked for, cannot
+    # give the four x-derivatives of phi a report reads
+    rule = _logball_t_rule(1.0)
     with pytest.raises(OrderExceeded):
-        curvature_report(BaseGeometry.flat(1), custom(_logball_t_rule(1.0)), 1, -1.0)
+        curvature_report(BaseGeometry.flat(1), custom(lambda t, order: rule(t, 5)), 1, -1.0)
 
 
 @given(coeff_pairs(st.one_of(coeff, signed_zero, non_finite)))

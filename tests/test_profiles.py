@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqlab import jets
-from kqlab.curvature import _ddx
 from kqlab.errors import OutOfDomain, PreconditionFailed
 from kqlab.jets import TaylorJet
-from kqlab.profiles import (FAMILIES, RadialProfile, custom, density_factors, from_params,
-                            linear, log_affine, log_ball, profile_jet, t_from_x, x_from_t)
+from kqlab.profiles import (FAMILIES, RadialProfile, _ddx, custom, density_factors,
+                            from_params, linear, log_affine, log_ball, momentum_jets,
+                            profile_jet, t_from_x, x_from_t)
 from test_jets import _same_bits
 
 
@@ -91,6 +91,22 @@ def test_momentum_profile_is_quadratic(p, ts):
         assert mom[2].value == pytest.approx(2 * A, rel=1e-8, abs=1e-9)
         assert mom[3].value == pytest.approx(0.0, abs=1e-7)
         assert mom[4].value == pytest.approx(0.0, abs=1e-6)
+    # momentum_jets gives the family's jets of phi, psi = 1 + A x and mu = A exactly,
+    # and a custom rule rebuilding the family from its t-jets the same by that chain
+    ts = np.array(ts)
+    x, phi, psi, mu = momentum_jets(p, ts, 4)
+    assert _same_bits(x, x_from_t(p, ts))
+    zero = np.zeros((2, ts.size))
+    assert _same_bits(phi.coeffs, np.vstack([x + A * x * x, 1 + 2 * A * x, 0 * x + A, zero]))
+    assert _same_bits(psi.coeffs, np.vstack([1 + A * x, 0 * x + A, zero, 0 * x]))
+    assert _same_bits(mu.coeffs, np.vstack([0 * x + A, zero]))
+    rebuilt = custom(lambda t, order: profile_jet(p, t, order, "t"))
+    xc, *chained = momentum_jets(rebuilt, ts, 4)
+    assert xc == pytest.approx(x, rel=1e-14)
+    for got, want in zip(chained, (phi, psi, mu)):
+        assert got.order == want.order
+        for k, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
+            assert g == pytest.approx(w, rel=1e-8, abs=10.0 ** (k - 10)), k
 
 
 @pytest.mark.parametrize("p,x", [(log_ball(0.5), 1.7), (linear(2.0), 0.4),

@@ -29,12 +29,12 @@ with the density itself evaluated from the profile, never through the closed
 moments: the density and the series' e^(-alpha F) read one evaluation of the
 profile factors, ``profiles.density_factors`` (closed forms for the three
 families, an order-2 rho-jet for a custom profile), which the Gram oracle reads too.
-A single moment gets its own rule; a series or a moment table shares one rule,
-and one sweep of the density over its nodes, among each aligned block of
-min(64, nodes) consecutive fiber degrees: an N-node rule (``--quad-nodes``) is
-exact to degree 2N-1, so a span of at most N keeps each block moment as exact as
-a rule of its own; on every route the density is numpy's logs and exp past those
-factors.  Any other setup (a custom profile, or a family off its model's domain)
+A single moment gets its own rule; a moment table shares one rule, one sweep of the
+density over its nodes and one array of moments, which it holds and hands the series
+slices of, among each aligned block of min(64, nodes) consecutive fiber degrees: an
+N-node rule (``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps
+each block moment as exact as a rule of its own; the density is numpy's logs and exp
+past those factors.  Any other setup (a custom profile, or a family off its model's domain)
 uses adaptive quadrature one moment at a time.  A moment that is not finite and
 positive raises QuadratureNonConvergent when asked for.
 """
@@ -266,10 +266,10 @@ def _psi_quadrature_block(s: QuantizationSetup, k0: int, k1: int,
     inf, refused when its moment is handed out.
     """
     j = np.arange(k1 - k0 + 1)[:, None]
-    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): an integer product, exact in floats
+    # Gamma(k+1)/Gamma(k+d0) = 1/((k+1)...(k+d0-1)): d0 - 1 integer products, exact in floats
     # below 2**53 (past it, in integers rounded once), where an lgamma difference errs by
     # |lgamma| ulps; not special.product_shifted, which computes the targets these certify
-    rising = np.prod(k0 + j + np.arange(1.0, s.d0), axis=1)
+    rising = reduce(np.multiply, (k0 + i + j[:, 0] for i in range(1, s.d0)), np.ones(j.size))
     if rising[-1] >= 2.0 ** 53:
         rising = np.array([float(math.prod(range(k + 1, k + s.d0))) for k in range(k0, k1 + 1)])
     with np.errstate(over="ignore", invalid="ignore"):   # checked when handed out
@@ -292,13 +292,12 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
     return val / math.prod(range(k + 1, k + s.d0))
 
 
-def psi_moment(s: QuantizationSetup, k: int, method: str = "closed",
-               nodes: int = 64) -> float:
+def psi_moment(s: QuantizationSetup, k: int, method: str = "closed", nodes: int = 64) -> float:
     """Fiber moment psi(alpha, k) by closed form, or by quadrature with a rule of its own."""
     table = MomentTable(s, method, nodes)
-    if table._gauss:
+    if table._gauss:    # its own block [k, k], as the one block of a table of span 1
         table._gate(k)
-        table._vals[k] = float(_psi_quadrature_block(s, k, k, nodes)[0])
+        table._span, table._blocks[k] = 1, _psi_quadrature_block(s, k, k, nodes)
     return table(k)
 
 
@@ -309,10 +308,10 @@ class MomentTable:
     The closed route walks psi(alpha, 0) over the closed ratios as a mantissa and
     a power of two, one ratio per new degree, and refuses a moment that is not a
     normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
-    Quadrature fills the three families an aligned block of min(_GAUSS_BLOCK, nodes)
-    degrees per Gauss rule, any other setup adaptively one moment at a time, and
-    refuses a moment that is not finite and positive; ``_gate`` refuses bad degrees.
-    For the series, ``_ratios`` hands out the ratios of one block as one array.
+    Quadrature holds the three families' moments as one array per Gauss rule, each an
+    aligned block of min(_GAUSS_BLOCK, nodes) degrees keyed by its first, any other
+    setup's adaptively one per degree, and refuses a moment that is not finite and
+    positive; ``_gate`` refuses bad degrees.  ``_ratios`` hands the series slices of a block.
     """
 
     def __init__(self, s: QuantizationSetup, method: str = "closed", nodes: int = 64):
@@ -326,9 +325,9 @@ class MomentTable:
         # the least moment handed out: a normal float closed, any positive float by quadrature
         self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
         self._span = max(1, min(_GAUSS_BLOCK, nodes))   # gauss_rule refuses nodes < 1
-        self._vals: dict[int, float] = {}
+        self._vals: dict[int, float] = {}               # the closed and adaptive moments
+        self._blocks: dict[int, np.ndarray] = {}        # the Gauss blocks by first degree
         self._walk = (0.5, 1)       # the last closed moment walked, as mantissa and exponent
-        self._blocks: set[tuple[int, int]] = set()
         self._used: set[int] = set()
         self._ratio = None          # the closed ratio, set with psi(alpha, 0)
 
@@ -366,17 +365,16 @@ class MomentTable:
             k0 = k - k % self._span
             k1 = k0 + self._span - 1 if s.twist > 0 else s.fiber_degrees(k0 + self._span - 1)[-1]
             k1 = max(k, min(k1, self._last))
-            self._vals.update(zip(range(k0, k1 + 1),
-                                  _psi_quadrature_block(s, k0, k1, self._nodes).tolist()))
-            self._blocks.add((k0, k1))
+            self._blocks[k0] = _psi_quadrature_block(s, k0, k1, self._nodes)
         else:
             self._vals[k] = _psi_adaptive(s, k)
 
     def __call__(self, k: int) -> float:
-        if k not in self._vals:
-            self._gate(k)
+        self._gate(k)
+        i = k % self._span      # quadrature: k's place in its aligned block, filled if short of k
+        if k not in self._vals and i >= len(self._blocks.get(k - i, ())):
             self._fill(k)
-        psi = self._vals[k]
+        psi = float(self._blocks[k - i][i]) if self._gauss else self._vals[k]
         if not self._least <= psi < math.inf:
             raise QuadratureNonConvergent(
                 f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float"
@@ -397,10 +395,10 @@ class MomentTable:
         at hand or refused; it fills, refuses and marks nothing, under the caller's errstate."""
         if self._closed:
             return self._closed_ratio()(self.setup, np.arange(k0 - 1.0, min(k1, self._last)))
-        ks = range(k0 - 1, k1 + 1)
-        psi = np.fromiter(map(self._vals.get, ks, [math.nan] * len(ks)), float, len(ks))
-        ok = (psi >= self._least) & (psi < math.inf)     # a nan, not at hand, fails
-        n = len(ks) - 1 if ok.all() else max(np.argmin(ok) - 1, 0)
+        first = k0 - 1 - (k0 - 1) % self._span     # two slices of k0 - 1's block (adaptive: none)
+        psi = self._blocks.get(first, np.empty(0))[k0 - 1 - first:k1 + 1 - first]
+        ok = (psi >= self._least) & (psi < math.inf)
+        n = max((psi.size if ok.all() else np.argmin(ok)) - 1, 0)
         return psi[:n] / psi[1:n + 1]
 
     def counts(self) -> dict[str, int]:
@@ -419,8 +417,8 @@ def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
     """Monomial fiber moment I_m: multinomial prefactor prod_i m_i!/|m|! times psi(alpha, |m|)."""
     if len(m) != s.d0:
         raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
-    if any(mi < 0 for mi in m):
-        raise PreconditionFailed("multi-index entries must be non-negative")
+    if not all(isinstance(mi, int) and mi >= 0 for mi in m):
+        raise PreconditionFailed(f"multi-index entries must be non-negative integers, got {m!r}")
     tot = sum(m)
     pref = math.prod(map(math.factorial, m)) / math.factorial(tot)   # exact, rounded once
     return pref * psi_moment(s, tot, method, nodes)
@@ -497,14 +495,14 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
             if bounded:
                 r = np.abs(d / np.concatenate(([terms[-1]], d[:-1])))    # past a zero: no stop
                 ends |= (r < 1) & (np.abs(d) * r / (1 - r) <= _SERIES_REL_TOL * np.abs(totals))
-            ends = np.flatnonzero(ends)
-        size = ends[0] + 1 if ends.size else f.size
+            end = ends.argmax()     # the first stop, if ends[end]
+        size = end + 1 if ends[end] else f.size
         terms += d[:size].tolist()
         psi._used.update(range(k, k + size))    # as ratio(k + 1), ratio(k + 2), ... mark them
         if not math.isfinite(totals[size - 1]):
             raise SeriesNonConvergent(
                 f"series term {k + size - 1} at rho={top} leaves the float range")
-        if ends.size:
+        if ends[end]:
             break
         moment, total, k = moments[-1], totals[-1], k + f.size
     else:
@@ -575,10 +573,12 @@ def _eps_alpha(s: QuantizationSetup, terms: list[float]) -> float:
 
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
-    """Series coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
+    """The first k_count coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
+    if not (isinstance(k_count, int) and k_count >= 0):
+        raise PreconditionFailed(f"coefficient count k_count={k_count!r} must be an integer >= 0")
     terms, _ = _moment_series(s, np.ones(1), MomentTable(s, psi_method, nodes), count=k_count)
     eps0 = _eps_alpha(s, terms)
-    return [d / eps0 for d in terms]
+    return [d / eps0 for d in terms[:k_count]]
 
 
 def generating_identity_check(s: QuantizationSetup, rho_grid: Sequence[float],

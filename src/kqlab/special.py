@@ -156,8 +156,8 @@ def roots_genlaguerre(nodes: int, a: float):
 
 def gauss_rule(rule, nodes: int, *exponents: float):
     """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
-    if nodes < 1:
-        raise PreconditionFailed(f"a Gauss rule needs at least one node, got {nodes}")
+    if not (isinstance(nodes, int) and nodes >= 1):
+        raise PreconditionFailed(f"a Gauss rule needs at least one node, an integer, got {nodes!r}")
     with np.errstate(all="ignore"):   # checked below, typed
         xs, ws = rule(nodes, *exponents)
     if not (np.isfinite(xs).all() and np.isfinite(ws).all()):

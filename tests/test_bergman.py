@@ -755,8 +755,10 @@ def test_coefficients_past_the_projective_spectrum_are_refused(method):
 def test_a_degree_that_is_not_a_natural_number_is_a_precondition(method):
     # closed: KeyError, TypeError, ZeroDivisionError and a value of -0.444 with no
     # error; quadrature: a non-finite Gauss rule or TypeError
+    # a held degree asked as a float is refused too (it was handed out once held)
     table = MomentTable(_projective_plane(), method)
-    for ask in (lambda: table(-1), lambda: table(2.5), lambda: table.ratio(0),
+    table(3)
+    for ask in (lambda: table(-1), lambda: table(2.5), lambda: table(3.0), lambda: table.ratio(0),
                 lambda: table.ratio(-3), lambda: table.ratio(1.5),
                 lambda: psi_moment(table.setup, 2.5, method)):
         with pytest.raises(PreconditionFailed, match="fiber degree k="):

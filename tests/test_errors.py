@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from kqlab.bergman import (QuantizationSetup, balanced_setup, bergman_series,
+from kqlab.bergman import (MomentTable, QuantizationSetup, balanced_setup, bergman_series,
                            fiber_moment, fiber_moment_direct, generating_coefficients,
                            generating_identity_check, psi_moment)
 from kqlab.curvature import (BaseGeometry, curvature_report, polyquad_closed,
@@ -44,11 +44,29 @@ _SITES = {
     "fiber-moment-index": (lambda: fiber_moment(_setup(), [1, 2]), "multi-index length"),
     "fiber-moment-negative-index": (lambda: fiber_moment(_setup(d0=2), [-1, 2]),
                                     "non-negative"),
+    # math.factorial raised TypeError
+    "fiber-moment-fractional-index": (lambda: fiber_moment(balanced_setup(2, 1, 2, "ball"), [1.5]),
+                                      r"^multi-index entries must be non-negative integers, "
+                                      r"got \[1.5\]$"),
+    # psi_moment built and memoised a 3-node rule, as np.arange(2.5) has three entries;
+    # the table raised TypeError
+    "psi-fractional-nodes": (lambda: psi_moment(balanced_setup(2, 1, 2, "ball"), 3, "quadrature",
+                                                nodes=2.5),
+                             r"^a Gauss rule needs at least one node, an integer, got 2.5$"),
+    "table-fractional-nodes": (lambda: MomentTable(balanced_setup(2, 1, 2, "ball"), "quadrature",
+                                                   2.5)(3),
+                               r"^a Gauss rule needs at least one node, an integer, got 2.5$"),
     "series-eps": (lambda: bergman_series(_setup(), 0.5), "no Bergman function eps"),
     "balanced-ball-c": (lambda: balanced_setup(1, 2, 2, "ball", c=5.0), "reads no profile scale"),
     "balanced-total-c": (lambda: balanced_setup(1, 1, 2, "total", c=math.inf), "finite"),
     "coefficients-eps": (lambda: generating_coefficients(_setup(), 4),
                          "no Bergman function eps"),
+    # a negative count gave [1.0], as count 0 did, and 2.5 raised TypeError from range
+    "coefficients-count-negative": (lambda: generating_coefficients(balanced_setup(2, 1, 2, "ball"),
+                                                                    -3),
+                                    r"^coefficient count k_count=-3 must be an integer >= 0$"),
+    "coefficients-count-fractional": (lambda: generating_coefficients(
+        balanced_setup(2, 1, 2, "ball"), 2.5), r"^coefficient count k_count=2.5 must be"),
     "coefficients-eps-zero": (lambda: generating_coefficients(_vanishing_at_alpha(), 4),
                               r"eps\(alpha\) = 0 at alpha = 2.0"),
     "identity-eps-zero": (lambda: generating_identity_check(_vanishing_at_alpha(), [0.0, 0.5]),

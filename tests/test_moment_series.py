@@ -85,6 +85,10 @@ CASES = {
     "ball-quadrature": (_BALL, "quadrature", 64, [0.0, 0.3, 0.9], 10000, None, ()),
     "ball-closed": (_BALL, "closed", 64, [0.0, 0.3, 0.9], 10000, None, ()),
     "ball-quadrature-20-nodes": (_BALL, "quadrature", 20, [0.0, 0.5, 0.8], 10000, None, ()),
+    # a table of span 1 holds one moment per block; an odd span cuts blocks at 63, 126, ...
+    "ball-quadrature-1-node": (_BALL, "quadrature", 1, [0.0, 0.5], 10000, None, ()),
+    "ball-quadrature-63-nodes": (_BALL, "quadrature", 63, [0.0, 0.3, 0.9], 10000, None, ()),
+    "ball-count-63-nodes": (_BALL, "quadrature", 63, [1.0], 10000, 130, ()),
     "ball-closed-20-nodes": (_BALL, "closed", 20, [0.8], 10000, None, ()),
     "ball-warm-table": (_BALL, "quadrature", 64, [0.2, 0.7], 10000, None, (5, 70)),
     "ball-k-max-cuts": (_BALL, "quadrature", 64, [0.0, 0.9], 100, None, ()),
@@ -99,9 +103,12 @@ CASES = {
     "total-closed-leaves-the-float-range": (_TOTAL, "closed", 64, [0.0, 240.0], 1000000,
                                             None, ()),
     "total-count-20-nodes": (_TOTAL, "quadrature", 20, [1.0], 10000, 90, ()),
+    "total-quadrature-63-nodes": (_TOTAL, "quadrature", 63, [0.0, 13.5, 27.0], 10000, None, ()),
     "projective-closed": (_projective(), "closed", 64, [0.0, 0.5, 0.9], 10000, None, ()),
     "projective-quadrature": (_projective(21.0, 1.5), "quadrature", 64, [0.2, 0.9], 10000,
                               None, ()),
+    "projective-quadrature-1-node": (_projective(21.0, 1.5), "quadrature", 1, [0.2, 0.9], 10000,
+                                     None, ()),
     "projective-k-max-refused": (_projective(), "quadrature", 64, [0.9], 3, None, ()),
     "projective-count-past-the-spectrum": (_projective(), "closed", 64, [1.0], 10000, 12, ()),
     "projective-count-past-the-spectrum-quadrature": (_projective(), "quadrature", 5, [1.0],
@@ -142,12 +149,62 @@ def test_the_refusals_the_block_series_meets(case, refusal, counts):
         assert _outcome(bergman._moment_series, *CASES[case]) == (refusal, counts)
 
 
+@pytest.mark.parametrize("nodes", [64, 63, 1])
+@pytest.mark.parametrize("s", [_BALL, _TOTAL], ids=["ball", "total"])
+def test_one_table_serves_two_series_of_different_top_radius(s, nodes):
+    # the second series reads the blocks the first filled, and fills the rest
+    tops = [0.4, 0.9] if s is _BALL else [9.0, 27.0]
+    outcomes = []
+    for series in (bergman._moment_series, _loop_series):
+        table = MomentTable(s, "quadrature", nodes)
+        sums = [series(s, np.linspace(0.0, top, 4), table) for top in tops]
+        outcomes.append(([[float(t).hex() for t in terms] for terms, _ in sums],
+                         [sum_.tobytes() for _, sum_ in sums], table.counts()))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][0][0]) < len(outcomes[0][0][1])
+
+
+@pytest.mark.parametrize("nodes", [64, 63, 20, 1])
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_the_series_opens_each_aligned_block_once(method, nodes, monkeypatch):
+    # ratio(k) opens k's block and _ratios hands out the rest of it: ratios cut short, or
+    # read from another block, would sum alike, but a degree at a time
+    opened, ratio = [], MomentTable.ratio
+    monkeypatch.setattr(MomentTable, "ratio", lambda table, k: opened.append(k) or ratio(table, k))
+    table = MomentTable(_BALL, method, nodes)
+    terms, _ = bergman._moment_series(_BALL, np.array([0.0, 0.9]), table)
+    span = min(64, nodes)
+    assert opened == [k for k in range(1, len(terms)) if k == 1 or k % span == 0]
+
+
+def test_a_block_short_of_the_degree_asked_is_filled_again():
+    # at twist -1/2 only degree 0 is admissible, so k's block ends at k; a later degree
+    # of the same aligned block refills it, as a fresh table fills it
+    s = QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0), BaseGeometry.flat(1, twist=-0.5),
+                          30.0)
+    table, fresh = MomentTable(s, "quadrature"), MomentTable(s, "quadrature")
+    table(3)
+    assert [table(5), table(3)] == [fresh(5), fresh(3)]
+    assert table.counts()["gauss_rules"] == 1     # the blocks held
+
+
 @pytest.mark.parametrize("method", ["closed", "quadrature"])
 def test_generating_coefficients_are_the_degree_loop(method):
     s = _projective(21.0, 1.5)
-    for count in (0, 1, 2, 22):
+    for count in (1, 2, 22):
         loop, _ = _loop_series(s, np.ones(1), MomentTable(s, method), count=count)
         assert generating_coefficients(s, count, method) == [d / loop[0] for d in loop]
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_generating_coefficients_are_k_count_of_them(method):
+    # count 0 gave [1.0], as a negative count did, where it asks for no coefficient
+    s = _projective(21.0, 1.5)
+    assert generating_coefficients(s, 0, method) == []
+    assert [len(generating_coefficients(s, count, method)) for count in (1, 2, 22)] == [1, 2, 22]
+    for count in (-1, -3, 2.5, 2.0, None):
+        with pytest.raises(PreconditionFailed, match=f"^coefficient count k_count={count!r} "):
+            generating_coefficients(s, count, method)
 
 
 @pytest.mark.parametrize("d0, k0", [(1, 0), (3, 64), (8, 128), (20, 0)])

@@ -29,14 +29,16 @@ with the density itself evaluated from the profile, never through the closed
 moments: the density and the series' e^(-alpha F) read one evaluation of the
 profile factors, ``profiles.density_factors`` (closed forms for the three
 families, an order-2 rho-jet for a custom profile), which the Gram oracle reads too.
-A single moment gets its own rule; a moment table shares one rule, one sweep of the
-density over its nodes and one array of moments, which it holds and hands the series
-slices of, among each aligned block of min(64, nodes) consecutive fiber degrees: an
-N-node rule (``--quad-nodes``) is exact to degree 2N-1, so a span of at most N keeps
-each block moment as exact as a rule of its own; the density is numpy's logs and exp
-past those factors.  Any other setup (a custom profile, or a family off its model's domain)
-uses adaptive quadrature one moment at a time.  A moment that is not finite and
-positive raises QuadratureNonConvergent when asked for.
+A moment table keeps every route's moments in one store of aligned blocks, and shares
+one rule, one sweep of the density over its nodes and one array of moments, which it
+hands the series slices of, among each block of min(64, nodes) consecutive fiber
+degrees, cut only at the model's last degree: an N-node rule (``--quad-nodes``) is
+exact to degree 2N-1, so a span of at most N keeps each block moment as exact as a
+rule of its own; the density is numpy's logs and exp past those factors.  A single
+moment, ``psi_moment``, is a table of span 1: a rule of its own.  Any other setup (a
+custom profile, or a family off its model's domain) uses adaptive quadrature one
+moment at a time.  A moment that is not finite and positive raises
+QuadratureNonConvergent when asked for, and none depends on what was asked before.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class QuantizationSetup:
     twist: float = field(init=False)
 
     def __post_init__(self):
-        if self.d0 < 1:
-            raise PreconditionFailed("fiber dimension d0 must be >= 1")
+        if not (isinstance(self.d0, int) and self.d0 >= 1):
+            raise PreconditionFailed(f"fiber dimension d0 must be an integer >= 1, got {self.d0!r}")
         if not math.isfinite(self.alpha):
             raise PreconditionFailed(f"alpha={self.alpha} must be finite")
         if self.domain not in ("ball", "fullspace"):
@@ -292,26 +294,30 @@ def _psi_adaptive(s: QuantizationSetup, k: int) -> float:
     return val / math.prod(range(k + 1, k + s.d0))
 
 
+def _per_degree(s: QuantizationSetup, method: str, nodes: int) -> MomentTable:
+    """A table of span 1: each moment its own block, by quadrature a Gauss rule of its own."""
+    table = MomentTable(s, method, nodes)
+    table._span = 1
+    return table
+
+
 def psi_moment(s: QuantizationSetup, k: int, method: str = "closed", nodes: int = 64) -> float:
     """Fiber moment psi(alpha, k) by closed form, or by quadrature with a rule of its own."""
-    table = MomentTable(s, method, nodes)
-    if table._gauss:    # its own block [k, k], as the one block of a table of span 1
-        table._gate(k)
-        table._span, table._blocks[k] = 1, _psi_quadrature_block(s, k, k, nodes)
-    return table(k)
+    return _per_degree(s, method, nodes)(k)
 
 
 class MomentTable:
     """The moments psi(alpha, k) = ``table(k)`` of one setup by one method, memoized,
     with ``ratio(k)`` = psi(k-1)/psi(k) and counts of the work done.
 
-    The closed route walks psi(alpha, 0) over the closed ratios as a mantissa and
-    a power of two, one ratio per new degree, and refuses a moment that is not a
-    normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
-    Quadrature holds the three families' moments as one array per Gauss rule, each an
-    aligned block of min(_GAUSS_BLOCK, nodes) degrees keyed by its first, any other
-    setup's adaptively one per degree, and refuses a moment that is not finite and
-    positive; ``_gate`` refuses bad degrees.  ``_ratios`` hands the series slices of a block.
+    Every route keeps its moments in ``_blocks``, aligned blocks of ``_span`` degrees keyed by
+    their first.  The closed route walks psi(alpha, 0) over the closed ratios as a mantissa and
+    a power of two, one ratio per new degree appended to its block's list, and refuses a moment
+    that is not a normal float; its ``ratio(k)`` is the closed ratio, finite where psi(k) is not.
+    Quadrature keeps a Gauss rule's array per block of min(_GAUSS_BLOCK, nodes) degrees, cut only
+    at the model's last degree, else adaptive moments in blocks of one, and refuses a moment that
+    is not finite and positive.  So psi(k) is the same whatever was asked before.  ``_gate``
+    refuses bad degrees; ``_ratios`` hands the series slices of a block.
     """
 
     def __init__(self, s: QuantizationSetup, method: str = "closed", nodes: int = 64):
@@ -324,10 +330,9 @@ class MomentTable:
         self._last = model.last_degree(s) if model else math.inf    # adaptive: any k
         # the least moment handed out: a normal float closed, any positive float by quadrature
         self._least = 2.0 ** -1022 if self._closed else math.ulp(0.0)
-        self._span = max(1, min(_GAUSS_BLOCK, nodes))   # gauss_rule refuses nodes < 1
-        self._vals: dict[int, float] = {}               # the closed and adaptive moments
-        self._blocks: dict[int, np.ndarray] = {}        # the Gauss blocks by first degree
-        self._walk = (0.5, 1)       # the last closed moment walked, as mantissa and exponent
+        self._span = int(max(1, min(_GAUSS_BLOCK, nodes))) if model else 1   # adaptive: 1
+        self._blocks: dict[int, list | np.ndarray] = {}
+        self._walk = None           # the last closed moment walked: mantissa, exponent, degree
         self._used: set[int] = set()
         self._ratio = None          # the closed ratio, set with psi(alpha, 0)
 
@@ -335,8 +340,8 @@ class MomentTable:
         """The closed ratio; the branch window and psi(alpha, 0) once, when first needed."""
         if self._ratio is None:
             s = self.setup
-            self._vals[0] = _psi0(s, _closed_window(s))
-            self._walk = math.frexp(self._vals[0])
+            psi0 = _psi0(s, _closed_window(s))
+            self._blocks[0], self._walk = [psi0], (*math.frexp(psi0), 0)
             self._ratio = _MODELS[s.domain, s.profile.family].ratio
         return self._ratio
 
@@ -351,30 +356,28 @@ class MomentTable:
             raise BranchInvalid(f"fiber degree k={k} past the model's last degree {self._last}")
 
     def _fill(self, k: int) -> None:
-        s = self.setup
+        s, k0 = self.setup, k - k % self._span
         if self._closed:
-            ratio = self._closed_ratio()
-            m, e = self._walk
-            for j in range(len(self._vals) - 1, k):
-                r, re = math.frexp(ratio(s, j))
+            ratio, (m, e, walked) = self._closed_ratio(), self._walk
+            for j in range(walked + 1, k + 1):
+                r, re = math.frexp(ratio(s, j - 1))
                 m, de = math.frexp(m / r if r else math.inf)
                 e += de - re
-                self._walk = m, e
-                self._vals[j + 1] = math.ldexp(m, e) if e <= 1024 else math.inf
-        elif self._gauss:     # k's aligned block, clipped to the moments that exist
-            k0 = k - k % self._span
-            k1 = k0 + self._span - 1 if s.twist > 0 else s.fiber_degrees(k0 + self._span - 1)[-1]
-            k1 = max(k, min(k1, self._last))
-            self._blocks[k0] = _psi_quadrature_block(s, k0, k1, self._nodes)
+                self._walk = m, e, j
+                self._blocks.setdefault(j - j % self._span, []).append(
+                    math.ldexp(m, e) if e <= 1024 else math.inf)
+        elif self._gauss:
+            self._blocks[k0] = _psi_quadrature_block(s, k0, min(k0 + self._span - 1, self._last),
+                                                     self._nodes)
         else:
-            self._vals[k] = _psi_adaptive(s, k)
+            self._blocks[k] = np.array([_psi_adaptive(s, k)])
 
     def __call__(self, k: int) -> float:
         self._gate(k)
-        i = k % self._span      # quadrature: k's place in its aligned block, filled if short of k
-        if k not in self._vals and i >= len(self._blocks.get(k - i, ())):
+        i = k % self._span      # k's place in its aligned block, filled if short of k
+        if i >= len(self._blocks.get(k - i, ())):
             self._fill(k)
-        psi = float(self._blocks[k - i][i]) if self._gauss else self._vals[k]
+        psi = float(self._blocks[k - i][i])
         if not self._least <= psi < math.inf:
             raise QuadratureNonConvergent(
                 f"closed fiber moment psi(alpha, {k}) = {psi} is not a normal float"
@@ -391,20 +394,21 @@ class MomentTable:
         return self(k - 1) / self(k)
 
     def _ratios(self, k0: int, k1: int) -> np.ndarray:
-        """ratio(k) for k0 <= k <= k1 as one array, cut at the first k whose moments are not
-        at hand or refused; it fills, refuses and marks nothing, under the caller's errstate."""
+        """ratio(k), k0 <= k <= k1, as one array cut at the end of k0 - 1's block and at the first
+        refused moment; it fills, refuses and marks nothing, under the caller's errstate."""
+        first = k0 - 1 - (k0 - 1) % self._span     # k0 - 1's block, filled by ratio(k0 - 1)
+        k1 = min(k1, first + self._span - 1)
         if self._closed:
-            return self._closed_ratio()(self.setup, np.arange(k0 - 1.0, min(k1, self._last)))
-        first = k0 - 1 - (k0 - 1) % self._span     # two slices of k0 - 1's block (adaptive: none)
-        psi = self._blocks.get(first, np.empty(0))[k0 - 1 - first:k1 + 1 - first]
+            return self._ratio(self.setup, np.arange(k0 - 1.0, min(k1, self._last)))
+        psi = self._blocks[first][k0 - 1 - first:k1 + 1 - first]
         ok = (psi >= self._least) & (psi < math.inf)
         n = max((psi.size if ok.all() else np.argmin(ok)) - 1, 0)
         return psi[:n] / psi[1:n + 1]
 
     def counts(self) -> dict[str, int]:
         """Gauss rules built, nodes per rule and fiber degrees used so far."""
-        return {"gauss_rules": len(self._blocks),
-                "nodes_per_rule": self._nodes if self._blocks else 0,
+        rules = len(self._blocks) if self._gauss else 0     # only Gauss blocks are rules
+        return {"gauss_rules": rules, "nodes_per_rule": self._nodes if rules else 0,
                 "fiber_degrees": len(self._used)}
 
 
@@ -412,14 +416,19 @@ class MomentTable:
 # fiber moments
 
 
-def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
-                 nodes: int = 64) -> float:
-    """Monomial fiber moment I_m: multinomial prefactor prod_i m_i!/|m|! times psi(alpha, |m|)."""
+def _degree(s: QuantizationSetup, m: Sequence[int]) -> int:
+    """|m| of a multi-index of d0 non-negative integers, the one check of both moment routes."""
     if len(m) != s.d0:
         raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
     if not all(isinstance(mi, int) and mi >= 0 for mi in m):
         raise PreconditionFailed(f"multi-index entries must be non-negative integers, got {m!r}")
-    tot = sum(m)
+    return sum(m)
+
+
+def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
+                 nodes: int = 64) -> float:
+    """Monomial fiber moment I_m: multinomial prefactor prod_i m_i!/|m|! times psi(alpha, |m|)."""
+    tot = _degree(s, m)
     pref = math.prod(map(math.factorial, m)) / math.factorial(tot)   # exact, rounded once
     return pref * psi_moment(s, tot, method, nodes)
 
@@ -433,11 +442,12 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int]) -> float:
     """
     if s.domain != "ball":
         raise BranchInvalid("direct fiber moments are implemented on the ball fiber")
-    if len(m) != s.d0 or s.d0 not in (1, 2):
+    tot = _degree(s, m)
+    if s.d0 not in (1, 2):
         raise BranchInvalid("direct fiber moments cover d0 in {1, 2}")
     xi, wxi = legendre(_DIRECT_NODES)
     # v1 = xi*eta, v2 = xi*(1 - eta), Jacobian xi: a xi sum times an eta sum (none if d0 = 1)
-    radial = float(np.dot(wxi, xi ** (sum(m) + s.d0 - 1) * density_H(s, xi)))
+    radial = float(np.dot(wxi, xi ** (tot + s.d0 - 1) * density_H(s, xi)))
     return radial * math.prod(float(np.dot(wxi, xi ** mj * (1.0 - xi) ** m[-1]))
                               for mj in m[:-1])
 
@@ -463,8 +473,8 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     the sum: a tail bound, as the term ratios do not grow (moments of positive
     densities are log-convex; the affine, product and power laws have falling ratios).
     """
-    if k_max < 0:
-        raise PreconditionFailed(f"series cap k_max must be >= 0, got {k_max}")
+    if not (isinstance(k_max, int) and k_max >= 0):
+        raise PreconditionFailed(f"series cap k_max must be an integer >= 0, got {k_max!r}")
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     if radii.size == 0:
@@ -484,10 +494,9 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
         raise SeriesNonConvergent(f"series term 0 at rho={top} leaves the float range")
     moment, total, k = 1.0, terms[0], 1
     while k < degrees.stop:
-        k1 = min(k - k % psi._span + psi._span, degrees.stop) - 1    # the end of k's block
         first = psi.ratio(k)        # fills k's block, or refuses k
         with np.errstate(all="ignore"):     # the block runs past the stopping degree
-            f = np.concatenate(([moment * (top * first)], top * psi._ratios(k + 1, k1)))
+            f = np.concatenate(([moment * (top * first)], top * psi._ratios(k + 1, degrees[-1])))
             moments = np.multiply.accumulate(f)
             d = law(alpha + lam * np.arange(k, k + f.size)) * moments
             totals = np.add.accumulate(np.concatenate(([total], d)))[1:]
@@ -617,8 +626,8 @@ class BalancedCertificate:
 
 def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> QuantizationSetup:
     """The quantization setup of the rank-r dual-bundle model over the sphere."""
-    if k < 1 or r < 1 or m < 1:
-        raise PreconditionFailed("k, r, m must be positive integers")
+    if not all(isinstance(v, int) and v >= 1 for v in (k, r, m)):
+        raise PreconditionFailed(f"k, r, m must be positive integers, got {k!r}, {r!r}, {m!r}")
     base = BaseGeometry.fubini_study_cp1(k, twist=1.0)
     if part == "ball":
         if c != 1.0:

@@ -157,6 +157,13 @@ def _field(d: dict, key: str, conv: Callable = float, default=_REQUIRED):
         raise PreconditionFailed(f"setup field {key!r} has the invalid value {d[key]!r}") from None
 
 
+def _whole(value) -> int:
+    """An integer field: int() would read 2.5 as 2 and true as 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return int(value)
+
+
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError
@@ -200,8 +207,8 @@ def _eps_from_dict(d: dict) -> curvature.BergmanLaw:
     if kind == "affine":    # alpha + offset, as a product of one factor
         return curvature.BergmanLaw(-_field(d, "offset"))
     if kind == "product":
-        return curvature.BergmanLaw(_field(d, "shift"), _field(d, "count", int))
-    return curvature.BergmanLaw(count=_field(d, "exponent", int), power=True)
+        return curvature.BergmanLaw(_field(d, "shift"), _field(d, "count", _whole))
+    return curvature.BergmanLaw(count=_field(d, "exponent", _whole), power=True)
 
 
 def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist: float,
@@ -216,7 +223,7 @@ def _base_from_dict(d: dict, p: profiles.RadialProfile, dim: int, d0: int, twist
     preset = _field(d, "preset", _one_of("branch", "cp1", "cpd", "flat"), None)
     _known(d, f"base {preset}" if preset else "the base", "preset", "eps", *_BASE_FIELDS[preset])
     if preset == "cp1":
-        base = curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", int, 1), twist)
+        base = curvature.BaseGeometry.fubini_study_cp1(_field(d, "k", _whole, 1), twist)
     elif preset == "cpd":
         base = curvature.BaseGeometry.fubini_study_cpd(dim, twist)
     elif preset == "flat":
@@ -249,9 +256,9 @@ def _read_model(d: dict, law: bool = False) -> tuple[profiles.RadialProfile,
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a setup document must be a JSON object, got {d!r}")
     _known(d, "the setup", "d", "d0", "twist", "domain", "profile", "base", "alpha")
-    dim = _field(d, "d", int)
+    dim = _field(d, "d", _whole)
     twist = _field(d, "twist", float, 1.0)
-    d0 = _field(d, "d0", int)
+    d0 = _field(d, "d0", _whole)
     domain = _field(d, "domain", _one_of("ball", "fullspace"))
     p = profile_from_dict(_field(d, "profile", _object))
     base, bdoc = _base_from_dict(_field(d, "base", _object), p, dim, d0, twist, law)
@@ -409,20 +416,16 @@ def cmd_psi(args) -> tuple[dict, Sequence, Sequence, dict]:
     degrees, values = range(args.table_k + 1), []
     worst = 0.0
     table = bergman.MomentTable(s) if args.method != "quadrature" else None
+    quad_table = bergman._per_degree(s, "quadrature", args.quad_nodes)    # as psi_moment's
     for k in degrees:
         closed = table(k) if table else None
-        quad = (bergman.psi_moment(s, k, "quadrature", nodes=args.quad_nodes)
-                if args.method != "closed" else None)
+        quad = quad_table(k) if args.method != "closed" else None
         if args.method == "both":
             worst = max(worst, abs(quad - closed) / abs(closed))
         values.append(quad if closed is None else closed)
     verdict = "pass" if (args.method != "both" or worst <= args.tol) else "fail"
-    # one Gauss rule per quadrature moment; a family without a moment model
-    # on this domain is integrated adaptively, with no Gauss rule
-    rules = (len(degrees) if args.method != "closed"
-             and (s.domain, s.profile.family) in bergman._MODELS else 0)
     summary = {"verdict": verdict, "max_deviation": worst, "method": args.method,
-               "gauss_rules": rules, "nodes_per_rule": args.quad_nodes if rules else 0}
+               **{key: n for key, n in quad_table.counts().items() if key != "fiber_degrees"}}
     return echo, degrees, values, summary
 
 

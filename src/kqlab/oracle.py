@@ -69,10 +69,13 @@ class GramOracleConfig:
         (0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 0.7))
 
     def __post_init__(self):
-        if self.bundle_degree < 1 or self.power < 1:
-            raise PreconditionFailed("bundle degree and power must be >= 1")
-        if self.q_cap < 2:
-            raise PreconditionFailed("q_cap must be >= 2 for tail estimation")
+        k, m, q_cap = self.bundle_degree, self.power, self.q_cap
+        if not all(isinstance(v, int) and v >= 1 for v in (k, m)):
+            raise PreconditionFailed(f"bundle degree and power must be integers >= 1, "
+                                     f"got {k!r}, {m!r}")
+        if not (isinstance(q_cap, int) and q_cap >= 2):
+            raise PreconditionFailed(f"q_cap must be an integer >= 2 for tail estimation, "
+                                     f"got {q_cap!r}")
         if not self.sample_points:
             raise PreconditionFailed("the oracle needs at least one sample point")
 
@@ -101,8 +104,8 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
     (no Beta closed form on this path); the kernel is then assembled and
     tested for constancy against m + 1/k.
     """
-    if k < 1 or m < 1:
-        raise PreconditionFailed("k, m must be >= 1")
+    if not all(isinstance(v, int) and v >= 1 for v in (k, m)):
+        raise PreconditionFailed(f"k, m must be integers >= 1, got {k!r}, {m!r}")
     if len(z_grid) == 0:
         raise OutOfDomain("z_grid must be non-empty")
     for s in z_grid:

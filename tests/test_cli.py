@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -400,18 +401,21 @@ def test_curvature_diagnostics_in_summaries(capsys, command):
     assert summary["points"] == len(doc["rows"]) == 9
 
 
-@pytest.mark.parametrize("extra, rules", [
-    (("--family", "logball", "--A", "0.5", "--method", "both"), 5),
-    (("--family", "logball", "--A", "0.5", "--method", "closed"), 0),
+@pytest.mark.parametrize("extra, rules, nodes", [
+    (("--family", "logball", "--A", "0.5", "--method", "both"), 5, 48),
+    (("--family", "logball", "--A", "0.5", "--method", "closed"), 0, 48),
     # no moment model for a linear profile on the ball: adaptive quadrature
-    (("--family", "linear", "--alpha", "3", "--method", "quadrature"), 0),
-], ids=["both", "closed", "adaptive"])
-def test_psi_rule_diagnostics_in_summary(capsys, extra, rules):
+    (("--family", "linear", "--alpha", "3", "--method", "quadrature"), 0, 48),
+    (("--family", "logball", "--A", "0.5", "--method", "both"), 5, 1),
+    (("--family", "linear", "--alpha", "3", "--method", "quadrature"), 0, 1),
+], ids=["both", "closed", "adaptive", "both-1-node", "adaptive-1-node"])
+def test_psi_rule_diagnostics_in_summary(capsys, extra, rules, nodes):
+    # the counts of the quadrature column's own table: one rule per moment, none adaptive
     code, doc = run_json(capsys, "psi", "--d", "1", "--d0", "2", "--lambda", "1",
-                         "--table-k", "4", "--quad-nodes", "48", *extra)
+                         "--table-k", "4", "--quad-nodes", str(nodes), *extra)
     assert code == 0 and len(doc["rows"]) == 5
     assert (doc["summary"]["gauss_rules"], doc["summary"]["nodes_per_rule"]) == (
-        rules, 48 if rules else 0)
+        rules, nodes if rules else 0)
 
 
 @pytest.mark.parametrize("p", [log_ball(0.5), linear(2.5), log_affine(-0.7, 1.3)],
@@ -933,6 +937,18 @@ def test_a_jet_product_past_the_float_range_is_out_of_domain(capsys):
         "type": "OutOfDomain", "message": "curvature fields leave the float range at t=180.0"}
 
 
+def _psi_report(tmp_path, capsys, doc, path, value):
+    """kq psi over ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    doc_path = tmp_path / "setup.json"
+    doc_path.write_text(json.dumps(doc))
+    return run_json(capsys, "psi", "--setup", str(doc_path), "--table-k", "1")
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("base",), 3, "base"),
     (("profile",), [1], "profile"),
@@ -945,17 +961,47 @@ def test_a_jet_product_past_the_float_range_is_out_of_domain(capsys):
 ], ids=["base-not-object", "profile-not-object", "eps-kind", "base-preset",
         "eps-offset-null", "d0-not-integer", "domain", "family"])
 def test_malformed_setup_field_is_invalid_input(tmp_path, capsys, path, value, field):
-    doc = json.loads(json.dumps(_SETUP))
-    inner = doc
-    for key in path[:-1]:
-        inner = inner[key]
-    inner[path[-1]] = value
-    doc_path = tmp_path / "setup.json"
-    doc_path.write_text(json.dumps(doc))
-    code, out = run_json(capsys, "psi", "--setup", str(doc_path))
+    code, out = _psi_report(tmp_path, capsys, _SETUP, path, value)
     assert code == 2
     assert out["error"]["type"] == "PreconditionFailed"
     assert repr(field) in out["error"]["message"]
+
+
+_CP1 = dict(_SETUP, d0=1, base={"preset": "cp1", "k": 2})
+_PRODUCT = dict(_SETUP, base={"a1": 0.5, "a2": 0.0,
+                              "eps": {"kind": "product", "shift": -1.0, "count": 2}})
+_POWER = dict(_SETUP, base={"a1": 0.5, "a2": 0.0, "eps": {"kind": "power", "exponent": 2}})
+
+
+@pytest.mark.parametrize("doc, path, value", [
+    (_SETUP, ("d0",), 2.5),
+    (_SETUP, ("d0",), math.inf),
+    (_SETUP, ("d",), True),
+    (_SETUP, ("d",), 1.000001),
+    (_CP1, ("base", "k"), 1.5),
+    (_CP1, ("base", "k"), False),
+    (_PRODUCT, ("base", "eps", "count"), 1.9),
+    (_POWER, ("base", "eps", "exponent"), 2.5),
+    (_POWER, ("base", "eps", "exponent"), True),
+], ids=["d0-fraction", "d0-inf", "d-true", "d-near-one", "cp1-k-fraction", "cp1-k-false",
+        "eps-count-fraction", "eps-exponent-fraction", "eps-exponent-true"])
+def test_integer_setup_field_refuses_what_is_not_a_whole_number(tmp_path, capsys, doc, path,
+                                                                value):
+    # int() read "d0": 2.5 as 2 and "d": true as 1, and computed eps with count 1 where the
+    # report echoed 1.9, all with exit 0; "d0": Infinity raised a bare OverflowError
+    code, out = _psi_report(tmp_path, capsys, doc, path, value)
+    assert code == 2
+    assert out["error"] == {"type": "PreconditionFailed", "message":
+                            f"setup field {path[-1]!r} has the invalid value {value!r}"}
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_SETUP, ("d0",)), (_CP1, ("base", "k")), (_POWER, ("base", "eps", "exponent")),
+], ids=["d0", "cp1-k", "eps-exponent"])
+def test_integer_setup_field_reads_a_whole_float_as_its_integer(tmp_path, capsys, doc, path):
+    value = functools.reduce(dict.get, path, doc)
+    reports = [_psi_report(tmp_path, capsys, doc, path, conv(value)) for conv in (int, float)]
+    assert reports[0][0] == 0 and reports[0] == reports[1]
 
 
 def test_setup_document_that_is_not_an_object_is_invalid_input(tmp_path, capsys):

@@ -9,9 +9,9 @@ import math
 
 import pytest
 
-from kqlab.bergman import (MomentTable, QuantizationSetup, balanced_setup, bergman_series,
-                           fiber_moment, fiber_moment_direct, generating_coefficients,
-                           generating_identity_check, psi_moment)
+from kqlab.bergman import (MomentTable, QuantizationSetup, balanced_certify, balanced_setup,
+                           bergman_series, fiber_moment, fiber_moment_direct,
+                           generating_coefficients, generating_identity_check, psi_moment)
 from kqlab.curvature import (BaseGeometry, curvature_report, polyquad_closed,
                              required_base_coefficients)
 from kqlab.errors import BranchInvalid, OutOfDomain, PreconditionFailed
@@ -89,9 +89,42 @@ _SITES = {
     "oracle-samples": (lambda: GramOracleConfig(2, 2, sample_points=()), "sample point"),
     "oracle-degree": (lambda: GramOracleConfig(0, 2), "bundle degree and power"),
     "oracle-power": (lambda: GramOracleConfig(2, 0), "bundle degree and power"),
-    "oracle-q-cap": (lambda: GramOracleConfig(2, 2, q_cap=1), "q_cap must be >= 2"),
-    "cp1-oracle-k": (lambda: cp1_bergman_oracle(0, 2, [0.5]), "k, m must be >= 1"),
-    "cp1-oracle-m": (lambda: cp1_bergman_oracle(2, 0, [0.5]), "k, m must be >= 1"),
+    "oracle-q-cap": (lambda: GramOracleConfig(2, 2, q_cap=1), "q_cap must be an integer >= 2"),
+    "cp1-oracle-k": (lambda: cp1_bergman_oracle(0, 2, [0.5]), "k, m must be integers >= 1"),
+    "cp1-oracle-m": (lambda: cp1_bergman_oracle(2, 0, [0.5]), "k, m must be integers >= 1"),
+    # a whole-number parameter given a fraction: balanced_certify certified k = 2.5 and m = 2.5
+    # as balanced (targets 6.48 and 4.5); the others raised an untyped TypeError
+    "balanced-fractional-k": (lambda: balanced_certify(2.5, 1, 3),
+                              r"^k, r, m must be positive integers, got 2.5, 1, 3$"),
+    "balanced-fractional-r": (lambda: balanced_certify(2, 1.5, 3),
+                              r"^k, r, m must be positive integers, got 2, 1.5, 3$"),
+    "balanced-fractional-m": (lambda: balanced_certify(2, 1, 2.5),
+                              r"^k, r, m must be positive integers, got 2, 1, 2.5$"),
+    "setup-fractional-d0": (lambda: psi_moment(_setup(d0=1.5, alpha=2.0), 0),
+                            r"^fiber dimension d0 must be an integer >= 1, got 1.5$"),
+    "cp1-oracle-fractional-k": (lambda: cp1_bergman_oracle(1.5, 2, [0.5]),
+                                r"^k, m must be integers >= 1, got 1.5, 2$"),
+    "hartogs-fractional-degree": (lambda: hartogs_gram_oracle(
+        GramOracleConfig(1.5, 2), balanced_setup(2, 1, 2, "ball")),
+                                  r"^bundle degree and power must be integers >= 1, got 1.5, 2$"),
+    "hartogs-fractional-q-cap": (lambda: hartogs_gram_oracle(
+        GramOracleConfig(2, 2, q_cap=60.5), balanced_setup(2, 1, 2, "ball")),
+                                 r"^q_cap must be an integer >= 2 for tail estimation, "
+                                 r"got 60.5$"),
+    "series-fractional-k-max": (lambda: bergman_series(balanced_setup(2, 1, 2, "ball"), 0.5,
+                                                       k_max=2.5),
+                                r"^series cap k_max must be an integer >= 0, got 2.5$"),
+    # the direct route read these: 2.05 for [-1, 2] and 0.0025 for [1.5, 2]
+    "direct-moment-negative-index": (lambda: fiber_moment_direct(balanced_setup(2, 2, 3, "ball"),
+                                                                 [-1, 2]),
+                                     r"^multi-index entries must be non-negative integers, "
+                                     r"got \[-1, 2\]$"),
+    "direct-moment-fractional-index": (lambda: fiber_moment_direct(
+        balanced_setup(2, 2, 3, "ball"), [1.5, 2]), r"^multi-index entries must be non-negative "
+                                                    r"integers, got \[1.5, 2\]$"),
+    "direct-moment-index-length": (lambda: fiber_moment_direct(balanced_setup(2, 2, 3, "ball"),
+                                                               [1]),
+                                   r"^multi-index length 1 != d0 2$"),
     "hartogs-d0": (lambda: hartogs_gram_oracle(GramOracleConfig(2, 2),
                                                balanced_setup(2, 2, 2, "ball")), "d = d0 = 1"),
     "hartogs-d": (lambda: hartogs_gram_oracle(GramOracleConfig(1, 2), QuantizationSetup(

@@ -15,8 +15,8 @@ from kqlab import bergman
 from kqlab.bergman import (MomentTable, QuantizationSetup, balanced_setup, bergman_series,
                            generating_coefficients)
 from kqlab.curvature import BaseGeometry, BergmanLaw
-from kqlab.errors import (KQLabError, PreconditionFailed, QuadratureNonConvergent,
-                          SeriesNonConvergent)
+from kqlab.errors import (BranchInvalid, KQLabError, PreconditionFailed,
+                          QuadratureNonConvergent, SeriesNonConvergent)
 from kqlab.profiles import linear, log_affine, log_ball
 
 
@@ -177,15 +177,34 @@ def test_the_series_opens_each_aligned_block_once(method, nodes, monkeypatch):
     assert opened == [k for k in range(1, len(terms)) if k == 1 or k % span == 0]
 
 
-def test_a_block_short_of_the_degree_asked_is_filled_again():
-    # at twist -1/2 only degree 0 is admissible, so k's block ends at k; a later degree
-    # of the same aligned block refills it, as a fresh table fills it
-    s = QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0), BaseGeometry.flat(1, twist=-0.5),
-                          30.0)
-    table, fresh = MomentTable(s, "quadrature"), MomentTable(s, "quadrature")
-    table(3)
-    assert [table(5), table(3)] == [fresh(5), fresh(3)]
-    assert table.counts()["gauss_rules"] == 1     # the blocks held
+def _log_affine(twist, alpha):
+    return QuantizationSetup(1, "fullspace", log_affine(-1.0, 1.0),
+                             BaseGeometry.flat(1, twist=twist), alpha)
+
+
+@pytest.mark.parametrize("nodes", [64, 63, 1])
+@pytest.mark.parametrize("s", [_log_affine(-0.5, 30.0), _projective(21.0, 1.5)],
+                         ids=["half-twist", "projective"])
+def test_a_moment_is_the_same_whatever_was_asked_before(s, nodes):
+    # at twist -1/2 only degree 0 is in the spectrum: a Gauss block clipped there ended at
+    # the degree asked, and psi(3) = 0x1.f3e0984e6e681p-18 read ...683p-18 once psi(5) had
+    # refilled its block
+    table = MomentTable(s, "quadrature", nodes)
+    before = table(3).hex()
+    table(5)
+    assert table(3).hex() == before == MomentTable(s, "quadrature", nodes)(3).hex()
+
+
+def test_a_level_off_the_spectrum_is_refused_by_the_series_alone():
+    # alpha = 9.5 at twist -1 is no natural number: the Gauss route refused psi(2) with
+    # BranchInvalid, where psi_moment handed it out
+    s = _log_affine(-1.0, 9.5)
+    table = MomentTable(s, "quadrature")
+    for k in range(4):
+        assert table(k) == pytest.approx(bergman._psi_adaptive(s, k), rel=1e-11, abs=0.0)
+        assert table(k) == pytest.approx(bergman.psi_moment(s, k, "quadrature"), rel=1e-13)
+    with pytest.raises(BranchInvalid, match="^level alpha=9.5 not in the spectrum$"):
+        bergman_series(_with_law(s, BergmanLaw(-1.0)), 0.5, psi_method="quadrature")
 
 
 @pytest.mark.parametrize("method", ["closed", "quadrature"])

@@ -54,7 +54,7 @@ import numpy as np
 
 from .curvature import BaseGeometry, BergmanLaw, _branch, _close, _spread, on_required_base
 from .errors import (BranchInvalid, EmptyGrid, OutOfDomain, PreconditionFailed,
-                     QuadratureNonConvergent, SeriesNonConvergent)
+                     QuadratureNonConvergent, SeriesNonConvergent, whole)
 from .jets import require
 # profile_jet is not called here, but stays bound: perfbench's tracer reads it
 from .profiles import RadialProfile, density_factors, linear, log_ball, profile_jet
@@ -93,8 +93,7 @@ class QuantizationSetup:
     twist: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.d0, int) and self.d0 >= 1):
-            raise PreconditionFailed(f"fiber dimension d0 must be an integer >= 1, got {self.d0!r}")
+        object.__setattr__(self, "d0", whole(self.d0, 1, "fiber dimension d0"))
         if not math.isfinite(self.alpha):
             raise PreconditionFailed(f"alpha={self.alpha} must be finite")
         if self.domain not in ("ball", "fullspace"):
@@ -345,15 +344,15 @@ class MomentTable:
             self._ratio = _MODELS[s.domain, s.profile.family].ratio
         return self._ratio
 
-    def _gate(self, k, least: int = 0) -> None:
-        """The one refusal of a fiber degree: PreconditionFailed unless k is an integer >=
-        least, then the closed route's branch window, then BranchInvalid past last_degree."""
-        if not (isinstance(k, int) and k >= least):
-            raise PreconditionFailed(f"fiber degree k={k!r} must be an integer >= {least}")
+    def _gate(self, k, least: int = 0) -> int:
+        """k as a plain int, past the one refusal of a fiber degree: PreconditionFailed unless an
+        integer >= least, then the closed route's branch window, then BranchInvalid past _last."""
+        k = whole(k, least, "fiber degree k")
         if self._closed:
             self._closed_ratio()
         if k > self._last:
             raise BranchInvalid(f"fiber degree k={k} past the model's last degree {self._last}")
+        return k
 
     def _fill(self, k: int) -> None:
         s, k0 = self.setup, k - k % self._span
@@ -373,7 +372,7 @@ class MomentTable:
             self._blocks[k] = np.array([_psi_adaptive(s, k)])
 
     def __call__(self, k: int) -> float:
-        self._gate(k)
+        k = self._gate(k)
         i = k % self._span      # k's place in its aligned block, filled if short of k
         if i >= len(self._blocks.get(k - i, ())):
             self._fill(k)
@@ -387,7 +386,7 @@ class MomentTable:
         return psi
 
     def ratio(self, k: int) -> float:
-        self._gate(k, 1)
+        k = self._gate(k, 1)
         if self._closed:
             self._used.add(k)
             return self._ratio(self.setup, k - 1)
@@ -416,19 +415,19 @@ class MomentTable:
 # fiber moments
 
 
-def _degree(s: QuantizationSetup, m: Sequence[int]) -> int:
-    """|m| of a multi-index of d0 non-negative integers, the one check of both moment routes."""
+def _multi_index(s: QuantizationSetup, m: Sequence[int]) -> tuple[list[int], int]:
+    """A multi-index of d0 non-negative integers, as plain ints, and its degree |m|: the one
+    check of both moment routes."""
     if len(m) != s.d0:
         raise PreconditionFailed(f"multi-index length {len(m)} != d0 {s.d0}")
-    if not all(isinstance(mi, int) and mi >= 0 for mi in m):
-        raise PreconditionFailed(f"multi-index entries must be non-negative integers, got {m!r}")
-    return sum(m)
+    m = [whole(mi, 0, "multi-index entry") for mi in m]
+    return m, sum(m)
 
 
 def fiber_moment(s: QuantizationSetup, m: Sequence[int], method: str = "closed",
                  nodes: int = 64) -> float:
     """Monomial fiber moment I_m: multinomial prefactor prod_i m_i!/|m|! times psi(alpha, |m|)."""
-    tot = _degree(s, m)
+    m, tot = _multi_index(s, m)
     pref = math.prod(map(math.factorial, m)) / math.factorial(tot)   # exact, rounded once
     return pref * psi_moment(s, tot, method, nodes)
 
@@ -442,7 +441,7 @@ def fiber_moment_direct(s: QuantizationSetup, m: Sequence[int]) -> float:
     """
     if s.domain != "ball":
         raise BranchInvalid("direct fiber moments are implemented on the ball fiber")
-    tot = _degree(s, m)
+    m, tot = _multi_index(s, m)
     if s.d0 not in (1, 2):
         raise BranchInvalid("direct fiber moments cover d0 in {1, 2}")
     xi, wxi = legendre(_DIRECT_NODES)
@@ -473,8 +472,7 @@ def _moment_series(s: QuantizationSetup, radii: np.ndarray, psi: MomentTable,
     the sum: a tail bound, as the term ratios do not grow (moments of positive
     densities are log-convex; the affine, product and power laws have falling ratios).
     """
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise PreconditionFailed(f"series cap k_max must be an integer >= 0, got {k_max!r}")
+    k_max = whole(k_max, 0, "series cap k_max")
     if s.base.eps is None:
         raise PreconditionFailed("setup base carries no Bergman function eps")
     if radii.size == 0:
@@ -583,8 +581,7 @@ def _eps_alpha(s: QuantizationSetup, terms: list[float]) -> float:
 def generating_coefficients(s: QuantizationSetup, k_count: int,
                             psi_method: str = "closed", nodes: int = 64) -> list[float]:
     """The first k_count coefficients eps(alpha+lam k)/eps(alpha) * psi(alpha,0)/psi(alpha,k)."""
-    if not (isinstance(k_count, int) and k_count >= 0):
-        raise PreconditionFailed(f"coefficient count k_count={k_count!r} must be an integer >= 0")
+    k_count = whole(k_count, 0, "coefficient count k_count")
     terms, _ = _moment_series(s, np.ones(1), MomentTable(s, psi_method, nodes), count=k_count)
     eps0 = _eps_alpha(s, terms)
     return [d / eps0 for d in terms[:k_count]]
@@ -626,8 +623,7 @@ class BalancedCertificate:
 
 def balanced_setup(k: int, r: int, m: int, part: str, c: float = 1.0) -> QuantizationSetup:
     """The quantization setup of the rank-r dual-bundle model over the sphere."""
-    if not all(isinstance(v, int) and v >= 1 for v in (k, r, m)):
-        raise PreconditionFailed(f"k, r, m must be positive integers, got {k!r}, {r!r}, {m!r}")
+    k, r, m = whole(k, 1, "bundle degree k"), whole(r, 1, "rank r"), whole(m, 1, "power m")
     base = BaseGeometry.fubini_study_cp1(k, twist=1.0)
     if part == "ball":
         if c != 1.0:
@@ -657,6 +653,7 @@ def balanced_certify(k: int, r: int, m: int, part: str = "ball",
     exact product law; the moment route defaults to quadrature so the check
     does not reuse the closed forms it certifies.
     """
+    k, r, m = whole(k, 1, "bundle degree k"), whole(r, 1, "rank r"), whole(m, 1, "power m")
     s = balanced_setup(k, r, m, part, c)
     A = s.profile.A              # 0 for the linear profile of the total space
     target = closed_target(s)

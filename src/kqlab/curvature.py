@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, KQLabError, OutOfDomain, PreconditionFailed
+from .errors import EmptyGrid, KQLabError, OutOfDomain, PreconditionFailed, whole
 from .jets import TaylorJet, require
 from .profiles import RadialProfile, momentum_jets
 from .special import product_shifted
@@ -69,8 +69,7 @@ class BaseGeometry:
     eps: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise PreconditionFailed(f"base dimension d must be >= 1, got {self.d}")
+        object.__setattr__(self, "d", whole(self.d, 1, "base dimension d"))
         if self.twist == 0 or not np.isfinite(
                 (self.twist, self.scalar, self.ric2, self.lapk, self.riem2)).all():
             raise PreconditionFailed("twist must be nonzero, and the twist and invariants finite")
@@ -107,8 +106,7 @@ class BaseGeometry:
 
         Scalar curvature 2/k; the base Bergman function is alpha + 1/k.
         """
-        if k < 1:
-            raise PreconditionFailed("bundle degree k must be >= 1")
+        k = whole(k, 1, "bundle degree k")
         s = 2.0 / k
         return BaseGeometry(1, twist, s, s * s, 0.0, s * s,
                             eps=BergmanLaw(-1.0 / k))
@@ -120,8 +118,7 @@ class BaseGeometry:
         Einstein with Ricci constant d+1; the base Bergman function at an
         integer level alpha is prod_{j=1..d}(alpha + j).
         """
-        if d < 1:
-            raise PreconditionFailed("d must be >= 1")
+        d = whole(d, 1, "base dimension d")
         s = float(d * (d + 1))
         return BaseGeometry(d, twist, s, s * (d + 1.0), 0.0, 2.0 * s,
                             eps=BergmanLaw(-1.0, d))
@@ -140,8 +137,7 @@ class BaseGeometry:
         Fubini-Study presets exactly and satisfies the space-form relation
         |R|^2 - 4|Ric|^2 used by the constant-coefficient classification.
         """
-        if d < 1:
-            raise PreconditionFailed(f"base dimension d must be >= 1, got {d}")
+        d = whole(d, 1, "base dimension d")
         s = 2.0 * a1
         ric2 = s * s / d
         riem2 = 24.0 * a2 + 4.0 * ric2 - 3.0 * s * s
@@ -194,8 +190,7 @@ def _stages(base: BaseGeometry, p: RadialProfile, d0: int, ts: np.ndarray):
     r = (sigma - d0)/x = d0 mu + s and chi = -2 d0 s - x ds - d0 (d0 - 1) mu, where
     ds = (S^d s)'/S^d = s' + d lam s/S.  Products by x and sums are formed on coefficient
     arrays, so the jet operations are psi/S, s/S and phi chi' at every (d, d0)."""
-    if d0 < 1:
-        raise PreconditionFailed("fiber dimension d0 must be >= 1")
+    d0 = whole(d0, 1, "fiber dimension d0")
     d, lam = base.d, base.twist
 
     x, phij, psij, muj = momentum_jets(p, ts, REPORT_ORDER)

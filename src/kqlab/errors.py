@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all kqlab modules."""
+"""Exception hierarchy shared by all kqlab modules, and ``whole``, the one whole-number check."""
+
+import operator
 
 
 class KQLabError(Exception):
@@ -55,3 +57,13 @@ class TruncationInsufficient(KQLabError, ArithmeticError):
 
 class PreconditionFailed(KQLabError, ValueError):
     """Structural precondition of an operation does not hold."""
+
+
+def whole(value, least: int, what: str) -> int:
+    """value as a plain int: what operator.index takes but a bool, at least ``least``."""
+    try:
+        if not isinstance(value, bool) and (n := operator.index(value)) >= least:
+            return n
+    except TypeError:
+        pass
+    raise PreconditionFailed(f"{what} must be an integer >= {least}, got {value!r}")

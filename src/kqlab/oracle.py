@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bergman
 from .errors import (BranchInvalid, OutOfDomain, PreconditionFailed,
-                     QuadratureNonConvergent, TruncationInsufficient)
+                     QuadratureNonConvergent, TruncationInsufficient, whole)
 from .profiles import density_factors
 from .special import laguerre, legendre
 
@@ -55,10 +55,10 @@ _PROBE_RADII, _PROBE_ANGLES = 32, 24    # Gram probe: Gauss nodes per radius, po
 class GramOracleConfig:
     """Basis caps and quadrature resolution for the Gram-matrix oracle.
 
-    ``q_cap`` bounds the fiber degree, and the z-exponent cap is the largest
-    integrable exponent k*(m + q_cap).  ``s_nodes`` is
+    ``q_cap`` (at least 2, for tail estimation) bounds the fiber degree, and the
+    z-exponent cap is the largest integrable exponent k*(m + q_cap).  ``s_nodes`` is
     the Gauss rule size on each radial axis.  Sample points are (|z|^2, rho)
-    pairs with rho the scaled fiber radius.
+    pairs with rho the scaled fiber radius.  Degree, power and q_cap are kept as plain ints.
     """
 
     bundle_degree: int
@@ -69,13 +69,8 @@ class GramOracleConfig:
         (0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 0.7))
 
     def __post_init__(self):
-        k, m, q_cap = self.bundle_degree, self.power, self.q_cap
-        if not all(isinstance(v, int) and v >= 1 for v in (k, m)):
-            raise PreconditionFailed(f"bundle degree and power must be integers >= 1, "
-                                     f"got {k!r}, {m!r}")
-        if not (isinstance(q_cap, int) and q_cap >= 2):
-            raise PreconditionFailed(f"q_cap must be an integer >= 2 for tail estimation, "
-                                     f"got {q_cap!r}")
+        for name, least in (("bundle_degree", 1), ("power", 1), ("q_cap", 2)):
+            object.__setattr__(self, name, whole(getattr(self, name), least, name))
         if not self.sample_points:
             raise PreconditionFailed("the oracle needs at least one sample point")
 
@@ -104,8 +99,7 @@ def cp1_bergman_oracle(k: int, m: int, z_grid: Sequence[float],
     (no Beta closed form on this path); the kernel is then assembled and
     tested for constancy against m + 1/k.
     """
-    if not all(isinstance(v, int) and v >= 1 for v in (k, m)):
-        raise PreconditionFailed(f"k, m must be integers >= 1, got {k!r}, {m!r}")
+    k, m = whole(k, 1, "bundle degree k"), whole(m, 1, "power m")
     if len(z_grid) == 0:
         raise OutOfDomain("z_grid must be non-empty")
     for s in z_grid:

@@ -129,6 +129,8 @@ class RadialProfile:
             raise PreconditionFailed(f"{self.family} needs a finite {name}, got {value}")
         elif not FAMILIES[self.family].valid(self.A, self.c):
             raise PreconditionFailed(f"{self.family} needs {FAMILIES[self.family].rule}")
+        for name in ("A", "c"):     # as floats, so no family's arithmetic sees an int
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def params(self) -> dict[str, float]:
         """The parameters the family reads, by name (none for custom profiles)."""
@@ -150,7 +152,7 @@ def from_params(family: str, A: Optional[float] = None, c: float = 1.0) -> Radia
     does not read keeps its fixed value (c = 1, A = 0), or the family's check refuses it."""
     if A is None and family in FAMILIES and "A" in FAMILIES[family].params:
         raise PreconditionFailed(f"the {family} family needs its parameter A")
-    return RadialProfile(family, A=0.0 if A is None else float(A), c=float(c))
+    return RadialProfile(family, A=0.0 if A is None else A, c=c)
 
 
 def log_ball(A: float) -> RadialProfile:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import NegativeInput, PreconditionFailed, QuadratureNonConvergent
+from .errors import NegativeInput, QuadratureNonConvergent, whole
 
 
 def product_shifted(level: float, shift: float, n: int) -> float:
@@ -156,8 +156,7 @@ def roots_genlaguerre(nodes: int, a: float):
 
 def gauss_rule(rule, nodes: int, *exponents: float):
     """Nodes and weights of one Gauss rule, or QuadratureNonConvergent if they overflow."""
-    if not (isinstance(nodes, int) and nodes >= 1):
-        raise PreconditionFailed(f"a Gauss rule needs at least one node, an integer, got {nodes!r}")
+    nodes = whole(nodes, 1, "a Gauss rule's node count")
     with np.errstate(all="ignore"):   # checked below, typed
         xs, ws = rule(nodes, *exponents)
     if not (np.isfinite(xs).all() and np.isfinite(ws).all()):

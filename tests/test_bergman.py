@@ -758,11 +758,12 @@ def test_a_degree_that_is_not_a_natural_number_is_a_precondition(method):
     # a held degree asked as a float is refused too (it was handed out once held)
     table = MomentTable(_projective_plane(), method)
     table(3)
-    for ask in (lambda: table(-1), lambda: table(2.5), lambda: table(3.0), lambda: table.ratio(0),
-                lambda: table.ratio(-3), lambda: table.ratio(1.5),
-                lambda: psi_moment(table.setup, 2.5, method)):
-        with pytest.raises(PreconditionFailed, match="fiber degree k="):
-            ask()
+    for ask, least, k in ((table, 0, -1), (table, 0, 2.5), (table, 0, 3.0), (table.ratio, 1, 0),
+                          (table.ratio, 1, -3), (table.ratio, 1, 1.5),
+                          (lambda k: psi_moment(table.setup, k, method), 0, 2.5)):
+        with pytest.raises(PreconditionFailed,
+                           match=f"^fiber degree k must be an integer >= {least}, got {k!r}$"):
+            ask(k)
 
 
 def test_a_degree_past_the_last_is_refused_alike_on_both_routes():
@@ -803,7 +804,8 @@ def test_quadrature_without_a_convergent_moment_refuses_every_degree(s):
 
 
 def test_a_table_with_no_nodes_is_refused_at_its_first_rule():
-    with pytest.raises(PreconditionFailed, match="at least one node"):
+    with pytest.raises(PreconditionFailed,
+                       match="a Gauss rule's node count must be an integer >= 1, got 0"):
         MomentTable(balanced_setup(2, 1, 3, "ball"), "quadrature", 0)(0)
 
 
@@ -815,6 +817,17 @@ def test_log_affine_block_stops_at_last_convergent_moment():
     assert cache.counts()["gauss_rules"] == 1
     with pytest.raises(BranchInvalid):
         cache(21)
+
+
+def test_an_integer_profile_scale_gives_the_float_scale_moments():
+    # numpy's ValueError "Integers to negative integer powers are not allowed" from the
+    # log-affine Gauss block, which formed c ** -(k0 + d0 + j) with the profile's int c
+    base = BaseGeometry.flat(1, twist=-0.5)
+    tables = [MomentTable(QuantizationSetup(1, "fullspace", profile, base, 30.0), "quadrature")
+              for profile in (log_affine(-1, 1), log_affine(-1.0, 1.0))]
+    ints, floats = ([table(k).hex() for k in range(6)] for table in tables)
+    assert ints == floats
+    assert all(type(v) is float for v in (tables[0].setup.profile.A, tables[0].setup.profile.c))
 
 
 def test_custom_profile_keeps_adaptive_moments(monkeypatch):
